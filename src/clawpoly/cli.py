@@ -19,6 +19,7 @@ import time
 
 from .coordchange import from_prime_coords, to_prime_coords
 from .engine import (
+    _dimension_cap,
     f_vector,
     equal_polytopes,
     hull_from_vertices,
@@ -436,15 +437,12 @@ def cmd_stats(args) -> int:
         ("binary_inequalities", len(sys_bin.inequalities)),
     ]
     outcome = "pass"
-    cap = args.max_dim if args.max_dim is not None else None
-    try:
-        hull = hull_from_vertices(vs) if _under_cap(sys_std.dimension, cap) else None
-    except ResourceCapError:
-        hull = None
-    if hull is None:
+    # the hull has no cap of its own; stats applies the engine's vertex cap
+    if sys_std.dimension > _dimension_cap(args.max_dim):
         outcome = "partial"
         pairs.append(("facets", "skipped-by-cap"))
     else:
+        hull = hull_from_vertices(vs)
         pairs.append(("facets", len(hull.facets)))
         if args.fvector:
             if m == 3:
@@ -461,13 +459,6 @@ def cmd_stats(args) -> int:
         pairs = pairs + [("file", args.out)]
     _emit(pairs, started)
     return 0
-
-
-def _under_cap(dim, cap) -> bool:
-    if cap is None:
-        raw = os.environ.get("CLAWPOLY_MAX_DIM")
-        cap = int(raw) if raw and raw.lstrip("-").isdigit() else 12
-    return dim <= cap
 
 
 # --- entry --------------------------------------------------------------------

@@ -11,11 +11,15 @@ reduce to one cone computation:
   affine hull.
 
 Lineality is absorbed on the fly (the run starts from R^n as a basis of
-lines), rays carry exact tight-set bitmasks, and adjacency during the
-combination step is the combinatorial test: a pair is adjacent iff no
-third ray's tight set contains their common tight set. A popcount
-prefilter (common tight count >= n - |lines| - 2, forced by the rank of
-the pair's minimal face) keeps the test cheap.
+lines), and rays carry exact tight-set bitmasks over the input rows.
+Adjacency is the combinatorial test (Fukuda & Prodon): a pair is adjacent
+iff no third ray is tight on all of their common tight rows. A popcount
+prefilter (common tight count >= n - |lines| - 2, forced by the rank of the
+pair's minimal face) cuts most pairs first; the test runs bit-parallel on
+the transposed incidence, one bitmask of tight ray ids per row, kept up to
+date as rays are made and dropped and renumbered once dead ids outnumber
+live ones. The hull reads its vertices and incidence off the same tight
+sets, with no linear algebra.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import (
     DimensionError,
@@ -32,7 +37,7 @@ from .errors import (
     ResourceCapError,
     UnboundedError,
 )
-from .linalg import affine_rank, matrix_rank
+from .linalg import affine_rank
 from .rationals import canon
 from .vertices import VertexSet
 
@@ -61,18 +66,44 @@ def _scale_row_to_int(row):
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
-def _dd_cone(rows, n, label=""):
+def _bits(mask):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(masks, nbits):
+    """Per bit i < nbits, the bitmask of the positions k whose masks[k] has bit i."""
+    cols = [bytearray((len(masks) + 7) >> 3) for _ in range(nbits)]
+    for k, mask in enumerate(masks):
+        byte, bit = k >> 3, 1 << (k & 7)
+        for i in _bits(mask):
+            cols[i][byte] |= bit
+    return [int.from_bytes(c, "little") for c in cols]
+
+
+def _dd_cone(rows, n, label):
     """Double description of {x in R^n : row . x <= 0 for each row}.
 
     Returns (lines, rays): integer basis vectors of the lineality space and
     the extreme rays of the pointed quotient, each ray paired with its
-    tight-set bitmask over the input rows.
+    tight-set bitmask over the input rows. Logs one summary line of counts
+    under label.
     """
     lines = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    rays = []  # (vector, tight mask)
+    rays = []  # (vector, tight mask over rows, id)
+    # transposed incidence: bit k of tight_on[i] is set iff the ray with id k
+    # is tight on row i; ids are not reused until the next renumbering, and
+    # alive has the bits of the current rays
+    tight_on = [0] * len(rows)
+    alive = 0
+    next_id = 0
+    peak = candidates = prefiltered = adjacent_pairs = 0
     for t, a in enumerate(rows):
         bit = 1 << t
         pivot = None
@@ -98,61 +129,97 @@ def _dd_cone(rows, n, label=""):
                 new_lines.append(l)
             lines = new_lines
             new_rays = []
-            for r, mask in rays:
+            for r, mask, rid in rays:
                 vr = _dot(a, r)
                 if vr:
                     r = _normalize_int_vector(
                         tuple(mag * x + vr * y for x, y in zip(r, r0))
                     )
-                new_rays.append((r, mask | bit))
-            full = bit - 1  # tight on every earlier row, not on this one
-            new_rays.append((r0, full))
+                new_rays.append((r, mask | bit, rid))
+            tight_on[t] = alive
+            id_bit = 1 << next_id
+            for i in range(t):  # tight on every earlier row, not on this one
+                tight_on[i] |= id_bit
+            alive |= id_bit
+            new_rays.append((r0, bit - 1, next_id))
+            next_id += 1
             rays = new_rays
+            peak = max(peak, len(rays))
             continue
         plus = []  # violating side: a . r > 0
         zero = []
         minus = []
+        plus_ids = zero_ids = 0
         for entry in rays:
             v = _dot(a, entry[0])
             if v > 0:
                 plus.append((entry, v))
+                plus_ids |= 1 << entry[2]
             elif v < 0:
                 minus.append((entry, v))
             else:
                 zero.append(entry)
+                zero_ids |= 1 << entry[2]
+        tight_on[t] = zero_ids
         if not plus:
-            rays = [(r, mask | bit) for r, mask in zero] + [e for e, _ in minus]
+            rays = [(r, mask | bit, rid) for r, mask, rid in zero] + [e for e, _ in minus]
             continue
+        candidates += len(plus) * len(minus)
         threshold = n - len(lines) - 2
-        all_masks = [mask for _, mask in rays]
+        minus_masks = [e[1] for e, _ in minus]
         combined = []
-        for (rp, mp), vp in plus:
-            for (rm, mm), vm in minus:
+        for (rp, mp, ip), vp in plus:
+            hits = [
+                j for j, mm in enumerate(minus_masks)
+                if (mp & mm).bit_count() >= threshold
+            ]
+            prefiltered += len(hits)
+            for j in hits:
+                (rm, mm, im), vm = minus[j]
                 common = mp & mm
-                if common.bit_count() < threshold:
-                    continue
-                adjacent = True
-                for other in all_masks:
-                    if common & other == common and other != mp and other != mm:
-                        adjacent = False
+                # adjacent iff no third alive ray is tight on every row of common
+                pair = 1 << ip | 1 << im
+                survivors = alive
+                rest = common
+                while rest:
+                    low = rest & -rest
+                    survivors &= tight_on[low.bit_length() - 1]
+                    if survivors == pair:
                         break
-                if not adjacent:
+                    rest ^= low
+                if survivors != pair:
                     continue
                 vec = _normalize_int_vector(
                     tuple(vp * x - vm * y for x, y in zip(rm, rp))
                 )
                 combined.append((vec, common | bit))
-        rays = (
-            [(r, mask | bit) for r, mask in zero]
-            + [e for e, _ in minus]
-            + combined
+        alive ^= plus_ids
+        rays = [(r, mask | bit, rid) for r, mask, rid in zero] + [e for e, _ in minus]
+        for vec, mask in combined:
+            id_bit = 1 << next_id
+            for i in _bits(mask):
+                tight_on[i] |= id_bit
+            alive |= id_bit
+            rays.append((vec, mask, next_id))
+            next_id += 1
+        if next_id > 2 * len(rays):
+            # dead ids outnumber live ones: renumber, so that the masks stay
+            # about as wide as the ray list (amortized over the rays made)
+            rays = [(r, mask, k) for k, (r, mask, _) in enumerate(rays)]
+            tight_on = _transpose([mask for _, mask, _ in rays], len(rows))
+            next_id = len(rays)
+            alive = (1 << next_id) - 1
+        adjacent_pairs += len(combined)
+        peak = max(peak, len(rays))
+        log.info(
+            "%s: row %d/%d, %d rays, %d lines",
+            label, t + 1, len(rows), len(rays), len(lines),
         )
-        if label:
-            log.info(
-                "%s: row %d/%d, %d rays, %d lines",
-                label, t + 1, len(rows), len(rays), len(lines),
-            )
-    return lines, rays
+    log.info(
+        "%s: %d rows, %d rays at peak, %d candidate pairs, %d past prefilter, %d adjacent",
+        label, len(rows), peak, candidates, prefiltered, adjacent_pairs,
+    )
+    return lines, [(r, mask) for r, mask, _ in rays]
 
 
 @dataclass(frozen=True)
@@ -217,7 +284,8 @@ def vertices_from_inequalities(source, max_dim=None) -> VertexSet:
 
     source is an InequalitySystem or PolytopeDD. The dimension cap defaults
     to 12 and is overridden by max_dim or the CLAWPOLY_MAX_DIM environment
-    variable; long runs log progress per inserted row.
+    variable. The run logs its progress per inserted row and a summary of
+    the DD counts at INFO level.
     """
     d = source.dimension
     cap = _dimension_cap(max_dim)
@@ -231,7 +299,7 @@ def vertices_from_inequalities(source, max_dim=None) -> VertexSet:
     structural = tuple([-1] + [0] * d)
     rows.insert(0, structural)
     label = f"vertices[{getattr(source, 'model', '')} d={d}]"
-    lines, rays = _dd_cone(rows, d + 1, label=label if d >= 10 else "")
+    lines, rays = _dd_cone(rows, d + 1, label)
     points = []
     recession = False
     for r, _ in rays:
@@ -260,8 +328,10 @@ def hull_from_vertices(points) -> PolytopeDD:
     """Convex hull: irredundant facets, affine-hull equations, incidence.
 
     Accepts a VertexSet or an iterable of rational point tuples; duplicates
-    are removed. Vertices of the hull are the input points whose tight
-    facet and equation normals have full rank.
+    are removed. Each facet's tight points come from its ray's tight set. A
+    point is a vertex of the hull iff no other input point lies on every
+    facet it lies on: otherwise its minimal face has a second vertex, and
+    that vertex is an input point.
     """
     if hasattr(points, "points"):
         pts = list(points.points)
@@ -273,32 +343,31 @@ def hull_from_vertices(points) -> PolytopeDD:
     if any(len(p) != d for p in pts):
         raise DimensionError("points of mixed dimension")
     pts = sorted(set(pts))
-    rows = sorted(_scale_row_to_int((1,) + p) for p in pts)
-    lines, rays = _dd_cone(rows, d + 1)
-    facets = []
-    for y, _ in rays:
+    scaled = [_scale_row_to_int((1,) + p) for p in pts]
+    order = sorted(range(len(pts)), key=scaled.__getitem__)  # row -> point
+    lines, rays = _dd_cone(
+        [scaled[i] for i in order], d + 1, f"hull[d={d} points={len(pts)}]"
+    )
+    facet_rays = []
+    for y, mask in rays:
         a = y[1:]
         if any(a):
             # the full ray (-b, a) is already coprime
-            facets.append((tuple(a), -y[0]))
-    facets.sort()
+            facet_rays.append(((tuple(a), -y[0]), mask))
+    facet_rays.sort()
+    facets = [f for f, _ in facet_rays]
     equations = sorted(_canonical_equation(l[1:], -l[0]) for l in lines)
-    eq_normals = [a for a, _ in equations]
-    vertices = []
-    for p in pts:
-        tight = [a for a, b in facets if _dot(a, p) == b]
-        if matrix_rank(tight + eq_normals, d) == d:
-            vertices.append(p)
-    incidence = []
-    for a, b in facets:
-        mask = 0
-        for vi, p in enumerate(vertices):
-            if _dot(a, p) == b:
-                mask |= 1 << vi
-        incidence.append(mask)
+    on_facets = [0] * len(pts)  # per point: bitmask of the facets through it
+    for row, fmask in enumerate(_transpose([mask for _, mask in facet_rays], len(pts))):
+        on_facets[order[row]] = fmask
+    vertex_ids = [
+        i for i, fi in enumerate(on_facets)
+        if not any(fj & fi == fi for j, fj in enumerate(on_facets) if j != i)
+    ]
+    incidence = _transpose([on_facets[i] for i in vertex_ids], len(facets))
     return PolytopeDD(
         dimension=d,
-        vertices=tuple(vertices),
+        vertices=tuple(pts[i] for i in vertex_ids),
         facets=tuple(facets),
         equations=tuple(equations),
         incidence=tuple(incidence),

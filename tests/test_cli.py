@@ -177,6 +177,9 @@ def test_verify_equality_hits_cap(capsys):
 
 def test_verify_equality_cap_override(capsys):
     assert main(["verify", "equality", "--leaves", "5", "--max-dim", "15"]) == 0
+    rec = last_record(capsys)
+    assert rec["engine_vertices"] == "256"
+    assert rec["generated_vertices"] == "256"
 
 
 def test_verify_integrality(capsys):
@@ -184,6 +187,14 @@ def test_verify_integrality(capsys):
     rec = last_record(capsys)
     assert rec["kimura3_vertices"] == "16"
     assert rec["kimura3_prime_vertices"] == "16"
+    assert rec["violations"] == "0"
+
+
+def test_verify_integrality_m5(capsys):
+    assert main(["verify", "integrality", "--leaves", "5", "--max-dim", "15"]) == 0
+    rec = last_record(capsys)
+    assert rec["kimura3_vertices"] == "256"
+    assert rec["kimura3_prime_vertices"] == "256"
     assert rec["violations"] == "0"
 
 
@@ -277,6 +288,12 @@ def test_stats_partial_over_cap(capsys):
     rec = last_record(capsys)
     assert rec["facets"] == "skipped-by-cap"
     assert rec["outcome"] == "partial"
+
+
+def test_stats_bad_cap_env(monkeypatch, capsys):
+    monkeypatch.setenv("CLAWPOLY_MAX_DIM", "abc")
+    assert main(["stats", "--leaves", "3"]) == 3
+    assert "CLAWPOLY_MAX_DIM" in capsys.readouterr().err
 
 
 def test_stats_f_vector_only_m3(capsys):

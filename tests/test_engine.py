@@ -1,6 +1,11 @@
+import logging
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from clawpoly.coordchange import to_prime_coords
 from clawpoly.engine import (
@@ -23,6 +28,7 @@ from clawpoly.errors import (
 )
 from clawpoly.groups import Z2Z2
 from clawpoly.halfspaces import demihypercube_system, kimura3_system
+from clawpoly.linalg import affine_rank, kernel_vector, matrix_rank
 from clawpoly.vertices import generate_vertices
 
 
@@ -93,6 +99,111 @@ def test_hull_facets_are_coprime_and_valid():
         assert g == 1
         for p in poly.vertices:
             assert sum(c * x for c, x in zip(a, p)) <= b
+
+
+# --- hull against brute-force oracles -------------------------------------------
+
+def _dot(a, p):
+    return sum(x * y for x, y in zip(a, p))
+
+
+def _centroid(pts):
+    return tuple(Fraction(sum(c), len(pts)) for c in zip(*pts))
+
+
+@st.composite
+def hull_inputs(draw):
+    """Small integer point sets in d <= 4, possibly lower-dimensional, plus
+    duplicates and points inside edges, faces and the interior."""
+    d = draw(st.integers(1, 4))
+    coord = st.integers(-2, 2)
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.tuples(*[coord] * d), min_size=2, max_size=8))
+    else:
+        # the image of a k-dimensional set under an integer affine map
+        k = draw(st.integers(0, d - 1))
+        base = draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=6))
+        embed = draw(st.lists(st.tuples(*[coord] * k), min_size=d, max_size=d))
+        shift = draw(st.tuples(*[coord] * d))
+        pts = [tuple(s + _dot(row, q) for row, s in zip(embed, shift)) for q in base]
+    for size in draw(st.lists(st.integers(1, 4), max_size=4)):
+        picks = draw(st.lists(st.sampled_from(pts), min_size=size, max_size=size))
+        pts.append(_centroid(picks))
+    return d, pts
+
+
+def _brute_force_facets(pts, d):
+    """Hyperplanes through d affinely independent points with every point on one side."""
+    facets = set()
+    for sub in combinations(pts, d):
+        if affine_rank(sub) != d - 1:
+            continue
+        ker = kernel_vector([tuple(p) + (-1,) for p in sub], d + 1)
+        denom = lcm(*(Fraction(x).denominator for x in ker))
+        vec = [int(x * denom) for x in ker]
+        g = gcd(*vec)
+        a, b = tuple(x // g for x in vec[:-1]), vec[-1] // g
+        sides = {(_dot(a, p) > b) - (_dot(a, p) < b) for p in pts}
+        if sides <= {0, -1}:
+            facets.add((a, b))
+        elif sides <= {0, 1}:
+            facets.add((tuple(-x for x in a), -b))
+    return facets
+
+
+def _rank_rule_vertices(poly, pts):
+    eq_normals = [a for a, _ in poly.equations]
+    return [
+        p for p in pts
+        if matrix_rank([a for a, b in poly.facets if _dot(a, p) == b] + eq_normals, poly.dimension)
+        == poly.dimension
+    ]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(hull_inputs())
+def test_hull_matches_oracles(data):
+    d, raw = data
+    poly = hull_from_vertices(raw)
+    pts = sorted(set(raw))
+    dim = affine_rank(pts)
+    assert len(poly.equations) == d - dim
+    for a, b in poly.equations:
+        assert all(_dot(a, p) == b for p in pts)
+    if dim == d:
+        assert set(poly.facets) == _brute_force_facets(pts, d)
+    for a, b in poly.facets:
+        assert all(_dot(a, p) <= b for p in pts)
+    assert list(poly.vertices) == _rank_rule_vertices(poly, pts)
+    for (a, b), mask in zip(poly.facets, poly.incidence):
+        for vi, v in enumerate(poly.vertices):
+            assert (mask >> vi & 1) == (_dot(a, v) == b)
+        assert mask >> len(poly.vertices) == 0
+    assert vertices_from_inequalities(poly).points == poly.vertices
+
+
+def test_hull_k5_counts_and_incidence():
+    poly = hull_from_vertices(generate_vertices(Z2Z2, 5))
+    assert len(poly.facets) == 68
+    assert len(poly.vertices) == 256
+    assert poly.equations == ()
+    assert list(poly.incidence) == [
+        sum(1 << vi for vi, v in enumerate(poly.vertices) if _dot(a, v) == b)
+        for a, b in poly.facets
+    ]
+
+
+def test_dd_counts_logged_for_hull_and_vertices(caplog):
+    caplog.set_level(logging.INFO, logger="clawpoly.engine")
+    hull_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+    vertices_from_inequalities(demihypercube_system(3), max_dim=3)
+    summaries = [r.getMessage() for r in caplog.records if "at peak" in r.getMessage()]
+    assert summaries == [
+        "hull[d=2 points=4]: 4 rows, 4 rays at peak, 2 candidate pairs, "
+        "2 past prefilter, 2 adjacent",
+        "vertices[binary d=3]: 11 rows, 5 rays at peak, 11 candidate pairs, "
+        "8 past prefilter, 8 adjacent",
+    ]
 
 
 # --- vertex enumeration ----------------------------------------------------------
