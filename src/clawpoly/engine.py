@@ -262,15 +262,20 @@ class EqualityReport:
 
 
 def _dimension_cap(max_dim):
+    """max_dim, else CLAWPOLY_MAX_DIM, else 12; a cap below 1 is refused."""
     if max_dim is not None:
-        return max_dim
-    raw = os.environ.get(MAX_DIM_ENV)
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    try:
-        return int(raw)
-    except ValueError:
-        raise ResourceCapError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}")
+        source, cap = "max_dim", max_dim
+    else:
+        raw = os.environ.get(MAX_DIM_ENV)
+        if raw is None:
+            return DEFAULT_MAX_DIM
+        try:
+            source, cap = MAX_DIM_ENV, int(raw)
+        except ValueError:
+            raise ResourceCapError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}")
+    if cap < 1:
+        raise ResourceCapError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _source_rows(source):

@@ -30,9 +30,10 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .matrices import Matrix, flat_pos
-from .rationals import Rational, canon
+from .rationals import Rational, canon, scale_to_ints
 
 
+@lru_cache(maxsize=None)
 def odd_subsets(n: int) -> tuple[tuple[int, ...], ...]:
     """Odd-cardinality subsets of {1..n} as sorted tuples, lexicographic order."""
     subs = []
@@ -118,15 +119,9 @@ class LinearInequality:
     neg: tuple[int, ...]
 
     def value(self, flat) -> Rational:
-        v = 0
-        for i in self.pos:
-            v = v + flat[i]
-        for i in self.neg:
-            v = v - flat[i]
-        return v
-
-    def slack(self, flat) -> Rational:
-        return self.rhs - self.value(flat)
+        """a.x; on integer numerators it stays on ints."""
+        get = flat.__getitem__
+        return sum(map(get, self.pos)) - sum(map(get, self.neg))
 
     def describe(self) -> str:
         return f"id={self.id} {self.family.describe()} rhs={self.rhs}"
@@ -204,11 +199,12 @@ class InequalitySystem:
         return flat
 
     def membership(self, point) -> MembershipResult:
-        flat = self.flatten(point)
+        """Exact status on integer numerators: the slack rhs - a.x, times D."""
+        nums, den = scale_to_ints(self.flatten(point))
         violated = []
         tight = []
         for ineq in self.inequalities:
-            s = ineq.slack(flat)
+            s = ineq.rhs * den - ineq.value(nums)
             if s < 0:
                 violated.append(ineq.id)
             elif s == 0:

@@ -8,6 +8,7 @@ ints (cheaper arithmetic, identical hashing/equality semantics).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -46,6 +47,16 @@ def fmt(x: Rational) -> str:
     if isinstance(x, int):
         return str(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def scale_to_ints(values) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over one common denominator: values[i] == nums[i] / den.
+
+    den is the lcm of the denominators (1 when every value is an int), so an
+    exact test a.x <= b on the values becomes a.nums <= b*den on ints.
+    """
+    den = lcm(*{x.denominator for x in values})
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
 def canon_point(coords) -> tuple:

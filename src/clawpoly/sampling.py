@@ -21,12 +21,12 @@ def _prime_vertex_matrices(m: int) -> list[Matrix]:
 
 
 def _combine(mats, weights) -> Matrix:
+    """Convex combination sum(w*mat) / sum(w); one Fraction per coordinate."""
     total = sum(weights)
     flat = [
-        sum(Fraction(w) * x for w, x in zip(weights, col))
+        Fraction(sum(w * x for w, x in zip(weights, col)), total)
         for col in zip(*(mat.flatten() for mat in mats))
     ]
-    flat = [x / total for x in flat]
     m = mats[0].ncols
     return Matrix.from_rows([flat[r * m : (r + 1) * m] for r in range(3)])
 

@@ -39,7 +39,7 @@ from .halfspaces import (
 )
 from .linalg import kernel_vector
 from .matrices import Matrix
-from .rationals import Rational, canon, is_integral
+from .rationals import Rational, canon, is_integral, scale_to_ints
 from .vertices import Labeling, generate_vertices, labeling_to_matrix
 
 
@@ -160,15 +160,13 @@ def violation_witness(labeling: Labeling) -> ViolationWitness | None:
 
 def line_tight_subsets(values) -> tuple[tuple[int, ...], ...]:
     """Odd subsets A with sum_A v - sum_notA v == |A| - 1, for one row or column."""
-    values = tuple(canon(v) for v in values)
-    n = len(values)
-    total = sum(values)
-    tight = []
-    for sub in odd_subsets(n):
-        inside = sum(values[i - 1] for i in sub)
-        if 2 * inside - total == len(sub) - 1:
-            tight.append(sub)
-    return tuple(tight)
+    nums, den = scale_to_ints([canon(v) for v in values])
+    total = sum(nums)
+    return tuple(
+        sub
+        for sub in odd_subsets(len(nums))
+        if 2 * sum(nums[i - 1] for i in sub) - total == (len(sub) - 1) * den
+    )
 
 
 def _validate_line_subset(values, subset):
@@ -359,30 +357,33 @@ def _edge_line(p: Matrix, a, b):
 def _step_bounds(sys: InequalitySystem, flat, direction):
     """Exact max steps t+ (along +v) and t- (along -v) staying in the system.
 
-    Tight inequalities must have zero rate along v; returns None on the
+    Slacks and rates are integer numerators over the point's and the
+    direction's common denominators; a candidate step is compared by cross
+    multiplication and becomes a Fraction once, at the end. Tight
+    inequalities must have zero rate along v; returns None on the
     (theoretically excluded) invalid-direction case.
     """
-    t_plus = None
-    t_minus = None
+    nums, den = scale_to_ints(flat)
+    rates, rate_den = scale_to_ints(direction)
+    plus = minus = None  # (slack, |rate|) of the smallest step so far
     for ineq in sys.inequalities:
-        rate = ineq.value(direction)
-        slack = ineq.rhs - ineq.value(flat)
+        rate = ineq.value(rates)
+        slack = ineq.rhs * den - ineq.value(nums)
         if slack == 0:
             if rate != 0:
                 return None
             continue
         if rate > 0:
-            t = Fraction(slack) / Fraction(rate)
-            if t_plus is None or t < t_plus:
-                t_plus = t
+            if plus is None or slack * plus[1] < plus[0] * rate:
+                plus = (slack, rate)
         elif rate < 0:
-            t = Fraction(slack) / Fraction(-rate)
-            if t_minus is None or t < t_minus:
-                t_minus = t
-    if t_plus is None or t_minus is None:
+            if minus is None or slack * minus[1] < minus[0] * -rate:
+                minus = (slack, -rate)
+    if plus is None or minus is None:
         # bounded polytopes always stop a nonzero direction on both sides
         raise ConfigurationError("direction escaped a bounded polytope; internal error")
-    return t_plus, t_minus
+    # t = (slack / den) / (rate / rate_den)
+    return tuple(Fraction(sl * rate_den, r * den) for sl, r in (plus, minus))
 
 
 def _kernel_direction(p: Matrix, support):

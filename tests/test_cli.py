@@ -182,6 +182,20 @@ def test_verify_equality_cap_override(capsys):
     assert rec["generated_vertices"] == "256"
 
 
+@pytest.mark.parametrize("task", ["equality", "integrality"])
+def test_verify_cap_below_one(task, capsys):
+    assert main(["verify", task, "--leaves", "3", "--max-dim", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "max_dim must be at least 1, got 0" in err
+    assert "exceeds cap" not in err
+
+
+def test_verify_env_cap_below_one(monkeypatch, capsys):
+    monkeypatch.setenv("CLAWPOLY_MAX_DIM", "-1")
+    assert main(["verify", "equality", "--leaves", "3"]) == 3
+    assert "CLAWPOLY_MAX_DIM must be at least 1, got -1" in capsys.readouterr().err
+
+
 def test_verify_integrality(capsys):
     assert main(["verify", "integrality", "--leaves", "3"]) == 0
     rec = last_record(capsys)
@@ -205,6 +219,17 @@ def test_verify_theorems(capsys):
     assert rec["violations"] == "0"
     assert int(rec["roundtrips"]) == 40
     assert int(rec["pseudo_facet_samples"]) == 40
+
+
+def test_verify_theorems_m5_record_pinned(capsys):
+    assert main(["verify", "theorems", "--leaves", "5", "--samples", "600", "--seed", "3"]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    fields = [f for f in line.split(" ") if not f.startswith("wall=")]
+    assert " ".join(fields) == (
+        "command=verify task=theorems leaves=5 samples=600 roundtrips=600 memberships=600 "
+        "pseudo_facet_samples=600 cycle_configs=100 interior_nonintegral=599 violations=0 "
+        "outcome=pass"
+    )
 
 
 # --- witness --------------------------------------------------------------------
@@ -294,6 +319,18 @@ def test_stats_bad_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("CLAWPOLY_MAX_DIM", "abc")
     assert main(["stats", "--leaves", "3"]) == 3
     assert "CLAWPOLY_MAX_DIM" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_stats_cap_below_one(cap, capsys):
+    assert main(["stats", "--leaves", "3", "--max-dim", cap]) == 3
+    assert f"max_dim must be at least 1, got {cap}" in capsys.readouterr().err
+
+
+def test_stats_env_cap_below_one(monkeypatch, capsys):
+    monkeypatch.setenv("CLAWPOLY_MAX_DIM", "0")
+    assert main(["stats", "--leaves", "3"]) == 3
+    assert "CLAWPOLY_MAX_DIM must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_stats_f_vector_only_m3(capsys):

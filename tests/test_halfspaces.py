@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawpoly.errors import DimensionError, LeafCountError, NotAMemberError, UnsupportedGroupError
@@ -18,7 +18,10 @@ from clawpoly.halfspaces import (
     odd_subsets,
     row_projection,
 )
+from clawpoly.coordchange import to_prime_coords
+from clawpoly.groups import Z2Z2
 from clawpoly.matrices import Matrix
+from clawpoly.vertices import generate_vertices
 
 
 def test_odd_subsets_lex_order():
@@ -159,3 +162,70 @@ def test_row_count_formulas(m):
     assert len(kimura3_system(m).inequalities) == 3 * m + m + 3 * 2 ** (m - 1)
     assert len(kimura3_prime_system(m).inequalities) == 3 * 2 ** (m - 1) + 4 * m
     assert len(demihypercube_system(m).inequalities) == 2 * m + 2 ** (m - 1)
+
+
+# --- exact membership against a Fraction reference ------------------------------
+
+def _membership_reference(sys_, flat):
+    """Status, violated ids and tight ids from dense Fraction dot products."""
+    violated, tight = [], []
+    for ineq in sys_.inequalities:
+        s = Fraction(ineq.rhs) - sum(Fraction(c) * Fraction(x) for c, x in zip(ineq.coeffs, flat))
+        if s < 0:
+            violated.append(ineq.id)
+        elif s == 0:
+            tight.append(ineq.id)
+    status = "outside" if violated else "boundary" if tight else "inside"
+    return status, tuple(violated), tuple(tight)
+
+
+def _model_vertices(model, m):
+    if model == "binary":
+        return [tuple((mask >> i) & 1 for i in range(m))
+                for mask in range(1 << m) if mask.bit_count() % 2 == 0]
+    mats = generate_vertices(Z2Z2, m).matrices()
+    if model == "kimura3-prime":
+        mats = [to_prime_coords(v) for v in mats]
+    return [v.flatten() for v in mats]
+
+
+# plain ints, Fraction(k, 1), negatives, values above 1 and mixed denominators
+_coords = st.one_of(
+    st.integers(min_value=-2, max_value=3),
+    st.integers(min_value=-2, max_value=3).map(lambda k: Fraction(k, 1)),
+    st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4),
+                     Fraction(-1, 4), Fraction(5, 4), Fraction(7, 5)]),
+    st.fractions(min_value=-2, max_value=3, max_denominator=40),
+)
+
+
+@st.composite
+def _model_points(draw):
+    model = draw(st.sampled_from(["binary", "kimura3", "kimura3-prime"]))
+    m = draw(st.integers(min_value=3, max_value=5))
+    sys_ = model_system(model, m)
+    kind = draw(st.sampled_from(["free", "combination", "nudged"]))
+    if kind == "free":
+        flat = draw(st.lists(_coords, min_size=sys_.dimension, max_size=sys_.dimension))
+    else:
+        # convex combinations of vertices land on faces and inside
+        verts = _model_vertices(model, m)
+        picks = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=5))
+        weights = draw(st.lists(st.integers(min_value=1, max_value=8),
+                                min_size=len(picks), max_size=len(picks)))
+        total = sum(weights)
+        flat = [Fraction(sum(w * v[i] for w, v in zip(weights, picks)), total)
+                for i in range(sys_.dimension)]
+        if kind == "nudged":
+            i = draw(st.integers(min_value=0, max_value=sys_.dimension - 1))
+            flat[i] += draw(_coords)
+    return sys_, flat
+
+
+@settings(max_examples=300, deadline=None)
+@given(_model_points(), st.booleans())
+def test_membership_matches_fraction_reference(case, as_matrix):
+    sys_, flat = case
+    point = Matrix.from_flat(flat, *sys_.shape) if as_matrix else flat
+    res = sys_.membership(point)
+    assert (res.status, res.violated, res.tight) == _membership_reference(sys_, flat)

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clawpoly.errors import (
     ClassificationUndefinedError,
@@ -12,8 +15,10 @@ from clawpoly.errors import (
 from clawpoly.groups import Z2, Z2Z2, element
 from clawpoly.halfspaces import kimura3_prime_system
 from clawpoly.matrices import Matrix
+from clawpoly.sampling import _combine, _prime_vertex_matrices, sample_prime_points
 from clawpoly.vertices import Labeling
 from clawpoly.witness import (
+    _step_bounds,
     InteriorWitness,
     NotInterior,
     check_containment,
@@ -230,3 +235,107 @@ def test_s_facet_count_needs_cycle():
 def test_not_interior_is_distinct_type():
     # the failure carrier is a separate type so callers cannot mistake it
     assert not isinstance(NotInterior("x"), InteriorWitness)
+
+
+# --- integer-numerator paths against Fraction references -------------------------
+
+def _tight_reference(values):
+    values = [Fraction(v) for v in values]
+    n = len(values)
+    subs = sorted(s for k in range(1, n + 1, 2) for s in combinations(range(1, n + 1), k))
+    return tuple(
+        sub for sub in subs
+        if sum(values[i - 1] for i in sub) - sum(values[i - 1] for i in range(1, n + 1) if i not in sub)
+        == len(sub) - 1
+    )
+
+
+def _step_reference(sys_, flat, direction):
+    t_plus = t_minus = None
+    for ineq in sys_.inequalities:
+        rate = sum(Fraction(c) * Fraction(v) for c, v in zip(ineq.coeffs, direction))
+        slack = ineq.rhs - sum(Fraction(c) * Fraction(x) for c, x in zip(ineq.coeffs, flat))
+        if slack == 0:
+            if rate != 0:
+                return None
+            continue
+        if rate > 0 and (t_plus is None or slack / rate < t_plus):
+            t_plus = slack / rate
+        elif rate < 0 and (t_minus is None or slack / -rate < t_minus):
+            t_minus = slack / -rate
+    return t_plus, t_minus
+
+
+def _combine_reference(mats, weights):
+    total = sum(weights)
+    flat = [
+        sum(Fraction(w) * x for w, x in zip(weights, col)) / total
+        for col in zip(*(mat.flatten() for mat in mats))
+    ]
+    m = mats[0].ncols
+    return Matrix.from_rows([flat[r * m:(r + 1) * m] for r in range(3)])
+
+
+# values that often sit on pseudo-facets, plus free rationals
+_line_values = st.one_of(
+    st.sampled_from([0, 1, H, Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4),
+                     Fraction(1, 1), -1, 2, Fraction(-1, 2), Fraction(3, 2)]),
+    st.fractions(min_value=-2, max_value=3, max_denominator=40),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_line_values, min_size=3, max_size=7))
+def test_line_tight_subsets_matches_fraction_reference(values):
+    assert line_tight_subsets(values) == _tight_reference(values)
+
+
+def test_line_tight_subsets_on_sampled_lines():
+    for p in sample_prime_points(5, 60, seed=11):
+        for line in [p.row(r) for r in (1, 2, 3)] + [p.column(c) for c in range(1, 6)]:
+            assert line_tight_subsets(line) == _tight_reference(line)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=5),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.sampled_from(["witness", "integer", "rational"]),
+    st.data(),
+)
+def test_step_bounds_match_fraction_reference(m, seed, kind, data):
+    sys_ = kimura3_prime_system(m)
+    p = sample_prime_points(m, 1, seed)[0]
+    if kind == "witness":
+        if p.is_integral():
+            return
+        wit = interior_witness(p)
+        if not isinstance(wit, InteriorWitness):
+            return
+        direction = wit.direction.flatten()
+    else:
+        coord = (st.integers(min_value=-3, max_value=3) if kind == "integer"
+                 else st.fractions(min_value=-2, max_value=2, max_denominator=9))
+        direction = data.draw(st.lists(coord, min_size=3 * m, max_size=3 * m))
+        if all(v == 0 for v in direction):
+            return
+        # zero at integral coordinates leaves the tight box rows alone more often
+        if data.draw(st.booleans()):
+            direction = [v if not x == int(x) else 0 for x, v in zip(p.flatten(), direction)]
+            if all(v == 0 for v in direction):
+                return
+    flat = p.flatten()
+    assert _step_bounds(sys_, flat, direction) == _step_reference(sys_, flat, direction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=5), st.data())
+def test_combine_matches_fraction_reference(m, data):
+    verts = _prime_vertex_matrices(m)
+    picks = data.draw(st.lists(st.sampled_from(verts), min_size=1, max_size=5))
+    weights = data.draw(st.lists(st.integers(min_value=1, max_value=8),
+                                 min_size=len(picks), max_size=len(picks)))
+    got = _combine(picks, weights)
+    want = _combine_reference(picks, weights)
+    assert got == want
+    assert [type(x) for x in got.flatten()] == [type(x) for x in want.flatten()]
