@@ -328,6 +328,8 @@ def _verify_theorems(args, head, started) -> int:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     head = [("command", "verify"), ("task", args.task), ("leaves", args.leaves)]
+    # containment and theorems run no DD, but a bad cap still exits 3
+    _dimension_cap(args.max_dim)
     runner = {
         "containment": _verify_containment,
         "equality": _verify_equality,

@@ -20,6 +20,11 @@ the transposed incidence, one bitmask of tight ray ids per row, kept up to
 date as rays are made and dropped and renumbered once dead ids outnumber
 live ones. The hull reads its vertices and incidence off the same tight
 sets, with no linear algebra.
+
+The f-vector comes from that incidence alone (Kaibel & Pfetsch): the face
+lattice is walked down one level at a time from the facets, a face's
+facets being the maximal proper intersections with the polytope's facets,
+so each face's dimension is its level.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .errors import (
     ResourceCapError,
     UnboundedError,
 )
-from .linalg import affine_rank
 from .rationals import canon
 from .vertices import VertexSet
 
@@ -487,31 +491,38 @@ DEFAULT_MAX_FACES = 200_000
 def f_vector(poly: PolytopeDD, max_faces: int = DEFAULT_MAX_FACES) -> FVector:
     """Face counts (f_0, ..., f_{dim-1}) from the vertex-facet incidence.
 
-    Every proper face is an intersection of facets, so the face lattice is
-    the closure of the facet vertex-sets under intersection. Stops with
-    complete=False if the lattice exceeds max_faces.
+    The face lattice is walked downward one level at a time, starting from
+    the facets at level dim - 1, with dim = dimension - len(equations). The
+    faces one level below a face F are its facets: the maximal sets among
+    the nonempty F & facet masks that differ from F. So each face's
+    dimension is the level it was found on, and no face is ranked. A level
+    is counted only while the running total stays within max_faces; past
+    that the walk stops with complete=False, and the levels below the last
+    counted one read 0. Logs one line per level and a total at INFO level.
     """
-    vertices = poly.vertices
-    facet_masks = list(poly.incidence)
-    seen = set(facet_masks)
-    seen.discard(0)
-    frontier = list(seen)
+    facet_masks = poly.incidence
+    counts = [0] * (poly.dimension - len(poly.equations))
+    level = set(facet_masks)
+    total = 0
     complete = True
-    while frontier:
-        mask = frontier.pop()
-        for fm in facet_masks:
-            m = mask & fm
-            if m and m not in seen:
-                seen.add(m)
-                frontier.append(m)
-        if len(seen) > max_faces:
+    for k in reversed(range(len(counts))):
+        if total + len(level) > max_faces:
             complete = False
             break
-    dim = affine_rank(vertices)
-    counts = [0] * max(dim, 0)
-    for mask in seen:
-        face_pts = [vertices[i] for i in range(len(vertices)) if mask >> i & 1]
-        fdim = affine_rank(face_pts)
-        if 0 <= fdim < dim:
-            counts[fdim] += 1
+        counts[k] = len(level)
+        total += len(level)
+        log.info("f_vector: dim %d, %d faces", k, len(level))
+        below = set()
+        for face in level:
+            subs = {face & fm for fm in facet_masks} - {0, face}
+            # a strict superset has more bits, so it is kept before its subsets
+            kept = []
+            for sub in sorted(subs, key=int.bit_count, reverse=True):
+                if all(sub & top != sub for top in kept):
+                    kept.append(sub)
+            below.update(kept)
+            if total + len(below) > max_faces:
+                break
+        level = below
+    log.info("f_vector: %d faces, complete=%s", total, complete)
     return FVector(tuple(counts), complete)

@@ -21,7 +21,6 @@ from .groups import (
     group_elements,
     group_sum,
     identity,
-    neg,
 )
 from .matrices import Matrix
 from .rationals import Rational
@@ -124,13 +123,14 @@ def generate_vertices(spec: GroupSpec, m: int, allow_large: bool = False) -> Ver
             f"{count} vertices exceeds the generation cap {GENERATION_CAP}; "
             "pass allow_large to override"
         )
-    order = group_elements(spec)
-    columns = {g: embed(spec, g) for g in order}
+    # keyed by residues, in the canonical element order
+    columns = {g.residues: embed(spec, g) for g in group_elements(spec)}
     nrows = spec.size - 1
     points = []
-    for prefix in product(order, repeat=m - 1):
-        last = neg(spec, group_sum(spec, prefix))
-        cols = [columns[g] for g in prefix] + [columns[last]]
+    for prefix in product(columns, repeat=m - 1):
+        # the last leaf carries minus the prefix sum, residue by residue
+        last = tuple(-sum(rs) % n for rs, n in zip(zip(*prefix), spec.orders))
+        cols = [columns[r] for r in prefix] + [columns[last]]
         points.append(_flat_vertex(cols, nrows, m))
     return VertexSet(dimension=nrows * m, shape=(nrows, m), points=tuple(points))
 

@@ -196,6 +196,38 @@ def test_verify_env_cap_below_one(monkeypatch, capsys):
     assert "CLAWPOLY_MAX_DIM must be at least 1, got -1" in capsys.readouterr().err
 
 
+NO_DD_TASKS = [
+    ["verify", "containment", "--leaves", "3"],
+    ["verify", "theorems", "--leaves", "3", "--samples", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_DD_TASKS)
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_verify_no_dd_task_cap_below_one(argv, cap, capsys):
+    assert main(argv + ["--max-dim", cap]) == 3
+    assert f"max_dim must be at least 1, got {cap}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", NO_DD_TASKS)
+@pytest.mark.parametrize(
+    "raw, message",
+    [("abc", "CLAWPOLY_MAX_DIM must be an integer, got 'abc'"),
+     ("0", "CLAWPOLY_MAX_DIM must be at least 1, got 0")],
+)
+def test_verify_no_dd_task_bad_env_cap(argv, raw, message, monkeypatch, capsys):
+    monkeypatch.setenv("CLAWPOLY_MAX_DIM", raw)
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", NO_DD_TASKS)
+def test_verify_no_dd_task_ignores_valid_cap(argv, capsys):
+    # the cap only bounds DD runs; these tasks run none, so any valid cap passes
+    assert main(argv + ["--max-dim", "1"]) == 0
+    assert last_record(capsys)["outcome"] == "pass"
+
+
 def test_verify_integrality(capsys):
     assert main(["verify", "integrality", "--leaves", "3"]) == 0
     rec = last_record(capsys)

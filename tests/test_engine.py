@@ -376,6 +376,63 @@ def test_f_vector_cap():
     assert fv.complete is False
 
 
+def _closure_rank_f_vector(poly):
+    """Reference: close the facet vertex-sets under intersection, then rank each face."""
+    masks = set(poly.incidence) - {0}
+    frontier = list(masks)
+    while frontier:
+        mask = frontier.pop()
+        for fm in poly.incidence:
+            m = mask & fm
+            if m and m not in masks:
+                masks.add(m)
+                frontier.append(m)
+    dim = affine_rank(poly.vertices)
+    counts = [0] * dim
+    for mask in masks:
+        counts[affine_rank([v for i, v in enumerate(poly.vertices) if mask >> i & 1])] += 1
+    return FVector(tuple(counts), True)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(hull_inputs())
+def test_f_vector_matches_closure_rank_reference(data):
+    _, raw = data
+    poly = hull_from_vertices(raw)
+    fv = f_vector(poly)
+    assert fv == _closure_rank_f_vector(poly)
+    # Euler's relation for a dim-polytope: sum (-1)^i f_i = 1 - (-1)^dim
+    dim = len(fv.counts)
+    assert sum((-1) ** i * c for i, c in enumerate(fv.counts)) == 1 - (-1) ** dim
+
+
+def test_f_vector_low_dimensional_cases():
+    assert f_vector(hull_from_vertices([(1, 2, 3)])) == FVector((), True)
+    assert f_vector(hull_from_vertices([(0, 0), (2, 2)])) == FVector((2,), True)
+    triangle = hull_from_vertices([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert triangle.equations
+    assert f_vector(triangle) == FVector((3, 3), True)
+
+
+def test_f_vector_cap_below_facet_count():
+    poly = hull_from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert f_vector(poly, max_faces=3) == FVector((0, 0, 0), False)
+    # the cap bounds the running total: facets and edges fit, vertices do not
+    assert f_vector(poly, max_faces=10) == FVector((0, 6, 4), False)
+    assert f_vector(poly, max_faces=14) == FVector((4, 6, 4), True)
+
+
+def test_f_vector_levels_logged(caplog):
+    caplog.set_level(logging.INFO, logger="clawpoly.engine")
+    f_vector(hull_from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    assert [r.getMessage() for r in caplog.records if "f_vector" in r.getMessage()] == [
+        "f_vector: dim 2, 4 faces",
+        "f_vector: dim 1, 6 faces",
+        "f_vector: dim 0, 4 faces",
+        "f_vector: 14 faces, complete=True",
+    ]
+
+
 def test_f_vector_euler_relation(hull_k3):
     fv = f_vector(hull_k3)
     assert fv.complete

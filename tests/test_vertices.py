@@ -1,7 +1,18 @@
+from itertools import product
+
 import pytest
 
 from clawpoly.errors import DimensionError, LeafCountError, ResourceCapError
-from clawpoly.groups import Z2, Z2Z2, GroupSpec, element
+from clawpoly.groups import (
+    Z2,
+    Z2Z2,
+    GroupSpec,
+    element,
+    embed,
+    group_elements,
+    group_sum,
+    neg,
+)
 from clawpoly.matrices import Matrix
 from clawpoly.vertices import (
     Labeling,
@@ -31,6 +42,23 @@ def test_dimension_and_shape():
     bs = generate_vertices(Z2, 5)
     assert bs.dimension == 5
     assert bs.shape == (1, 5)
+
+
+def _group_sum_vertices(spec, m):
+    """Reference: force the last leaf with groups.group_sum, one vertex at a time."""
+    points = []
+    for prefix in product(group_elements(spec), repeat=m - 1):
+        cols = [embed(spec, g) for g in prefix + (neg(spec, group_sum(spec, prefix)),)]
+        points.append(tuple(col[r] for r in range(spec.size - 1) for col in cols))
+    return tuple(points)
+
+
+@pytest.mark.parametrize("spec", [Z2, Z2Z2])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_generate_matches_group_sum_reference(spec, m):
+    points = generate_vertices(spec, m).points
+    assert points == _group_sum_vertices(spec, m)
+    assert set(points) == set(generate_vertices_fullscan(spec, m).points)
 
 
 def test_generate_matches_independent_fullscan():
