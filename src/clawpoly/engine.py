@@ -25,6 +25,11 @@ The f-vector comes from that incidence alone (Kaibel & Pfetsch): the face
 lattice is walked down one level at a time from the facets, a face's
 facets being the maximal proper intersections with the polytope's facets,
 so each face's dimension is its level.
+
+The 0/1 points of a system come from one depth-first search over the
+coordinates on the system's packed checks: every inequality is a lane of
+one big int, so a node costs one add and one AND, and a subtree is cut as
+soon as some row is violated by every completion.
 """
 
 from __future__ import annotations
@@ -413,75 +418,41 @@ def equal_polytopes(a, b) -> EqualityReport:
     )
 
 
-EXHAUSTIVE_SCAN_BITS = 21
-
-
 def enumerate_integral_points(system) -> list:
-    """All 0/1 points of a model system, sorted lexicographically.
+    """All 0/1 points of a model system, in lexicographic order.
 
-    Up to 21 coordinates this is an explicit scan of every bitmask with
-    early exit on the first violated inequality; above that, a depth-first
-    search pruned by per-inequality completion bounds.
+    One depth-first search over coordinates 0..d-1, 0 before 1, so points
+    come out sorted. The running sum t packs a.x + base for every row in
+    the lanes of ``InequalitySystem._pack_binary_checks``; a node at depth k
+    is cut iff some lane of ``t - neg_suffix[k]`` (its least value over all
+    completions) has its top bit set, which at k = d is the exact test.
     """
     d = system.dimension
-    if d <= EXHAUSTIVE_SCAN_BITS:
-        checks = system._binary_checks
-        out = []
-        for mask in range(1 << d):
-            ok = True
-            for pos, neg, rhs, _ in checks:
-                if (mask & pos).bit_count() - (mask & neg).bit_count() > rhs:
-                    ok = False
-                    break
-            if ok:
-                out.append(tuple((mask >> i) & 1 for i in range(d)))
-        out.sort()
-        return out
-    return _pruned_scan(system)
-
-
-def _pruned_scan(system):
-    d = system.dimension
-    ineqs = system.inequalities
-    pos_sets = [frozenset(q.pos) for q in ineqs]
-    neg_sets = [frozenset(q.neg) for q in ineqs]
-    rhss = [q.rhs for q in ineqs]
-    # suffix table: how far each inequality can still drop using coords >= k
-    neg_suffix = []
-    for ns_set in neg_sets:
-        ns = [0] * (d + 1)
-        for k in range(d - 1, -1, -1):
-            ns[k] = ns[k + 1] + (1 if k in ns_set else 0)
-        neg_suffix.append(ns)
-    values = [0] * len(ineqs)
+    delta = system._lane_delta
+    suffix = system._lane_neg_suffix
+    top = system._lane_top
     point = [0] * d
     out = []
+    nodes = 0
 
-    def descend(k):
-        for i, rhs in enumerate(rhss):
-            if values[i] - neg_suffix[i][k] > rhs:
-                return
+    def descend(k, t):
+        nonlocal nodes
+        nodes += 1
+        if (t - suffix[k]) & top:
+            return
         if k == d:
             out.append(tuple(point))
             return
-        point[k] = 0
-        descend(k + 1)
+        descend(k + 1, t)
         point[k] = 1
-        for i in range(len(ineqs)):
-            if k in pos_sets[i]:
-                values[i] += 1
-            elif k in neg_sets[i]:
-                values[i] -= 1
-        descend(k + 1)
-        for i in range(len(ineqs)):
-            if k in pos_sets[i]:
-                values[i] -= 1
-            elif k in neg_sets[i]:
-                values[i] += 1
+        descend(k + 1, t + delta[k])
         point[k] = 0
 
-    descend(0)
-    out.sort()
+    descend(0, system._lane_base)
+    log.info(
+        "integral points[%s d=%d]: %d checks, %d nodes, %d points",
+        system.model, d, len(system._lane_ids), nodes, len(out),
+    )
     return out
 
 

@@ -166,13 +166,44 @@ class InequalitySystem:
         self.dimension = shape[0] * shape[1]
         self.inequalities = tuple(inequalities)
         self._by_family = {ineq.family: ineq for ineq in self.inequalities}
-        # masks for the 0/1 fast path; an inequality that no 0/1 point can
-        # violate (max of a.x over the cube <= rhs) is skipped there
-        self._binary_checks = tuple(
-            (sum(1 << i for i in ineq.pos), sum(1 << i for i in ineq.neg), ineq.rhs, ineq.id)
-            for ineq in self.inequalities
-            if len(ineq.pos) > ineq.rhs
+        self._pack_binary_checks()
+
+    def _pack_binary_checks(self) -> None:
+        """The 0/1 checks as W-bit lanes of one int: lane j of ``_lane_base``
+        plus ``_lane_delta[i]`` for each coordinate i set holds
+        a_j.x + 2^(W-1) - rhs_j - 1, whose top bit is set iff a_j.x > rhs_j.
+        W - 1 is the bit length of the largest rhs_j + 1 + |neg_j| or
+        |pos_j| - rhs_j, so every partial sum stays in [0, 2^W) and no carry
+        crosses lanes. ``_lane_neg_suffix[k]`` counts each lane's -1
+        coefficients at coordinates k and above. Rows no 0/1 point violates
+        get no lane.
+        """
+        checks = [ineq for ineq in self.inequalities if len(ineq.pos) > ineq.rhs]
+        reach = max(
+            (max(q.rhs + 1 + len(q.neg), len(q.pos) - q.rhs) for q in checks), default=0
         )
+        width = reach.bit_length() + 1
+        half = 1 << (width - 1)
+        base = top = 0
+        pos = [0] * self.dimension
+        neg = [0] * self.dimension
+        for j, q in enumerate(checks):
+            lane = 1 << (width * j)
+            base += (half - q.rhs - 1) * lane
+            top += half * lane
+            for i in q.pos:
+                pos[i] += lane
+            for i in q.neg:
+                neg[i] += lane
+        suffix = [0] * (self.dimension + 1)
+        for k in range(self.dimension - 1, -1, -1):
+            suffix[k] = suffix[k + 1] + neg[k]
+        self._lane_width = width
+        self._lane_ids = tuple(q.id for q in checks)
+        self._lane_base = base
+        self._lane_top = top
+        self._lane_delta = tuple(p - n for p, n in zip(pos, neg))
+        self._lane_neg_suffix = tuple(suffix)
 
     def __len__(self) -> int:
         return len(self.inequalities)
@@ -236,12 +267,20 @@ class InequalitySystem:
     def binary_violation(self, mask: int) -> int | None:
         """First violated inequality id for the 0/1 point given as a bitmask, else None.
 
-        Exact: evaluates a.x via popcounts over the +1/-1 coefficient masks.
+        Exact and all rows at once: one big-int add per set bit evaluates a.x
+        in every lane, and the lowest lane whose top bit is set is the first
+        violated row in id order.
         """
-        for pos_mask, neg_mask, rhs, ineq_id in self._binary_checks:
-            if (mask & pos_mask).bit_count() - (mask & neg_mask).bit_count() > rhs:
-                return ineq_id
-        return None
+        t = self._lane_base
+        delta = self._lane_delta
+        while mask:
+            low = mask & -mask
+            t += delta[low.bit_length() - 1]
+            mask ^= low
+        violated = t & self._lane_top
+        if not violated:
+            return None
+        return self._lane_ids[((violated & -violated).bit_length() - 1) // self._lane_width]
 
     def homogenized_rows(self):
         """Rows (-b, a1..ad) describing the cone a.x - b*x0 <= 0."""
@@ -348,12 +387,3 @@ def model_system(model: str, m: int) -> InequalitySystem:
             f"unknown model {model!r}; choose from {sorted(MODEL_BUILDERS)}"
         ) from None
     return builder(m)
-
-
-def row_projection(p: Matrix, r: int) -> tuple[Rational, ...]:
-    """Row r of a 3 x m matrix (1-based), the projection the row inequalities see."""
-    if p.nrows != 3:
-        raise DimensionError(f"expected a 3-row matrix, got {p.nrows} rows")
-    if r not in (1, 2, 3):
-        raise DimensionError(f"row index must be 1, 2 or 3, got {r}")
-    return p.row(r)

@@ -148,6 +148,14 @@ def test_verify_containment(capsys):
     assert rec["violations"] == "0"
 
 
+def test_verify_containment_m9(capsys):
+    assert main(["verify", "containment", "--leaves", "9"]) == 0
+    rec = last_record(capsys)
+    assert rec["outcome"] == "pass"
+    assert rec["checked"] == "65536"
+    assert rec["violations"] == "0"
+
+
 def test_verify_containment_failure_writes_counterexample(tmp_path, monkeypatch, capsys):
     fake = ContainmentReport(
         leaves=3, checked=2, failures=(((0,) * 9, 13),), passed=False

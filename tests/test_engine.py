@@ -1,18 +1,17 @@
 import logging
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from clawpoly.coordchange import to_prime_coords
 from clawpoly.engine import (
-    EXHAUSTIVE_SCAN_BITS,
     FVector,
     PolytopeDD,
-    _pruned_scan,
     enumerate_integral_points,
     equal_polytopes,
     f_vector,
@@ -27,7 +26,12 @@ from clawpoly.errors import (
     UnboundedError,
 )
 from clawpoly.groups import Z2Z2
-from clawpoly.halfspaces import demihypercube_system, kimura3_system
+from clawpoly.halfspaces import (
+    InequalitySystem,
+    _make_ineq,
+    demihypercube_system,
+    kimura3_system,
+)
 from clawpoly.linalg import affine_rank, kernel_vector, matrix_rank
 from clawpoly.vertices import generate_vertices
 
@@ -338,12 +342,100 @@ def test_integral_points_match_generated_vertices(k3):
     assert [tuple(p) for p in pts] == sorted(k3.points)
 
 
-def test_pruned_scan_agrees_with_exhaustive():
+def test_integral_points_k4_match_brute_force():
     sys4 = kimura3_system(4)
-    assert sys4.dimension <= EXHAUSTIVE_SCAN_BITS
-    exhaustive = enumerate_integral_points(sys4)
-    assert _pruned_scan(sys4) == exhaustive
-    assert len(exhaustive) == 64
+    d = sys4.dimension
+    points = sorted(tuple((mask >> i) & 1 for i in range(d)) for mask in range(1 << d))
+    brute = [p for p in points if sys4.membership(p).status != "outside"]
+    assert enumerate_integral_points(sys4) == brute
+    assert len(brute) == 64
+
+
+def test_integral_points_k8_match_generated_vertices():
+    pts = enumerate_integral_points(kimura3_system(8))
+    assert pts == sorted(generate_vertices(Z2Z2, 8).points)
+    assert len(pts) == 4 ** 7
+
+
+def test_integral_point_search_logged(caplog):
+    caplog.set_level(logging.INFO, logger="clawpoly.engine")
+    enumerate_integral_points(demihypercube_system(3))
+    assert [r.getMessage() for r in caplog.records if "integral points" in r.getMessage()] == [
+        "integral points[binary d=3]: 4 checks, 15 nodes, 4 points",
+    ]
+
+
+@dataclass(frozen=True)
+class _Row:
+    index: int
+
+    kind = "row"
+
+    def describe(self) -> str:
+        return f"family=row index={self.index}"
+
+
+@st.composite
+def small_systems(draw):
+    """Random systems in d <= 10 with coefficients in {-1, 0, 1}, rhs in -2..d.
+
+    Negative rhs, empty pos, rows no 0/1 point can violate (rhs >= |pos|) and
+    duplicate rows, anywhere in the order, all occur.
+    """
+    d = draw(st.integers(min_value=1, max_value=10))
+    row = st.tuples(
+        st.lists(st.sampled_from((-1, 0, 1)), min_size=d, max_size=d),
+        st.integers(min_value=-2, max_value=d),
+    )
+    rows = draw(st.lists(row, max_size=12))
+    if rows:
+        rows = draw(st.permutations(rows + draw(st.lists(st.sampled_from(rows), max_size=3))))
+    return _system(d, rows)
+
+
+def _system(d, rows):
+    """An InequalitySystem from (coefficients, rhs) pairs, ids in list order."""
+    ineqs = [
+        _make_ineq(
+            idx,
+            _Row(idx),
+            d,
+            [i for i, c in enumerate(cs) if c == 1],
+            [i for i, c in enumerate(cs) if c == -1],
+            rhs,
+        )
+        for idx, (cs, rhs) in enumerate(rows)
+    ]
+    return InequalitySystem("random", (1, d), ineqs)
+
+
+def _first_violated_reference(system, mask):
+    """First violated id by one popcount pair per inequality, in id order."""
+    for q in system.inequalities:
+        pos = sum(1 << i for i in q.pos)
+        neg = sum(1 << i for i in q.neg)
+        if (mask & pos).bit_count() - (mask & neg).bit_count() > q.rhs:
+            return q.id
+    return None
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_systems())
+@example(
+    # never violated, negative rhs, empty pos, a duplicate row
+    _system(4, [((1, 1, 0, 0), 2), ((0, -1, 1, -1), 0), ((1, 0, -1, 1), -1),
+                ((0, -1, 0, -1), -2), ((1, 0, -1, 1), -1), ((1, 1, 1, 0), 1)])
+)
+def test_binary_checks_match_brute_force(system):
+    d = system.dimension
+    masks = range(1 << d)
+    assert [system.binary_violation(mask) for mask in masks] == [
+        _first_violated_reference(system, mask) for mask in masks
+    ]
+    points = sorted(tuple((mask >> i) & 1 for i in range(d)) for mask in masks)
+    assert enumerate_integral_points(system) == [
+        p for p in points if system.membership(p).status != "outside"
+    ]
 
 
 def test_integral_points_demihypercube():

@@ -16,7 +16,6 @@ from clawpoly.halfspaces import (
     kimura3_system,
     model_system,
     odd_subsets,
-    row_projection,
 )
 from clawpoly.coordchange import to_prime_coords
 from clawpoly.groups import Z2Z2
@@ -135,13 +134,6 @@ def test_leaf_bounds():
     with pytest.raises(LeafCountError):
         kimura3_prime_system(1)
     assert len(demihypercube_system(1).inequalities) == 3
-
-
-def test_row_projection():
-    mat = Matrix.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert row_projection(mat, 2) == (0, 1, 0)
-    with pytest.raises(DimensionError):
-        row_projection(mat, 4)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 9 - 1))
