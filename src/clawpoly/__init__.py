@@ -15,7 +15,6 @@ from .engine import (
     equal_polytopes,
     f_vector,
     hull_from_vertices,
-    polytope_from_inequalities,
     vertices_from_inequalities,
 )
 from .errors import (
@@ -60,10 +59,7 @@ from .vertices import (
     Labeling,
     VertexSet,
     generate_vertices,
-    generate_vertices_fullscan,
-    is_vertex,
     labeling_to_matrix,
-    matrix_to_labeling,
 )
 from .witness import (
     ContainmentReport,

@@ -48,9 +48,6 @@ from .suites import run_interior_suite, run_isomorphism_suite, run_pseudo_facet_
 from .vertices import Labeling, VertexSet, generate_vertices
 from .witness import InteriorWitness, check_containment, interior_witness, violation_witness
 
-log = logging.getLogger("clawpoly.cli")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="clawpoly",
@@ -114,22 +111,43 @@ def _emit(pairs, started) -> None:
     print(record_line(list(pairs) + [("wall", f"{wall:.3f}s")]))
 
 
-def _default_out(stem: str, fmt: str) -> str:
-    ext = {"cdd-ext": "ext", "cdd-ine": "ine", "records": "records", "json": "json"}[fmt]
-    return f"{stem}.{ext}"
+def _emit_record(args, pairs, started, code=0) -> int:
+    """Write the record (no wall time) to --out when given, then print it."""
+    if args.out:
+        write_text(args.out, record_line(pairs) + "\n")
+        pairs = pairs + [("file", args.out)]
+    _emit(pairs, started)
+    return code
 
 
 # --- vrep / hrep / transform --------------------------------------------------
 
-def _vertexset_records(vs: VertexSet, head_pairs) -> str:
-    lines = [record_line(head_pairs + [("count", len(vs.points))])]
-    for i, pt in enumerate(vs.points):
-        lines.append(record_line([("point", i), ("coords", pt)]))
-    return "\n".join(lines) + "\n"
+EXTENSIONS = {"cdd-ext": "ext", "cdd-ine": "ine", "records": "records", "json": "json"}
 
 
-def _vertexset_json(vs: VertexSet, meta: dict) -> str:
-    return to_json(dict(meta, shape=list(vs.shape), points=[list(p) for p in vs.points]))
+def _write_artifact(args, head, count, renders, stem, started) -> int:
+    """Render --format with renders[format], write it to --out or <stem>.<ext>, emit."""
+    out = args.out or f"{stem}.{EXTENSIONS[args.format]}"
+    write_text(out, renders[args.format]())
+    _emit(head + [("count", count), ("outcome", "pass"), ("file", out)], started)
+    return 0
+
+
+def _records(head_pairs, body) -> str:
+    return "\n".join([record_line(head_pairs)] + body) + "\n"
+
+
+def _vertex_renders(vs: VertexSet, head):
+    return {
+        "cdd-ext": lambda: format_vfile(vs),
+        "records": lambda: _records(
+            head + [("dimension", vs.dimension), ("count", len(vs.points))],
+            [record_line([("point", i), ("coords", pt)]) for i, pt in enumerate(vs.points)],
+        ),
+        "json": lambda: to_json(
+            dict(head, shape=list(vs.shape), points=[list(p) for p in vs.points])
+        ),
+    }
 
 
 def cmd_vrep(args) -> int:
@@ -137,55 +155,28 @@ def cmd_vrep(args) -> int:
     spec = parse_group(args.group)
     vs = generate_vertices(spec, args.leaves, allow_large=args.allow_large)
     head = [("command", "vrep"), ("group", spec.name()), ("leaves", args.leaves)]
-    if args.format == "cdd-ext":
-        content = format_vfile(vs)
-    elif args.format == "records":
-        content = _vertexset_records(vs, head + [("dimension", vs.dimension)])
-    else:
-        content = _vertexset_json(
-            vs, {"command": "vrep", "group": spec.name(), "leaves": args.leaves}
-        )
-    out = args.out or _default_out(f"vrep_{spec.name()}_m{args.leaves}", args.format)
-    write_text(out, content)
-    _emit(head + [("count", len(vs.points)), ("outcome", "pass"), ("file", out)], started)
-    return 0
+    stem = f"vrep_{spec.name()}_m{args.leaves}"
+    return _write_artifact(args, head, len(vs.points), _vertex_renders(vs, head), stem, started)
 
 
 def cmd_hrep(args) -> int:
     started = time.perf_counter()
     sys_ = model_system(args.model, args.leaves)
     head = [("command", "hrep"), ("model", args.model), ("leaves", args.leaves)]
-    if args.format == "cdd-ine":
-        content = format_hfile(sys_)
-    elif args.format == "records":
-        lines = [
-            record_line(
-                head + [("dimension", sys_.dimension), ("count", len(sys_.inequalities))]
-            )
-        ]
-        for q in sys_.inequalities:
-            lines.append("inequality " + q.describe() + " coeffs=" + ",".join(str(c) for c in q.coeffs))
-        content = "\n".join(lines) + "\n"
-    else:
-        content = to_json(
-            {
-                "command": "hrep",
-                "model": args.model,
-                "leaves": args.leaves,
-                "dimension": sys_.dimension,
-                "inequalities": [
-                    {"id": q.id, "family": q.describe(), "coeffs": list(q.coeffs), "rhs": q.rhs}
-                    for q in sys_.inequalities
-                ],
-            }
-        )
-    out = args.out or _default_out(f"hrep_{args.model}_m{args.leaves}", args.format)
-    write_text(out, content)
-    _emit(
-        head + [("count", len(sys_.inequalities)), ("outcome", "pass"), ("file", out)],
-        started,
-    )
-    return 0
+    ineqs = sys_.inequalities
+    renders = {
+        "cdd-ine": lambda: format_hfile(sys_),
+        "records": lambda: _records(
+            head + [("dimension", sys_.dimension), ("count", len(ineqs))],
+            [f"inequality {q.describe()} coeffs={','.join(map(str, q.coeffs))}" for q in ineqs],
+        ),
+        "json": lambda: to_json(dict(head, dimension=sys_.dimension, inequalities=[
+            {"id": q.id, "family": q.describe(), "coeffs": list(q.coeffs), "rhs": q.rhs}
+            for q in ineqs
+        ])),
+    }
+    stem = f"hrep_{args.model}_m{args.leaves}"
+    return _write_artifact(args, head, len(ineqs), renders, stem, started)
 
 
 def _points_as_matrices(vs: VertexSet):
@@ -202,141 +193,103 @@ def _points_as_matrices(vs: VertexSet):
 def cmd_transform(args) -> int:
     started = time.perf_counter()
     vs = parse_vfile(read_text(args.infile))
-    mats = _points_as_matrices(vs)
     fn = from_prime_coords if args.inverse else to_prime_coords
-    images = [fn(mat) for mat in mats]
+    images = [fn(mat) for mat in _points_as_matrices(vs)]
     m = images[0].ncols if images else vs.dimension // 3
     out_vs = VertexSet(
-        dimension=vs.dimension,
-        shape=(3, m),
-        points=tuple(im.flatten() for im in images),
+        dimension=vs.dimension, shape=(3, m), points=tuple(im.flatten() for im in images)
     )
     direction = "prime-to-standard" if args.inverse else "standard-to-prime"
     head = [("command", "transform"), ("direction", direction)]
-    if args.format == "cdd-ext":
-        content = format_vfile(out_vs)
-    elif args.format == "records":
-        content = _vertexset_records(out_vs, head + [("dimension", out_vs.dimension)])
-    else:
-        content = _vertexset_json(out_vs, {"command": "transform", "direction": direction})
-    stem, _, _ = os.path.basename(args.infile).rpartition(".")
-    suffix = "standard" if args.inverse else "prime"
-    out = args.out or _default_out(f"{stem or args.infile}_{suffix}", args.format)
-    write_text(out, content)
-    _emit(head + [("count", len(images)), ("outcome", "pass"), ("file", out)], started)
-    return 0
+    # the default output goes in the working directory, named after the input's basename
+    stem = os.path.splitext(os.path.basename(args.infile))[0]
+    stem += "_standard" if args.inverse else "_prime"
+    return _write_artifact(args, head, len(images), _vertex_renders(out_vs, head), stem, started)
 
 
 # --- verify -------------------------------------------------------------------
+# Each task returns (record pairs, counterexample lines); no lines is a pass.
 
-def _write_counterexamples(args, task, lines) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, f"counterexample_{task}_m{args.leaves}.records")
-    write_text(path, "\n".join(lines) + "\n")
-    return path
-
-
-def _verify_containment(args, head, started) -> int:
+def _verify_containment(args):
     rep = check_containment(args.leaves)
-    pairs = head + [("checked", rep.checked), ("violations", len(rep.failures))]
-    if rep.passed:
-        _emit(pairs + [("outcome", "pass")], started)
-        return 0
     lines = [
         record_line([("counterexample", "containment"), ("point", pt), ("violated", vid)])
         for pt, vid in rep.failures
     ]
-    path = _write_counterexamples(args, "containment", lines)
-    _emit(pairs + [("outcome", "fail"), ("file", path)], started)
-    return 1
+    return [("checked", rep.checked), ("violations", len(rep.failures))], lines
 
 
-def _verify_equality(args, head, started) -> int:
-    sys_ = kimura3_system(args.leaves)
-    vd = vertices_from_inequalities(sys_, max_dim=args.max_dim)
-    kv = generate_vertices(Z2Z2, args.leaves)
-    rep = equal_polytopes(vd, kv)
-    pairs = head + [("engine_vertices", rep.checked_a), ("generated_vertices", rep.checked_b)]
-    if rep.equal:
-        _emit(pairs + [("outcome", "pass")], started)
-        return 0
+def _verify_equality(args):
+    vd = vertices_from_inequalities(kimura3_system(args.leaves), max_dim=args.max_dim)
+    rep = equal_polytopes(vd, generate_vertices(Z2Z2, args.leaves))
     lines = [
-        record_line([("counterexample", "equality"), ("side", "engine-only"), ("point", pt)])
-        for pt in rep.only_a
-    ] + [
-        record_line([("counterexample", "equality"), ("side", "generated-only"), ("point", pt)])
-        for pt in rep.only_b
+        record_line([("counterexample", "equality"), ("side", side), ("point", pt)])
+        for side, pts in (("engine-only", rep.only_a), ("generated-only", rep.only_b))
+        for pt in pts
     ]
-    path = _write_counterexamples(args, "equality", lines)
-    _emit(pairs + [("outcome", "fail"), ("file", path)], started)
-    return 1
+    return [("engine_vertices", rep.checked_a), ("generated_vertices", rep.checked_b)], lines
 
 
-def _verify_integrality(args, head, started) -> int:
-    bad = []
+def _verify_integrality(args):
     counts = []
+    lines = []
     for model in ("kimura3", "kimura3-prime"):
         vs = vertices_from_inequalities(model_system(model, args.leaves), max_dim=args.max_dim)
         counts.append((model.replace("-", "_") + "_vertices", len(vs.points)))
-        for pt in vs.points:
-            if not all(is_integral(x) for x in pt):
-                bad.append((model, pt))
-    pairs = head + counts + [("violations", len(bad))]
-    if not bad:
-        _emit(pairs + [("outcome", "pass")], started)
-        return 0
-    lines = [
-        record_line([("counterexample", "integrality"), ("model", model), ("point", pt)])
-        for model, pt in bad
-    ]
-    path = _write_counterexamples(args, "integrality", lines)
-    _emit(pairs + [("outcome", "fail"), ("file", path)], started)
-    return 1
+        lines += [
+            record_line([("counterexample", "integrality"), ("model", model), ("point", pt)])
+            for pt in vs.points
+            if not all(is_integral(x) for x in pt)
+        ]
+    return counts + [("violations", len(lines))], lines
 
 
-def _verify_theorems(args, head, started) -> int:
-    m = args.leaves
-    n = args.samples
+def _verify_theorems(args):
+    m, n = args.leaves, args.samples
     iso = run_isomorphism_suite(m, n, seed=args.seed)
     pf = run_pseudo_facet_suite(m, n, seed=args.seed)
     iw = run_interior_suite(m, n, seed=args.seed)
-    failures = []
-    for suite_name, rep in (("isomorphism", iso), ("pseudo_facet", pf), ("interior", iw)):
-        for failure in rep.failures:
-            failures.append((suite_name, failure))
-    pairs = head + [
+    lines = [
+        f"counterexample=theorems suite={name} detail={repr(f).replace(' ', '')}"
+        for name, rep in (("isomorphism", iso), ("pseudo_facet", pf), ("interior", iw))
+        for f in rep.failures
+    ]
+    pairs = [
         ("samples", n),
         ("roundtrips", iso.roundtrip_checked),
         ("memberships", iso.membership_checked),
         ("pseudo_facet_samples", pf.samples),
         ("cycle_configs", pf.cycle_configs),
         ("interior_nonintegral", iw.nonintegral),
-        ("violations", len(failures)),
+        ("violations", len(lines)),
     ]
-    if not failures:
-        _emit(pairs + [("outcome", "pass")], started)
-        return 0
-    lines = [
-        f"counterexample=theorems suite={s} detail={repr(f).replace(' ', '')}"
-        for s, f in failures
-    ]
-    path = _write_counterexamples(args, "theorems", lines)
-    _emit(pairs + [("outcome", "fail"), ("file", path)], started)
-    return 1
+    return pairs, lines
+
+
+VERIFY_TASKS = {
+    "containment": _verify_containment,
+    "equality": _verify_equality,
+    "integrality": _verify_integrality,
+    "theorems": _verify_theorems,
+}
 
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    head = [("command", "verify"), ("task", args.task), ("leaves", args.leaves)]
+    if args.samples < 1:
+        raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
     # containment and theorems run no DD, but a bad cap still exits 3
     _dimension_cap(args.max_dim)
-    runner = {
-        "containment": _verify_containment,
-        "equality": _verify_equality,
-        "integrality": _verify_integrality,
-        "theorems": _verify_theorems,
-    }[args.task]
-    return runner(args, head, started)
+    pairs, lines = VERIFY_TASKS[args.task](args)
+    pairs = [("command", "verify"), ("task", args.task), ("leaves", args.leaves)] + pairs
+    if not lines:
+        _emit(pairs + [("outcome", "pass")], started)
+        return 0
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = os.path.join(args.out_dir, f"counterexample_{args.task}_m{args.leaves}.records")
+    write_text(path, "\n".join(lines) + "\n")
+    _emit(pairs + [("outcome", "fail"), ("file", path)], started)
+    return 1
 
 
 # --- witness ------------------------------------------------------------------
@@ -359,66 +312,24 @@ def cmd_witness(args) -> int:
     if args.kind == "violation":
         if not args.labeling:
             raise ConfigurationError("witness violation needs --labeling")
-        lab = _parse_labeling(parse_group(args.group), args.labeling)
-        w = violation_witness(lab)
-        if w is None:
-            pairs = [
-                ("command", "witness"),
-                ("kind", "violation"),
-                ("consistent", True),
-                ("outcome", "pass"),
-            ]
-            content = record_line(pairs)
-        else:
-            pairs = [
-                ("command", "witness"),
-                ("kind", "violation"),
-                ("consistent", False),
-                ("subset", w.subset),
-                ("row_pair", w.row_pair),
-                ("inequality", w.inequality_id),
-                ("lhs", w.lhs),
-                ("rhs", w.rhs),
-                ("outcome", "pass"),
-            ]
-            content = record_line(pairs)
-        if args.out:
-            write_text(args.out, content + "\n")
-            pairs = pairs + [("file", args.out)]
-        _emit(pairs, started)
-        return 0
+        w = violation_witness(_parse_labeling(parse_group(args.group), args.labeling))
+        pairs = [("command", "witness"), ("kind", "violation"), ("consistent", w is None)]
+        if w is not None:
+            pairs += [("subset", w.subset), ("row_pair", w.row_pair),
+                      ("inequality", w.inequality_id), ("lhs", w.lhs), ("rhs", w.rhs)]
+        return _emit_record(args, pairs + [("outcome", "pass")], started)
     if not args.point:
         raise ConfigurationError("witness interior needs --point FILE")
     vs = parse_vfile(read_text(args.point))
     if len(vs.points) != 1:
         raise FileFormatError(f"expected exactly one point, found {len(vs.points)}")
-    mat = _points_as_matrices(vs)[0]
-    wit = interior_witness(mat)
+    wit = interior_witness(_points_as_matrices(vs)[0])
+    pairs = [("command", "witness"), ("kind", "segment-interior")]
     if isinstance(wit, InteriorWitness):
-        pairs = [
-            ("command", "witness"),
-            ("kind", "segment-interior"),
-            ("epsilon", wit.epsilon),
-            ("direction", wit.direction),
-            ("outcome", "pass"),
-        ]
-        content = record_line(pairs)
-        if args.out:
-            write_text(args.out, content + "\n")
-            pairs = pairs + [("file", args.out)]
-        _emit(pairs, started)
-        return 0
-    pairs = [
-        ("command", "witness"),
-        ("kind", "segment-interior"),
-        ("reason", wit.reason.replace(" ", "-")),
-        ("outcome", "fail"),
-    ]
-    if args.out:
-        write_text(args.out, record_line(pairs) + "\n")
-        pairs = pairs + [("file", args.out)]
-    _emit(pairs, started)
-    return 1
+        pairs += [("epsilon", wit.epsilon), ("direction", wit.direction), ("outcome", "pass")]
+        return _emit_record(args, pairs, started)
+    pairs += [("reason", wit.reason.replace(" ", "-")), ("outcome", "fail")]
+    return _emit_record(args, pairs, started, 1)
 
 
 # --- stats --------------------------------------------------------------------
@@ -426,21 +337,15 @@ def cmd_witness(args) -> int:
 def cmd_stats(args) -> int:
     started = time.perf_counter()
     m = args.leaves
-    sys_std = model_system("kimura3", m)
-    sys_pri = model_system("kimura3-prime", m)
-    sys_bin = model_system("binary", m)
+    # the vertex cap is checked before any inequality system is built
     vs = generate_vertices(Z2Z2, m)
-    pairs = [
-        ("command", "stats"),
-        ("leaves", m),
-        ("vertices", len(vs.points)),
-        ("kimura3_inequalities", len(sys_std.inequalities)),
-        ("kimura3_prime_inequalities", len(sys_pri.inequalities)),
-        ("binary_inequalities", len(sys_bin.inequalities)),
-    ]
+    pairs = [("command", "stats"), ("leaves", m), ("vertices", len(vs.points))]
+    for model in ("kimura3", "kimura3-prime", "binary"):
+        count = len(model_system(model, m).inequalities)
+        pairs.append((model.replace("-", "_") + "_inequalities", count))
     outcome = "pass"
-    # the hull has no cap of its own; stats applies the engine's vertex cap
-    if sys_std.dimension > _dimension_cap(args.max_dim):
+    # the hull has no cap of its own; stats applies the engine's cap to K(m) in R^(3m)
+    if 3 * m > _dimension_cap(args.max_dim):
         outcome = "partial"
         pairs.append(("facets", "skipped-by-cap"))
     else:
@@ -455,12 +360,7 @@ def cmd_stats(args) -> int:
             else:
                 outcome = "partial"
                 pairs.append(("f_vector", "m3-only"))
-    pairs.append(("outcome", outcome))
-    if args.out:
-        write_text(args.out, record_line(pairs) + "\n")
-        pairs = pairs + [("file", args.out)]
-    _emit(pairs, started)
-    return 0
+    return _emit_record(args, pairs + [("outcome", outcome)], started)
 
 
 # --- entry --------------------------------------------------------------------

@@ -388,11 +388,6 @@ def hull_from_vertices(points) -> PolytopeDD:
     )
 
 
-def polytope_from_inequalities(source, max_dim=None) -> PolytopeDD:
-    """Vertex enumeration followed by a hull run: irredundant double description."""
-    return hull_from_vertices(vertices_from_inequalities(source, max_dim=max_dim))
-
-
 def _vertex_points(obj):
     if isinstance(obj, PolytopeDD):
         return obj.dimension, set(obj.vertices)

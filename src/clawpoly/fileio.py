@@ -11,11 +11,12 @@ polyhedral tools can audit the output:
     end
 
 Every number is an integer or p/q; vertex rows carry the leading 1 marker
-(rays are rejected: these polytopes are bounded). H-file rows encode
-a . x <= b as "b -a1 ... -ad"; equations, when present, are listed in a
-cdd "linearity" line by row index. The record format used by reports is
-one record per line of space-separated key=value pairs whose values never
-contain spaces (sequences are comma- and semicolon-joined).
+(rays and a V-file "linearity" line are rejected: these polytopes are
+bounded). H-file rows encode a . x <= b as "b -a1 ... -ad"; equations,
+when present, are listed in a cdd "linearity" line by row index. The
+record format used by reports is one record per line of space-separated
+key=value pairs whose values never contain spaces (sequences are comma-
+and semicolon-joined).
 """
 
 from __future__ import annotations
@@ -54,10 +55,71 @@ def format_vfile(vs: VertexSet) -> str:
 
 
 def parse_vfile(text: str) -> VertexSet:
-    points, _, shape, d = _parse_poly_file(text, "V-representation", vertex_rows=True)
-    if shape is None:
-        shape = (d,)
-    return VertexSet(dimension=d, shape=shape, points=tuple(points))
+    """Vertices of a cdd V-file; rays and a linearity line are rejected."""
+    shape = None
+    lines = text.splitlines()
+    i = 0
+    found_header = False
+    while i < len(lines):
+        line = lines[i].strip()
+        i += 1
+        if not line or line.startswith("*"):
+            m = _SHAPE_RE.match(line)
+            if m:
+                shape = (int(m.group(1)), int(m.group(2)))
+                if shape[0] == 1:
+                    shape = (shape[1],)
+            continue
+        if line == "V-representation":
+            found_header = True
+            continue
+        if line.startswith("linearity"):
+            raise FileFormatError(f"lines through the generators are unsupported: {line!r}")
+        if line == "begin":
+            break
+        raise FileFormatError(f"unexpected line before begin: {line!r}")
+    else:
+        raise FileFormatError("no begin line found")
+    if not found_header:
+        raise FileFormatError("missing V-representation header")
+    if i >= len(lines):
+        raise FileFormatError("truncated file: no size line")
+    size_parts = lines[i].split()
+    i += 1
+    if len(size_parts) != 3 or size_parts[2] not in ("rational", "integer"):
+        raise FileFormatError(f"bad size line: {lines[i-1]!r}")
+    try:
+        nrows = int(size_parts[0])
+        ncols = int(size_parts[1])
+    except ValueError:
+        raise FileFormatError(f"bad size line: {lines[i-1]!r}")
+    points = []
+    while i < len(lines):
+        line = lines[i].strip()
+        i += 1
+        if line == "end":
+            break
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != ncols:
+            raise FileFormatError(
+                f"row has {len(fields)} fields, expected {ncols}: {line!r}"
+            )
+        try:
+            values = [parse_rational(f) for f in fields]
+        except ValueError as e:
+            raise FileFormatError(str(e))
+        if values[0] != 1:
+            raise FileFormatError(
+                f"generator row is not a vertex (leading {fmt(values[0])}); rays unsupported"
+            )
+        points.append(tuple(values[1:]))
+    else:
+        raise FileFormatError("truncated file: no end line")
+    if len(points) != nrows:
+        raise FileFormatError(f"size line promised {nrows} rows, found {len(points)}")
+    return VertexSet(dimension=ncols - 1, shape=shape or (ncols - 1,), points=tuple(points))
 
 
 def format_hfile(source) -> str:
@@ -91,116 +153,6 @@ def format_hfile(source) -> str:
     return "\n".join(lines) + "\n"
 
 
-class ParsedHRep:
-    """Inequalities read back from an H-file, ready for the engine."""
-
-    def __init__(self, dimension, shape, inequalities, equations):
-        self.dimension = dimension
-        self.shape = shape
-        self.inequalities = tuple(inequalities)  # (a, b) pairs, a . x <= b
-        self.equations = tuple(equations)
-
-    def homogenized_rows(self):
-        rows = [(-b,) + tuple(a) for a, b in self.inequalities]
-        for a, b in self.equations:
-            rows.append((-b,) + tuple(a))
-            rows.append((b,) + tuple(-x for x in a))
-        return rows
-
-
-def parse_hfile(text: str) -> ParsedHRep:
-    rows, linearity, shape, d = _parse_poly_file(text, "H-representation", vertex_rows=False)
-    ineqs = []
-    eqs = []
-    for i, (b, *nega) in enumerate(rows, start=1):
-        a = tuple(canon(-x) for x in nega)
-        pair = (a, canon(b))
-        if i in linearity:
-            eqs.append(pair)
-        else:
-            ineqs.append(pair)
-    if shape is None:
-        shape = (d,)
-    return ParsedHRep(d, shape, ineqs, eqs)
-
-
-def _parse_poly_file(text, header, vertex_rows):
-    shape = None
-    linearity: set[int] = set()
-    lines = text.splitlines()
-    i = 0
-    found_header = False
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if not line or line.startswith("*"):
-            m = _SHAPE_RE.match(line)
-            if m:
-                shape = (int(m.group(1)), int(m.group(2)))
-                if shape[0] == 1:
-                    shape = (shape[1],)
-            continue
-        if line == header:
-            found_header = True
-            continue
-        if line.startswith("linearity"):
-            parts = line.split()
-            try:
-                count = int(parts[1])
-                linearity = {int(x) for x in parts[2 : 2 + count]}
-            except (IndexError, ValueError):
-                raise FileFormatError(f"bad linearity line: {line!r}")
-            continue
-        if line == "begin":
-            break
-        raise FileFormatError(f"unexpected line before begin: {line!r}")
-    else:
-        raise FileFormatError("no begin line found")
-    if not found_header:
-        raise FileFormatError(f"missing {header} header")
-    if i >= len(lines):
-        raise FileFormatError("truncated file: no size line")
-    size_parts = lines[i].split()
-    i += 1
-    if len(size_parts) != 3 or size_parts[2] not in ("rational", "integer"):
-        raise FileFormatError(f"bad size line: {lines[i-1]!r}")
-    try:
-        nrows = int(size_parts[0])
-        ncols = int(size_parts[1])
-    except ValueError:
-        raise FileFormatError(f"bad size line: {lines[i-1]!r}")
-    rows = []
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if line == "end":
-            break
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != ncols:
-            raise FileFormatError(
-                f"row has {len(fields)} fields, expected {ncols}: {line!r}"
-            )
-        try:
-            values = [parse_rational(f) for f in fields]
-        except ValueError as e:
-            raise FileFormatError(str(e))
-        if vertex_rows:
-            if values[0] != 1:
-                raise FileFormatError(
-                    f"generator row is not a vertex (leading {fmt(values[0])}); rays unsupported"
-                )
-            rows.append(tuple(values[1:]))
-        else:
-            rows.append(tuple(values))
-    else:
-        raise FileFormatError("truncated file: no end line")
-    if len(rows) != nrows:
-        raise FileFormatError(f"size line promised {nrows} rows, found {len(rows)}")
-    return rows, linearity, shape, ncols - 1
-
-
 # --- record format -----------------------------------------------------------
 
 def _render_value(v) -> str:
@@ -228,16 +180,6 @@ def record_line(pairs) -> str:
             raise FileFormatError(f"record value for {key} contains a space or '='")
         out.append(f"{key}={rendered}")
     return " ".join(out)
-
-
-def parse_record(line: str) -> dict:
-    out = {}
-    for field in line.split():
-        if "=" not in field:
-            raise FileFormatError(f"bad record field: {field!r}")
-        key, _, value = field.partition("=")
-        out[key] = value
-    return out
 
 
 def _json_default(obj):

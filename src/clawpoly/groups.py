@@ -90,11 +90,6 @@ def add(spec: GroupSpec, a: GroupElement, b: GroupElement) -> GroupElement:
     )
 
 
-def neg(spec: GroupSpec, a: GroupElement) -> GroupElement:
-    _check(spec, a)
-    return GroupElement(tuple((-x) % n for x, n in zip(a.residues, spec.orders)))
-
-
 def group_sum(spec: GroupSpec, elements) -> GroupElement:
     return reduce(lambda a, b: add(spec, a, b), elements, identity(spec))
 
@@ -122,31 +117,3 @@ def embed(spec: GroupSpec, g: GroupElement) -> tuple[int, ...]:
     if any(g.residues):
         col[order.index(g)] = 1
     return tuple(col)
-
-
-def decode_embed(spec: GroupSpec, column) -> GroupElement | None:
-    """Inverse of embed. None when the column is not an embedding image."""
-    column = tuple(column)
-    order = nonidentity_elements(spec)
-    if len(column) != len(order):
-        raise DimensionError(
-            f"column length {len(column)} does not match group size {spec.size}"
-        )
-    ones = [k for k, x in enumerate(column) if x == 1]
-    if any(x not in (0, 1) for x in column) or len(ones) > 1:
-        return None
-    if not ones:
-        return identity(spec)
-    return order[ones[0]]
-
-
-def z2_homomorphism_images(g: GroupElement) -> tuple[int, int, int]:
-    """Images of a Z2 x Z2 element under its three surjections onto Z2.
-
-    For g = (a, b) the images are (a, b, a+b mod 2). Each surjection kills one
-    of the three non-identity elements; together they separate the group.
-    """
-    if len(g.residues) != 2 or any(r not in (0, 1) for r in g.residues):
-        raise UnsupportedGroupError("z2_homomorphism_images is defined for Z2 x Z2 only")
-    a, b = g.residues
-    return (a, b, (a + b) % 2)

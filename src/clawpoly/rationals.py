@@ -57,8 +57,3 @@ def scale_to_ints(values) -> tuple[tuple[int, ...], int]:
     """
     den = lcm(*{x.denominator for x in values})
     return tuple(x.numerator * (den // x.denominator) for x in values), den
-
-
-def canon_point(coords) -> tuple:
-    """Canonicalize a coordinate sequence into a hashable tuple."""
-    return tuple(canon(c) for c in coords)

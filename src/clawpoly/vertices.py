@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DimensionError, LeafCountError, ResourceCapError
-from .groups import (
-    GroupElement,
-    GroupSpec,
-    decode_embed,
-    embed,
-    group_elements,
-    group_sum,
-    identity,
-)
+from .groups import GroupElement, GroupSpec, embed, group_elements
 from .matrices import Matrix
 from .rationals import Rational
 
@@ -47,9 +39,6 @@ class Labeling:
     def leaves(self) -> int:
         return len(self.elements)
 
-    def is_consistent(self) -> bool:
-        return group_sum(self.spec, self.elements) == identity(self.spec)
-
 
 @dataclass(frozen=True)
 class VertexSet:
@@ -74,33 +63,6 @@ def labeling_to_matrix(labeling: Labeling) -> Matrix:
     return Matrix.from_rows(
         [tuple(col[r] for col in cols) for r in range(nrows)]
     )
-
-
-def matrix_to_labeling(spec: GroupSpec, p: Matrix) -> Labeling | None:
-    """Decode a matrix back to its labeling; None when some column is not an embedding image."""
-    if p.nrows != spec.size - 1:
-        raise DimensionError(
-            f"matrix has {p.nrows} rows, group {spec.name()} embeds into {spec.size - 1}"
-        )
-    decoded = []
-    for j in range(1, p.ncols + 1):
-        g = decode_embed(spec, p.column(j))
-        if g is None:
-            return None
-        decoded.append(g)
-    return Labeling(spec, tuple(decoded))
-
-
-def is_vertex(spec: GroupSpec, m: int, p: Matrix) -> bool:
-    """True iff p is the matrix of a consistent labeling on m leaves."""
-    if m < 3:
-        raise LeafCountError(f"m >= 3 required, got {m}")
-    if p.ncols != m or p.nrows != spec.size - 1:
-        raise DimensionError(
-            f"expected a {spec.size - 1}x{m} matrix, got {p.nrows}x{p.ncols}"
-        )
-    labeling = matrix_to_labeling(spec, p)
-    return labeling is not None and labeling.is_consistent()
 
 
 def _flat_vertex(cols, nrows: int, m: int) -> tuple[int, ...]:
@@ -132,25 +94,4 @@ def generate_vertices(spec: GroupSpec, m: int, allow_large: bool = False) -> Ver
         last = tuple(-sum(rs) % n for rs, n in zip(zip(*prefix), spec.orders))
         cols = [columns[r] for r in prefix] + [columns[last]]
         points.append(_flat_vertex(cols, nrows, m))
-    return VertexSet(dimension=nrows * m, shape=(nrows, m), points=tuple(points))
-
-
-def generate_vertices_fullscan(spec: GroupSpec, m: int) -> VertexSet:
-    """Independent oracle: scan all |G|^m labelings and keep the consistent ones.
-
-    Same output contract as generate_vertices but derived without forcing the
-    last leaf. Intended for cross-checks at small sizes.
-    """
-    if m < 3:
-        raise LeafCountError(f"m >= 3 required, got {m}")
-    if spec.size ** m > GENERATION_CAP:
-        raise ResourceCapError("fullscan oracle is restricted to small inputs")
-    order = group_elements(spec)
-    columns = {g: embed(spec, g) for g in order}
-    nrows = spec.size - 1
-    ident = identity(spec)
-    points = []
-    for combo in product(order, repeat=m):
-        if group_sum(spec, combo) == ident:
-            points.append(_flat_vertex([columns[g] for g in combo], nrows, m))
     return VertexSet(dimension=nrows * m, shape=(nrows, m), points=tuple(points))

@@ -4,9 +4,21 @@ heavier m=4 conversions happen once."""
 import pytest
 
 from clawpoly.engine import hull_from_vertices, vertices_from_inequalities
+from clawpoly.errors import FileFormatError
 from clawpoly.groups import Z2Z2
 from clawpoly.halfspaces import kimura3_prime_system, kimura3_system
 from clawpoly.vertices import generate_vertices
+
+
+def parse_record(line: str) -> dict:
+    """Inverse of fileio.record_line: {key: value} with every value a string."""
+    out = {}
+    for field in line.split():
+        if "=" not in field:
+            raise FileFormatError(f"bad record field: {field!r}")
+        key, _, value = field.partition("=")
+        out[key] = value
+    return out
 
 
 @pytest.fixture(scope="session")

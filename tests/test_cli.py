@@ -1,14 +1,19 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
+from conftest import parse_record
 
 import clawpoly.cli as cli
 import clawpoly.vertices as vertices_mod
 from clawpoly.cli import main
-from clawpoly.fileio import format_vfile, parse_record, parse_vfile, read_text
-from clawpoly.vertices import VertexSet
-from clawpoly.witness import ContainmentReport
+from clawpoly.engine import EqualityReport, f_vector
+from clawpoly.fileio import format_vfile, parse_vfile, read_text
+from clawpoly.groups import Z2Z2
+from clawpoly.suites import InteriorSuiteReport
+from clawpoly.vertices import VertexSet, generate_vertices
+from clawpoly.witness import ContainmentReport, NotInterior
 
 H = Fraction(1, 2)
 
@@ -125,6 +130,24 @@ def test_transform_roundtrip(tmp_path, capsys):
     back = parse_vfile(read_text(tmp_path / "vrep_z2z2_m3_prime_standard.ext"))
     orig = parse_vfile(read_text(tmp_path / "vrep_z2z2_m3.ext"))
     assert back.points == orig.points
+
+
+@pytest.mark.parametrize("infile", ["sub/points", "sub/points.ext"])
+def test_transform_default_out_uses_basename(infile, tmp_path, capsys):
+    (tmp_path / "sub").mkdir()
+    main(["vrep", "--leaves", "3", "--out", infile])
+    assert main(["transform", "--in", infile]) == 0
+    assert last_record(capsys)["file"] == "points_prime.ext"
+    assert (tmp_path / "points_prime.ext").is_file()
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == [infile[4:]]
+
+
+@pytest.mark.parametrize("argv", [["transform", "--in"], ["witness", "interior", "--point"]])
+def test_vfile_linearity_is_usage_error(argv, tmp_path, capsys):
+    text = format_vfile(VertexSet(dimension=9, shape=(3, 3), points=((H,) * 2 + (0,) * 7,)))
+    (tmp_path / "l.ext").write_text(text.replace("begin", "linearity 1 1\nbegin"))
+    assert main(argv + ["l.ext"]) == 2
+    assert "linearity" in capsys.readouterr().err
 
 
 def test_transform_missing_file(capsys):
@@ -261,6 +284,14 @@ def test_verify_theorems(capsys):
     assert int(rec["pseudo_facet_samples"]) == 40
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_theorems_samples_below_one(samples, capsys):
+    assert main(["verify", "theorems", "--leaves", "3", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--samples must be at least 1, got {samples}" in captured.err
+
+
 def test_verify_theorems_m5_record_pinned(capsys):
     assert main(["verify", "theorems", "--leaves", "5", "--samples", "600", "--seed", "3"]) == 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
@@ -380,6 +411,14 @@ def test_stats_f_vector_only_m3(capsys):
     assert rec["outcome"] == "partial"
 
 
+def test_stats_vertex_cap_exits_before_any_system(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "model_system", lambda model, m: built.append(model))
+    assert main(["stats", "--leaves", "15"]) == 3
+    assert "generation cap" in capsys.readouterr().err
+    assert built == []
+
+
 def test_stats_out_file_has_no_wall(tmp_path, capsys):
     assert main(["stats", "--leaves", "3", "--out", "s.records"]) == 0
     rec = parse_record(read_text(tmp_path / "s.records").strip())
@@ -404,3 +443,342 @@ def test_stdout_record_has_wall(capsys):
     main(["verify", "containment", "--leaves", "3"])
     rec = last_record(capsys)
     assert rec["wall"].endswith("s")
+
+
+# --- golden run ------------------------------------------------------------------
+# Every command, every --format and every fail path, pinned by its stdout record
+# (minus wall=), its exit code and the sha256 of every file it writes.
+
+GOLDEN_INPUTS = {
+    "k3.ext": format_vfile(generate_vertices(Z2Z2, 3)),
+    "p.ext": format_vfile(
+        VertexSet(dimension=9, shape=(3, 3), points=((H, H, 0, H, H, 0, 0, 0, 0),))
+    ),
+    "z.ext": format_vfile(VertexSet(dimension=9, shape=(3, 3), points=((0,) * 9,))),
+}
+
+GOLDEN_PATCHES = {
+    "containment": (cli, "check_containment", lambda m: ContainmentReport(
+        leaves=m, checked=2, failures=(((0,) * 9, 13), ((1,) + (0,) * 8, 4)), passed=False)),
+    "equality": (cli, "equal_polytopes", lambda a, b: EqualityReport(
+        equal=False, only_a=((0,) * 9,), only_b=((1,) + (0,) * 8, (0, 1) + (0,) * 7),
+        checked_a=16, checked_b=16)),
+    "integrality": (cli, "is_integral", lambda x: x != 1),
+    "theorems": (cli, "run_interior_suite", lambda m, n, seed=0: InteriorSuiteReport(
+        leaves=m, samples=n, nonintegral=1, passed=False,
+        failures=(("not_interior", "no direction", ((H, 0), (0, 1))),))),
+    "interior": (cli, "interior_witness", lambda mat: NotInterior("no kernel direction")),
+    "faces": (cli, "f_vector", lambda hull: f_vector(hull, max_faces=100)),
+    "cap": (vertices_mod, "GENERATION_CAP", 4),
+}
+
+GOLDEN_CASES = {
+    "vrep-cdd": (["vrep", "--leaves", "3"], None),
+    "vrep-records": (["vrep", "--leaves", "3", "--format", "records"], None),
+    "vrep-json": (["vrep", "--leaves", "3", "--format", "json", "--out", "v.json"], None),
+    "vrep-z2": (["vrep", "--group", "z2", "--leaves", "4", "--out", "b.ext"], None),
+    "vrep-cap": (["vrep", "--group", "z2", "--leaves", "4"], "cap"),
+    "hrep-cdd": (["hrep", "--model", "kimura3", "--leaves", "3"], None),
+    "hrep-records": (["hrep", "--model", "binary", "--leaves", "4", "--format", "records"], None),
+    "hrep-json": (["hrep", "--model", "kimura3-prime", "--leaves", "3", "--format", "json"], None),
+    "hrep-usage": (["hrep", "--model", "jukes", "--leaves", "3"], None),
+    "transform-cdd": (["transform", "--in", "k3.ext"], None),
+    "transform-records": (["transform", "--in", "k3.ext", "--format", "records"], None),
+    "transform-json": (["transform", "--in", "k3.ext", "--format", "json", "--out", "t.json"],
+                       None),
+    "transform-inverse": (["transform", "--in", "k3.ext", "--inverse"], None),
+    "containment-pass": (["verify", "containment", "--leaves", "4"], None),
+    "containment-fail": (["verify", "containment", "--leaves", "3"], "containment"),
+    "equality-pass": (["verify", "equality", "--leaves", "3"], None),
+    "equality-fail": (["verify", "equality", "--leaves", "3", "--out-dir", "cx"], "equality"),
+    "equality-cap": (["verify", "equality", "--leaves", "5"], None),
+    "integrality-pass": (["verify", "integrality", "--leaves", "3"], None),
+    "integrality-fail": (["verify", "integrality", "--leaves", "3"], "integrality"),
+    "theorems-pass": (["verify", "theorems", "--leaves", "3", "--samples", "30", "--seed", "2"],
+                      None),
+    "theorems-fail": (["verify", "theorems", "--leaves", "3", "--samples", "30"], "theorems"),
+    "violation": (["witness", "violation", "--labeling", "10,00,00"], None),
+    "violation-consistent": (["witness", "violation", "--labeling", "10,01,11"], None),
+    "violation-out": (["witness", "violation", "--labeling", "11,11,11", "--out", "w.records"],
+                      None),
+    "interior-pass-out": (["witness", "interior", "--point", "p.ext", "--out", "i.records"],
+                          None),
+    "interior-fail-out": (["witness", "interior", "--point", "p.ext", "--out", "i.records"],
+                          "interior"),
+    "interior-integral": (["witness", "interior", "--point", "z.ext"], None),
+    "stats": (["stats", "--leaves", "3"], None),
+    "stats-f-vector-out": (["stats", "--leaves", "3", "--f-vector", "--out", "s.records"], None),
+    "stats-partial": (["stats", "--leaves", "3", "--f-vector"], "faces"),
+    "stats-m3-only": (["stats", "--leaves", "4", "--f-vector"], None),
+    "stats-skipped-by-cap-out": (["stats", "--leaves", "5", "--out", "s.records"], None),
+    "stats-cap-below-one": (["stats", "--leaves", "3", "--max-dim", "0"], None),
+}
+
+
+def _golden_run(name, tmp_path, monkeypatch, capsys):
+    """(exit code, stdout minus wall=, {written file: sha256}) of one case."""
+    for path, text in GOLDEN_INPUTS.items():
+        (tmp_path / path).write_text(text)
+    argv, patch = GOLDEN_CASES[name]
+    if patch:
+        monkeypatch.setattr(*GOLDEN_PATCHES[patch])
+    code = main(argv)
+    out = capsys.readouterr().out
+    record = "\n".join(
+        " ".join(f for f in line.split(" ") if not f.startswith("wall="))
+        for line in out.splitlines()
+    )
+    written = {
+        str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file() and p.name not in GOLDEN_INPUTS
+    }
+    return code, record, written
+
+
+GOLDEN = {
+    "containment-fail": (
+        1,
+        "command=verify task=containment leaves=3 checked=2 violations=2 outcome=fail "
+        "file=./counterexample_containment_m3.records",
+        {
+            "counterexample_containment_m3.records":
+                "8d3daf5e2e398aa0336e29edfd6756ead9a367d820b7088eeed89324ad1a2819",
+        },
+    ),
+    "containment-pass": (
+        0,
+        "command=verify task=containment leaves=4 checked=64 violations=0 outcome=pass",
+        {},
+    ),
+    "equality-cap": (3, "", {}),
+    "equality-fail": (
+        1,
+        "command=verify task=equality leaves=3 engine_vertices=16 generated_vertices=16 "
+        "outcome=fail file=cx/counterexample_equality_m3.records",
+        {
+            "cx/counterexample_equality_m3.records":
+                "fcf2e074d42b309b9e21326a76ba2249a918a9d4c5108f075e63c433a5f432c0",
+        },
+    ),
+    "equality-pass": (
+        0,
+        "command=verify task=equality leaves=3 engine_vertices=16 generated_vertices=16 "
+        "outcome=pass",
+        {},
+    ),
+    "hrep-cdd": (
+        0,
+        "command=hrep model=kimura3 leaves=3 count=24 outcome=pass "
+        "file=hrep_kimura3_m3.ine",
+        {
+            "hrep_kimura3_m3.ine":
+                "9b01fc54ba324a337637cb62d1a5665071a46db27b0aa38d8f0b9eb94229580d",
+        },
+    ),
+    "hrep-json": (
+        0,
+        "command=hrep model=kimura3-prime leaves=3 count=24 outcome=pass "
+        "file=hrep_kimura3-prime_m3.json",
+        {
+            "hrep_kimura3-prime_m3.json":
+                "bcb9656a8f8a83157708b4f27dee5ea34b1de273f01473e274e9f5fc07e3a465",
+        },
+    ),
+    "hrep-records": (
+        0,
+        "command=hrep model=binary leaves=4 count=16 outcome=pass "
+        "file=hrep_binary_m4.records",
+        {
+            "hrep_binary_m4.records":
+                "e0bab644e02de6b819ce93ad1b87b13a0c9eba4aeb535e43895ca0415d5e56f4",
+        },
+    ),
+    "hrep-usage": (2, "", {}),
+    "integrality-fail": (
+        1,
+        "command=verify task=integrality leaves=3 kimura3_vertices=16 "
+        "kimura3_prime_vertices=16 violations=30 outcome=fail "
+        "file=./counterexample_integrality_m3.records",
+        {
+            "counterexample_integrality_m3.records":
+                "313656c1419f3d26cc50c27aaf3ee8549da46349add41eb5310034d7e5d8a717",
+        },
+    ),
+    "integrality-pass": (
+        0,
+        "command=verify task=integrality leaves=3 kimura3_vertices=16 "
+        "kimura3_prime_vertices=16 violations=0 outcome=pass",
+        {},
+    ),
+    "interior-fail-out": (
+        1,
+        "command=witness kind=segment-interior reason=no-kernel-direction outcome=fail "
+        "file=i.records",
+        {
+            "i.records":
+                "95046494a8686c5139bb092596da94ec8eab0fa51d201c23a2446472cc12141b",
+        },
+    ),
+    "interior-integral": (2, "", {}),
+    "interior-pass-out": (
+        0,
+        "command=witness kind=segment-interior epsilon=1/4 direction=1,1,0;1,1,0;0,0,0 "
+        "outcome=pass file=i.records",
+        {
+            "i.records":
+                "e67fc6867c492c579ef2208358256c8ec606ea6f62bbe372118f42f09520eb80",
+        },
+    ),
+    "stats": (
+        0,
+        "command=stats leaves=3 vertices=16 kimura3_inequalities=24 "
+        "kimura3_prime_inequalities=24 binary_inequalities=10 facets=24 outcome=pass",
+        {},
+    ),
+    "stats-cap-below-one": (3, "", {}),
+    "stats-f-vector-out": (
+        0,
+        "command=stats leaves=3 vertices=16 kimura3_inequalities=24 "
+        "kimura3_prime_inequalities=24 binary_inequalities=10 facets=24 "
+        "f_vector=16,120,528,1392,2176,1968,978,240,24 outcome=pass file=s.records",
+        {
+            "s.records":
+                "f6a19a55d57b0cacaadb4ff209270d35f01cf5aef1a89b32240d0d505d0f9be3",
+        },
+    ),
+    "stats-m3-only": (
+        0,
+        "command=stats leaves=4 vertices=64 kimura3_inequalities=40 "
+        "kimura3_prime_inequalities=40 binary_inequalities=16 facets=40 f_vector=m3-only "
+        "outcome=partial",
+        {},
+    ),
+    "stats-partial": (
+        0,
+        "command=stats leaves=3 vertices=16 kimura3_inequalities=24 "
+        "kimura3_prime_inequalities=24 binary_inequalities=10 facets=24 "
+        "f_vector=0,0,0,0,0,0,0,0,24 outcome=partial",
+        {},
+    ),
+    "stats-skipped-by-cap-out": (
+        0,
+        "command=stats leaves=5 vertices=256 kimura3_inequalities=68 "
+        "kimura3_prime_inequalities=68 binary_inequalities=26 facets=skipped-by-cap "
+        "outcome=partial file=s.records",
+        {
+            "s.records":
+                "774d38bcf7a6a3a4ac3ee72a76f3e2ca1474972bda7f352722453a569218d807",
+        },
+    ),
+    "theorems-fail": (
+        1,
+        "command=verify task=theorems leaves=3 samples=30 roundtrips=30 memberships=30 "
+        "pseudo_facet_samples=30 cycle_configs=15 interior_nonintegral=1 violations=1 "
+        "outcome=fail file=./counterexample_theorems_m3.records",
+        {
+            "counterexample_theorems_m3.records":
+                "bfa8c40495da74ed85d36ec7a841775fabd5e5501f27361a5f46d1ee34f9e7c1",
+        },
+    ),
+    "theorems-pass": (
+        0,
+        "command=verify task=theorems leaves=3 samples=30 roundtrips=30 memberships=30 "
+        "pseudo_facet_samples=30 cycle_configs=19 interior_nonintegral=28 violations=0 "
+        "outcome=pass",
+        {},
+    ),
+    "transform-cdd": (
+        0,
+        "command=transform direction=standard-to-prime count=16 outcome=pass "
+        "file=k3_prime.ext",
+        {
+            "k3_prime.ext":
+                "f745f2bf16c3ec3b3234b0f46fe5b50ef3942ae20a36c48e364a617f7a899c94",
+        },
+    ),
+    "transform-inverse": (
+        0,
+        "command=transform direction=prime-to-standard count=16 outcome=pass "
+        "file=k3_standard.ext",
+        {
+            "k3_standard.ext":
+                "cbca7518b38787a585d1ac5eb2534c3473318b47a1efc9098ab074c9dccb0012",
+        },
+    ),
+    "transform-json": (
+        0,
+        "command=transform direction=standard-to-prime count=16 outcome=pass file=t.json",
+        {
+            "t.json":
+                "ff4b291e0c7891339331f023457cee5cc67d66f905e4feea08d2cc8bda7a66ab",
+        },
+    ),
+    "transform-records": (
+        0,
+        "command=transform direction=standard-to-prime count=16 outcome=pass "
+        "file=k3_prime.records",
+        {
+            "k3_prime.records":
+                "6691e85ca9f8c9df6f214e829069c251800775d2328d8b29b1c18a31f20b45b4",
+        },
+    ),
+    "violation": (
+        0,
+        "command=witness kind=violation consistent=false subset=1 row_pair=1,3 "
+        "inequality=16 lhs=1 rhs=0 outcome=pass",
+        {},
+    ),
+    "violation-consistent": (
+        0,
+        "command=witness kind=violation consistent=true outcome=pass",
+        {},
+    ),
+    "violation-out": (
+        0,
+        "command=witness kind=violation consistent=false subset=1,2,3 row_pair=1,3 "
+        "inequality=17 lhs=3 rhs=2 outcome=pass file=w.records",
+        {
+            "w.records":
+                "606366e4927cee26bc4fed66e1150794efde7a9fd47aa72a516c1a9515291469",
+        },
+    ),
+    "vrep-cap": (3, "", {}),
+    "vrep-cdd": (
+        0,
+        "command=vrep group=z2z2 leaves=3 count=16 outcome=pass file=vrep_z2z2_m3.ext",
+        {
+            "vrep_z2z2_m3.ext":
+                "a1d7ac464affe82c0efa226b06bb556cbd828a2ad603d43b02a93423cbd077b3",
+        },
+    ),
+    "vrep-json": (
+        0,
+        "command=vrep group=z2z2 leaves=3 count=16 outcome=pass file=v.json",
+        {
+            "v.json":
+                "e4fd000ce5d94b11f9969513c9dfeaf6c768ad1f293958f4a5918f6966ba6e53",
+        },
+    ),
+    "vrep-records": (
+        0,
+        "command=vrep group=z2z2 leaves=3 count=16 outcome=pass file=vrep_z2z2_m3.records",
+        {
+            "vrep_z2z2_m3.records":
+                "f6145cf48efb999ddbaf9a14c0b50bbcf2ee108862ff97df12ed9b430cf45f70",
+        },
+    ),
+    "vrep-z2": (
+        0,
+        "command=vrep group=z2 leaves=4 count=8 outcome=pass file=b.ext",
+        {
+            "b.ext":
+                "912e9b87d237585dde009707870e088ea1432d40cc302ccd1ac3c841f4e12962",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_cli_golden(name, tmp_path, monkeypatch, capsys):
+    assert _golden_run(name, tmp_path, monkeypatch, capsys) == GOLDEN[name]

@@ -16,7 +16,6 @@ from clawpoly.engine import (
     equal_polytopes,
     f_vector,
     hull_from_vertices,
-    polytope_from_inequalities,
     vertices_from_inequalities,
 )
 from clawpoly.errors import (
@@ -305,13 +304,6 @@ def test_roundtrip_inequalities_to_hull(delta3_vertices, hull_k3):
     assert poly.vertices == hull_k3.vertices
 
 
-def test_polytope_from_inequalities_composes():
-    poly = polytope_from_inequalities(demihypercube_system(3), max_dim=3)
-    assert len(poly.vertices) == 4
-    assert len(poly.facets) == 4
-    assert poly.equations == ()
-
-
 def test_enumeration_is_deterministic():
     a = vertices_from_inequalities(kimura3_system(3))
     b = vertices_from_inequalities(kimura3_system(3))
@@ -453,7 +445,7 @@ def test_f_vector_simplex():
 
 
 def test_f_vector_demihypercube3():
-    poly = polytope_from_inequalities(demihypercube_system(3), max_dim=3)
+    poly = hull_from_vertices(vertices_from_inequalities(demihypercube_system(3)))
     assert f_vector(poly).counts == (4, 6, 4)
 
 
@@ -463,7 +455,7 @@ def test_f_vector_square():
 
 
 def test_f_vector_cap():
-    poly = polytope_from_inequalities(demihypercube_system(3), max_dim=3)
+    poly = hull_from_vertices(vertices_from_inequalities(demihypercube_system(3)))
     fv = f_vector(poly, max_faces=3)
     assert fv.complete is False
 

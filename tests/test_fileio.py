@@ -2,24 +2,22 @@ import json
 from fractions import Fraction
 
 import pytest
+from conftest import parse_record
 
-from clawpoly.engine import hull_from_vertices, vertices_from_inequalities
+from clawpoly.engine import hull_from_vertices
 from clawpoly.errors import FileFormatError
 from clawpoly.fileio import (
     format_hfile,
     format_vfile,
-    parse_hfile,
-    parse_record,
     parse_vfile,
     read_text,
     record_line,
     to_json,
     write_text,
 )
-from clawpoly.groups import Z2Z2
 from clawpoly.halfspaces import demihypercube_system, kimura3_system
 from clawpoly.matrices import Matrix
-from clawpoly.vertices import VertexSet, generate_vertices
+from clawpoly.vertices import VertexSet
 
 
 # --- V-files -------------------------------------------------------------------
@@ -93,6 +91,25 @@ def test_vfile_bad_size_line():
         parse_vfile(bad)
 
 
+@pytest.mark.parametrize("line", ["linearity 1 1", "linearity x"])
+def test_vfile_rejects_linearity(line):
+    # a V-file linearity line declares a generator to be a line, not a vertex
+    text = f"V-representation\n{line}\nbegin\n 1 3 rational\n 1 0 1\nend\n"
+    with pytest.raises(FileFormatError, match="linearity"):
+        parse_vfile(text)
+
+
+def test_vfile_rejects_stray_line():
+    bad = "V-representation\nsurprise\nbegin\n 0 3 rational\nend\n"
+    with pytest.raises(FileFormatError):
+        parse_vfile(bad)
+
+
+def test_parse_ignores_comments_and_blanks():
+    text = "* a comment\n\nV-representation\nbegin\n 1 2 rational\n 1 -1\n\nend\n"
+    assert parse_vfile(text) == VertexSet(dimension=1, shape=(1,), points=((-1,),))
+
+
 # --- H-files -------------------------------------------------------------------
 
 def test_hfile_layout():
@@ -107,52 +124,32 @@ def test_hfile_layout():
     assert lines[-1] == "end"
 
 
-def test_hfile_roundtrip_preserves_polytope():
-    sys3 = kimura3_system(3)
-    parsed = parse_hfile(format_hfile(sys3))
-    assert parsed.dimension == 9
-    assert parsed.shape == (3, 3)
-    assert parsed.equations == ()
-    assert len(parsed.inequalities) == 24
-    direct = vertices_from_inequalities(sys3)
-    reparsed = vertices_from_inequalities(parsed)
-    assert direct.points == reparsed.points
-
-
 def test_hfile_rows_encode_negated_coefficients():
     dh = demihypercube_system(3)
-    parsed = parse_hfile(format_hfile(dh))
+    rows = format_hfile(dh).splitlines()[3:-1]
+    assert rows[0] == " 10 4 rational"
     pairs = {(tuple(q.coeffs), q.rhs) for q in dh.inequalities}
-    assert set(parsed.inequalities) == pairs
+    written = set()
+    for row in rows[1:]:
+        b, *nega = (int(x) for x in row.split())
+        written.add((tuple(-x for x in nega), b))
+    assert written == pairs
 
 
-def test_hfile_linearity_roundtrip():
-    seg = hull_from_vertices([(0, 0), (2, 2)])
-    text = format_hfile(seg)
-    assert "linearity 1 3" in text.splitlines()
-    parsed = parse_hfile(text)
-    assert parsed.equations == (((1, -1), 0),)
-    assert len(parsed.inequalities) == 2
-    back = vertices_from_inequalities(parsed)
-    assert back.points == ((0, 0), (2, 2))
-
-
-def test_hfile_bad_linearity():
-    bad = "H-representation\nlinearity x\nbegin\n 0 3 rational\nend\n"
-    with pytest.raises(FileFormatError):
-        parse_hfile(bad)
-
-
-def test_hfile_rejects_stray_line():
-    bad = "H-representation\nsurprise\nbegin\n 0 3 rational\nend\n"
-    with pytest.raises(FileFormatError):
-        parse_hfile(bad)
-
-
-def test_parse_ignores_comments_and_blanks():
-    text = "* a comment\n\nH-representation\nbegin\n 1 2 rational\n 1 1\n\nend\n"
-    parsed = parse_hfile(text)
-    assert parsed.inequalities == (((-1,), 1),)
+def test_hfile_linearity_layout():
+    # the segment's hull: its two end facets, then the equation x1 - x2 = 0 as row 3
+    text = format_hfile(hull_from_vertices([(0, 0), (2, 2)]))
+    assert text.splitlines() == [
+        "* order=row-major rows=1 cols=2",
+        "H-representation",
+        "linearity 1 3",
+        "begin",
+        " 3 3 rational",
+        " 0 1 0",
+        " 2 -1 0",
+        " 0 -1 1",
+        "end",
+    ]
 
 
 # --- records -------------------------------------------------------------------
