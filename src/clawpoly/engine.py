@@ -11,15 +11,24 @@ reduce to one cone computation:
   affine hull.
 
 Lineality is absorbed on the fly (the run starts from R^n as a basis of
-lines), and rays carry exact tight-set bitmasks over the input rows.
+lines), and rays carry exact tight-set bitmasks over the input rows. Rays
+are known by ids, renumbered once dead ids outnumber live ones, and no
+per-ray loop runs to classify them against a row: each coordinate is one
+int holding that coordinate of every ray in a fixed-width lane per id
+(see ``lanes``), so a row's a . r for all rays is about n big-int
+multiply-adds, and two reads of the lanes' top bits give the ids on each
+side of the hyperplane. One at a time, a row touches only the rays it
+makes tight (to mark the row in their masks), the violating rays and their
+candidate partners, and, on a row that absorbs a line, the rays it moves.
+
 Adjacency is the combinatorial test (Fukuda & Prodon): a pair is adjacent
-iff no third ray is tight on all of their common tight rows. A popcount
-prefilter (common tight count >= n - |lines| - 2, forced by the rank of the
-pair's minimal face) cuts most pairs first; the test runs bit-parallel on
-the transposed incidence, one bitmask of tight ray ids per row, kept up to
-date as rays are made and dropped and renumbered once dead ids outnumber
-live ones. The hull reads its vertices and incidence off the same tight
-sets, with no linear algebra.
+iff no third ray is tight on all of their common tight rows. It runs
+bit-parallel on the transposed incidence, one bitmask of tight ray ids per
+row. Candidate pairs are prefiltered by the rank of the pair's minimal
+face (common tight count >= n - |lines| - 2), counted for all partners of
+a violating ray at once: its tight rows' incidence bitmasks are summed
+into bit-sliced counters. The hull reads its vertices and incidence off
+the same tight sets, with no linear algebra.
 
 The f-vector comes from that incidence alone (Kaibel & Pfetsch): the face
 lattice is walked down one level at a time from the facets, a face's
@@ -38,6 +47,7 @@ import logging
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import mul
 
@@ -47,6 +57,7 @@ from .errors import (
     ResourceCapError,
     UnboundedError,
 )
+from .lanes import lane_tops, pack_lanes
 from .rationals import canon
 from .vertices import VertexSet
 
@@ -96,34 +107,92 @@ def _transpose(masks, nbits):
     return [int.from_bytes(c, "little") for c in cols]
 
 
+def _lane_layout(big, norm_bits):
+    """Lane width in bits (whole bytes) and shift for coordinates up to big.
+
+    The shift is a power of two >= big, so each stored r[j] + shift lies in
+    [0, 2 * shift]. With every row's 1-norm below 2^norm_bits, shift * norm
+    < 2^(width - 1), so a . r + 2^(width - 1) lies in (0, 2^width) for every
+    row a and ray r. The width steps by whole bytes, so each widening grows
+    the shift at least 256-fold.
+    """
+    width = -(-(big.bit_length() + 1 + norm_bits) // 8) * 8
+    return width, 1 << (width - 1 - norm_bits)
+
+
+def _columns(vecs, n, shift, width):
+    """Per coordinate j < n, the int whose lane k holds vecs[k][j] + shift."""
+    return [pack_lanes([v[j] + shift for v in vecs], width) for j in range(n)]
+
+
+def _at_least(k, rows, tight_on, among):
+    """The ids in among that are tight on at least k of the rows in the mask rows.
+
+    Bit-sliced counting over those rows: planes[l] holds bit l of every
+    id's count, started at 2^b - k so that a count reaches k exactly when
+    it carries out of the top plane, and done keeps those carries.
+    """
+    if k <= 0:
+        return among
+    if rows.bit_count() < k:
+        return 0
+    b = (k - 1).bit_length()
+    start = (1 << b) - k
+    levels = range(b)
+    planes = [among if start >> l & 1 else 0 for l in levels]
+    done = 0
+    for i in _bits(rows):
+        carry = tight_on[i] & among
+        for l in levels:
+            if not carry:
+                break
+            plane = planes[l]
+            planes[l] = plane ^ carry
+            carry &= plane
+        else:
+            done |= carry
+    return done
+
+
 def _dd_cone(rows, n, label):
     """Double description of {x in R^n : row . x <= 0 for each row}.
 
     Returns (lines, rays): integer basis vectors of the lineality space and
     the extreme rays of the pointed quotient, each ray paired with its
     tight-set bitmask over the input rows. Logs one summary line of counts
-    under label.
+    and one of the lane layout under label.
     """
     lines = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    rays = []  # (vector, tight mask over rows, id)
-    # transposed incidence: bit k of tight_on[i] is set iff the ray with id k
-    # is tight on row i; ids are not reused until the next renumbering, and
-    # alive has the bits of the current rays
-    tight_on = [0] * len(rows)
+    # rays by id: vector and tight mask over rows; alive has the bits of the
+    # current ids, and ids are not reused until the next renumbering
+    vecs = []
+    masks = []
     alive = 0
-    next_id = 0
-    peak = candidates = prefiltered = adjacent_pairs = 0
+    # transposed incidence: bit k of tight_on[i] is set iff ray k is tight on row i
+    tight_on = [0] * len(rows)
+    # coordinates as lanes: lane k of cols[j] holds vecs[k][j] + shift
+    norm_bits = max(max(sum(map(abs, a)) for a in rows), 1).bit_length()
+    width, shift = _lane_layout(1, norm_bits)
+    cols = [0] * n
+    peak = candidates = prefiltered = adjacent_pairs = renumbers = widens = 0
     for t, a in enumerate(rows):
         bit = 1 << t
-        pivot = None
-        for idx, l in enumerate(lines):
-            if _dot(a, l):
-                pivot = idx
-                break
+        # lane k of acc is a . vecs[k] + 2^(width - 1): its top bit is set
+        # iff a . r >= 0, and that of acc - ones iff a . r > 0
+        ones = ((1 << (width * len(vecs))) - 1) // ((1 << width) - 1)
+        acc = ((1 << (width - 1)) - shift * sum(a)) * ones
+        for c, col in zip(a, cols):
+            if c:
+                acc += c * col
+        nonneg = lane_tops(acc, len(vecs), width) & alive
+        plus_ids = lane_tops(acc - ones, len(vecs), width) & alive
+        zero_ids = nonneg ^ plus_ids
+        new = []  # (vector, tight mask) of the rays made on this row
+        pivot = next((idx for idx, l in enumerate(lines) if _dot(a, l)), None)
         if pivot is not None:
             # absorb one line: it leaves the lineality space and becomes the
-            # ray pointing into the new halfspace; everything else is
-            # projected onto the hyperplane along it
+            # ray pointing into the new halfspace; every other line and ray
+            # is projected onto the hyperplane along it
             lstar = lines.pop(pivot)
             s = _dot(a, lstar)
             r0 = lstar if s < 0 else tuple(-x for x in lstar)
@@ -137,98 +206,93 @@ def _dd_cone(rows, n, label):
                     )
                 new_lines.append(l)
             lines = new_lines
-            new_rays = []
-            for r, mask, rid in rays:
+            dead = alive ^ zero_ids  # each moved ray is made anew
+            for k in _bits(dead):
+                r = vecs[k]
                 vr = _dot(a, r)
-                if vr:
-                    r = _normalize_int_vector(
-                        tuple(mag * x + vr * y for x, y in zip(r, r0))
-                    )
-                new_rays.append((r, mask | bit, rid))
-            tight_on[t] = alive
-            id_bit = 1 << next_id
-            for i in range(t):  # tight on every earlier row, not on this one
-                tight_on[i] |= id_bit
-            alive |= id_bit
-            new_rays.append((r0, bit - 1, next_id))
-            next_id += 1
-            rays = new_rays
-            peak = max(peak, len(rays))
-            continue
-        plus = []  # violating side: a . r > 0
-        zero = []
-        minus = []
-        plus_ids = zero_ids = 0
-        for entry in rays:
-            v = _dot(a, entry[0])
-            if v > 0:
-                plus.append((entry, v))
-                plus_ids |= 1 << entry[2]
-            elif v < 0:
-                minus.append((entry, v))
-            else:
-                zero.append(entry)
-                zero_ids |= 1 << entry[2]
+                new.append((
+                    _normalize_int_vector(tuple(mag * x + vr * y for x, y in zip(r, r0))),
+                    masks[k] | bit,
+                ))
+            new.append((r0, bit - 1))  # tight on every earlier row, not on this one
+        else:
+            dead = plus_ids  # violating side: a . r > 0
+            if plus_ids:
+                minus_ids = alive ^ nonneg
+                candidates += plus_ids.bit_count() * minus_ids.bit_count()
+                threshold = n - len(lines) - 2
+                for p in _bits(plus_ids):
+                    rp, mp = vecs[p], masks[p]
+                    vp = _dot(a, rp)
+                    hits = _at_least(threshold, mp, tight_on, minus_ids)
+                    prefiltered += hits.bit_count()
+                    for q in _bits(hits):
+                        common = mp & masks[q]
+                        # adjacent iff no third alive ray is tight on every row of common
+                        pair = 1 << p | 1 << q
+                        survivors = alive
+                        rest = common
+                        while rest:
+                            low = rest & -rest
+                            survivors &= tight_on[low.bit_length() - 1]
+                            if survivors == pair:
+                                break
+                            rest ^= low
+                        if survivors != pair:
+                            continue
+                        rm = vecs[q]
+                        vm = _dot(a, rm)
+                        new.append((
+                            _normalize_int_vector(tuple(vp * x - vm * y for x, y in zip(rm, rp))),
+                            common | bit,
+                        ))
+                adjacent_pairs += len(new)
+        for k in _bits(zero_ids):
+            masks[k] |= bit
         tight_on[t] = zero_ids
-        if not plus:
-            rays = [(r, mask | bit, rid) for r, mask, rid in zero] + [e for e, _ in minus]
-            continue
-        candidates += len(plus) * len(minus)
-        threshold = n - len(lines) - 2
-        minus_masks = [e[1] for e, _ in minus]
-        combined = []
-        for (rp, mp, ip), vp in plus:
-            hits = [
-                j for j, mm in enumerate(minus_masks)
-                if (mp & mm).bit_count() >= threshold
-            ]
-            prefiltered += len(hits)
-            for j in hits:
-                (rm, mm, im), vm = minus[j]
-                common = mp & mm
-                # adjacent iff no third alive ray is tight on every row of common
-                pair = 1 << ip | 1 << im
-                survivors = alive
-                rest = common
-                while rest:
-                    low = rest & -rest
-                    survivors &= tight_on[low.bit_length() - 1]
-                    if survivors == pair:
-                        break
-                    rest ^= low
-                if survivors != pair:
-                    continue
-                vec = _normalize_int_vector(
-                    tuple(vp * x - vm * y for x, y in zip(rm, rp))
-                )
-                combined.append((vec, common | bit))
-        alive ^= plus_ids
-        rays = [(r, mask | bit, rid) for r, mask, rid in zero] + [e for e, _ in minus]
-        for vec, mask in combined:
-            id_bit = 1 << next_id
-            for i in _bits(mask):
-                tight_on[i] |= id_bit
-            alive |= id_bit
-            rays.append((vec, mask, next_id))
-            next_id += 1
-        if next_id > 2 * len(rays):
-            # dead ids outnumber live ones: renumber, so that the masks stay
-            # about as wide as the ray list (amortized over the rays made)
-            rays = [(r, mask, k) for k, (r, mask, _) in enumerate(rays)]
-            tight_on = _transpose([mask for _, mask, _ in rays], len(rows))
-            next_id = len(rays)
-            alive = (1 << next_id) - 1
-        adjacent_pairs += len(combined)
-        peak = max(peak, len(rays))
+        alive ^= dead
+        if new:
+            first = len(vecs)
+            for k, (vec, mask) in enumerate(new, first):
+                vecs.append(vec)
+                masks.append(mask)
+                id_bit = 1 << k
+                for i in _bits(mask):
+                    tight_on[i] |= id_bit
+            alive |= ((1 << len(new)) - 1) << first
+            batch = [vec for vec, _ in new]
+            big = max(map(abs, chain.from_iterable(batch)))
+            if big > shift:
+                width, shift = _lane_layout(big, norm_bits)
+                cols = _columns(vecs, n, shift, width)
+                widens += 1
+            else:
+                for j, col in enumerate(_columns(batch, n, shift, width)):
+                    cols[j] |= col << (first * width)
+        if len(vecs) > 2 * alive.bit_count():
+            # dead ids outnumber live ones: renumber, so that the masks and
+            # lanes stay about as wide as the ray set (amortized over the rays made)
+            live = list(_bits(alive))
+            vecs = [vecs[k] for k in live]
+            masks = [masks[k] for k in live]
+            tight_on = _transpose(masks, len(rows))
+            alive = (1 << len(live)) - 1
+            cols = _columns(vecs, n, shift, width)
+            renumbers += 1
+        peak = max(peak, alive.bit_count())
         log.info(
             "%s: row %d/%d, %d rays, %d lines",
-            label, t + 1, len(rows), len(rays), len(lines),
+            label, t + 1, len(rows), alive.bit_count(), len(lines),
         )
     log.info(
         "%s: %d rows, %d rays at peak, %d candidate pairs, %d past prefilter, %d adjacent",
         label, len(rows), peak, candidates, prefiltered, adjacent_pairs,
     )
-    return lines, [(r, mask) for r, mask, _ in rays]
+    log.info(
+        "%s: %d-byte lanes, %d column rebuilds (%d renumber, %d widen)",
+        label, width // 8, renumbers + widens, renumbers, widens,
+    )
+    return lines, [(vecs[k], masks[k]) for k in _bits(alive)]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .errors import (
     NotAMemberError,
     UnsupportedGroupError,
 )
+from .lanes import pack_lanes
 from .matrices import Matrix, flat_pos
 from .rationals import Rational, canon, scale_to_ints
 
@@ -176,7 +177,9 @@ class InequalitySystem:
         |pos_j| - rhs_j, so every partial sum stays in [0, 2^W) and no carry
         crosses lanes. ``_lane_neg_suffix[k]`` counts each lane's -1
         coefficients at coordinates k and above. Rows no 0/1 point violates
-        get no lane.
+        get no lane. Each lane int is packed in one pass by
+        ``lanes.pack_lanes``; pos and neg each from one column of the
+        coefficient matrix.
         """
         checks = [ineq for ineq in self.inequalities if len(ineq.pos) > ineq.rhs]
         reach = max(
@@ -184,24 +187,17 @@ class InequalitySystem:
         )
         width = reach.bit_length() + 1
         half = 1 << (width - 1)
-        base = top = 0
-        pos = [0] * self.dimension
-        neg = [0] * self.dimension
-        for j, q in enumerate(checks):
-            lane = 1 << (width * j)
-            base += (half - q.rhs - 1) * lane
-            top += half * lane
-            for i in q.pos:
-                pos[i] += lane
-            for i in q.neg:
-                neg[i] += lane
+        cols = list(zip(*(q.coeffs for q in checks))) or [()] * self.dimension
+        # coefficients are in {-1, 0, 1}: lane j of pos[i] / neg[i] is 1 iff a_j[i] is 1 / -1
+        pos = [pack_lanes(list(map((1).__eq__, col)), width) for col in cols]
+        neg = [pack_lanes(list(map((-1).__eq__, col)), width) for col in cols]
         suffix = [0] * (self.dimension + 1)
         for k in range(self.dimension - 1, -1, -1):
             suffix[k] = suffix[k + 1] + neg[k]
         self._lane_width = width
         self._lane_ids = tuple(q.id for q in checks)
-        self._lane_base = base
-        self._lane_top = top
+        self._lane_base = pack_lanes([half - q.rhs - 1 for q in checks], width)
+        self._lane_top = pack_lanes([half] * len(checks), width)
         self._lane_delta = tuple(p - n for p, n in zip(pos, neg))
         self._lane_neg_suffix = tuple(suffix)
 

@@ -109,17 +109,18 @@ class NotInterior:
 
 # --- containment and violation witnesses ------------------------------------
 
+# byte 0 / 1 -> the digit "0" / "1"
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def check_containment(m: int) -> ContainmentReport:
     """Verify every generated vertex satisfies the standard-coordinate system."""
     vs = generate_vertices(Z2Z2, m)
     sys = kimura3_system(m)
     failures = []
     for flat in vs.points:
-        mask = 0
-        for i, x in enumerate(flat):
-            if x:
-                mask |= 1 << i
-        bad = sys.binary_violation(mask)
+        # coordinate i is bit i: the 0/1 tuple reversed, read as binary digits
+        bad = sys.binary_violation(int(bytes(flat[::-1]).translate(_BINARY_DIGITS), 2))
         if bad is not None:
             failures.append((flat, bad))
     return ContainmentReport(m, len(vs.points), tuple(failures), not failures)

@@ -1,4 +1,6 @@
 import logging
+import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -185,7 +187,12 @@ def test_hull_matches_oracles(data):
     assert vertices_from_inequalities(poly).points == poly.vertices
 
 
-def test_hull_k5_counts_and_incidence():
+def _summaries(caplog):
+    return [r.getMessage() for r in caplog.records if "at peak" in r.getMessage()]
+
+
+def test_hull_k5_counts_and_incidence(caplog):
+    caplog.set_level(logging.INFO, logger="clawpoly.engine")
     poly = hull_from_vertices(generate_vertices(Z2Z2, 5))
     assert len(poly.facets) == 68
     assert len(poly.vertices) == 256
@@ -194,6 +201,86 @@ def test_hull_k5_counts_and_incidence():
         sum(1 << vi for vi, v in enumerate(poly.vertices) if _dot(a, v) == b)
         for a, b in poly.facets
     ]
+    # every DD count is pinned, the pairs past the prefilter included
+    assert _summaries(caplog) == [
+        "hull[d=15 points=256]: 256 rows, 1190 rays at peak, 2689847 candidate pairs, "
+        "82723 past prefilter, 11206 adjacent",
+    ]
+
+
+def test_dd_counts_pinned_for_binary_d9(caplog):
+    caplog.set_level(logging.INFO, logger="clawpoly.engine")
+    vertices_from_inequalities(demihypercube_system(9), max_dim=9)
+    assert _summaries(caplog) == [
+        "vertices[binary d=9]: 275 rows, 503 rays at peak, 198879 candidate pairs, "
+        "1010 past prefilter, 1010 adjacent",
+    ]
+
+
+def _normalized(vec):
+    g = gcd(*vec)
+    return tuple(x // g for x in vec)
+
+
+@st.composite
+def wide_hull_inputs(draw):
+    """hull_inputs moved by x -> (scale * x + shift) / div, with scale, div
+    and shift entries of up to 80 bits, so that the lanes need many bytes
+    and the homogenizing coordinate can be the largest."""
+    d, pts = draw(hull_inputs())
+    bits = st.integers(0, 80)
+    scale, div = draw(st.tuples(*[bits.flatmap(lambda e: st.integers(1, 1 << e))] * 2))
+    shift = draw(st.tuples(*[bits.flatmap(lambda e: st.integers(-(1 << e), 1 << e))] * d))
+    return d, pts, scale, div, shift
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_hull_inputs())
+def test_hull_exact_under_wide_coordinates(data):
+    d, raw, scale, div, shift = data
+
+    def move(p):
+        return tuple(Fraction(scale * x + c, div) for x, c in zip(p, shift))
+
+    def moved(a, b):
+        # a.x <= b holds iff (div * a).y <= scale * b + a.shift
+        return _normalized(tuple(div * x for x in a) + (scale * b + _dot(a, shift),))
+
+    base = hull_from_vertices(raw)
+    poly = hull_from_vertices([move(p) for p in raw])
+    assert {a + (b,): mask for (a, b), mask in zip(poly.facets, poly.incidence)} == {
+        moved(a, b): mask for (a, b), mask in zip(base.facets, base.incidence)
+    }
+    assert len(poly.facets) == len(base.facets)
+    assert poly.equations == tuple(sorted(
+        (eq[:-1], eq[-1]) for eq in (moved(a, b) for a, b in base.equations)
+    ))
+    # the map is increasing in every coordinate, so vertex order is kept
+    assert poly.vertices == tuple(move(v) for v in base.vertices)
+    assert vertices_from_inequalities(poly).points == poly.vertices
+
+
+def test_lane_rebuilds_logged_and_exact(caplog):
+    """Coordinates of 1 to 64 bits make the DD widen its lanes several times
+    and renumber its rays several times; the hull stays exact."""
+    caplog.set_level(logging.INFO, logger="clawpoly.engine")
+    rng = random.Random(3)
+    pts = [
+        tuple(rng.randint(0, 1 << rng.choice((1, 8, 16, 32, 64))) for _ in range(4))
+        for _ in range(20)
+    ]
+    poly = hull_from_vertices(pts)
+    (line,) = [r.getMessage() for r in caplog.records if "lanes" in r.getMessage()]
+    match = re.fullmatch(
+        r"hull\[d=4 points=20\]: (\d+)-byte lanes, \d+ column rebuilds "
+        r"\((\d+) renumber, (\d+) widen\)",
+        line,
+    )
+    width, renumbers, widens = map(int, match.groups())
+    assert width > 8 and renumbers >= 2 and widens >= 2
+    assert set(poly.facets) == _brute_force_facets(sorted(set(pts)), 4)
+    assert list(poly.vertices) == _rank_rule_vertices(poly, sorted(set(pts)))
+    assert vertices_from_inequalities(poly).points == poly.vertices
 
 
 def test_dd_counts_logged_for_hull_and_vertices(caplog):
@@ -210,6 +297,51 @@ def test_dd_counts_logged_for_hull_and_vertices(caplog):
 
 
 # --- vertex enumeration ----------------------------------------------------------
+
+@st.composite
+def wide_systems(draw):
+    """Bounded systems a.x <= b in d <= 3, as (a, b) pairs: a box, plus up to
+    three rows whose entries have up to 40 bits."""
+    d = draw(st.integers(1, 3))
+    e = draw(st.integers(1, 40))
+    entry = st.integers(-(1 << e), 1 << e)
+    rows = []
+    for i in range(d):
+        unit = tuple(int(j == i) for j in range(d))
+        rows.append((unit, draw(st.integers(1, 1 << e))))
+        rows.append((tuple(-x for x in unit), draw(st.integers(1, 1 << e))))
+    rows += draw(st.lists(st.tuples(st.tuples(*[entry] * d), entry), max_size=3))
+    return d, rows
+
+
+def _brute_force_vertices(d, rows):
+    """Feasible points where d rows of full rank are tight."""
+    pts = set()
+    for sub in combinations(rows, d):
+        if matrix_rank([a for a, _ in sub], d) != d:
+            continue
+        ker = kernel_vector([a + (-b,) for a, b in sub], d + 1)
+        x = tuple(Fraction(k) / ker[-1] for k in ker[:-1])
+        if all(_dot(a, x) <= b for a, b in rows):
+            pts.add(x)
+    return tuple(sorted(pts))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_systems())
+# with a shift one bit too large, the ray (5, 7) stays in 8-bit lanes, and the
+# row (-29, -1) takes a . r = -152 out of the lane's range
+@example((1, [((1,), 5), ((-1,), 29), ((-1,), 14), ((-10,), -14)]))
+def test_vertices_match_brute_force_on_wide_systems(data):
+    d, rows = data
+    expected = _brute_force_vertices(d, rows)
+    source = RowSource(d, [(-b,) + a for a, b in rows])
+    if not expected:
+        with pytest.raises(InfeasibleError):
+            vertices_from_inequalities(source)
+        return
+    assert vertices_from_inequalities(source).points == expected
+
 
 def test_square_vertices():
     # 0 <= x,y <= 1 as homogenized rows (-b, a)

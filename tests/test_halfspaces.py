@@ -156,6 +156,44 @@ def test_row_count_formulas(m):
     assert len(demihypercube_system(m).inequalities) == 2 * m + 2 ** (m - 1)
 
 
+
+def _row_by_row_lanes(system):
+    """The packed checks built one row at a time, each lane added into ints
+    that grow with every row: the construction the one-pass packer replaced."""
+    checks = [q for q in system.inequalities if len(q.pos) > q.rhs]
+    reach = max(
+        (max(q.rhs + 1 + len(q.neg), len(q.pos) - q.rhs) for q in checks), default=0
+    )
+    width = reach.bit_length() + 1
+    half = 1 << (width - 1)
+    base = top = 0
+    pos = [0] * system.dimension
+    neg = [0] * system.dimension
+    for j, q in enumerate(checks):
+        lane = 1 << (width * j)
+        base += (half - q.rhs - 1) * lane
+        top += half * lane
+        for i in q.pos:
+            pos[i] += lane
+        for i in q.neg:
+            neg[i] += lane
+    suffix = [0] * (system.dimension + 1)
+    for k in range(system.dimension - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + neg[k]
+    return (width, tuple(q.id for q in checks), base, top,
+            tuple(p - n for p, n in zip(pos, neg)), tuple(suffix))
+
+
+@pytest.mark.parametrize("model", ["binary", "kimura3", "kimura3-prime"])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_packed_checks_bit_identical_to_row_by_row(model, m):
+    system = model_system(model, m)
+    assert (
+        system._lane_width, system._lane_ids, system._lane_base, system._lane_top,
+        system._lane_delta, system._lane_neg_suffix,
+    ) == _row_by_row_lanes(system)
+
+
 # --- exact membership against a Fraction reference ------------------------------
 
 def _membership_reference(sys_, flat):

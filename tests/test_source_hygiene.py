@@ -1,14 +1,17 @@
 """Static checks on src/clawpoly, with the stdlib ast module only.
 
-Every module except __init__ (whose imports are the package's re-exports)
-must use each name it imports, and each public module-level function or
-class must be referred to by some code other than its own definition: the
-rest of its module, another src module (a `from .mod import name`, not the
-__init__ re-export), or a bench/*.py file. Code that only tests call is not
-part of the package.
+Every import in the package is of the standard library or of clawpoly
+itself, so it runs on a bare interpreter. Every module except __init__
+(whose imports are the package's re-exports) must use each name it
+imports, and each public module-level function or class must be referred
+to by some code other than its own definition: the rest of its module,
+another src module (a `from .mod import name`, not the __init__
+re-export), or a bench/*.py file. Code that only tests call is not part
+of the package.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +43,24 @@ def _bench_names():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 out.update(node.value.replace(".", " ").split())
     return out
+
+
+def _foreign_imports(trees):
+    """Imported top-level modules that are neither stdlib nor clawpoly."""
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [
+                f"{name}: {top}" for top in tops
+                if top not in sys.stdlib_module_names and top != "clawpoly"
+            ]
+    return found
 
 
 def _unused_imports(modules):
@@ -76,6 +97,12 @@ def _unreferenced_public(modules, bench):
     return found
 
 
+def test_imports_are_stdlib_or_clawpoly():
+    init = SRC / "__init__.py"
+    trees = {**_modules(), "__init__": ast.parse(init.read_text(), str(init))}
+    assert _foreign_imports(trees) == []
+
+
 def test_no_unused_imports():
     assert _unused_imports(_modules()) == []
 
@@ -92,3 +119,9 @@ def test_checks_catch_a_test_only_helper():
     user = ast.parse("from .helper import helper\n\nhelper()\n")
     assert _unreferenced_public({"helper": helper, "user": user}, set()) == []
     assert _unreferenced_public({"helper": helper}, {"helper"}) == []
+    # a third-party import is flagged wherever it sits, a relative one never
+    lanes = ast.parse(
+        "import numpy as np\nfrom os import path\nfrom .halfspaces import x\n\n"
+        "def f():\n    from scipy.linalg import lu\n    import clawpoly.engine\n"
+    )
+    assert _foreign_imports({"lanes": lanes}) == ["lanes: numpy", "lanes: scipy"]
