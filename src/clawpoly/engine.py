@@ -12,7 +12,8 @@ reduce to one cone computation:
 
 Lineality is absorbed on the fly (the run starts from R^n as a basis of
 lines), and rays carry exact tight-set bitmasks over the input rows. Rays
-are known by ids, renumbered once dead ids outnumber live ones, and no
+are known by ids, renumbered once dead ids outnumber live ones and before
+the lanes are widened (so a widening repacks live rays only), and no
 per-ray loop runs to classify them against a row: each coordinate is one
 int holding that coordinate of every ray in a fixed-width lane per id
 (see ``lanes``), so a row's a . r for all rays is about n big-int
@@ -57,7 +58,7 @@ from .errors import (
     ResourceCapError,
     UnboundedError,
 )
-from .lanes import lane_tops, pack_lanes
+from .lanes import bits, lane_tops, pack_lanes
 from .rationals import canon
 from .vertices import VertexSet
 
@@ -89,20 +90,12 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _bits(mask):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _transpose(masks, nbits):
     """Per bit i < nbits, the bitmask of the positions k whose masks[k] has bit i."""
     cols = [bytearray((len(masks) + 7) >> 3) for _ in range(nbits)]
     for k, mask in enumerate(masks):
         byte, bit = k >> 3, 1 << (k & 7)
-        for i in _bits(mask):
+        for i in bits(mask):
             cols[i][byte] |= bit
     return [int.from_bytes(c, "little") for c in cols]
 
@@ -141,7 +134,7 @@ def _at_least(k, rows, tight_on, among):
     levels = range(b)
     planes = [among if start >> l & 1 else 0 for l in levels]
     done = 0
-    for i in _bits(rows):
+    for i in bits(rows):
         carry = tight_on[i] & among
         for l in levels:
             if not carry:
@@ -174,7 +167,7 @@ def _dd_cone(rows, n, label):
     norm_bits = max(max(sum(map(abs, a)) for a in rows), 1).bit_length()
     width, shift = _lane_layout(1, norm_bits)
     cols = [0] * n
-    peak = candidates = prefiltered = adjacent_pairs = renumbers = widens = 0
+    peak = candidates = prefiltered = adjacent_pairs = rebuilds = renumbers = widens = 0
     for t, a in enumerate(rows):
         bit = 1 << t
         # lane k of acc is a . vecs[k] + 2^(width - 1): its top bit is set
@@ -207,7 +200,7 @@ def _dd_cone(rows, n, label):
                 new_lines.append(l)
             lines = new_lines
             dead = alive ^ zero_ids  # each moved ray is made anew
-            for k in _bits(dead):
+            for k in bits(dead):
                 r = vecs[k]
                 vr = _dot(a, r)
                 new.append((
@@ -221,12 +214,12 @@ def _dd_cone(rows, n, label):
                 minus_ids = alive ^ nonneg
                 candidates += plus_ids.bit_count() * minus_ids.bit_count()
                 threshold = n - len(lines) - 2
-                for p in _bits(plus_ids):
+                for p in bits(plus_ids):
                     rp, mp = vecs[p], masks[p]
                     vp = _dot(a, rp)
                     hits = _at_least(threshold, mp, tight_on, minus_ids)
                     prefiltered += hits.bit_count()
-                    for q in _bits(hits):
+                    for q in bits(hits):
                         common = mp & masks[q]
                         # adjacent iff no third alive ray is tight on every row of common
                         pair = 1 << p | 1 << q
@@ -247,7 +240,7 @@ def _dd_cone(rows, n, label):
                             common | bit,
                         ))
                 adjacent_pairs += len(new)
-        for k in _bits(zero_ids):
+        for k in bits(zero_ids):
             masks[k] |= bit
         tight_on[t] = zero_ids
         alive ^= dead
@@ -257,28 +250,34 @@ def _dd_cone(rows, n, label):
                 vecs.append(vec)
                 masks.append(mask)
                 id_bit = 1 << k
-                for i in _bits(mask):
+                for i in bits(mask):
                     tight_on[i] |= id_bit
             alive |= ((1 << len(new)) - 1) << first
             batch = [vec for vec, _ in new]
             big = max(map(abs, chain.from_iterable(batch)))
-            if big > shift:
+            widen = big > shift
+            if widen:
                 width, shift = _lane_layout(big, norm_bits)
-                cols = _columns(vecs, n, shift, width)
-                widens += 1
             else:
                 for j, col in enumerate(_columns(batch, n, shift, width)):
                     cols[j] |= col << (first * width)
-        if len(vecs) > 2 * alive.bit_count():
-            # dead ids outnumber live ones: renumber, so that the masks and
-            # lanes stay about as wide as the ray set (amortized over the rays made)
-            live = list(_bits(alive))
+        else:
+            widen = False
+        # renumber once dead ids outnumber live ones, so that the masks and
+        # lanes stay about as wide as the ray set (amortized over the rays
+        # made), and before a widening, so that it repacks live rays only
+        renumber = len(vecs) > 2 * alive.bit_count()
+        if renumber or widen and len(vecs) > alive.bit_count():
+            live = list(bits(alive))
             vecs = [vecs[k] for k in live]
             masks = [masks[k] for k in live]
             tight_on = _transpose(masks, len(rows))
             alive = (1 << len(live)) - 1
-            cols = _columns(vecs, n, shift, width)
             renumbers += 1
+        if widen or renumber:
+            cols = _columns(vecs, n, shift, width)
+            rebuilds += 1
+            widens += widen
         peak = max(peak, alive.bit_count())
         log.info(
             "%s: row %d/%d, %d rays, %d lines",
@@ -290,9 +289,9 @@ def _dd_cone(rows, n, label):
     )
     log.info(
         "%s: %d-byte lanes, %d column rebuilds (%d renumber, %d widen)",
-        label, width // 8, renumbers + widens, renumbers, widens,
+        label, width // 8, rebuilds, renumbers, widens,
     )
-    return lines, [(vecs[k], masks[k]) for k in _bits(alive)]
+    return lines, [(vecs[k], masks[k]) for k in bits(alive)]
 
 
 @dataclass(frozen=True)

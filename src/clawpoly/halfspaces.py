@@ -20,7 +20,7 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -29,9 +29,9 @@ from .errors import (
     NotAMemberError,
     UnsupportedGroupError,
 )
-from .lanes import pack_lanes
+from .lanes import bits, lane_tops, pack_lanes
 from .matrices import Matrix, flat_pos
-from .rationals import Rational, canon, scale_to_ints
+from .rationals import Rational, ScaledPoint, canon, scale_to_ints
 
 
 @lru_cache(maxsize=None)
@@ -167,6 +167,10 @@ class InequalitySystem:
         self.dimension = shape[0] * shape[1]
         self.inequalities = tuple(inequalities)
         self._by_family = {ineq.family: ineq for ineq in self.inequalities}
+        self._ids = tuple(ineq.id for ineq in self.inequalities)
+        # membership lanes by width, for the few widths used last: points with
+        # ever longer numerators would otherwise keep one packing per width
+        self._membership_lanes = lru_cache(maxsize=8)(self._pack_membership_lanes)
         self._pack_binary_checks()
 
     def _pack_binary_checks(self) -> None:
@@ -226,23 +230,88 @@ class InequalitySystem:
         return flat
 
     def membership(self, point) -> MembershipResult:
-        """Exact status on integer numerators: the slack rhs - a.x, times D."""
-        nums, den = scale_to_ints(self.flatten(point))
-        violated = []
-        tight = []
-        for ineq in self.inequalities:
-            s = ineq.rhs * den - ineq.value(nums)
-            if s < 0:
-                violated.append(ineq.id)
-            elif s == 0:
-                tight.append(ineq.id)
+        """Exact status of a point, every row at once.
+
+        point is a Matrix, a sequence of rationals or a ScaledPoint. In the
+        lanes of ``_evaluate``, a top bit is set iff its row is tight or
+        violated, and after subtracting one from every lane iff it is
+        violated.
+        """
+        if isinstance(point, ScaledPoint):
+            nums, den = point
+            if len(nums) != self.dimension:
+                raise DimensionError(
+                    f"point dimension {len(nums)} does not match system dimension "
+                    f"{self.dimension}"
+                )
+        else:
+            nums, den = scale_to_ints(self.flatten(point))
+        acc, width = self._evaluate(nums, den)
+        count = len(self.inequalities)
+        at_least = lane_tops(acc, count, width)
+        above = lane_tops(acc - self._membership_lanes(width)[0], count, width)
+        ids = self._ids
+        violated = tuple(ids[k] for k in bits(above))
+        tight = tuple(ids[k] for k in bits(at_least ^ above))
         if violated:
             status = "outside"
         elif tight:
             status = "boundary"
         else:
             status = "inside"
-        return MembershipResult(status, tuple(violated), tuple(tight))
+        return MembershipResult(status, violated, tight)
+
+    def row_values(self, nums, den: int) -> list[int]:
+        """a_j.nums - rhs_j*den for every row j, in row order: minus the
+        slacks, times den, of the point nums / den. With den = 0 they are
+        the rates a_j.nums of the direction nums."""
+        acc, width = self._evaluate(nums, den)
+        step = width >> 3
+        half = 1 << (width - 1)
+        raw = acc.to_bytes(len(self.inequalities) * step, "little")
+        return [int.from_bytes(raw[k:k + step], "little") - half
+                for k in range(0, len(raw), step)]
+
+    def _evaluate(self, nums, den: int) -> tuple[int, int]:
+        """(acc, W): lane j of acc, W bits wide, holds 2^(W-1) + a_j.nums - rhs_j*den.
+
+        W - 1 is at least the bit length of the largest |a_j.nums - rhs_j*den|
+        the rows' 1-norms and right-hand sides allow at this point, so every
+        lane stays in [1, 2^W).
+        """
+        norm, rhs = self._row_bounds
+        reach = norm * max(map(abs, nums), default=0) + rhs * den
+        width = -(-(reach.bit_length() + 1) // 8) * 8
+        _, offset, rhs_lanes, cols = self._membership_lanes(width)
+        acc = offset - den * rhs_lanes
+        for x, col in zip(nums, cols):
+            if x:
+                acc += x * col
+        return acc, width
+
+    @cached_property
+    def _row_bounds(self) -> tuple[int, int]:
+        """The largest 1-norm and the largest |rhs| of the rows."""
+        ineqs = self.inequalities
+        return (
+            max((sum(map(abs, q.coeffs)) for q in ineqs), default=0),
+            max((abs(q.rhs) for q in ineqs), default=0),
+        )
+
+    def _pack_membership_lanes(self, width: int):
+        """Every row as a width-bit lane: the int of ones, the offset
+        2^(W-1) in every lane, the right-hand sides, and per coordinate i
+        the coefficients a_j[i]. The last two are signed sums of lanes, so
+        only the lanes of a finished evaluation lie in [0, 2^W)."""
+        ineqs = self.inequalities
+
+        def signed(values):
+            return (pack_lanes([max(v, 0) for v in values], width)
+                    - pack_lanes([max(-v, 0) for v in values], width))
+
+        ones = pack_lanes([1] * len(ineqs), width)
+        cols = [signed(col) for col in zip(*(q.coeffs for q in ineqs))]
+        return ones, ones << (width - 1), signed([q.rhs for q in ineqs]), cols
 
     def tight_set(self, point) -> TightSet:
         """Tight inequality ids grouped by family kind; raises off the polytope."""

@@ -31,3 +31,11 @@ def lane_tops(x: int, count: int, width: int) -> int:
     step = width >> 3
     tops = x.to_bytes(count * step, "little")[step - 1::step].translate(_TOP_BIT)
     return int(tops[::-1] or b"0", 2)
+
+
+def bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -75,12 +75,3 @@ class Matrix:
 
     def is_integral(self) -> bool:
         return all(is_integral(x) for row in self.entries for x in row)
-
-    def nonintegral_support(self) -> tuple[tuple[int, int], ...]:
-        """1-based (row, col) positions carrying non-integral entries, row-major order."""
-        return tuple(
-            (i, j)
-            for i in range(1, self.nrows + 1)
-            for j in range(1, self.ncols + 1)
-            if not is_integral(self.entries[i - 1][j - 1])
-        )

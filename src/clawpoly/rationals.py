@@ -9,9 +9,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Union
+from typing import NamedTuple, Union
 
 Rational = Union[int, Fraction]
+
+
+class ScaledPoint(NamedTuple):
+    """An exact point as integer numerators over one positive common
+    denominator: coordinate i is nums[i] / den. den need not be the least
+    one, so sums and images of scaled points stay on ints."""
+
+    nums: tuple[int, ...]
+    den: int
 
 
 def canon(x: Rational) -> Rational:
@@ -49,11 +58,11 @@ def fmt(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def scale_to_ints(values) -> tuple[tuple[int, ...], int]:
+def scale_to_ints(values) -> ScaledPoint:
     """Integer numerators over one common denominator: values[i] == nums[i] / den.
 
     den is the lcm of the denominators (1 when every value is an int), so an
     exact test a.x <= b on the values becomes a.nums <= b*den on ints.
     """
     den = lcm(*{x.denominator for x in values})
-    return tuple(x.numerator * (den // x.denominator) for x in values), den
+    return ScaledPoint(tuple(x.numerator * (den // x.denominator) for x in values), den)

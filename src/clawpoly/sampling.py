@@ -9,38 +9,47 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache, partial
+from operator import mul
 
-from .coordchange import to_prime_coords
+from .coordchange import prime_flat
 from .groups import Z2Z2
 from .matrices import Matrix
-from .vertices import generate_vertices
+from .vertices import vertex_at, vertex_count
 
 
-def _prime_vertex_matrices(m: int) -> list[Matrix]:
-    return [to_prime_coords(v) for v in generate_vertices(Z2Z2, m).matrices()]
+def _prime_vertex(m: int, index: int) -> tuple[int, ...]:
+    """Vertex index of generate_vertices(Z2Z2, m) in prime coordinates, flattened."""
+    return tuple(prime_flat(vertex_at(Z2Z2, m, index), m))
 
 
-def _combine(mats, weights) -> Matrix:
-    """Convex combination sum(w*mat) / sum(w); one Fraction per coordinate."""
+def _vertex_source(m: int):
+    """(vertex count, index -> prime vertex); each vertex is unranked once per source."""
+    return vertex_count(Z2Z2, m), lru_cache(maxsize=None)(partial(_prime_vertex, m))
+
+
+def _combine(flats, weights, m: int) -> Matrix:
+    """Convex combination sum(w*flat) / sum(w) as a 3 x m matrix; one
+    Fraction per coordinate."""
     total = sum(weights)
-    flat = [
-        Fraction(sum(w * x for w, x in zip(weights, col)), total)
-        for col in zip(*(mat.flatten() for mat in mats))
-    ]
-    m = mats[0].ncols
+    flat = [Fraction(sum(map(mul, weights, col)), total) for col in zip(*flats)]
     return Matrix.from_rows([flat[r * m : (r + 1) * m] for r in range(3)])
 
 
 def sample_prime_points(m: int, count: int, seed: int = 0) -> list[Matrix]:
-    """Random convex combinations of 2..5 prime-coordinate vertices."""
+    """Random convex combinations of 2..5 prime-coordinate vertices.
+
+    Vertices are drawn by index and unranked one at a time, so the vertex
+    set is never generated.
+    """
     rng = random.Random(seed)
-    verts = _prime_vertex_matrices(m)
+    nverts, vertex = _vertex_source(m)
     out = []
     for _ in range(count):
         r = rng.randint(2, 5)
-        picks = [verts[rng.randrange(len(verts))] for _ in range(r)]
+        picks = [vertex(rng.randrange(nverts)) for _ in range(r)]
         weights = [rng.randint(1, 8) for _ in range(r)]
-        out.append(_combine(picks, weights))
+        out.append(_combine(picks, weights, m))
     return out
 
 
@@ -51,15 +60,15 @@ def sample_prime_segment_points(m: int, count: int, seed: int = 0) -> list[Matri
     pseudo-facet statistics.
     """
     rng = random.Random(seed)
-    verts = _prime_vertex_matrices(m)
+    nverts, vertex = _vertex_source(m)
     out = []
     for _ in range(count):
-        a = rng.randrange(len(verts))
-        b = rng.randrange(len(verts))
+        a = rng.randrange(nverts)
+        b = rng.randrange(nverts)
         while b == a:
-            b = rng.randrange(len(verts))
+            b = rng.randrange(nverts)
         w = rng.randint(1, 7)
-        out.append(_combine([verts[a], verts[b]], [w, 8 - w]))
+        out.append(_combine([vertex(a), vertex(b)], [w, 8 - w], m))
     return out
 
 

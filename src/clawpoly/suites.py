@@ -8,23 +8,25 @@ list is empty exactly when the suite passes. The suites back the CLI
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
-from .coordchange import from_prime_coords, simplex_image_check, to_prime_coords
+from .coordchange import from_prime_scaled, simplex_image_check, to_prime_scaled
 from .halfspaces import kimura3_prime_system, kimura3_system
-from .matrices import Matrix
-from .rationals import is_integral
+from .rationals import ScaledPoint, scale_to_ints
 from .sampling import sample_box_points, sample_prime_points, sample_prime_segment_points
 from .witness import (
     InteriorWitness,
+    analyze_point,
     classify_facet,
     incidence_report,
     interior_witness,
-    line_tight_subsets,
     parity_check,
     pseudo_facet_structure,
     s_facet_count_even,
 )
+
+log = logging.getLogger("clawpoly.suites")
 
 
 @dataclass(frozen=True)
@@ -67,28 +69,49 @@ def _mixed_sample(m, count, seed):
     )
 
 
+def _same_point(a: ScaledPoint, b: ScaledPoint) -> bool:
+    return all(x * b.den == y * a.den for x, y in zip(a.nums, b.nums))
+
+
+def _log_counts(suite, m, points, memberships, kernel=0, cycle=0, tight=0):
+    log.info(
+        "%s m=%d: %d points, %d membership evaluations, %d kernel witnesses, "
+        "%d cycle witnesses, %d tight subsets",
+        suite, m, points, memberships, kernel, cycle, tight,
+    )
+
+
+def _tight_count(pt) -> int:
+    return sum(len(line.tight) for line in pt.rows + pt.cols)
+
+
 def run_isomorphism_suite(m: int, samples: int, seed: int = 0) -> IsomorphismSuiteReport:
     """Round-trip and membership invariance of the coordinate change."""
     failures = []
     boxes = sample_box_points(m, samples, seed)
     for p in boxes:
-        if from_prime_coords(to_prime_coords(p)) != p:
+        point = scale_to_ints(p.flatten())
+        if not _same_point(from_prime_scaled(to_prime_scaled(point)), point):
             failures.append(("roundtrip_forward", p.entries))
-        if to_prime_coords(from_prime_coords(p)) != p:
+        if not _same_point(to_prime_scaled(from_prime_scaled(point)), point):
             failures.append(("roundtrip_backward", p.entries))
-    sys_std = kimura3_system(m)
-    sys_pri = kimura3_prime_system(m)
+    # sampled before the systems are built, so that an m past the generation
+    # cap is refused before any system is
     membership_pool = sample_box_points(m, samples // 2, seed + 2) + _mixed_sample(
         m, samples - samples // 2, seed + 3
     )
+    sys_std = kimura3_system(m)
+    sys_pri = kimura3_prime_system(m)
     for p in membership_pool:
-        inside_std = sys_std.membership(p).status != "outside"
-        inside_pri = sys_pri.membership(to_prime_coords(p)).status != "outside"
+        point = scale_to_ints(p.flatten())
+        inside_std = sys_std.membership(point).status != "outside"
+        inside_pri = sys_pri.membership(to_prime_scaled(point)).status != "outside"
         if inside_std != inside_pri:
             failures.append(("membership", p.entries))
     simplex_ok = simplex_image_check()
     if not simplex_ok:
         failures.append(("simplex_image", None))
+    _log_counts("isomorphism", m, len(boxes) + len(membership_pool), 2 * len(membership_pool))
     return IsomorphismSuiteReport(
         leaves=m,
         roundtrip_checked=len(boxes),
@@ -107,7 +130,8 @@ def run_pseudo_facet_suite(m: int, samples: int, seed: int = 0) -> PseudoFacetSu
     coordinates; three force it integral with m tight; every tight
     pseudo-facet of a two-non-integral row obeys the S/O parity law and
     rows never mix the two classes; k == omega configurations are the two
-    cycle patterns and carry an even number of S-lines.
+    cycle patterns and carry an even number of S-lines. All of it reads one
+    analysis per point.
     """
     failures = []
     counts = {
@@ -118,24 +142,26 @@ def run_pseudo_facet_suite(m: int, samples: int, seed: int = 0) -> PseudoFacetSu
         "mixed": 0,
         "cycle": 0,
     }
+    tight = 0
     pts = _mixed_sample(m, samples, seed)
     for p in pts:
-        rep = incidence_report(p)
+        pt = analyze_point(p)
+        rep = incidence_report(pt)
+        tight += _tight_count(pt)
         if rep.k < rep.omega:
             counts["k_ge_omega"] += 1
             failures.append(("k_lt_omega", p.entries))
         if any(c == 1 for c in rep.row_nonintegral):
             counts["single"] += 1
             failures.append(("single_nonintegral_row", p.entries))
-        if not pseudo_facet_structure(p).passed:
+        if not pseudo_facet_structure(pt).passed:
             counts["structure"] += 1
             failures.append(("row_structure", p.entries))
-        for r in (1, 2, 3):
-            row = p.row(r)
-            if sum(1 for v in row if not is_integral(v)) != 2:
+        for r, row in enumerate(pt.rows, 1):
+            if len(row.nonintegral) != 2:
                 continue
             classes = set()
-            for sub in line_tight_subsets(row):
+            for sub in row.tight:
                 classes.add(classify_facet(row, sub))
                 if not parity_check(row, sub):
                     counts["parity"] += 1
@@ -147,8 +173,9 @@ def run_pseudo_facet_suite(m: int, samples: int, seed: int = 0) -> PseudoFacetSu
             counts["cycle"] += 1
             if rep.tag not in ("P1", "P2"):
                 failures.append(("unrecognized_tight_configuration", p.entries))
-            elif not s_facet_count_even(p):
+            elif not s_facet_count_even(pt):
                 failures.append(("odd_s_count", p.entries))
+    _log_counts("pseudo_facet", m, len(pts), len(pts), tight=tight)
     return PseudoFacetSuiteReport(
         leaves=m,
         samples=len(pts),
@@ -167,44 +194,55 @@ def run_interior_suite(m: int, samples: int, seed: int = 0) -> InteriorSuiteRepo
     """Segment-interior witnesses for every sampled non-integral member point.
 
     The witness direction must be nonzero, vanish on integral coordinates,
-    and both endpoints p +- eps*v must pass the exact membership check.
+    and both endpoints p +- eps*v must pass the exact membership check, on
+    numerators over the product of the point's, the step's and the
+    direction's denominators.
     """
+    pts = _mixed_sample(m, samples, seed)
     sys_pri = kimura3_prime_system(m)
     failures = []
-    nonintegral = 0
-    pts = _mixed_sample(m, samples, seed)
+    nonintegral = memberships = kernel = cycle = tight = 0
     for p in pts:
         if p.is_integral():
             continue
         nonintegral += 1
-        wit = interior_witness(p)
+        pt = analyze_point(p)
+        wit = interior_witness(pt)
+        memberships += 1
+        tight += _tight_count(pt)
         if not isinstance(wit, InteriorWitness):
             failures.append(("not_interior", wit.reason, p.entries))
             continue
-        v = wit.direction
-        if all(x == 0 for x in v.flatten()):
+        if len(pt.support) > pt.omega:
+            kernel += 1
+        else:
+            cycle += 1
+        v = scale_to_ints(wit.direction.flatten())
+        if not any(v.nums):
             failures.append(("zero_direction", p.entries))
             continue
-        if any(
-            vx != 0
-            for px, vx in zip(p.flatten(), v.flatten())
-            if is_integral(px)
-        ):
+        support = {(i - 1) * m + j - 1 for i, j in pt.support}
+        if any(vx and t not in support for t, vx in enumerate(v.nums)):
             failures.append(("direction_off_support", p.entries))
             continue
         if wit.epsilon <= 0:
             failures.append(("nonpositive_epsilon", p.entries))
             continue
-        up = Matrix.from_flat(
-            [px + wit.epsilon * vx for px, vx in zip(p.flatten(), v.flatten())], 3, p.ncols
+        nums, den = pt.point
+        # p +- eps*v over den * eps.denominator * v.den
+        scale = wit.epsilon.denominator * v.den
+        step = wit.epsilon.numerator * den
+        up, down = (
+            ScaledPoint(tuple(x * scale + sign * step * vx for x, vx in zip(nums, v.nums)),
+                        den * scale)
+            for sign in (1, -1)
         )
-        down = Matrix.from_flat(
-            [px - wit.epsilon * vx for px, vx in zip(p.flatten(), v.flatten())], 3, p.ncols
-        )
+        memberships += 2
         if sys_pri.membership(up).status == "outside":
             failures.append(("upper_endpoint_outside", p.entries))
         if sys_pri.membership(down).status == "outside":
             failures.append(("lower_endpoint_outside", p.entries))
+    _log_counts("interior", m, len(pts), memberships, kernel, cycle, tight)
     return InteriorSuiteReport(
         leaves=m,
         samples=len(pts),

@@ -10,6 +10,7 @@ and the consistent labelings' matrices are exactly the polytope's vertices,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .errors import DimensionError, LeafCountError, ResourceCapError
@@ -70,13 +71,9 @@ def _flat_vertex(cols, nrows: int, m: int) -> tuple[int, ...]:
     return tuple(cols[j][r] for r in range(nrows) for j in range(m))
 
 
-def generate_vertices(spec: GroupSpec, m: int, allow_large: bool = False) -> VertexSet:
-    """All vertices, ordered lexicographically in the labeling.
-
-    Leaves 1..m-1 run over the canonical element order; the last element is
-    forced to make the sum the identity, so exactly |G|^(m-1) matrices come
-    out and they are pairwise distinct.
-    """
+def vertex_count(spec: GroupSpec, m: int, allow_large: bool = False) -> int:
+    """|G|^(m-1), the number of vertices; refused above GENERATION_CAP
+    unless allow_large."""
     if m < 3:
         raise LeafCountError(f"m >= 3 required, got {m}")
     count = spec.size ** (m - 1)
@@ -85,13 +82,50 @@ def generate_vertices(spec: GroupSpec, m: int, allow_large: bool = False) -> Ver
             f"{count} vertices exceeds the generation cap {GENERATION_CAP}; "
             "pass allow_large to override"
         )
-    # keyed by residues, in the canonical element order
-    columns = {g.residues: embed(spec, g) for g in group_elements(spec)}
+    return count
+
+
+@lru_cache(maxsize=None)
+def _columns(spec: GroupSpec) -> dict:
+    """Embedded column of each element, keyed by residues, in the canonical order."""
+    return {g.residues: embed(spec, g) for g in group_elements(spec)}
+
+
+def _last_residues(spec: GroupSpec, prefix) -> tuple[int, ...]:
+    """The last leaf carries minus the prefix sum, residue by residue."""
+    return tuple(-sum(rs) % n for rs, n in zip(zip(*prefix), spec.orders))
+
+
+def generate_vertices(spec: GroupSpec, m: int, allow_large: bool = False) -> VertexSet:
+    """All vertices, ordered lexicographically in the labeling.
+
+    Leaves 1..m-1 run over the canonical element order; the last element is
+    forced to make the sum the identity, so exactly |G|^(m-1) matrices come
+    out and they are pairwise distinct.
+    """
+    vertex_count(spec, m, allow_large)
+    columns = _columns(spec)
     nrows = spec.size - 1
     points = []
     for prefix in product(columns, repeat=m - 1):
-        # the last leaf carries minus the prefix sum, residue by residue
-        last = tuple(-sum(rs) % n for rs, n in zip(zip(*prefix), spec.orders))
-        cols = [columns[r] for r in prefix] + [columns[last]]
+        cols = [columns[r] for r in prefix] + [columns[_last_residues(spec, prefix)]]
         points.append(_flat_vertex(cols, nrows, m))
     return VertexSet(dimension=nrows * m, shape=(nrows, m), points=tuple(points))
+
+
+def vertex_at(spec: GroupSpec, m: int, index: int) -> tuple[int, ...]:
+    """Vertex index of generate_vertices(spec, m), without the others.
+
+    The base-|G| digits of index, most significant first, pick the elements
+    of leaves 1..m-1 in the canonical order, and the last leaf is forced.
+    """
+    columns = _columns(spec)
+    order = tuple(columns)
+    size = len(order)
+    prefix = []
+    for _ in range(m - 1):
+        index, d = divmod(index, size)
+        prefix.append(order[d])
+    prefix.reverse()
+    cols = [columns[r] for r in prefix] + [columns[_last_residues(spec, prefix)]]
+    return _flat_vertex(cols, size - 1, m)

@@ -12,13 +12,21 @@ Everything here returns exact, machine-checkable evidence:
   step eps with p +- eps*v both inside, certifying the point is
   segment-interior (lies on an open segment inside the polytope, hence is
   not a vertex).
+
+The checks on a prime-coordinate point all read one PointAnalysis of it:
+integer numerators over one common denominator, its membership, its
+non-integral support and the tight pseudo-facets of every row and column.
+Each check takes the point as a Matrix or as its PointAnalysis, so a
+caller running several checks on one point analyses it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 from .errors import (
     ClassificationUndefinedError,
@@ -33,13 +41,13 @@ from .groups import Z2Z2, group_sum, identity
 from .halfspaces import (
     ARow,
     InequalitySystem,
+    MembershipResult,
     kimura3_prime_system,
     kimura3_system,
     odd_subsets,
 )
-from .linalg import kernel_vector
 from .matrices import Matrix
-from .rationals import Rational, canon, is_integral, scale_to_ints
+from .rationals import Rational, ScaledPoint, canon, scale_to_ints
 from .vertices import Labeling, generate_vertices, labeling_to_matrix
 
 
@@ -159,15 +167,76 @@ def violation_witness(labeling: Labeling) -> ViolationWitness | None:
 
 # --- line-level helpers ------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _odd_masks(n: int):
+    """(bitmask, |A| - 1, A) per odd subset A of {1..n}, in odd_subsets order;
+    element i is bit i - 1."""
+    return tuple((sum(1 << (i - 1) for i in sub), len(sub) - 1, sub) for sub in odd_subsets(n))
+
+
+def _tight_subsets(nums, den) -> tuple[tuple[int, ...], ...]:
+    """Odd subsets A with 2*sum_A v - sum v == (|A| - 1)*den, for v the
+    numerators of one line over den.
+
+    The test is homogeneous in (v, den), so any common denominator works.
+    Twice every subset sum comes from one doubling pass over the line.
+    """
+    sums = [0]
+    for x in nums:
+        twice = 2 * x
+        sums += [s + twice for s in sums]
+    total = sums[-1] >> 1
+    return tuple(sub for mask, k, sub in _odd_masks(len(nums)) if sums[mask] - total == k * den)
+
+
+class LineAnalysis(NamedTuple):
+    """One row or column: numerators over a common denominator, the
+    1-based positions of its non-integral coordinates and its tight odd
+    subsets."""
+
+    nums: tuple[int, ...]
+    den: int
+    nonintegral: tuple[int, ...]
+    tight: tuple[tuple[int, ...], ...]
+
+    def facet_class(self, subset) -> str:
+        """'S' when both non-integral positions sit on the same side of the
+        subset, else 'O'; the line holds exactly two."""
+        first, second = self.nonintegral
+        return "S" if (first in subset) == (second in subset) else "O"
+
+    def line_class(self) -> str | None:
+        """Common S/O class of the tight pseudo-facets of a two-non-integral line.
+
+        None when the line is tight on no pseudo-facet; 'mixed' never happens
+        for member points (same-line facets share their class) but is
+        reported rather than asserted away.
+        """
+        if not self.tight:
+            return None
+        classes = {self.facet_class(sub) for sub in self.tight}
+        if len(classes) > 1:
+            return "mixed"
+        return classes.pop()
+
+
+def _line(nums, den: int) -> LineAnalysis:
+    nums = tuple(nums)
+    return LineAnalysis(
+        nums,
+        den,
+        tuple(i for i, x in enumerate(nums, 1) if x % den),
+        _tight_subsets(nums, den),
+    )
+
+
+def _line_of(values) -> LineAnalysis:
+    return _line(*scale_to_ints([canon(v) for v in values]))
+
+
 def line_tight_subsets(values) -> tuple[tuple[int, ...], ...]:
     """Odd subsets A with sum_A v - sum_notA v == |A| - 1, for one row or column."""
-    nums, den = scale_to_ints([canon(v) for v in values])
-    total = sum(nums)
-    return tuple(
-        sub
-        for sub in odd_subsets(len(nums))
-        if 2 * sum(nums[i - 1] for i in sub) - total == (len(sub) - 1) * den
-    )
+    return _line_of(values).tight
 
 
 def _validate_line_subset(values, subset):
@@ -180,48 +249,41 @@ def _validate_line_subset(values, subset):
     return subset
 
 
+def _classified_line(p_row, subset) -> tuple[LineAnalysis, tuple[int, ...]]:
+    """The line and its sorted subset, once the subset is an odd tight one and
+    the line holds exactly two non-integral coordinates. p_row is a line's
+    values or its LineAnalysis."""
+    line = p_row if isinstance(p_row, LineAnalysis) else _line_of(p_row)
+    subset = _validate_line_subset(line.nums, subset)
+    if len(line.nonintegral) != 2:
+        raise ClassificationUndefinedError(
+            "classification needs exactly two non-integral coordinates, "
+            f"found {len(line.nonintegral)}"
+        )
+    if subset not in line.tight:
+        raise NotTightError(f"line is not tight on the subset {subset} pseudo-facet")
+    return line, subset
+
+
 def classify_facet(p_row, subset) -> str:
     """'S' when both non-integral indices sit on the same side of the subset, else 'O'.
 
     Requires the line to carry exactly two non-integral coordinates and to be
-    tight on the subset's pseudo-facet.
+    tight on the subset's pseudo-facet. The line is given by its values or,
+    to skip their analysis, by a LineAnalysis.
     """
-    values = tuple(canon(v) for v in p_row)
-    subset = _validate_line_subset(values, subset)
-    nonint = [i + 1 for i, v in enumerate(values) if not is_integral(v)]
-    if len(nonint) != 2:
-        raise ClassificationUndefinedError(
-            f"classification needs exactly two non-integral coordinates, found {len(nonint)}"
-        )
-    if subset not in line_tight_subsets(values):
-        raise NotTightError(f"line is not tight on the subset {subset} pseudo-facet")
-    first, second = nonint
-    if (first in subset) == (second in subset):
-        return "S"
-    return "O"
+    line, subset = _classified_line(p_row, subset)
+    return line.facet_class(subset)
 
 
 def parity_check(p_row, subset) -> bool:
-    """Parity law: S-facets go with an odd number of ones, O-facets with even."""
-    cls = classify_facet(p_row, subset)
-    ones = sum(1 for v in p_row if canon(v) == 1)
-    return (ones % 2 == 1) == (cls == "S")
+    """Parity law: S-facets go with an odd number of ones, O-facets with even.
 
-
-def _line_class(values) -> str | None:
-    """Common S/O class of the tight pseudo-facets of a two-non-integral line.
-
-    None when the line is tight on no pseudo-facet; 'mixed' never happens for
-    member points (same-line facets share their class) but is reported rather
-    than asserted away.
+    The line is given as for classify_facet.
     """
-    tight = line_tight_subsets(values)
-    if not tight:
-        return None
-    classes = {classify_facet(values, sub) for sub in tight}
-    if len(classes) > 1:
-        return "mixed"
-    return classes.pop()
+    line, subset = _classified_line(p_row, subset)
+    ones = line.nums.count(line.den)
+    return (ones % 2 == 1) == (line.facet_class(subset) == "S")
 
 
 # --- incidence over the prime-coordinate system ------------------------------
@@ -257,59 +319,87 @@ def _configuration_tag(support) -> str:
     return "other"
 
 
-def _require_member(sys: InequalitySystem, p: Matrix):
-    result = sys.membership(p)
-    if result.status == "outside":
-        raise NotAMemberError(
-            f"point violates inequalities {result.violated} of model {sys.model}"
-        )
-    return result
+class PointAnalysis(NamedTuple):
+    """What the checks read of one prime-coordinate point: the point as
+    numerators over one denominator, its membership, its non-integral
+    support (1-based (row, column), row-major), every row and column as a
+    LineAnalysis, and the support's configuration tag."""
+
+    system: InequalitySystem
+    point: ScaledPoint
+    membership: MembershipResult
+    support: tuple[tuple[int, int], ...]
+    rows: tuple[LineAnalysis, ...]
+    cols: tuple[LineAnalysis, ...]
+    tag: str
+
+    @property
+    def omega(self) -> int:
+        """Number of rows plus columns the support touches."""
+        return len(self.support_lines())
+
+    def support_lines(self):
+        """The rows, then the columns, that carry non-integral coordinates."""
+        return [line for line in self.rows + self.cols if line.nonintegral]
 
 
-def incidence_report(p: Matrix) -> IncidenceReport:
-    """Support counts and tight pseudo-facet counts of a prime-coordinate member point."""
+def analyze_point(p: Matrix) -> PointAnalysis:
+    """The PointAnalysis of a 3 x m matrix in the prime-coordinate system."""
     sys = kimura3_prime_system(p.ncols)
-    _require_member(sys, p)
-    support = p.nonintegral_support()
-    rows_occ = sorted({i for i, _ in support})
-    cols_occ = sorted({j for _, j in support})
-    row_nonint = tuple(
-        sum(1 for i, _ in support if i == r) for r in (1, 2, 3)
+    point = scale_to_ints(sys.flatten(p))
+    nums, den = point
+    m = p.ncols
+    rows = tuple(_line(nums[r * m:(r + 1) * m], den) for r in range(3))
+    cols = tuple(_line(nums[c::m], den) for c in range(m))
+    support = tuple((r, j) for r, line in enumerate(rows, 1) for j in line.nonintegral)
+    return PointAnalysis(
+        sys, point, sys.membership(point), support, rows, cols, _configuration_tag(support)
     )
-    col_nonint = tuple(
-        sum(1 for _, j in support if j == c) for c in range(1, p.ncols + 1)
-    )
-    row_tight = tuple(len(line_tight_subsets(p.row(r))) for r in (1, 2, 3))
-    col_tight = tuple(
-        len(line_tight_subsets(p.column(c))) for c in range(1, p.ncols + 1)
-    )
+
+
+def _member_analysis(p) -> PointAnalysis:
+    """The analysis of p, a Matrix or its PointAnalysis; raises off the polytope."""
+    pt = p if isinstance(p, PointAnalysis) else analyze_point(p)
+    if pt.membership.status == "outside":
+        raise NotAMemberError(
+            f"point violates inequalities {pt.membership.violated} of model {pt.system.model}"
+        )
+    return pt
+
+
+def incidence_report(p: Matrix | PointAnalysis) -> IncidenceReport:
+    """Support counts and tight pseudo-facet counts of a prime-coordinate member point.
+
+    p is a 3 x m Matrix or its PointAnalysis; passing the analysis lets a
+    caller run several of the checks below on one point and analyse it
+    once. The same holds for every check that follows.
+    """
+    pt = _member_analysis(p)
     return IncidenceReport(
-        k=len(support),
-        omega=len(rows_occ) + len(cols_occ),
-        support=support,
-        row_nonintegral=row_nonint,
-        col_nonintegral=col_nonint,
-        row_tight=row_tight,
-        col_tight=col_tight,
-        tag=_configuration_tag(support),
+        k=len(pt.support),
+        omega=pt.omega,
+        support=pt.support,
+        row_nonintegral=tuple(len(line.nonintegral) for line in pt.rows),
+        col_nonintegral=tuple(len(line.nonintegral) for line in pt.cols),
+        row_tight=tuple(len(line.tight) for line in pt.rows),
+        col_tight=tuple(len(line.tight) for line in pt.cols),
+        tag=pt.tag,
     )
 
 
-def pseudo_facet_structure(p: Matrix) -> RowStructureReport:
+def pseudo_facet_structure(p: Matrix | PointAnalysis) -> RowStructureReport:
     """Row-by-row pseudo-facet sanity of a prime-coordinate member point.
 
     Per row: a lone non-integral coordinate never occurs; two or more tight
     pseudo-facets cap the non-integral count at two; three or more force the
     row integral and tight on exactly m pseudo-facets.
     """
-    sys = kimura3_prime_system(p.ncols)
-    _require_member(sys, p)
-    m = p.ncols
+    pt = _member_analysis(p)
+    m = len(pt.cols)
     checks = []
-    for r in (1, 2, 3):
-        values = p.row(r)
-        nonint = sum(1 for v in values if not is_integral(v))
-        tight = line_tight_subsets(values)
+    for r, line in enumerate(pt.rows, 1):
+        nonint = len(line.nonintegral)
+        tight = line.tight
         checks.append(
             RowCheck(
                 row=r,
@@ -348,14 +438,14 @@ def _support_cycle(support):
     return cycle
 
 
-def _edge_line(p: Matrix, a, b):
-    """Values of the row or column shared by two support positions."""
+def _edge_line(pt: PointAnalysis, a, b) -> LineAnalysis:
+    """The row or column shared by two support positions."""
     if a[1] == b[1]:
-        return p.column(a[1])
-    return p.row(a[0])
+        return pt.cols[a[1] - 1]
+    return pt.rows[a[0] - 1]
 
 
-def _step_bounds(sys: InequalitySystem, flat, direction):
+def _step_bounds(sys: InequalitySystem, point: ScaledPoint, direction: ScaledPoint):
     """Exact max steps t+ (along +v) and t- (along -v) staying in the system.
 
     Slacks and rates are integer numerators over the point's and the
@@ -364,22 +454,20 @@ def _step_bounds(sys: InequalitySystem, flat, direction):
     inequalities must have zero rate along v; returns None on the
     (theoretically excluded) invalid-direction case.
     """
-    nums, den = scale_to_ints(flat)
-    rates, rate_den = scale_to_ints(direction)
+    nums, den = point
+    rates, rate_den = direction
     plus = minus = None  # (slack, |rate|) of the smallest step so far
-    for ineq in sys.inequalities:
-        rate = ineq.value(rates)
-        slack = ineq.rhs * den - ineq.value(nums)
-        if slack == 0:
-            if rate != 0:
-                return None
+    for value, rate in zip(sys.row_values(nums, den), sys.row_values(rates, 0)):
+        if not rate:
             continue
+        slack = -value
+        if slack == 0:
+            return None
         if rate > 0:
             if plus is None or slack * plus[1] < plus[0] * rate:
                 plus = (slack, rate)
-        elif rate < 0:
-            if minus is None or slack * minus[1] < minus[0] * -rate:
-                minus = (slack, -rate)
+        elif minus is None or slack * minus[1] < minus[0] * -rate:
+            minus = (slack, -rate)
     if plus is None or minus is None:
         # bounded polytopes always stop a nonzero direction on both sides
         raise ConfigurationError("direction escaped a bounded polytope; internal error")
@@ -387,7 +475,64 @@ def _step_bounds(sys: InequalitySystem, flat, direction):
     return tuple(Fraction(sl * rate_den, r * den) for sl, r in (plus, minus))
 
 
-def _kernel_direction(p: Matrix, support):
+def _integer_kernel(rows, ncols):
+    """One nonzero kernel vector of the integer row system, or None if the
+    kernel is {0}: the first free column (lowest index) set to 1, the other
+    free columns to 0.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): each pivot step
+    replaces every other row by (pivot*row - row[c]*pivot_row) / previous
+    pivot. Every entry stays an integer minor, so the division is exact,
+    and every pivot row ends with the last pivot d at its own pivot column
+    and 0 at the others: the reduced row echelon form times d. Pivots are
+    the first nonzero entry from the top, as in a Fraction elimination,
+    and the vector is the same.
+    """
+    work = [list(row) for row in rows]
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        prow = work[r]
+        piv = prow[c]
+        for i, row in enumerate(work):
+            if i != r:
+                f = row[c]
+                work[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = piv
+        pivots.append(c)
+        if len(pivots) == len(work):
+            break
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
+        return None
+    vec = [0] * ncols
+    vec[free] = 1
+    for row, c in zip(work, pivots):
+        vec[c] = canon(Fraction(-row[free], prev))
+    return tuple(vec)
+
+
+def _line_equations(line: LineAnalysis, variables, k: int):
+    """One equation per tight pseudo-facet of a line carrying non-integral
+    coordinates: +1 at those inside the subset and -1 at the others, whose
+    variables (support indices, of k) are given in the line's order."""
+    if not variables:
+        return []
+    eqs = []
+    for sub in line.tight:
+        eq = [0] * k
+        for pos, t in zip(line.nonintegral, variables):
+            eq[t] = 1 if pos in sub else -1
+        eqs.append(eq)
+    return eqs
+
+
+def _kernel_direction(pt: PointAnalysis):
     """Nonzero direction from the tight-relation kernel (the k > omega case).
 
     One homogeneous equation per tight pseudo-facet of every row and column
@@ -395,30 +540,17 @@ def _kernel_direction(p: Matrix, support):
     (integral coordinates are pinned to zero). Rank is at most omega, so for
     k > omega a nonzero kernel vector exists.
     """
-    m = p.ncols
-    var_index = {pos: t for t, pos in enumerate(support)}
-    k = len(support)
+    var_index = {pos: t for t, pos in enumerate(pt.support)}
+    k = len(pt.support)
     eqs = []
-    for r in sorted({i for i, _ in support}):
-        for sub in line_tight_subsets(p.row(r)):
-            eq = [0] * k
-            for j in range(1, m + 1):
-                t = var_index.get((r, j))
-                if t is not None:
-                    eq[t] = 1 if j in sub else -1
-            eqs.append(eq)
-    for c in sorted({j for _, j in support}):
-        for sub in line_tight_subsets(p.column(c)):
-            eq = [0] * k
-            for i in (1, 2, 3):
-                t = var_index.get((i, c))
-                if t is not None:
-                    eq[t] = 1 if i in sub else -1
-            eqs.append(eq)
-    return kernel_vector(eqs, k)
+    for r, line in enumerate(pt.rows, 1):
+        eqs += _line_equations(line, [var_index[(r, j)] for j in line.nonintegral], k)
+    for c, line in enumerate(pt.cols, 1):
+        eqs += _line_equations(line, [var_index[(i, c)] for i in line.nonintegral], k)
+    return _integer_kernel(eqs, k)
 
 
-def _cycle_direction(p: Matrix, support):
+def _cycle_direction(pt: PointAnalysis):
     """Sign assignment around the support cycle (the k == omega case).
 
     Crossing a line whose tight pseudo-facets are S-facets flips the sign
@@ -426,14 +558,14 @@ def _cycle_direction(p: Matrix, support):
     equal); an untouched line imposes nothing. Returns (values, reason):
     values is None when the closing edge is inconsistent.
     """
-    cycle = _support_cycle(support)
+    cycle = _support_cycle(pt.support)
     signs = [1]
     for t in range(1, len(cycle)):
-        cls = _line_class(_edge_line(p, cycle[t - 1], cycle[t]))
+        cls = _edge_line(pt, cycle[t - 1], cycle[t]).line_class()
         if cls == "mixed":
             return None, "a cycle line carries both S- and O-facets"
         signs.append(-signs[-1] if cls == "S" else signs[-1])
-    closing = _line_class(_edge_line(p, cycle[-1], cycle[0]))
+    closing = _edge_line(pt, cycle[-1], cycle[0]).line_class()
     if closing == "mixed":
         return None, "a cycle line carries both S- and O-facets"
     expected_first = -signs[-1] if closing == "S" else signs[-1]
@@ -442,7 +574,7 @@ def _cycle_direction(p: Matrix, support):
     return dict(zip(cycle, signs)), ""
 
 
-def interior_witness(p: Matrix) -> InteriorWitness | NotInterior:
+def interior_witness(p: Matrix | PointAnalysis) -> InteriorWitness | NotInterior:
     """Direction and exact step showing a non-integral member point is
     segment-interior in the prime-coordinate polytope.
 
@@ -450,35 +582,31 @@ def interior_witness(p: Matrix) -> InteriorWitness | NotInterior:
     tight inequality; eps is half the smaller of the two exact stopping times,
     so p + eps*v and p - eps*v both stay inside.
     """
-    sys = kimura3_prime_system(p.ncols)
-    _require_member(sys, p)
-    if p.is_integral():
+    pt = _member_analysis(p)
+    support = pt.support
+    if not support:
         raise IntegralPointError("integral points admit no segment-interior witness")
-    support = p.nonintegral_support()
-    k = len(support)
-    omega = len({i for i, _ in support}) + len({j for _, j in support})
-    if k > omega:
-        v_support = _kernel_direction(p, support)
+    if len(support) > pt.omega:
+        v_support = _kernel_direction(pt)
         if v_support is None:
             return NotInterior("tight relations leave no kernel direction")
         values = dict(zip(support, v_support))
     else:
-        tag = _configuration_tag(support)
-        if tag not in ("P1", "P2"):
+        if pt.tag not in ("P1", "P2"):
             return NotInterior(
-                f"k == omega with support configuration {tag!r}; no cycle direction"
+                f"k == omega with support configuration {pt.tag!r}; no cycle direction"
             )
-        values, reason = _cycle_direction(p, support)
+        values, reason = _cycle_direction(pt)
         if values is None:
             return NotInterior(reason)
-    m = p.ncols
+    m = len(pt.cols)
     direction = Matrix.from_rows(
         [
             [values.get((i, j), 0) for j in range(1, m + 1)]
             for i in (1, 2, 3)
         ]
     )
-    bounds = _step_bounds(sys, p.flatten(), direction.flatten())
+    bounds = _step_bounds(pt.system, pt.point, scale_to_ints(direction.flatten()))
     if bounds is None:
         return NotInterior("direction moves off a tight inequality")
     t_plus, t_minus = bounds
@@ -486,24 +614,15 @@ def interior_witness(p: Matrix) -> InteriorWitness | NotInterior:
     return InteriorWitness(direction, eps)
 
 
-def s_facet_count_even(p: Matrix) -> bool:
+def s_facet_count_even(p: Matrix | PointAnalysis) -> bool:
     """Whether an even number of the support cycle's lines carry S-facets.
 
     Defined for P1/P2 configurations (each occupied line then holds exactly
     two non-integral coordinates). Evenness is what makes the cycle sign
     assignment close up.
     """
-    sys = kimura3_prime_system(p.ncols)
-    _require_member(sys, p)
-    support = p.nonintegral_support()
-    tag = _configuration_tag(support)
-    if tag not in ("P1", "P2"):
-        raise ConfigurationError(f"support configuration {tag!r} has no facet cycle")
-    count = 0
-    for r in sorted({i for i, _ in support}):
-        if _line_class(p.row(r)) == "S":
-            count += 1
-    for c in sorted({j for _, j in support}):
-        if _line_class(p.column(c)) == "S":
-            count += 1
+    pt = _member_analysis(p)
+    if pt.tag not in ("P1", "P2"):
+        raise ConfigurationError(f"support configuration {pt.tag!r} has no facet cycle")
+    count = sum(1 for line in pt.support_lines() if line.line_class() == "S")
     return count % 2 == 0

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import logging
 from fractions import Fraction
 
 import pytest
 from conftest import parse_record
 
 import clawpoly.cli as cli
+import clawpoly.suites as suites
 import clawpoly.vertices as vertices_mod
 from clawpoly.cli import main
 from clawpoly.engine import EqualityReport, f_vector
@@ -301,6 +303,50 @@ def test_verify_theorems_m5_record_pinned(capsys):
         "pseudo_facet_samples=600 cycle_configs=100 interior_nonintegral=599 violations=0 "
         "outcome=pass"
     )
+
+
+def _record_without_wall(capsys):
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    return " ".join(f for f in line.split(" ") if not f.startswith("wall="))
+
+
+def test_verify_theorems_frontier_m9(capsys):
+    # the samplers unrank the vertices they draw: m=9 has 65,536 of them
+    assert main(["verify", "theorems", "--leaves", "9", "--samples", "20"]) == 0
+    assert _record_without_wall(capsys) == (
+        "command=verify task=theorems leaves=9 samples=20 roundtrips=20 memberships=20 "
+        "pseudo_facet_samples=20 cycle_configs=0 interior_nonintegral=20 violations=0 "
+        "outcome=pass"
+    )
+
+
+def test_verify_theorems_generation_cap(monkeypatch, capsys):
+    built = []
+    for name in ("kimura3_system", "kimura3_prime_system"):
+        monkeypatch.setattr(suites, name, lambda m, name=name: built.append(name))
+    assert main(["verify", "theorems", "--leaves", "13", "--samples", "3"]) == 3
+    assert ("16777216 vertices exceeds the generation cap 4194304"
+            in capsys.readouterr().err)
+    assert built == []
+
+
+def test_verify_theorems_logs_suite_counts(caplog, capsys):
+    argv = ["verify", "theorems", "--leaves", "3", "--samples", "30", "--seed", "2"]
+    assert main(argv) == 0
+    quiet = _record_without_wall(capsys)
+    caplog.set_level(logging.INFO, logger="clawpoly.suites")
+    assert main(["-v"] + argv) == 0
+    assert _record_without_wall(capsys) == quiet
+    assert [r.getMessage() for r in caplog.records if r.name == "clawpoly.suites"] == [
+        "isomorphism m=3: 60 points, 60 membership evaluations, 0 kernel witnesses, "
+        "0 cycle witnesses, 0 tight subsets",
+        "pseudo_facet m=3: 30 points, 30 membership evaluations, 0 kernel witnesses, "
+        "0 cycle witnesses, 356 tight subsets",
+        # 28 non-integral points, each analysed once and its two endpoints checked;
+        # the 19 cycle witnesses are the pseudo-facet suite's 19 cycle configurations
+        "interior m=3: 30 points, 84 membership evaluations, 9 kernel witnesses, "
+        "19 cycle witnesses, 320 tight subsets",
+    ]
 
 
 # --- witness --------------------------------------------------------------------

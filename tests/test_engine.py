@@ -283,6 +283,22 @@ def test_lane_rebuilds_logged_and_exact(caplog):
     assert vertices_from_inequalities(poly).points == poly.vertices
 
 
+def test_widening_renumbers_first(caplog):
+    """A widening first drops the dead rays, so the one rebuild after it
+    repacks live rays only: on the coordinates above, each of the 8
+    widenings comes with a renumbering and no row rebuilds twice."""
+    caplog.set_level(logging.INFO, logger="clawpoly.engine")
+    rng = random.Random(3)
+    pts = [
+        tuple(rng.randint(0, 1 << rng.choice((1, 8, 16, 32, 64))) for _ in range(4))
+        for _ in range(20)
+    ]
+    hull_from_vertices(pts)
+    assert [r.getMessage() for r in caplog.records if "lanes" in r.getMessage()] == [
+        "hull[d=4 points=20]: 41-byte lanes, 9 column rebuilds (9 renumber, 8 widen)"
+    ]
+
+
 def test_dd_counts_logged_for_hull_and_vertices(caplog):
     caplog.set_level(logging.INFO, logger="clawpoly.engine")
     hull_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])

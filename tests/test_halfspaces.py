@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from clawpoly.halfspaces import (
 from clawpoly.coordchange import to_prime_coords
 from clawpoly.groups import Z2Z2
 from clawpoly.matrices import Matrix
+from clawpoly.rationals import ScaledPoint, scale_to_ints
 from clawpoly.vertices import generate_vertices
 
 
@@ -209,6 +211,7 @@ def _membership_reference(sys_, flat):
     return status, tuple(violated), tuple(tight)
 
 
+@lru_cache(maxsize=None)
 def _model_vertices(model, m):
     if model == "binary":
         return [tuple((mask >> i) & 1 for i in range(m))
@@ -219,20 +222,26 @@ def _model_vertices(model, m):
     return [v.flatten() for v in mats]
 
 
-# plain ints, Fraction(k, 1), negatives, values above 1 and mixed denominators
+_BIG = 2 ** 70
+
+# plain ints, Fraction(k, 1), negatives, values above 1, mixed denominators,
+# and numerators and denominators up to 2^70, which widen the membership lanes
 _coords = st.one_of(
     st.integers(min_value=-2, max_value=3),
     st.integers(min_value=-2, max_value=3).map(lambda k: Fraction(k, 1)),
     st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4),
                      Fraction(-1, 4), Fraction(5, 4), Fraction(7, 5)]),
     st.fractions(min_value=-2, max_value=3, max_denominator=40),
+    st.builds(Fraction, st.integers(min_value=-_BIG, max_value=_BIG),
+              st.integers(min_value=1, max_value=_BIG)),
+    st.integers(min_value=-_BIG, max_value=_BIG),
 )
 
 
 @st.composite
 def _model_points(draw):
     model = draw(st.sampled_from(["binary", "kimura3", "kimura3-prime"]))
-    m = draw(st.integers(min_value=3, max_value=5))
+    m = draw(st.integers(min_value=3, max_value=6))
     sys_ = model_system(model, m)
     kind = draw(st.sampled_from(["free", "combination", "nudged"]))
     if kind == "free":
@@ -253,9 +262,46 @@ def _model_points(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_model_points(), st.booleans())
-def test_membership_matches_fraction_reference(case, as_matrix):
+@given(_model_points(), st.sampled_from(["flat", "matrix", "scaled"]),
+       st.integers(min_value=1, max_value=_BIG))
+def test_membership_matches_fraction_reference(case, form, factor):
+    """Every model at m=3..6, given as a sequence, a Matrix or a ScaledPoint
+    whose numerators and denominator carry an extra factor up to 2^70; tight
+    rows stay tight at any lane width."""
     sys_, flat = case
-    point = Matrix.from_flat(flat, *sys_.shape) if as_matrix else flat
+    if form == "matrix":
+        point = Matrix.from_flat(flat, *sys_.shape)
+    elif form == "scaled":
+        nums, den = scale_to_ints([Fraction(x) for x in flat])
+        point = ScaledPoint(tuple(x * factor for x in nums), den * factor)
+    else:
+        point = flat
     res = sys_.membership(point)
     assert (res.status, res.violated, res.tight) == _membership_reference(sys_, flat)
+
+
+@pytest.mark.parametrize("model", ["binary", "kimura3", "kimura3-prime"])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_membership_exact_at_the_lane_width_bound(model, m):
+    """Points with every coordinate q/den, at every bit length of q up to 80.
+
+    On such a point row j has a.x - b = (s_j*q - rhs_j*den)/den, s_j its
+    coefficient sum. A row with all coefficients of one sign and the largest
+    |rhs| (the odd rows with A = {1..m} for odd m) meets the bound the lane
+    width is chosen from, and q/den = rhs_j/s_j makes the rows of that ratio
+    tight at any scale.
+    """
+    sys_ = model_system(model, m)
+    sums = [(sum(q.coeffs), q.rhs) for q in sys_.inequalities]
+    ratios = {(rhs, s) for s, rhs in sums if s > 0 and rhs > 0}
+    for k in range(81):
+        big = 1 << k
+        points = [(sign * q, den) for q in (big, 2 * big - 1) for sign in (1, -1)
+                  for den in (1, 3, big + 1)]
+        points += [(rhs * big, s * big) for rhs, s in ratios]
+        for q, den in points:
+            res = sys_.membership(ScaledPoint((q,) * sys_.dimension, den))
+            slacks = [rhs * den - s * q for s, rhs in sums]
+            violated = tuple(i for i, sl in enumerate(slacks) if sl < 0)
+            tight = tuple(i for i, sl in enumerate(slacks) if sl == 0)
+            assert (res.violated, res.tight) == (violated, tight), (k, q, den)

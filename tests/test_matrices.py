@@ -4,6 +4,7 @@ import pytest
 
 from clawpoly.errors import DimensionError
 from clawpoly.matrices import Matrix, flat_pos
+from clawpoly.witness import analyze_point
 
 
 def test_flat_pos_row_major():
@@ -48,7 +49,8 @@ def test_integrality_and_support():
     h = Fraction(1, 2)
     m = Matrix.from_rows([(h, h, 0), (0, 1, h), (0, 0, 0)])
     assert not m.is_integral()
-    assert m.nonintegral_support() == ((1, 1), (1, 2), (2, 3))
+    # the support of a 3 x m point is read off its analysis
+    assert analyze_point(m).support == ((1, 1), (1, 2), (2, 3))
     assert Matrix.from_rows([(1, 0)]).is_integral()
 
 

@@ -1,8 +1,15 @@
 from fractions import Fraction
 
+import pytest
+
+import clawpoly.vertices as vertices_mod
+from clawpoly.coordchange import to_prime_coords
+from clawpoly.errors import ResourceCapError
+from clawpoly.groups import Z2Z2
 from clawpoly.halfspaces import kimura3_prime_system
 from clawpoly.matrices import Matrix
 from clawpoly.sampling import (
+    _prime_vertex,
     sample_box_points,
     sample_prime_points,
     sample_prime_segment_points,
@@ -57,3 +64,17 @@ def test_box_sampler_straddles_unit_box():
     sys3 = kimura3_prime_system(3)
     statuses = {sys3.membership(p).status for p in pts}
     assert "outside" in statuses
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_prime_vertex_is_the_generated_image(m):
+    vertices = vertices_mod.generate_vertices(Z2Z2, m)
+    images = [to_prime_coords(v).flatten() for v in vertices.matrices()]
+    assert [_prime_vertex(m, i) for i in range(len(images))] == images
+
+
+def test_samplers_refuse_above_generation_cap(monkeypatch):
+    monkeypatch.setattr(vertices_mod, "GENERATION_CAP", 4)
+    for sampler in (sample_prime_points, sample_prime_segment_points):
+        with pytest.raises(ResourceCapError, match="16 vertices exceeds the generation cap 4"):
+            sampler(3, 1)

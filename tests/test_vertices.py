@@ -13,7 +13,7 @@ from clawpoly.groups import (
     group_sum,
     identity,
 )
-from clawpoly.vertices import Labeling, generate_vertices, labeling_to_matrix
+from clawpoly.vertices import Labeling, generate_vertices, labeling_to_matrix, vertex_at
 from clawpoly.witness import violation_witness
 
 
@@ -123,3 +123,15 @@ def test_all_labelings_in_vertex_set_are_consistent():
     for mat in generate_vertices(spec, 3).matrices():
         elements = [decode[mat.column(j)] for j in range(1, mat.ncols + 1)]
         assert group_sum(spec, elements) == identity(spec)
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_vertex_at_matches_generated_order(m):
+    points = generate_vertices(Z2Z2, m).points
+    assert [vertex_at(Z2Z2, m, i) for i in range(len(points))] == list(points)
+
+
+@pytest.mark.parametrize("spec", [Z2, GroupSpec((3,)), GroupSpec((2, 3))])
+def test_vertex_at_other_groups(spec):
+    points = generate_vertices(spec, 4).points
+    assert [vertex_at(spec, 4, i) for i in range(len(points))] == list(points)

@@ -14,10 +14,13 @@ from clawpoly.errors import (
 )
 from clawpoly.groups import Z2, Z2Z2, element, group_sum, identity
 from clawpoly.halfspaces import kimura3_prime_system
+from clawpoly.linalg import kernel_vector
 from clawpoly.matrices import Matrix
-from clawpoly.sampling import _combine, _prime_vertex_matrices, sample_prime_points
+from clawpoly.rationals import scale_to_ints
+from clawpoly.sampling import _combine, _prime_vertex, sample_prime_points
 from clawpoly.vertices import Labeling
 from clawpoly.witness import (
+    _integer_kernel,
     _step_bounds,
     InteriorWitness,
     NotInterior,
@@ -266,13 +269,12 @@ def _step_reference(sys_, flat, direction):
     return t_plus, t_minus
 
 
-def _combine_reference(mats, weights):
+def _combine_reference(flats, weights, m):
     total = sum(weights)
     flat = [
         sum(Fraction(w) * x for w, x in zip(weights, col)) / total
-        for col in zip(*(mat.flatten() for mat in mats))
+        for col in zip(*flats)
     ]
-    m = mats[0].ncols
     return Matrix.from_rows([flat[r * m:(r + 1) * m] for r in range(3)])
 
 
@@ -325,17 +327,55 @@ def test_step_bounds_match_fraction_reference(m, seed, kind, data):
             if all(v == 0 for v in direction):
                 return
     flat = p.flatten()
-    assert _step_bounds(sys_, flat, direction) == _step_reference(sys_, flat, direction)
+    assert (_step_bounds(sys_, scale_to_ints(flat), scale_to_ints(direction))
+            == _step_reference(sys_, flat, direction))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=3, max_value=5), st.data())
 def test_combine_matches_fraction_reference(m, data):
-    verts = _prime_vertex_matrices(m)
+    verts = [_prime_vertex(m, i) for i in range(4 ** (m - 1))]
     picks = data.draw(st.lists(st.sampled_from(verts), min_size=1, max_size=5))
     weights = data.draw(st.lists(st.integers(min_value=1, max_value=8),
                                  min_size=len(picks), max_size=len(picks)))
-    got = _combine(picks, weights)
-    want = _combine_reference(picks, weights)
+    got = _combine(picks, weights, m)
+    want = _combine_reference(picks, weights, m)
     assert got == want
     assert [type(x) for x in got.flatten()] == [type(x) for x in want.flatten()]
+
+
+@st.composite
+def _kernel_systems(draw, entries=st.sampled_from([-1, 0, 1]), sums=False):
+    """Row systems of up to 15 columns, as _kernel_direction builds them,
+    with rows repeated or negated (and, with sums, added to others), so
+    that many are rank-deficient."""
+    k = draw(st.integers(min_value=1, max_value=15))
+    rows = draw(st.lists(st.lists(entries, min_size=k, max_size=k), max_size=12))
+    if rows:
+        extra = draw(st.lists(
+            st.tuples(st.sampled_from(range(len(rows))), st.sampled_from(range(len(rows))),
+                      st.sampled_from([-1, 1])),
+            max_size=6,
+        ))
+        for i, j, c in extra:
+            base = rows[i] if sums else [0] * k
+            rows.insert(i, [x + c * y for x, y in zip(base, rows[j])])
+    return rows, k
+
+
+def _same_vector(got, want):
+    return got == want and (got is None or [type(x) for x in got] == [type(x) for x in want])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_systems())
+def test_integer_kernel_matches_fraction_kernel(system):
+    rows, k = system
+    assert _same_vector(_integer_kernel(rows, k), kernel_vector(rows, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_systems(st.integers(min_value=-7, max_value=7), sums=True))
+def test_integer_kernel_matches_fraction_kernel_on_wider_entries(system):
+    rows, k = system
+    assert _same_vector(_integer_kernel(rows, k), kernel_vector(rows, k))
