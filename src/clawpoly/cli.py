@@ -20,6 +20,7 @@ import time
 from .coordchange import from_prime_coords, to_prime_coords
 from .engine import (
     _dimension_cap,
+    check_dimension,
     f_vector,
     equal_polytopes,
     hull_from_vertices,
@@ -220,6 +221,8 @@ def _verify_containment(args):
 
 
 def _verify_equality(args):
+    # K(m) lies in R^(3m): the cap is checked before the system is built
+    check_dimension(3 * args.leaves, args.max_dim)
     vd = vertices_from_inequalities(kimura3_system(args.leaves), max_dim=args.max_dim)
     rep = equal_polytopes(vd, generate_vertices(Z2Z2, args.leaves))
     lines = [
@@ -231,6 +234,7 @@ def _verify_equality(args):
 
 
 def _verify_integrality(args):
+    check_dimension(3 * args.leaves, args.max_dim)
     counts = []
     lines = []
     for model in ("kimura3", "kimura3-prime"):

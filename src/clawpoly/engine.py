@@ -34,7 +34,11 @@ the same tight sets, with no linear algebra.
 The f-vector comes from that incidence alone (Kaibel & Pfetsch): the face
 lattice is walked down one level at a time from the facets, a face's
 facets being the maximal proper intersections with the polytope's facets,
-so each face's dimension is its level.
+so each face's dimension is its level. Maximality is not tested pair by
+pair but by counting: H = F & G is a facet of F iff the number of facets
+G giving exactly H equals |omega(H)| - |omega(F)|, where omega(X) is the
+set of facets containing X, read off the vertex -> facets transpose once
+per distinct face.
 
 The 0/1 points of a system come from one depth-first search over the
 coordinates on the system's packed checks: every inequality is a lane of
@@ -350,6 +354,15 @@ def _dimension_cap(max_dim):
     return cap
 
 
+def check_dimension(d, max_dim=None) -> None:
+    """Refuse a double description in dimension d above the cap."""
+    cap = _dimension_cap(max_dim)
+    if d > cap:
+        raise ResourceCapError(
+            f"dimension {d} exceeds cap {cap}; raise {MAX_DIM_ENV} or max_dim to override"
+        )
+
+
 def _source_rows(source):
     if hasattr(source, "homogenized_rows"):
         return list(source.homogenized_rows())
@@ -365,11 +378,7 @@ def vertices_from_inequalities(source, max_dim=None) -> VertexSet:
     the DD counts at INFO level.
     """
     d = source.dimension
-    cap = _dimension_cap(max_dim)
-    if d > cap:
-        raise ResourceCapError(
-            f"dimension {d} exceeds cap {cap}; raise {MAX_DIM_ENV} or max_dim to override"
-        )
+    check_dimension(d, max_dim)
     rows = [_scale_row_to_int(r) for r in _source_rows(source)]
     # deterministic insertion order: sort by the (b, -a) file representation
     rows.sort(key=lambda r: tuple(-x for x in r))
@@ -481,14 +490,13 @@ def enumerate_integral_points(system) -> list:
 
     One depth-first search over coordinates 0..d-1, 0 before 1, so points
     come out sorted. The running sum t packs a.x + base for every row in
-    the lanes of ``InequalitySystem._pack_binary_checks``; a node at depth k
+    the lanes of ``InequalitySystem.binary_checks``; a node at depth k
     is cut iff some lane of ``t - neg_suffix[k]`` (its least value over all
     completions) has its top bit set, which at k = d is the exact test.
     """
     d = system.dimension
-    delta = system._lane_delta
-    suffix = system._lane_neg_suffix
-    top = system._lane_top
+    checks = system.binary_checks
+    delta, suffix, top = checks.delta, checks.neg_suffix, checks.top
     point = [0] * d
     out = []
     nodes = 0
@@ -506,10 +514,10 @@ def enumerate_integral_points(system) -> list:
         descend(k + 1, t + delta[k])
         point[k] = 0
 
-    descend(0, system._lane_base)
+    descend(0, checks.base)
     log.info(
         "integral points[%s d=%d]: %d checks, %d nodes, %d points",
-        system.model, d, len(system._lane_ids), nodes, len(out),
+        system.model, d, len(checks.ids), nodes, len(out),
     )
     return out
 
@@ -522,16 +530,33 @@ def f_vector(poly: PolytopeDD, max_faces: int = DEFAULT_MAX_FACES) -> FVector:
 
     The face lattice is walked downward one level at a time, starting from
     the facets at level dim - 1, with dim = dimension - len(equations). The
-    faces one level below a face F are its facets: the maximal sets among
-    the nonempty F & facet masks that differ from F. So each face's
-    dimension is the level it was found on, and no face is ranked. A level
-    is counted only while the running total stays within max_faces; past
-    that the walk stops with complete=False, and the levels below the last
-    counted one read 0. Logs one line per level and a total at INFO level.
+    faces one level below a face F are its facets, found by Kaibel and
+    Pfetsch's counting test: with omega(X) the set of facets containing X,
+    a nonempty H = F & G other than F is a facet of F iff exactly
+    |omega(H)| - |omega(F)| facets G give F & G == H (every facet in
+    omega(H) but not in omega(F) gives a face of F containing H, and all of
+    them give H itself iff no face of F lies strictly between). |omega| is
+    computed once per distinct face of a level from the vertex -> facets
+    transpose, so each face's dimension is the level it was found on, and no
+    face is ranked. A level is counted only while the running total stays
+    within max_faces; past that the walk stops with complete=False, and the
+    levels below the last counted one read 0. Logs one line per level and a
+    total at INFO level.
     """
     facet_masks = poly.incidence
     counts = [0] * (poly.dimension - len(poly.equations))
-    level = set(facet_masks)
+    on_facets = _transpose(facet_masks, len(poly.vertices))  # vertex -> facets through it
+    every_facet = (1 << len(facet_masks)) - 1
+
+    def omega_count(face):
+        common = every_facet
+        while face:
+            low = face & -face
+            common &= on_facets[low.bit_length() - 1]
+            face ^= low
+        return common.bit_count()
+
+    level = {face: omega_count(face) for face in facet_masks}  # face -> |omega(face)|
     total = 0
     complete = True
     for k in reversed(range(len(counts))):
@@ -541,15 +566,21 @@ def f_vector(poly: PolytopeDD, max_faces: int = DEFAULT_MAX_FACES) -> FVector:
         counts[k] = len(level)
         total += len(level)
         log.info("f_vector: dim %d, %d faces", k, len(level))
-        below = set()
-        for face in level:
-            subs = {face & fm for fm in facet_masks} - {0, face}
-            # a strict superset has more bits, so it is kept before its subsets
-            kept = []
-            for sub in sorted(subs, key=int.bit_count, reverse=True):
-                if all(sub & top != sub for top in kept):
-                    kept.append(sub)
-            below.update(kept)
+        below = {}
+        seen = {}  # |omega| of every candidate met on this level
+        for face, omega in level.items():
+            hits = {}  # F & G -> the number of facets G giving it
+            for fm in facet_masks:
+                sub = face & fm
+                hits[sub] = hits.get(sub, 0) + 1
+            hits.pop(face, None)
+            hits.pop(0, None)
+            for sub, n in hits.items():
+                count = seen.get(sub)
+                if count is None:
+                    count = seen[sub] = omega_count(sub)
+                if n == count - omega:
+                    below[sub] = count
             if total + len(below) > max_faces:
                 break
         level = below

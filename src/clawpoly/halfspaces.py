@@ -22,11 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
+from . import vertices
 from .errors import (
     DimensionError,
     LeafCountError,
     NotAMemberError,
+    ResourceCapError,
     UnsupportedGroupError,
 )
 from .lanes import bits, lane_tops, pack_lanes
@@ -158,6 +161,17 @@ class TightSet:
         return ()
 
 
+class BinaryChecks(NamedTuple):
+    """The packed 0/1 checks of an InequalitySystem (see its binary_checks)."""
+
+    width: int
+    ids: tuple[int, ...]
+    base: int
+    top: int
+    delta: tuple[int, ...]
+    neg_suffix: tuple[int, ...]
+
+
 class InequalitySystem:
     """Immutable ordered list of inequalities over a fixed flattened shape."""
 
@@ -171,19 +185,18 @@ class InequalitySystem:
         # membership lanes by width, for the few widths used last: points with
         # ever longer numerators would otherwise keep one packing per width
         self._membership_lanes = lru_cache(maxsize=8)(self._pack_membership_lanes)
-        self._pack_binary_checks()
 
-    def _pack_binary_checks(self) -> None:
-        """The 0/1 checks as W-bit lanes of one int: lane j of ``_lane_base``
-        plus ``_lane_delta[i]`` for each coordinate i set holds
+    @cached_property
+    def binary_checks(self) -> BinaryChecks:
+        """The 0/1 checks as W-bit lanes of one int, packed on first use:
+        lane j of ``base`` plus ``delta[i]`` for each coordinate i set holds
         a_j.x + 2^(W-1) - rhs_j - 1, whose top bit is set iff a_j.x > rhs_j.
         W - 1 is the bit length of the largest rhs_j + 1 + |neg_j| or
         |pos_j| - rhs_j, so every partial sum stays in [0, 2^W) and no carry
-        crosses lanes. ``_lane_neg_suffix[k]`` counts each lane's -1
-        coefficients at coordinates k and above. Rows no 0/1 point violates
-        get no lane. Each lane int is packed in one pass by
-        ``lanes.pack_lanes``; pos and neg each from one column of the
-        coefficient matrix.
+        crosses lanes. ``neg_suffix[k]`` counts each lane's -1 coefficients
+        at coordinates k and above. Rows no 0/1 point violates get no lane.
+        Each lane int is packed in one pass by ``lanes.pack_lanes``; pos and
+        neg each from one column of the coefficient matrix.
         """
         checks = [ineq for ineq in self.inequalities if len(ineq.pos) > ineq.rhs]
         reach = max(
@@ -198,12 +211,14 @@ class InequalitySystem:
         suffix = [0] * (self.dimension + 1)
         for k in range(self.dimension - 1, -1, -1):
             suffix[k] = suffix[k + 1] + neg[k]
-        self._lane_width = width
-        self._lane_ids = tuple(q.id for q in checks)
-        self._lane_base = pack_lanes([half - q.rhs - 1 for q in checks], width)
-        self._lane_top = pack_lanes([half] * len(checks), width)
-        self._lane_delta = tuple(p - n for p, n in zip(pos, neg))
-        self._lane_neg_suffix = tuple(suffix)
+        return BinaryChecks(
+            width,
+            tuple(q.id for q in checks),
+            pack_lanes([half - q.rhs - 1 for q in checks], width),
+            pack_lanes([half] * len(checks), width),
+            tuple(p - n for p, n in zip(pos, neg)),
+            tuple(suffix),
+        )
 
     def __len__(self) -> int:
         return len(self.inequalities)
@@ -336,16 +351,15 @@ class InequalitySystem:
         in every lane, and the lowest lane whose top bit is set is the first
         violated row in id order.
         """
-        t = self._lane_base
-        delta = self._lane_delta
+        width, ids, t, top, delta, _ = self.binary_checks
         while mask:
             low = mask & -mask
             t += delta[low.bit_length() - 1]
             mask ^= low
-        violated = t & self._lane_top
+        violated = t & top
         if not violated:
             return None
-        return self._lane_ids[((violated & -violated).bit_length() - 1) // self._lane_width]
+        return ids[((violated & -violated).bit_length() - 1) // width]
 
     def homogenized_rows(self):
         """Rows (-b, a1..ad) describing the cone a.x - b*x0 <= 0."""
@@ -444,11 +458,24 @@ MODEL_BUILDERS = {
 }
 
 
+def row_count(model: str, m: int) -> int:
+    """Rows of the model's system at m leaves, known before it is built."""
+    subsets = 2 ** (m - 1)  # odd subsets of {1..m}
+    return 2 * m + subsets if model == "binary" else 4 * m + 3 * subsets
+
+
 def model_system(model: str, m: int) -> InequalitySystem:
+    """The model's system at m leaves; refused above the generation cap
+    (``vertices.GENERATION_CAP``) on its row count, before it is built."""
     try:
         builder = MODEL_BUILDERS[model]
     except KeyError:
         raise UnsupportedGroupError(
             f"unknown model {model!r}; choose from {sorted(MODEL_BUILDERS)}"
         ) from None
+    rows = row_count(model, m)
+    if rows > vertices.GENERATION_CAP:
+        raise ResourceCapError(
+            f"{rows} inequalities exceeds the generation cap {vertices.GENERATION_CAP}"
+        )
     return builder(m)

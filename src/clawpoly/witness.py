@@ -48,7 +48,7 @@ from .halfspaces import (
 )
 from .matrices import Matrix
 from .rationals import Rational, ScaledPoint, canon, scale_to_ints
-from .vertices import Labeling, generate_vertices, labeling_to_matrix
+from .vertices import Labeling, labeling_to_matrix, unpack_points, vertex_masks
 
 
 @dataclass(frozen=True)
@@ -117,21 +117,20 @@ class NotInterior:
 
 # --- containment and violation witnesses ------------------------------------
 
-# byte 0 / 1 -> the digit "0" / "1"
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def check_containment(m: int) -> ContainmentReport:
-    """Verify every generated vertex satisfies the standard-coordinate system."""
-    vs = generate_vertices(Z2Z2, m)
+    """Verify every generated vertex satisfies the standard-coordinate system.
+
+    Each vertex goes to the system's 0/1 check as the mask it is built as;
+    only the failing ones are unpacked into tuples.
+    """
+    masks = vertex_masks(Z2Z2, m)
     sys = kimura3_system(m)
-    failures = []
-    for flat in vs.points:
-        # coordinate i is bit i: the 0/1 tuple reversed, read as binary digits
-        bad = sys.binary_violation(int(bytes(flat[::-1]).translate(_BINARY_DIGITS), 2))
-        if bad is not None:
-            failures.append((flat, bad))
-    return ContainmentReport(m, len(vs.points), tuple(failures), not failures)
+    failures = tuple(
+        (unpack_points([mask], sys.dimension)[0], vid)
+        for mask in masks
+        if (vid := sys.binary_violation(mask)) is not None
+    )
+    return ContainmentReport(m, len(masks), failures, not failures)
 
 
 def violation_witness(labeling: Labeling) -> ViolationWitness | None:

@@ -7,6 +7,7 @@ import pytest
 from conftest import parse_record
 
 import clawpoly.cli as cli
+import clawpoly.halfspaces as halfspaces
 import clawpoly.suites as suites
 import clawpoly.vertices as vertices_mod
 from clawpoly.cli import main
@@ -120,6 +121,23 @@ def test_hrep_unknown_model(capsys):
     assert main(["hrep", "--model", "jukes", "--leaves", "3"]) == 2
 
 
+@pytest.mark.parametrize("model", ["binary", "kimura3", "kimura3-prime"])
+def test_hrep_generation_cap(model, monkeypatch, capsys):
+    # the row count is known from m: 2^39 or 3 * 2^39 rows are refused unbuilt
+    built = []
+    monkeypatch.setitem(halfspaces.MODEL_BUILDERS, model, built.append)
+    assert main(["hrep", "--model", model, "--leaves", "40"]) == 3
+    assert "inequalities exceeds the generation cap 4194304" in capsys.readouterr().err
+    assert built == []
+
+
+@pytest.mark.parametrize("model, count", [("binary", 4122), ("kimura3", 12340),
+                                          ("kimura3-prime", 12340)])
+def test_hrep_m13_under_cap(model, count, capsys):
+    assert main(["hrep", "--model", model, "--leaves", "13"]) == 0
+    assert last_record(capsys)["count"] == str(count)
+
+
 # --- transform -------------------------------------------------------------------
 
 def test_transform_roundtrip(tmp_path, capsys):
@@ -173,12 +191,13 @@ def test_verify_containment(capsys):
     assert rec["violations"] == "0"
 
 
-def test_verify_containment_m9(capsys):
-    assert main(["verify", "containment", "--leaves", "9"]) == 0
-    rec = last_record(capsys)
-    assert rec["outcome"] == "pass"
-    assert rec["checked"] == "65536"
-    assert rec["violations"] == "0"
+@pytest.mark.parametrize("m, checked", [(9, 65536), (10, 262144)])
+def test_verify_containment_frontier(m, checked, capsys):
+    assert main(["verify", "containment", "--leaves", str(m)]) == 0
+    assert _record_without_wall(capsys) == (
+        f"command=verify task=containment leaves={m} checked={checked} "
+        "violations=0 outcome=pass"
+    )
 
 
 def test_verify_containment_failure_writes_counterexample(tmp_path, monkeypatch, capsys):
@@ -206,6 +225,19 @@ def test_verify_equality(capsys):
 def test_verify_equality_hits_cap(capsys):
     assert main(["verify", "equality", "--leaves", "5"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["equality", "integrality"])
+def test_verify_dimension_cap_before_build(task, monkeypatch, capsys):
+    # K(30) lies in R^90; its 3 * 2^29-row systems are never built
+    monkeypatch.delenv("CLAWPOLY_MAX_DIM", raising=False)
+    built = []
+    monkeypatch.setattr(cli, "kimura3_system", built.append)
+    monkeypatch.setattr(cli, "model_system", lambda model, m: built.append(model))
+    assert main(["verify", task, "--leaves", "30"]) == 3
+    assert ("error: dimension 90 exceeds cap 12; raise CLAWPOLY_MAX_DIM or max_dim to override"
+            in capsys.readouterr().err)
+    assert built == []
 
 
 def test_verify_equality_cap_override(capsys):

@@ -11,12 +11,14 @@ from clawpoly.halfspaces import (
     BColumn,
     Box,
     ColumnSimplex,
+    InequalitySystem,
     NonNeg,
     demihypercube_system,
     kimura3_prime_system,
     kimura3_system,
     model_system,
     odd_subsets,
+    row_count,
 )
 from clawpoly.coordchange import to_prime_coords
 from clawpoly.groups import Z2Z2
@@ -190,10 +192,21 @@ def _row_by_row_lanes(system):
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_packed_checks_bit_identical_to_row_by_row(model, m):
     system = model_system(model, m)
-    assert (
-        system._lane_width, system._lane_ids, system._lane_base, system._lane_top,
-        system._lane_delta, system._lane_neg_suffix,
-    ) == _row_by_row_lanes(system)
+    assert tuple(system.binary_checks) == _row_by_row_lanes(system)
+
+
+def test_packed_checks_built_on_first_use():
+    rows = kimura3_system(4).inequalities
+    system = InequalitySystem("kimura3", (3, 4), rows)
+    assert "binary_checks" not in vars(system)
+    assert system.binary_violation(0) is None
+    assert tuple(system.binary_checks) == _row_by_row_lanes(system)
+
+
+@pytest.mark.parametrize("model", ["binary", "kimura3", "kimura3-prime"])
+def test_row_count_matches_built_system(model):
+    for m in range(3, 9):
+        assert row_count(model, m) == len(model_system(model, m).inequalities)
 
 
 # --- exact membership against a Fraction reference ------------------------------

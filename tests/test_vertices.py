@@ -135,3 +135,16 @@ def test_vertex_at_matches_generated_order(m):
 def test_vertex_at_other_groups(spec):
     points = generate_vertices(spec, 4).points
     assert [vertex_at(spec, 4, i) for i in range(len(points))] == list(points)
+
+
+MIXED_GROUPS = [GroupSpec((3, 4)), GroupSpec((2, 2, 2)), GroupSpec((5,))]
+
+
+@pytest.mark.parametrize("spec", MIXED_GROUPS, ids=lambda spec: spec.name())
+@pytest.mark.parametrize("m", [3, 4])
+def test_masks_match_oracles_on_mixed_orders(spec, m):
+    # the element-index addition table carries across factors of unequal order
+    points = generate_vertices(spec, m).points
+    assert points == _group_sum_vertices(spec, m)
+    assert points == _fullscan_vertices(spec, m)
+    assert tuple(vertex_at(spec, m, i) for i in range(len(points))) == points

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clawpoly import witness
 from clawpoly.errors import (
     ClassificationUndefinedError,
     ConfigurationError,
@@ -13,12 +15,18 @@ from clawpoly.errors import (
     NotTightError,
 )
 from clawpoly.groups import Z2, Z2Z2, element, group_sum, identity
-from clawpoly.halfspaces import kimura3_prime_system
+from clawpoly.halfspaces import (
+    ARow,
+    ColumnSimplex,
+    InequalitySystem,
+    kimura3_prime_system,
+    kimura3_system,
+)
 from clawpoly.linalg import kernel_vector
 from clawpoly.matrices import Matrix
 from clawpoly.rationals import scale_to_ints
 from clawpoly.sampling import _combine, _prime_vertex, sample_prime_points
-from clawpoly.vertices import Labeling
+from clawpoly.vertices import Labeling, generate_vertices
 from clawpoly.witness import (
     _integer_kernel,
     _step_bounds,
@@ -47,6 +55,28 @@ def test_containment_small():
     assert rep.passed
     assert rep.checked == 16
     assert rep.failures == ()
+
+
+@pytest.mark.parametrize(
+    "family", [ColumnSimplex(2), ARow((1, 2), (1,)), ARow((2, 3), (1, 2, 3))], ids=repr
+)
+def test_containment_failures_match_brute_force(family, monkeypatch):
+    m = 4
+    lowered = kimura3_system(m).by_family(family)
+    rows = [dataclasses.replace(q, rhs=q.rhs - 1) if q is lowered else q
+            for q in kimura3_system(m).inequalities]
+    lowered_system = InequalitySystem("kimura3", (3, m), rows)
+    monkeypatch.setattr(witness, "kimura3_system", lambda m: lowered_system)
+    expected = []
+    for p in generate_vertices(Z2Z2, m).points:
+        for q in rows:
+            if sum(c * x for c, x in zip(q.coeffs, p)) > q.rhs:
+                expected.append((p, q.id))
+                break
+    rep = check_containment(m)
+    assert expected
+    assert list(rep.failures) == expected
+    assert (rep.checked, rep.passed) == (64, False)
 
 
 # --- violation witnesses ------------------------------------------------------
