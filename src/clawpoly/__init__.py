@@ -46,7 +46,6 @@ from .groups import (
 )
 from .halfspaces import (
     InequalitySystem,
-    LinearInequality,
     demihypercube_system,
     kimura3_prime_system,
     kimura3_system,

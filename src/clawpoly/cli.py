@@ -42,7 +42,7 @@ from .fileio import (
     write_text,
 )
 from .groups import Z2Z2, element, parse_group
-from .halfspaces import MODEL_BUILDERS, kimura3_system, model_system
+from .halfspaces import MODEL_BUILDERS, kimura3_system, model_system, row_count
 from .matrices import Matrix
 from .rationals import is_integral
 from .suites import run_interior_suite, run_isomorphism_suite, run_pseudo_facet_suite
@@ -164,20 +164,25 @@ def cmd_hrep(args) -> int:
     started = time.perf_counter()
     sys_ = model_system(args.model, args.leaves)
     head = [("command", "hrep"), ("model", args.model), ("leaves", args.leaves)]
-    ineqs = sys_.inequalities
+
+    def described():
+        """(description, a, b) per row, in id order."""
+        return [(f"id={i} {tag.describe()} rhs={b}", a, b)
+                for i, ((a, b), tag) in enumerate(zip(sys_.rows, sys_.families))]
+
     renders = {
         "cdd-ine": lambda: format_hfile(sys_),
         "records": lambda: _records(
-            head + [("dimension", sys_.dimension), ("count", len(ineqs))],
-            [f"inequality {q.describe()} coeffs={','.join(map(str, q.coeffs))}" for q in ineqs],
+            head + [("dimension", sys_.dimension), ("count", len(sys_))],
+            [f"inequality {text} coeffs={','.join(map(str, a))}" for text, a, _ in described()],
         ),
         "json": lambda: to_json(dict(head, dimension=sys_.dimension, inequalities=[
-            {"id": q.id, "family": q.describe(), "coeffs": list(q.coeffs), "rhs": q.rhs}
-            for q in ineqs
+            {"id": i, "family": text, "coeffs": list(a), "rhs": b}
+            for i, (text, a, b) in enumerate(described())
         ])),
     }
     stem = f"hrep_{args.model}_m{args.leaves}"
-    return _write_artifact(args, head, len(ineqs), renders, stem, started)
+    return _write_artifact(args, head, len(sys_), renders, stem, started)
 
 
 def _points_as_matrices(vs: VertexSet):
@@ -303,11 +308,17 @@ def _parse_labeling(spec, text: str) -> Labeling:
     elements = []
     for token in text.split(","):
         token = token.strip()
-        if len(token) != width or not token.isdigit():
+        if len(token) != width or not (token.isascii() and token.isdigit()):
             raise ConfigurationError(
                 f"labeling token {token!r} is not {width} digits for group {spec.name()}"
             )
-        elements.append(element(spec, tuple(int(ch) for ch in token)))
+        digits = tuple(int(ch) for ch in token)
+        if any(d >= n for d, n in zip(digits, spec.orders)):
+            raise ConfigurationError(
+                f"labeling token {token!r} has a digit at or above its factor's order "
+                f"in group {spec.name()}"
+            )
+        elements.append(element(spec, digits))
     return Labeling(spec, tuple(elements))
 
 
@@ -341,12 +352,11 @@ def cmd_witness(args) -> int:
 def cmd_stats(args) -> int:
     started = time.perf_counter()
     m = args.leaves
-    # the vertex cap is checked before any inequality system is built
+    # the vertex cap is checked before the rows are counted
     vs = generate_vertices(Z2Z2, m)
     pairs = [("command", "stats"), ("leaves", m), ("vertices", len(vs.points))]
     for model in ("kimura3", "kimura3-prime", "binary"):
-        count = len(model_system(model, m).inequalities)
-        pairs.append((model.replace("-", "_") + "_inequalities", count))
+        pairs.append((model.replace("-", "_") + "_inequalities", row_count(model, m)))
     outcome = "pass"
     # the hull has no cap of its own; stats applies the engine's cap to K(m) in R^(3m)
     if 3 * m > _dimension_cap(args.max_dim):

@@ -4,8 +4,9 @@ The converter is a double description run over the rationals (integer
 vectors after row scaling, so arithmetic never leaves Z). Both directions
 reduce to one cone computation:
 
-* vertices: homogenize a*x <= b as (-b, a).(x0, x) <= 0 plus the
-  structural row x0 >= 0; rays with x0 > 0 scale to vertices.
+* vertices: the rows a*x <= b of an InequalitySystem, homogenized as
+  (-b, a).(x0, x) <= 0 (its homogenized_rows), plus the structural row
+  x0 >= 0; rays with x0 > 0 scale to vertices.
 * hull: a valid inequality a*x <= b is a point (-b, a) of the cone
   {y : y.(1, v_i) <= 0}; extreme rays are facets, lineality is the
   affine hull.
@@ -314,13 +315,6 @@ class PolytopeDD:
     equations: tuple
     incidence: tuple
 
-    def homogenized_rows(self):
-        rows = [(-b,) + tuple(a) for a, b in self.facets]
-        for a, b in self.equations:
-            rows.append((-b,) + tuple(a))
-            rows.append((b,) + tuple(-x for x in a))
-        return rows
-
 
 @dataclass(frozen=True)
 class FVector:
@@ -363,28 +357,21 @@ def check_dimension(d, max_dim=None) -> None:
         )
 
 
-def _source_rows(source):
-    if hasattr(source, "homogenized_rows"):
-        return list(source.homogenized_rows())
-    raise DimensionError(f"cannot read inequalities from {type(source).__name__}")
+def vertices_from_inequalities(system, max_dim=None) -> VertexSet:
+    """Exact vertex enumeration of a bounded InequalitySystem.
 
-
-def vertices_from_inequalities(source, max_dim=None) -> VertexSet:
-    """Exact vertex enumeration of a bounded inequality system.
-
-    source is an InequalitySystem or PolytopeDD. The dimension cap defaults
-    to 12 and is overridden by max_dim or the CLAWPOLY_MAX_DIM environment
-    variable. The run logs its progress per inserted row and a summary of
-    the DD counts at INFO level.
+    The dimension cap defaults to 12 and is overridden by max_dim or the
+    CLAWPOLY_MAX_DIM environment variable. The run logs its progress per
+    inserted row and a summary of the DD counts at INFO level.
     """
-    d = source.dimension
+    d = system.dimension
     check_dimension(d, max_dim)
-    rows = [_scale_row_to_int(r) for r in _source_rows(source)]
+    rows = system.homogenized_rows()
     # deterministic insertion order: sort by the (b, -a) file representation
     rows.sort(key=lambda r: tuple(-x for x in r))
     structural = tuple([-1] + [0] * d)
     rows.insert(0, structural)
-    label = f"vertices[{getattr(source, 'model', '')} d={d}]"
+    label = f"vertices[{system.model} d={d}]"
     lines, rays = _dd_cone(rows, d + 1, label)
     points = []
     recession = False
@@ -398,8 +385,7 @@ def vertices_from_inequalities(source, max_dim=None) -> VertexSet:
     if recession or lines:
         raise UnboundedError("polyhedron is unbounded; vertex set is not complete")
     points = sorted(set(points))
-    shape = getattr(source, "shape", (d,))
-    return VertexSet(dimension=d, shape=shape, points=tuple(points))
+    return VertexSet(dimension=d, shape=system.shape, points=tuple(points))
 
 
 def _canonical_equation(a, b):

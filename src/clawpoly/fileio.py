@@ -12,11 +12,12 @@ polyhedral tools can audit the output:
 
 Every number is an integer or p/q; vertex rows carry the leading 1 marker
 (rays and a V-file "linearity" line are rejected: these polytopes are
-bounded). H-file rows encode a . x <= b as "b -a1 ... -ad"; equations,
-when present, are listed in a cdd "linearity" line by row index. The
-record format used by reports is one record per line of space-separated
-key=value pairs whose values never contain spaces (sequences are comma-
-and semicolon-joined).
+bounded). H-files are written for an InequalitySystem, one line
+"b -a1 ... -ad" per row a . x <= b; a system holds an equation as two
+opposite rows, so an H-file has no "linearity" line. The record format
+used by reports is one record per line of space-separated key=value pairs
+whose values never contain spaces (sequences are comma- and
+semicolon-joined).
 """
 
 from __future__ import annotations
@@ -122,32 +123,15 @@ def parse_vfile(text: str) -> VertexSet:
     return VertexSet(dimension=ncols - 1, shape=shape or (ncols - 1,), points=tuple(points))
 
 
-def format_hfile(source) -> str:
-    """H-file for an InequalitySystem or PolytopeDD (facets + linearity)."""
-    rows = []
-    linearity = []
-    shape = getattr(source, "shape", None)
-    if hasattr(source, "inequalities"):
-        for q in source.inequalities:
-            rows.append((tuple(q.coeffs), q.rhs))
-    else:
-        rows.extend(source.facets)
-        for a, b in source.equations:
-            linearity.append(len(rows) + 1)
-            rows.append((a, b))
-        if shape is None:
-            shape = (source.dimension,)
-    d = len(rows[0][0]) if rows else source.dimension
-    lines = []
-    comment = _shape_comment(shape) if shape else None
-    if comment:
-        lines.append(comment)
-    lines.append("H-representation")
-    if linearity:
-        lines.append("linearity " + " ".join(str(i) for i in [len(linearity)] + linearity))
-    lines.append("begin")
-    lines.append(f" {len(rows)} {d + 1} rational")
-    for a, b in rows:
+def format_hfile(system) -> str:
+    """H-file of an InequalitySystem, its rows in id order."""
+    lines = [
+        _shape_comment(system.shape),
+        "H-representation",
+        "begin",
+        f" {len(system.rows)} {system.dimension + 1} rational",
+    ]
+    for a, b in system.rows:
         lines.append(" " + " ".join(fmt(x) for x in (b, *(-c for c in a))))
     lines.append("end")
     return "\n".join(lines) + "\n"

@@ -12,9 +12,14 @@ Three builders, all over exact integer coefficients in {-1, 0, 1}:
   columns) and one per single column (odd subsets of the three rows). Box
   bounds are implied and not materialized.
 
-Every inequality is stored moved to one side, a.x <= b. Identifiers are
-densely assigned in a fixed family order, so identical builder calls are
-byte-for-byte reproducible.
+Every system is one InequalitySystem, the package's only H-representation
+(the engine's vertex enumeration and the H-file writer read it): integer
+rows (a, b) meaning a.x <= b, and a tag naming each row's family. A row's
+id is its position, and rows come in a fixed family order, so identical
+builder calls are byte-for-byte reproducible and an odd-subset row's id
+follows from its tag alone (arow_id). Each odd-subset row is one +-1
+pattern over the subset's ground set (+1 on A, -1 off it), placed in the
+rows or the column it applies to.
 """
 
 from __future__ import annotations
@@ -108,41 +113,6 @@ class BColumn:
 
 
 @dataclass(frozen=True)
-class LinearInequality:
-    """a.x <= rhs with the coefficient vector stored densely.
-
-    pos/neg hold the indices with coefficient +1 / -1; all builders emit
-    coefficients in {-1, 0, 1}, which keeps evaluation to pure additions.
-    """
-
-    id: int
-    family: object
-    coeffs: tuple[int, ...]
-    rhs: int
-    pos: tuple[int, ...]
-    neg: tuple[int, ...]
-
-    def value(self, flat) -> Rational:
-        """a.x; on integer numerators it stays on ints."""
-        get = flat.__getitem__
-        return sum(map(get, self.pos)) - sum(map(get, self.neg))
-
-    def describe(self) -> str:
-        return f"id={self.id} {self.family.describe()} rhs={self.rhs}"
-
-
-def _make_ineq(idx: int, family, dim: int, pos, neg, rhs: int) -> LinearInequality:
-    pos = tuple(sorted(pos))
-    neg = tuple(sorted(neg))
-    coeffs = [0] * dim
-    for i in pos:
-        coeffs[i] = 1
-    for i in neg:
-        coeffs[i] = -1
-    return LinearInequality(idx, family, tuple(coeffs), rhs, pos, neg)
-
-
-@dataclass(frozen=True)
 class MembershipResult:
     status: str  # "inside" | "boundary" | "outside"
     violated: tuple[int, ...]
@@ -152,13 +122,7 @@ class MembershipResult:
 @dataclass(frozen=True)
 class TightSet:
     ids: tuple[int, ...]
-    by_family: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def family(self, kind: str) -> tuple[int, ...]:
-        for name, ids in self.by_family:
-            if name == kind:
-                return ids
-        return ()
+    by_kind: tuple[tuple[str, tuple[int, ...]], ...]
 
 
 class BinaryChecks(NamedTuple):
@@ -173,15 +137,21 @@ class BinaryChecks(NamedTuple):
 
 
 class InequalitySystem:
-    """Immutable ordered list of inequalities over a fixed flattened shape."""
+    """The H-representation: rows[i] = (a, b) means a.x <= b, with a an
+    integer tuple over the flattened shape and b an integer; row i has id i
+    and family tag families[i]. An equation is written as two opposite rows.
+    """
 
-    def __init__(self, model: str, shape: tuple[int, int], inequalities):
+    def __init__(self, model: str, shape: tuple[int, int], rows, families):
         self.model = model
         self.shape = shape
         self.dimension = shape[0] * shape[1]
-        self.inequalities = tuple(inequalities)
-        self._by_family = {ineq.family: ineq for ineq in self.inequalities}
-        self._ids = tuple(ineq.id for ineq in self.inequalities)
+        self.rows = tuple((tuple(a), b) for a, b in rows)
+        self.families = tuple(families)
+        if any(len(a) != self.dimension for a, _ in self.rows):
+            raise DimensionError(f"a row's length is not the system dimension {self.dimension}")
+        if len(self.families) != len(self.rows):
+            raise DimensionError(f"{len(self.families)} family tags for {len(self.rows)} rows")
         # membership lanes by width, for the few widths used last: points with
         # ever longer numerators would otherwise keep one packing per width
         self._membership_lanes = lru_cache(maxsize=8)(self._pack_membership_lanes)
@@ -191,43 +161,41 @@ class InequalitySystem:
         """The 0/1 checks as W-bit lanes of one int, packed on first use:
         lane j of ``base`` plus ``delta[i]`` for each coordinate i set holds
         a_j.x + 2^(W-1) - rhs_j - 1, whose top bit is set iff a_j.x > rhs_j.
-        W - 1 is the bit length of the largest rhs_j + 1 + |neg_j| or
-        |pos_j| - rhs_j, so every partial sum stays in [0, 2^W) and no carry
-        crosses lanes. ``neg_suffix[k]`` counts each lane's -1 coefficients
-        at coordinates k and above. Rows no 0/1 point violates get no lane.
-        Each lane int is packed in one pass by ``lanes.pack_lanes``; pos and
-        neg each from one column of the coefficient matrix.
+        With up_j / down_j the sums of row j's positive coefficients and of
+        its negative ones' magnitudes, W - 1 is the bit length of the
+        largest rhs_j + 1 + down_j or up_j - rhs_j, so every partial sum
+        stays in [0, 2^W) and no carry crosses lanes. ``neg_suffix[k]``
+        holds each lane's down sum over coordinates k and above. Rows no
+        0/1 point violates (up_j <= rhs_j) get no lane. Each lane int is
+        packed in one pass by ``lanes.pack_lanes``; pos and neg each from
+        one column of the coefficient matrix.
         """
-        checks = [ineq for ineq in self.inequalities if len(ineq.pos) > ineq.rhs]
-        reach = max(
-            (max(q.rhs + 1 + len(q.neg), len(q.pos) - q.rhs) for q in checks), default=0
-        )
+        ids, checks = [], []  # checks: (a, b, up, down)
+        for k, (a, b) in enumerate(self.rows):
+            up = sum(filter((0).__lt__, a))
+            if up > b:
+                ids.append(k)
+                checks.append((a, b, up, -sum(filter((0).__gt__, a))))
+        reach = max((max(b + 1 + down, up - b) for _, b, up, down in checks), default=0)
         width = reach.bit_length() + 1
         half = 1 << (width - 1)
-        cols = list(zip(*(q.coeffs for q in checks))) or [()] * self.dimension
-        # coefficients are in {-1, 0, 1}: lane j of pos[i] / neg[i] is 1 iff a_j[i] is 1 / -1
-        pos = [pack_lanes(list(map((1).__eq__, col)), width) for col in cols]
-        neg = [pack_lanes(list(map((-1).__eq__, col)), width) for col in cols]
+        cols = list(zip(*(a for a, *_ in checks))) or [()] * self.dimension
+        pos = [pack_lanes([c if c > 0 else 0 for c in col], width) for col in cols]
+        neg = [pack_lanes([-c if c < 0 else 0 for c in col], width) for col in cols]
         suffix = [0] * (self.dimension + 1)
         for k in range(self.dimension - 1, -1, -1):
             suffix[k] = suffix[k + 1] + neg[k]
         return BinaryChecks(
             width,
-            tuple(q.id for q in checks),
-            pack_lanes([half - q.rhs - 1 for q in checks], width),
+            tuple(ids),
+            pack_lanes([half - b - 1 for _, b, *_ in checks], width),
             pack_lanes([half] * len(checks), width),
             tuple(p - n for p, n in zip(pos, neg)),
             tuple(suffix),
         )
 
     def __len__(self) -> int:
-        return len(self.inequalities)
-
-    def by_family(self, family) -> LinearInequality:
-        try:
-            return self._by_family[family]
-        except KeyError:
-            raise KeyError(f"no inequality tagged {family!r} in model {self.model}") from None
+        return len(self.rows)
 
     def flatten(self, point) -> tuple[Rational, ...]:
         if isinstance(point, Matrix):
@@ -262,12 +230,11 @@ class InequalitySystem:
         else:
             nums, den = scale_to_ints(self.flatten(point))
         acc, width = self._evaluate(nums, den)
-        count = len(self.inequalities)
+        count = len(self.rows)
         at_least = lane_tops(acc, count, width)
         above = lane_tops(acc - self._membership_lanes(width)[0], count, width)
-        ids = self._ids
-        violated = tuple(ids[k] for k in bits(above))
-        tight = tuple(ids[k] for k in bits(at_least ^ above))
+        violated = tuple(bits(above))
+        tight = tuple(bits(at_least ^ above))
         if violated:
             status = "outside"
         elif tight:
@@ -283,7 +250,7 @@ class InequalitySystem:
         acc, width = self._evaluate(nums, den)
         step = width >> 3
         half = 1 << (width - 1)
-        raw = acc.to_bytes(len(self.inequalities) * step, "little")
+        raw = acc.to_bytes(len(self.rows) * step, "little")
         return [int.from_bytes(raw[k:k + step], "little") - half
                 for k in range(0, len(raw), step)]
 
@@ -307,10 +274,9 @@ class InequalitySystem:
     @cached_property
     def _row_bounds(self) -> tuple[int, int]:
         """The largest 1-norm and the largest |rhs| of the rows."""
-        ineqs = self.inequalities
         return (
-            max((sum(map(abs, q.coeffs)) for q in ineqs), default=0),
-            max((abs(q.rhs) for q in ineqs), default=0),
+            max((sum(map(abs, a)) for a, _ in self.rows), default=0),
+            max((abs(b) for _, b in self.rows), default=0),
         )
 
     def _pack_membership_lanes(self, width: int):
@@ -318,15 +284,15 @@ class InequalitySystem:
         2^(W-1) in every lane, the right-hand sides, and per coordinate i
         the coefficients a_j[i]. The last two are signed sums of lanes, so
         only the lanes of a finished evaluation lie in [0, 2^W)."""
-        ineqs = self.inequalities
+        rows = self.rows
 
         def signed(values):
             return (pack_lanes([max(v, 0) for v in values], width)
                     - pack_lanes([max(-v, 0) for v in values], width))
 
-        ones = pack_lanes([1] * len(ineqs), width)
-        cols = [signed(col) for col in zip(*(q.coeffs for q in ineqs))]
-        return ones, ones << (width - 1), signed([q.rhs for q in ineqs]), cols
+        ones = pack_lanes([1] * len(rows), width)
+        cols = [signed(col) for col in zip(*(a for a, _ in rows))]
+        return ones, ones << (width - 1), signed([b for _, b in rows]), cols
 
     def tight_set(self, point) -> TightSet:
         """Tight inequality ids grouped by family kind; raises off the polytope."""
@@ -337,10 +303,9 @@ class InequalitySystem:
             )
         groups: dict[str, list[int]] = {}
         for i in result.tight:
-            kind = self.inequalities[i].family.kind
+            kind = self.families[i].kind
             groups.setdefault(kind, []).append(i)
-        by_family = tuple((kind, tuple(ids)) for kind, ids in groups.items())
-        return TightSet(result.tight, by_family)
+        return TightSet(result.tight, tuple((kind, tuple(ids)) for kind, ids in groups.items()))
 
     # -- 0/1 fast path --------------------------------------------------
 
@@ -363,28 +328,46 @@ class InequalitySystem:
 
     def homogenized_rows(self):
         """Rows (-b, a1..ad) describing the cone a.x - b*x0 <= 0."""
-        return [(-ineq.rhs,) + ineq.coeffs for ineq in self.inequalities]
+        return [(-b,) + a for a, b in self.rows]
 
 
 # --- builders ---------------------------------------------------------------
+
+# the row pairs of kimura3_system's odd-subset families, in row order
+ROW_PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
+@lru_cache(maxsize=None)
+def _patterns(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(pattern, |A| - 1) per odd subset A of {1..n}, in odd_subsets order:
+    the pattern is +1 at the positions of A and -1 off it."""
+    out = []
+    for sub in odd_subsets(n):
+        pattern = [-1] * n
+        for j in sub:
+            pattern[j - 1] = 1
+        out.append((tuple(pattern), len(sub) - 1))
+    return tuple(out)
+
+
+def _placed(dim: int, start: int, step: int, pattern) -> tuple[int, ...]:
+    """The row of dimension dim that holds pattern at start, start + step, ..."""
+    a = [0] * dim
+    a[start:start + step * len(pattern):step] = pattern
+    return tuple(a)
+
 
 @lru_cache(maxsize=None)
 def demihypercube_system(m: int) -> InequalitySystem:
     """Box bounds plus odd-subset rows on [0,1]^m; 2m + 2^(m-1) inequalities."""
     if m < 1:
         raise LeafCountError(f"m >= 1 required, got {m}")
-    ineqs = []
-    for i in range(1, m + 1):
-        ineqs.append(_make_ineq(len(ineqs), Box(i, upper=False), m, (), (i - 1,), 0))
-    for i in range(1, m + 1):
-        ineqs.append(_make_ineq(len(ineqs), Box(i, upper=True), m, (i - 1,), (), 1))
-    for sub in odd_subsets(m):
-        inside = [j - 1 for j in sub]
-        outside = [j - 1 for j in range(1, m + 1) if j not in sub]
-        ineqs.append(
-            _make_ineq(len(ineqs), ARow((1,), sub), m, inside, outside, len(sub) - 1)
-        )
-    return InequalitySystem("binary", (1, m), ineqs)
+    rows = [(_placed(m, i, m, (-1,)), 0) for i in range(m)]
+    rows += [(_placed(m, i, m, (1,)), 1) for i in range(m)]
+    rows += _patterns(m)
+    families = [Box(i, upper) for upper in (False, True) for i in range(1, m + 1)]
+    families += [ARow((1,), sub) for sub in odd_subsets(m)]
+    return InequalitySystem("binary", (1, m), rows, families)
 
 
 @lru_cache(maxsize=None)
@@ -396,29 +379,19 @@ def kimura3_system(m: int) -> InequalitySystem:
     if m < 3:
         raise LeafCountError(f"m >= 3 required, got {m}")
     dim = 3 * m
-    ineqs = []
-    for i in range(1, 4):
-        for j in range(1, m + 1):
-            ineqs.append(
-                _make_ineq(len(ineqs), NonNeg(i, j), dim, (), (flat_pos(i, j, m),), 0)
-            )
-    for j in range(1, m + 1):
-        pos = [flat_pos(i, j, m) for i in range(1, 4)]
-        ineqs.append(_make_ineq(len(ineqs), ColumnSimplex(j), dim, pos, (), 1))
+    rows = [(_placed(dim, k, dim, (-1,)), 0) for k in range(dim)]
+    rows += [(_placed(dim, j, m, (1, 1, 1)), 1) for j in range(m)]
+    families = [NonNeg(i, j) for i in range(1, 4) for j in range(1, m + 1)]
+    families += [ColumnSimplex(j) for j in range(1, m + 1)]
+    zero = (0,) * m
     subs = odd_subsets(m)
-    for pair in ((1, 2), (1, 3), (2, 3)):
-        for sub in subs:
-            pos = [flat_pos(r, j, m) for r in pair for j in sub]
-            neg = [
-                flat_pos(r, j, m)
-                for r in pair
-                for j in range(1, m + 1)
-                if j not in sub
-            ]
-            ineqs.append(
-                _make_ineq(len(ineqs), ARow(pair, sub), dim, pos, neg, len(sub) - 1)
-            )
-    return InequalitySystem("kimura3", (3, m), ineqs)
+    for pair in ROW_PAIRS:
+        rows += [
+            (sum((pattern if r in pair else zero for r in (1, 2, 3)), ()), k)
+            for pattern, k in _patterns(m)
+        ]
+        families += [ARow(pair, sub) for sub in subs]
+    return InequalitySystem("kimura3", (3, m), rows, families)
 
 
 @lru_cache(maxsize=None)
@@ -431,24 +404,15 @@ def kimura3_prime_system(m: int) -> InequalitySystem:
     if m < 3:
         raise LeafCountError(f"m >= 3 required, got {m}")
     dim = 3 * m
-    ineqs = []
-    subs = odd_subsets(m)
-    for r in range(1, 4):
-        for sub in subs:
-            pos = [flat_pos(r, j, m) for j in sub]
-            neg = [flat_pos(r, j, m) for j in range(1, m + 1) if j not in sub]
-            ineqs.append(
-                _make_ineq(len(ineqs), ARow((r,), sub), dim, pos, neg, len(sub) - 1)
-            )
-    row_subs = odd_subsets(3)
-    for j in range(1, m + 1):
-        for sub in row_subs:
-            pos = [flat_pos(i, j, m) for i in sub]
-            neg = [flat_pos(i, j, m) for i in range(1, 4) if i not in sub]
-            ineqs.append(
-                _make_ineq(len(ineqs), BColumn(sub, j), dim, pos, neg, len(sub) - 1)
-            )
-    return InequalitySystem("kimura3-prime", (3, m), ineqs)
+    rows = [
+        (_placed(dim, flat_pos(r, 1, m), 1, pattern), k)
+        for r in range(1, 4)
+        for pattern, k in _patterns(m)
+    ]
+    rows += [(_placed(dim, j, m, pattern), k) for j in range(m) for pattern, k in _patterns(3)]
+    families = [ARow((r,), sub) for r in range(1, 4) for sub in odd_subsets(m)]
+    families += [BColumn(sub, j) for j in range(1, m + 1) for sub in odd_subsets(3)]
+    return InequalitySystem("kimura3-prime", (3, m), rows, families)
 
 
 MODEL_BUILDERS = {
@@ -456,6 +420,28 @@ MODEL_BUILDERS = {
     "kimura3": kimura3_system,
     "kimura3-prime": kimura3_prime_system,
 }
+
+
+def odd_subset_rank(subset, n: int) -> int:
+    """Position of the odd subset A = (a_1 < ... < a_k) in odd_subsets(n).
+
+    The subsets before A in lexicographic order are its proper prefixes of
+    odd length, (k - 1) / 2 of them, and for each t the subsets that agree
+    with A before position t and hold some c with a_(t-1) < c < a_t there
+    (a_0 = 0), followed by any subset of {c+1..n} of the parity that keeps
+    the size odd: 2^(n-c-1) of them per c. Summed over c and t this is
+    2^(n-1) - 2^(n-a_k) - sum_(t<k) 2^(n-1-a_t).
+    """
+    *head, last = subset
+    before = sum(1 << (n - 1 - a) for a in head)
+    return (1 << (n - 1)) - (1 << (n - last)) - before + len(head) // 2
+
+
+def arow_id(m: int, pair: tuple[int, int], subset) -> int:
+    """The id of row ARow(pair, subset) of kimura3_system(m), from the
+    family order alone: 4m rows of nonnegativity and column simplex, then
+    2^(m-1) rows per row pair, in odd_subsets order."""
+    return 4 * m + ROW_PAIRS.index(pair) * (1 << (m - 1)) + odd_subset_rank(subset, m)
 
 
 def row_count(model: str, m: int) -> int:

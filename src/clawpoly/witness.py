@@ -39,9 +39,9 @@ from .errors import (
 )
 from .groups import Z2Z2, group_sum, identity
 from .halfspaces import (
-    ARow,
     InequalitySystem,
     MembershipResult,
+    arow_id,
     kimura3_prime_system,
     kimura3_system,
     odd_subsets,
@@ -142,6 +142,10 @@ def violation_witness(labeling: Labeling) -> ViolationWitness | None:
     value to |A| against the bound |A| - 1. When only the second residue
     is nonzero the symmetric construction uses the pair (2, 3).
     Returns None exactly when the labeling is consistent.
+
+    O(m): the row id comes from the family order (``halfspaces.arow_id``)
+    and the left-hand side from the labeling's matrix, column by column,
+    so no system is built.
     """
     if labeling.spec != Z2Z2:
         raise UnsupportedGroupError("violation witnesses are constructed for z2z2 only")
@@ -158,10 +162,16 @@ def violation_witness(labeling: Labeling) -> ViolationWitness | None:
             j + 1 for j, g in enumerate(labeling.elements) if g.residues[1] == 1
         )
         pair = (2, 3)
-    sys = kimura3_system(labeling.leaves)
-    ineq = sys.by_family(ARow(pair, subset))
-    flat = labeling_to_matrix(labeling).flatten()
-    return ViolationWitness(subset, pair, ineq.id, ineq.value(flat), ineq.rhs)
+    x = labeling_to_matrix(labeling)
+    inside = set(subset)
+    # the row is +1 at the columns of A and -1 off A, in both rows of the pair
+    lhs = sum(
+        (1 if j in inside else -1) * (x.entry(pair[0], j) + x.entry(pair[1], j))
+        for j in range(1, labeling.leaves + 1)
+    )
+    return ViolationWitness(
+        subset, pair, arow_id(labeling.leaves, pair, subset), lhs, len(subset) - 1
+    )
 
 
 # --- line-level helpers ------------------------------------------------------

@@ -7,6 +7,8 @@ stability is itself the requirement.
 
 import time
 
+from conftest import hull_system
+
 from clawpoly.engine import (
     enumerate_integral_points,
     equal_polytopes,
@@ -114,9 +116,11 @@ def test_criterion_9_hull_facets_match_inequality_system(hull_k3, k3):
     assert hull_rows <= model_rows, "hull produced a row outside the system"
     assert len(hull_k3.facets) == 24
     assert hull_rows == model_rows
-    # byte-identical report across independent engine runs
+    # byte-identical report across independent engine runs: K(3) is
+    # full-dimensional, so the H-file holds the facets alone
+    assert hull_k3.equations == ()
     fresh = hull_from_vertices(generate_vertices(Z2Z2, 3))
-    assert format_hfile(fresh) == format_hfile(hull_k3)
+    assert format_hfile(hull_system(fresh)) == format_hfile(hull_system(hull_k3))
 
 
 def test_f_vector_m3_is_deterministic(hull_k3):

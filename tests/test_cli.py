@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import time
 from fractions import Fraction
 
 import pytest
@@ -416,6 +417,38 @@ def test_witness_violation_bad_token(capsys):
     assert main(["witness", "violation", "--labeling", "2,00,00"]) == 2
 
 
+@pytest.mark.parametrize("labeling", ["1\u00b2,00,00", "1\u0663,00,00"])
+def test_witness_violation_non_ascii_digit(labeling, capsys):
+    # superscript two (int() raised on it) and Arabic-Indic three (read as 3)
+    assert main(["witness", "violation", "--labeling", labeling]) == 2
+    assert "is not 2 digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group, labeling", [
+    ("z2z2", "20,00,00"),  # was read as 00,00,00: consistent=true
+    ("z2z2", "30,00,00"),  # was read as 10,00,00
+    ("z3xz4", "04,00,00"),
+])
+def test_witness_violation_digit_at_or_above_order(group, labeling, capsys):
+    assert main(["witness", "violation", "--group", group, "--labeling", labeling]) == 2
+    captured = capsys.readouterr()
+    assert "at or above its factor's order" in captured.err
+    assert captured.out == ""
+
+
+def test_witness_violation_40_leaves_builds_no_system(monkeypatch, capsys):
+    # the last row of kimura3_system(40), which has 4*40 + 3*2^39 rows
+    monkeypatch.setattr("clawpoly.witness.kimura3_system", None)
+    labeling = ",".join(["10"] + ["00"] * 38 + ["11"])
+    started = time.perf_counter()
+    assert main(["witness", "violation", "--labeling", labeling]) == 0
+    assert time.perf_counter() - started < 1
+    rec = last_record(capsys)
+    assert (rec["subset"], rec["row_pair"]) == ("40", "2,3")
+    assert rec["inequality"] == str(4 * 40 + 3 * 2 ** 39 - 1)
+    assert (rec["lhs"], rec["rhs"]) == ("1", "0")
+
+
 def test_witness_interior(tmp_path, capsys):
     vs = VertexSet(
         dimension=9, shape=(3, 3), points=((H, H, 0, H, H, 0, 0, 0, 0),)
@@ -490,11 +523,20 @@ def test_stats_f_vector_only_m3(capsys):
 
 
 def test_stats_vertex_cap_exits_before_any_system(monkeypatch, capsys):
-    built = []
-    monkeypatch.setattr(cli, "model_system", lambda model, m: built.append(model))
+    counted = []
+    monkeypatch.setattr(cli, "row_count", lambda model, m: counted.append(model))
     assert main(["stats", "--leaves", "15"]) == 3
     assert "generation cap" in capsys.readouterr().err
-    assert built == []
+    assert counted == []
+
+
+def test_stats_counts_rows_without_building_systems(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "model_system", None)
+    monkeypatch.setattr(halfspaces, "MODEL_BUILDERS", {})
+    assert main(["stats", "--leaves", "4", "--max-dim", "1"]) == 0
+    rec = last_record(capsys)
+    assert (rec["kimura3_inequalities"], rec["kimura3_prime_inequalities"],
+            rec["binary_inequalities"]) == ("40", "40", "16")
 
 
 def test_stats_out_file_has_no_wall(tmp_path, capsys):
@@ -860,3 +902,112 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_cli_golden(name, tmp_path, monkeypatch, capsys):
     assert _golden_run(name, tmp_path, monkeypatch, capsys) == GOLDEN[name]
+
+
+# --- hrep pins ---------------------------------------------------------------------
+# The sha256 of every hrep artifact for m = 3..8, per model, in the order
+# cdd-ine, records, json.
+
+HREP_PINS = {
+    ("binary", 3): (
+        "7b30af06c1917ea1306a238d93be6b770a91bcc394baef6d24240e3b18c770bb",
+        "066798840424211436777a2bc5a16ddcaf7e826542ccf8b114f80f29136f57cc",
+        "5c6b12a9edcdb3f2d51278b5f4c05e5e55034526f9739f57e58481a0a8d22df7",
+    ),
+    ("binary", 4): (
+        "28584905f97c02a056f37dd8526d5bc12fc78480213c0d9e4e92f6760fbece19",
+        "e0bab644e02de6b819ce93ad1b87b13a0c9eba4aeb535e43895ca0415d5e56f4",
+        "361b5c12d94c8c0df372101670d6d1fab05100390a2b859d0fcce3872a5f6c94",
+    ),
+    ("binary", 5): (
+        "d9a28205aee2b173bbc554749de2a9a0b73634088c99dc6aed47d53ecde60d1c",
+        "de4df5aa2bd42d492acbd64f21cdd70bef7a806eb046c560ce242e55f838856a",
+        "cde4714f76a69d97f93722cbafc747b527e3685a07d50311438f3c3a2364b0ba",
+    ),
+    ("binary", 6): (
+        "2dc366a98727a8d383f6c528b25a4265c89f3afece3762ffb7105f433e3f46ea",
+        "11d0c1d4ed0ade9f8f573bf840f91219a476527e003e7892fac91e01122c8c60",
+        "4598d025ac8a50c60018a9767012dbcba981008350059ce54c4273da383f85cc",
+    ),
+    ("binary", 7): (
+        "71e87d217b8323954ede3a05a7b66078991274c763c8a15c3fb60f3ad6ed6ffe",
+        "39fd5e896e0f77c4098afb6acc9e894aee7084f189600cdd03b1bc394e34027c",
+        "da371aabe5310971a43cf1b643f5768727017f7f40f3f30115ebb57ba32f8b5d",
+    ),
+    ("binary", 8): (
+        "5fccd59796f6e45f8e96da33e53afbf80e89387933427976c0c634e488e8b9c7",
+        "00a5abb97e1c95aeabce1a7ad2845c08bc98f1973244d0412fe18c50cda4bd44",
+        "9ecf67787bfc0e05d4d8479bdd294e54d546db926c91c90de4a1c36995894676",
+    ),
+    ("kimura3", 3): (
+        "9b01fc54ba324a337637cb62d1a5665071a46db27b0aa38d8f0b9eb94229580d",
+        "bb79ebe9451c0d308065975a0c64e45d920e30f212ca8cf291ad2782f9afa5a0",
+        "3d3cbd83cc26970e4bc8f2e41e7f8877adb25c548ba550503a69da8e3c49c2c1",
+    ),
+    ("kimura3", 4): (
+        "5f7269636ab360875da3aa45d2ae3b4664c2fb1c9d63a06bededfd309492a9ca",
+        "ff6a9cfa38718fe356ed7732184a6a04a10d3241d659b3c946a519cb1dbb6b6c",
+        "32b2cdb9195edc5f10fc81af332dfafc1738aaec82a033b401272abd4421f56d",
+    ),
+    ("kimura3", 5): (
+        "6f366f734f0eac4d0e8b79b65c8212e29fcd109ffbfbd739062417ebc1e4f624",
+        "31721d321015b4ef75031870c29789e3c96dd23d70d0b70e097247e3b423c427",
+        "20f2cd5867404e9ae98a8775bf4502b8eec5c90f7a3a9b7ce4a3900c7d9c05bc",
+    ),
+    ("kimura3", 6): (
+        "27a4801a27b70e474719194fe5f1fbf188c8cebe2d3548d326a9451a8e78f077",
+        "77310509f81b8994ec926d9de477f1861247a9fd26f75b62e744ca1227c90c47",
+        "2c157134336272e0bf71d73f8734d6dc1cebc15bf77cc6bbc2f7ee290a0d839d",
+    ),
+    ("kimura3", 7): (
+        "841521110e8d04c7694a779c6ed17e1339498845c06e913f3728be8f2359bb4a",
+        "4791c781f0bb0cf6cf587f0a1250a6945cf80b2396fcc05f4d4c4eb2f34f6737",
+        "73169d4257b376462bb89bad9fbd47871078b6cdb74fc7934a77ec8282a25776",
+    ),
+    ("kimura3", 8): (
+        "632c0517cb43f27d91b822614db28f695bd161393ea2337f88d889ccf45a27f5",
+        "bd34c66e1108a1d9fdb7b5bb1796242067eb54feb0e1cfddd090dc1ef954390d",
+        "9170d51bbb1c9fb2e357d24e1dffa5c3f2235951f9aecfeae7d578511d1d1a90",
+    ),
+    ("kimura3-prime", 3): (
+        "a1cc5349452dbee4ab9370f340ec274f24170786ed0b40264c2825aa1ee15875",
+        "fc766d6e21fe54131c1ef235167c123f05d21ce6349cb683fb2b7c92d9db2d04",
+        "bcb9656a8f8a83157708b4f27dee5ea34b1de273f01473e274e9f5fc07e3a465",
+    ),
+    ("kimura3-prime", 4): (
+        "ca2fdda5fee0938ea4221470b0bcc1328cb4f069efff19a0840e4080e005f84a",
+        "a6d4a6feb80541426d26827cd0ea8be70b2241f12ba6952d6785f094b5e75503",
+        "b8ee051d1859250df970b9b8843a5da7936953dda7d7d2b02bc5e0ea8e6dff53",
+    ),
+    ("kimura3-prime", 5): (
+        "c7c38d8c0fdc9bb1757ede054b9562321b5bbd5a60524a88a193d55cc5388221",
+        "f77e51202aa6759fe441a158db72e689afd535b7f0ff84b337c1476807deb093",
+        "734d7728083b12a1722aa2fc6a4212e2b5eee7b4ba14ff91ab556aacb5149bcf",
+    ),
+    ("kimura3-prime", 6): (
+        "6155ce929895c1453054916f00b1a7df3a1db25caa17ab66502031485091857f",
+        "e3b1b2a8fe57b803835bebe5a480b77fbed1bea1daf9d5fcd3186160c642d52d",
+        "4519ba35d7238ab80b148489c7c7fb4640ce41c699c1eb5f5f1246d83cd62e3d",
+    ),
+    ("kimura3-prime", 7): (
+        "cb92698d25fa5c444add734bcfe9084b2c9cbf0eed33460f4812146a1239dffb",
+        "1e878ef8e101d212845493fc5cf6d5cb0e9bac76cac3728341b90357e78d64e9",
+        "55c2d40267463fc20e10eb8952aea59b89359607d528aa663bba265f94e7d142",
+    ),
+    ("kimura3-prime", 8): (
+        "fdb08092226552fd9016e13853606b1972944092be636193383e15c215ef68de",
+        "ba5b37c27dbddeef4e511f4ff9bdd93a5846a1b64e742434ef576f230b55550d",
+        "4c7ab096f7c0e32d14f018d02f1ca71761d60938689540c50091021cfb252682",
+    ),
+}
+
+
+@pytest.mark.parametrize("model, m", sorted(HREP_PINS))
+def test_hrep_pinned(model, m, tmp_path, capsys):
+    digests = []
+    for fmt in ("cdd-ine", "records", "json"):
+        out = f"h.{fmt}"
+        assert main(["hrep", "--model", model, "--leaves", str(m), "--format", fmt,
+                     "--out", out]) == 0
+        digests.append(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest())
+    assert tuple(digests) == HREP_PINS[model, m]

@@ -1,12 +1,12 @@
 import logging
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
 import pytest
+from conftest import hull_system, system_from_rows
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,25 +27,14 @@ from clawpoly.errors import (
     UnboundedError,
 )
 from clawpoly.groups import Z2Z2
-from clawpoly.halfspaces import (
-    InequalitySystem,
-    _make_ineq,
-    demihypercube_system,
-    kimura3_system,
-)
+from clawpoly.halfspaces import demihypercube_system, kimura3_system
 from clawpoly.linalg import affine_rank, kernel_vector, matrix_rank
 from clawpoly.vertices import generate_vertices
 
 
-class RowSource:
-    """Minimal inequality source: homogenized rows (-b, a1..ad)."""
-
-    def __init__(self, dimension, rows):
-        self.dimension = dimension
-        self._rows = rows
-
-    def homogenized_rows(self):
-        return list(self._rows)
+def cone_rows_system(d, rows):
+    """The system of homogenized rows (-b, a1..ad)."""
+    return system_from_rows(d, [(r[1:], -r[0]) for r in rows])
 
 
 # --- hull on hand-built inputs -------------------------------------------------
@@ -184,7 +173,7 @@ def test_hull_matches_oracles(data):
         for vi, v in enumerate(poly.vertices):
             assert (mask >> vi & 1) == (_dot(a, v) == b)
         assert mask >> len(poly.vertices) == 0
-    assert vertices_from_inequalities(poly).points == poly.vertices
+    assert vertices_from_inequalities(hull_system(poly)).points == poly.vertices
 
 
 def _summaries(caplog):
@@ -257,7 +246,7 @@ def test_hull_exact_under_wide_coordinates(data):
     ))
     # the map is increasing in every coordinate, so vertex order is kept
     assert poly.vertices == tuple(move(v) for v in base.vertices)
-    assert vertices_from_inequalities(poly).points == poly.vertices
+    assert vertices_from_inequalities(hull_system(poly)).points == poly.vertices
 
 
 def test_lane_rebuilds_logged_and_exact(caplog):
@@ -280,7 +269,7 @@ def test_lane_rebuilds_logged_and_exact(caplog):
     assert width > 8 and renumbers >= 2 and widens >= 2
     assert set(poly.facets) == _brute_force_facets(sorted(set(pts)), 4)
     assert list(poly.vertices) == _rank_rule_vertices(poly, sorted(set(pts)))
-    assert vertices_from_inequalities(poly).points == poly.vertices
+    assert vertices_from_inequalities(hull_system(poly)).points == poly.vertices
 
 
 def test_widening_renumbers_first(caplog):
@@ -351,7 +340,7 @@ def _brute_force_vertices(d, rows):
 def test_vertices_match_brute_force_on_wide_systems(data):
     d, rows = data
     expected = _brute_force_vertices(d, rows)
-    source = RowSource(d, [(-b,) + a for a, b in rows])
+    source = system_from_rows(d, rows)
     if not expected:
         with pytest.raises(InfeasibleError):
             vertices_from_inequalities(source)
@@ -362,7 +351,7 @@ def test_vertices_match_brute_force_on_wide_systems(data):
 def test_square_vertices():
     # 0 <= x,y <= 1 as homogenized rows (-b, a)
     rows = [(0, -1, 0), (0, 0, -1), (-1, 1, 0), (-1, 0, 1)]
-    vs = vertices_from_inequalities(RowSource(2, rows))
+    vs = vertices_from_inequalities(cone_rows_system(2, rows))
     assert vs.points == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -370,38 +359,38 @@ def test_infeasible_system():
     # x <= -1 and -x <= 0
     rows = [(1, 1), (0, -1)]
     with pytest.raises(InfeasibleError):
-        vertices_from_inequalities(RowSource(1, rows))
+        vertices_from_inequalities(cone_rows_system(1, rows))
 
 
 def test_unbounded_system():
     # only x >= 0
     rows = [(0, -1)]
     with pytest.raises(UnboundedError):
-        vertices_from_inequalities(RowSource(1, rows))
+        vertices_from_inequalities(cone_rows_system(1, rows))
 
 
 def test_dimension_cap():
     rows = [(0, -1, 0), (0, 0, -1), (1, 1, 0), (1, 0, 1)]
     with pytest.raises(ResourceCapError):
-        vertices_from_inequalities(RowSource(2, rows), max_dim=1)
+        vertices_from_inequalities(cone_rows_system(2, rows), max_dim=1)
 
 
 def test_cap_env_override(monkeypatch):
     rows = [(0, -1), (-1, 1)]
     monkeypatch.setenv("CLAWPOLY_MAX_DIM", "0")
     with pytest.raises(ResourceCapError):
-        vertices_from_inequalities(RowSource(1, rows))
+        vertices_from_inequalities(cone_rows_system(1, rows))
     monkeypatch.setenv("CLAWPOLY_MAX_DIM", "junk")
     with pytest.raises(ResourceCapError):
-        vertices_from_inequalities(RowSource(1, rows))
+        vertices_from_inequalities(cone_rows_system(1, rows))
     monkeypatch.setenv("CLAWPOLY_MAX_DIM", "1")
-    assert vertices_from_inequalities(RowSource(1, rows)).points == ((0,), (1,))
+    assert vertices_from_inequalities(cone_rows_system(1, rows)).points == ((0,), (1,))
 
 
 def test_rational_vertex_coordinates():
     # x >= 0, y >= 0, 2x + 3y <= 1
     rows = [(0, -1, 0), (0, 0, -1), (-1, 2, 3)]
-    vs = vertices_from_inequalities(RowSource(2, rows))
+    vs = vertices_from_inequalities(cone_rows_system(2, rows))
     assert vs.points == (
         (0, 0),
         (0, Fraction(1, 3)),
@@ -505,16 +494,6 @@ def test_integral_point_search_logged(caplog):
     ]
 
 
-@dataclass(frozen=True)
-class _Row:
-    index: int
-
-    kind = "row"
-
-    def describe(self) -> str:
-        return f"family=row index={self.index}"
-
-
 @st.composite
 def small_systems(draw):
     """Random systems in d <= 10 with coefficients in {-1, 0, 1}, rhs in -2..d.
@@ -530,32 +509,16 @@ def small_systems(draw):
     rows = draw(st.lists(row, max_size=12))
     if rows:
         rows = draw(st.permutations(rows + draw(st.lists(st.sampled_from(rows), max_size=3))))
-    return _system(d, rows)
-
-
-def _system(d, rows):
-    """An InequalitySystem from (coefficients, rhs) pairs, ids in list order."""
-    ineqs = [
-        _make_ineq(
-            idx,
-            _Row(idx),
-            d,
-            [i for i, c in enumerate(cs) if c == 1],
-            [i for i, c in enumerate(cs) if c == -1],
-            rhs,
-        )
-        for idx, (cs, rhs) in enumerate(rows)
-    ]
-    return InequalitySystem("random", (1, d), ineqs)
+    return system_from_rows(d, rows)
 
 
 def _first_violated_reference(system, mask):
     """First violated id by one popcount pair per inequality, in id order."""
-    for q in system.inequalities:
-        pos = sum(1 << i for i in q.pos)
-        neg = sum(1 << i for i in q.neg)
-        if (mask & pos).bit_count() - (mask & neg).bit_count() > q.rhs:
-            return q.id
+    for k, (a, b) in enumerate(system.rows):
+        pos = sum(1 << i for i, c in enumerate(a) if c == 1)
+        neg = sum(1 << i for i, c in enumerate(a) if c == -1)
+        if (mask & pos).bit_count() - (mask & neg).bit_count() > b:
+            return k
     return None
 
 
@@ -563,7 +526,7 @@ def _first_violated_reference(system, mask):
 @given(small_systems())
 @example(
     # never violated, negative rhs, empty pos, a duplicate row
-    _system(4, [((1, 1, 0, 0), 2), ((0, -1, 1, -1), 0), ((1, 0, -1, 1), -1),
+    system_from_rows(4, [((1, 1, 0, 0), 2), ((0, -1, 1, -1), 0), ((1, 0, -1, 1), -1),
                 ((0, -1, 0, -1), -2), ((1, 0, -1, 1), -1), ((1, 1, 1, 0), 1)])
 )
 def test_binary_checks_match_brute_force(system):
@@ -576,6 +539,31 @@ def test_binary_checks_match_brute_force(system):
     assert enumerate_integral_points(system) == [
         p for p in points if system.membership(p).status != "outside"
     ]
+
+
+@st.composite
+def integer_coefficient_systems(draw):
+    """Random systems in d <= 8 with coefficients in -3..3, rhs in -4..8."""
+    d = draw(st.integers(min_value=1, max_value=8))
+    row = st.tuples(st.tuples(*[st.integers(-3, 3)] * d), st.integers(-4, 8))
+    return system_from_rows(d, draw(st.lists(row, max_size=10)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(integer_coefficient_systems())
+# 2x <= 1 cuts off x = 1, though the row has no coefficient +1
+@example(system_from_rows(1, [((2,), 1)]))
+def test_binary_checks_exact_on_integer_coefficients(system):
+    d = system.dimension
+    points = [tuple((mask >> i) & 1 for i in range(d)) for mask in range(1 << d)]
+    first_violated = [
+        next((k for k, (a, b) in enumerate(system.rows) if _dot(a, p) > b), None)
+        for p in points
+    ]
+    assert [system.binary_violation(mask) for mask in range(1 << d)] == first_violated
+    assert enumerate_integral_points(system) == sorted(
+        p for p, k in zip(points, first_violated) if k is None
+    )
 
 
 def test_integral_points_demihypercube():

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import parse_record
+from conftest import hull_system, parse_record
 
 from clawpoly.engine import hull_from_vertices
 from clawpoly.errors import FileFormatError
@@ -128,7 +128,7 @@ def test_hfile_rows_encode_negated_coefficients():
     dh = demihypercube_system(3)
     rows = format_hfile(dh).splitlines()[3:-1]
     assert rows[0] == " 10 4 rational"
-    pairs = {(tuple(q.coeffs), q.rhs) for q in dh.inequalities}
+    pairs = set(dh.rows)
     written = set()
     for row in rows[1:]:
         b, *nega = (int(x) for x in row.split())
@@ -136,18 +136,18 @@ def test_hfile_rows_encode_negated_coefficients():
     assert written == pairs
 
 
-def test_hfile_linearity_layout():
-    # the segment's hull: its two end facets, then the equation x1 - x2 = 0 as row 3
-    text = format_hfile(hull_from_vertices([(0, 0), (2, 2)]))
+def test_hfile_writes_an_equation_as_two_rows():
+    # the segment's hull: its two end facets, then x1 - x2 = 0 as two opposite rows
+    text = format_hfile(hull_system(hull_from_vertices([(0, 0), (2, 2)])))
     assert text.splitlines() == [
         "* order=row-major rows=1 cols=2",
         "H-representation",
-        "linearity 1 3",
         "begin",
-        " 3 3 rational",
+        " 4 3 rational",
         " 0 1 0",
         " 2 -1 0",
         " 0 -1 1",
+        " 0 1 -1",
         "end",
     ]
 

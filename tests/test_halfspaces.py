@@ -11,12 +11,15 @@ from clawpoly.halfspaces import (
     BColumn,
     Box,
     ColumnSimplex,
+    ROW_PAIRS,
     InequalitySystem,
     NonNeg,
+    arow_id,
     demihypercube_system,
     kimura3_prime_system,
     kimura3_system,
     model_system,
+    odd_subset_rank,
     odd_subsets,
     row_count,
 )
@@ -35,53 +38,63 @@ def test_odd_subsets_lex_order():
     assert all(len(s) % 2 == 1 for s in subs)
 
 
+def test_odd_subset_rank_is_the_position_in_odd_subsets():
+    for n in range(1, 12):
+        subs = odd_subsets(n)
+        assert [odd_subset_rank(sub, n) for sub in subs] == list(map(subs.index, subs))
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_arow_id_is_the_row_position(m):
+    families = kimura3_system(m).families
+    ids = [arow_id(m, pair, sub) for pair in ROW_PAIRS for sub in odd_subsets(m)]
+    assert ids == list(range(4 * m, len(families)))
+    assert [families[i] for i in ids] == [
+        ARow(pair, sub) for pair in ROW_PAIRS for sub in odd_subsets(m)
+    ]
+
+
 def test_family_counts():
-    assert len(kimura3_system(3).inequalities) == 24
-    assert len(kimura3_system(4).inequalities) == 40
-    assert len(kimura3_system(5).inequalities) == 68
-    assert len(kimura3_prime_system(3).inequalities) == 24
-    assert len(demihypercube_system(3).inequalities) == 10
-    assert len(demihypercube_system(5).inequalities) == 26
-
-
-def test_ids_are_dense_and_ordered():
-    for sys_ in (kimura3_system(4), kimura3_prime_system(4), demihypercube_system(4)):
-        assert [q.id for q in sys_.inequalities] == list(range(len(sys_.inequalities)))
+    assert len(kimura3_system(3)) == 24
+    assert len(kimura3_system(4)) == 40
+    assert len(kimura3_system(5)) == 68
+    assert len(kimura3_prime_system(3)) == 24
+    assert len(demihypercube_system(3)) == 10
+    assert len(demihypercube_system(5)) == 26
 
 
 def test_family_layout_kimura3():
     sys_ = kimura3_system(3)
-    assert sys_.inequalities[0].family == NonNeg(1, 1)
-    assert sys_.inequalities[8].family == NonNeg(3, 3)
-    assert sys_.inequalities[9].family == ColumnSimplex(1)
-    assert sys_.inequalities[12].family == ARow((1, 2), (1,))
-    assert sys_.inequalities[13].family == ARow((1, 2), (1, 2, 3))
-    assert sys_.inequalities[16].family == ARow((1, 3), (1,))
-    assert sys_.inequalities[23].family == ARow((2, 3), (3,))
+    assert sys_.families[0] == NonNeg(1, 1)
+    assert sys_.families[8] == NonNeg(3, 3)
+    assert sys_.families[9] == ColumnSimplex(1)
+    assert sys_.families[12] == ARow((1, 2), (1,))
+    assert sys_.families[13] == ARow((1, 2), (1, 2, 3))
+    assert sys_.families[16] == ARow((1, 3), (1,))
+    assert sys_.families[23] == ARow((2, 3), (3,))
 
 
 def test_family_layout_prime():
     sys_ = kimura3_prime_system(3)
-    assert sys_.inequalities[0].family == ARow((1,), (1,))
-    assert sys_.inequalities[11].family == ARow((3,), (3,))
-    assert sys_.inequalities[12].family == BColumn((1,), 1)
-    assert sys_.inequalities[23].family == BColumn((3,), 3)
+    assert sys_.families[0] == ARow((1,), (1,))
+    assert sys_.families[11] == ARow((3,), (3,))
+    assert sys_.families[12] == BColumn((1,), 1)
+    assert sys_.families[23] == BColumn((3,), 3)
 
 
 def test_family_layout_demihypercube():
     sys_ = demihypercube_system(3)
-    assert sys_.inequalities[0].family == Box(1, False)
-    assert sys_.inequalities[3].family == Box(1, True)
-    assert sys_.inequalities[6].family == ARow((1,), (1,))
+    assert sys_.families[0] == Box(1, False)
+    assert sys_.families[3] == Box(1, True)
+    assert sys_.families[6] == ARow((1,), (1,))
 
 
 def test_arow_normal_form():
-    q = kimura3_system(3).by_family(ARow((1, 2), (1, 2, 3)))
-    assert q.coeffs == (1, 1, 1, 1, 1, 1, 0, 0, 0)
-    assert q.rhs == 2
-    q1 = kimura3_system(3).by_family(ARow((1, 3), (1,)))
-    assert q1.coeffs == (1, -1, -1, 0, 0, 0, 1, -1, -1)
-    assert q1.rhs == 0
+    sys_ = kimura3_system(3)
+    q = sys_.rows[sys_.families.index(ARow((1, 2), (1, 2, 3)))]
+    assert q == ((1, 1, 1, 1, 1, 1, 0, 0, 0), 2)
+    q1 = sys_.rows[sys_.families.index(ARow((1, 3), (1,)))]
+    assert q1 == ((1, -1, -1, 0, 0, 0, 1, -1, -1), 0)
 
 
 def test_membership_statuses():
@@ -101,13 +114,13 @@ def test_tight_sets_frozen():
     ts = dh.tight_set((1, 1, 0))
     assert ts.ids == (2, 3, 4, 6, 7, 8)
     half = dh.tight_set((Fraction(1, 2), Fraction(1, 2), 0))
-    assert dict(half.by_family)["box"] == (2,)
-    assert dict(half.by_family)["arow"] == (6, 8)
+    assert dict(half.by_kind)["box"] == (2,)
+    assert dict(half.by_kind)["arow"] == (6, 8)
 
     prime = kimura3_prime_system(3)
     ts0 = prime.tight_set(Matrix.from_flat([0] * 9, 3, 3))
     assert len(ts0.ids) == 18
-    assert dict(ts0.by_family)["arow"] == (0, 2, 3, 4, 6, 7, 8, 10, 11)
+    assert dict(ts0.by_kind)["arow"] == (0, 2, 3, 4, 6, 7, 8, 10, 11)
 
 
 def test_tight_set_requires_membership():
@@ -137,7 +150,7 @@ def test_leaf_bounds():
         kimura3_system(2)
     with pytest.raises(LeafCountError):
         kimura3_prime_system(1)
-    assert len(demihypercube_system(1).inequalities) == 3
+    assert len(demihypercube_system(1)) == 3
 
 
 @given(st.integers(min_value=0, max_value=2 ** 9 - 1))
@@ -155,36 +168,40 @@ def test_binary_violation_agrees_with_membership(mask):
 
 @given(st.integers(min_value=3, max_value=6))
 def test_row_count_formulas(m):
-    assert len(kimura3_system(m).inequalities) == 3 * m + m + 3 * 2 ** (m - 1)
-    assert len(kimura3_prime_system(m).inequalities) == 3 * 2 ** (m - 1) + 4 * m
-    assert len(demihypercube_system(m).inequalities) == 2 * m + 2 ** (m - 1)
+    assert len(kimura3_system(m)) == 3 * m + m + 3 * 2 ** (m - 1)
+    assert len(kimura3_prime_system(m)) == 3 * 2 ** (m - 1) + 4 * m
+    assert len(demihypercube_system(m)) == 2 * m + 2 ** (m - 1)
 
 
 
 def _row_by_row_lanes(system):
     """The packed checks built one row at a time, each lane added into ints
     that grow with every row: the construction the one-pass packer replaced."""
-    checks = [q for q in system.inequalities if len(q.pos) > q.rhs]
+    checks = []  # (id, rhs, positions of +1, positions of -1)
+    for k, (a, b) in enumerate(system.rows):
+        pos_at = [i for i, c in enumerate(a) if c == 1]
+        if len(pos_at) > b:
+            checks.append((k, b, pos_at, [i for i, c in enumerate(a) if c == -1]))
     reach = max(
-        (max(q.rhs + 1 + len(q.neg), len(q.pos) - q.rhs) for q in checks), default=0
+        (max(b + 1 + len(neg_at), len(pos_at) - b) for _, b, pos_at, neg_at in checks), default=0
     )
     width = reach.bit_length() + 1
     half = 1 << (width - 1)
     base = top = 0
     pos = [0] * system.dimension
     neg = [0] * system.dimension
-    for j, q in enumerate(checks):
+    for j, (_, b, pos_at, neg_at) in enumerate(checks):
         lane = 1 << (width * j)
-        base += (half - q.rhs - 1) * lane
+        base += (half - b - 1) * lane
         top += half * lane
-        for i in q.pos:
+        for i in pos_at:
             pos[i] += lane
-        for i in q.neg:
+        for i in neg_at:
             neg[i] += lane
     suffix = [0] * (system.dimension + 1)
     for k in range(system.dimension - 1, -1, -1):
         suffix[k] = suffix[k + 1] + neg[k]
-    return (width, tuple(q.id for q in checks), base, top,
+    return (width, tuple(k for k, *_ in checks), base, top,
             tuple(p - n for p, n in zip(pos, neg)), tuple(suffix))
 
 
@@ -195,9 +212,17 @@ def test_packed_checks_bit_identical_to_row_by_row(model, m):
     assert tuple(system.binary_checks) == _row_by_row_lanes(system)
 
 
+def test_system_rejects_rows_off_its_shape():
+    ((a, b),) = demihypercube_system(1).rows[:1]
+    with pytest.raises(DimensionError):
+        InequalitySystem("binary", (1, 2), [(a, b)], [Box(1, False)])
+    with pytest.raises(DimensionError):
+        InequalitySystem("binary", (1, 1), [(a, b)], [])
+
+
 def test_packed_checks_built_on_first_use():
-    rows = kimura3_system(4).inequalities
-    system = InequalitySystem("kimura3", (3, 4), rows)
+    built = kimura3_system(4)
+    system = InequalitySystem("kimura3", (3, 4), built.rows, built.families)
     assert "binary_checks" not in vars(system)
     assert system.binary_violation(0) is None
     assert tuple(system.binary_checks) == _row_by_row_lanes(system)
@@ -206,7 +231,7 @@ def test_packed_checks_built_on_first_use():
 @pytest.mark.parametrize("model", ["binary", "kimura3", "kimura3-prime"])
 def test_row_count_matches_built_system(model):
     for m in range(3, 9):
-        assert row_count(model, m) == len(model_system(model, m).inequalities)
+        assert row_count(model, m) == len(model_system(model, m))
 
 
 # --- exact membership against a Fraction reference ------------------------------
@@ -214,12 +239,12 @@ def test_row_count_matches_built_system(model):
 def _membership_reference(sys_, flat):
     """Status, violated ids and tight ids from dense Fraction dot products."""
     violated, tight = [], []
-    for ineq in sys_.inequalities:
-        s = Fraction(ineq.rhs) - sum(Fraction(c) * Fraction(x) for c, x in zip(ineq.coeffs, flat))
+    for k, (a, b) in enumerate(sys_.rows):
+        s = Fraction(b) - sum(Fraction(c) * Fraction(x) for c, x in zip(a, flat))
         if s < 0:
-            violated.append(ineq.id)
+            violated.append(k)
         elif s == 0:
-            tight.append(ineq.id)
+            tight.append(k)
     status = "outside" if violated else "boundary" if tight else "inside"
     return status, tuple(violated), tuple(tight)
 
@@ -305,7 +330,7 @@ def test_membership_exact_at_the_lane_width_bound(model, m):
     tight at any scale.
     """
     sys_ = model_system(model, m)
-    sums = [(sum(q.coeffs), q.rhs) for q in sys_.inequalities]
+    sums = [(sum(a), b) for a, b in sys_.rows]
     ratios = {(rhs, s) for s, rhs in sums if s > 0 and rhs > 0}
     for k in range(81):
         big = 1 << k

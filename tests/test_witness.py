@@ -1,6 +1,6 @@
-import dataclasses
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +26,7 @@ from clawpoly.linalg import kernel_vector
 from clawpoly.matrices import Matrix
 from clawpoly.rationals import scale_to_ints
 from clawpoly.sampling import _combine, _prime_vertex, sample_prime_points
-from clawpoly.vertices import Labeling, generate_vertices
+from clawpoly.vertices import Labeling, generate_vertices, labeling_to_matrix
 from clawpoly.witness import (
     _integer_kernel,
     _step_bounds,
@@ -62,16 +62,16 @@ def test_containment_small():
 )
 def test_containment_failures_match_brute_force(family, monkeypatch):
     m = 4
-    lowered = kimura3_system(m).by_family(family)
-    rows = [dataclasses.replace(q, rhs=q.rhs - 1) if q is lowered else q
-            for q in kimura3_system(m).inequalities]
-    lowered_system = InequalitySystem("kimura3", (3, m), rows)
+    built = kimura3_system(m)
+    lowered = built.families.index(family)
+    rows = [(a, b - 1) if k == lowered else (a, b) for k, (a, b) in enumerate(built.rows)]
+    lowered_system = InequalitySystem("kimura3", (3, m), rows, built.families)
     monkeypatch.setattr(witness, "kimura3_system", lambda m: lowered_system)
     expected = []
     for p in generate_vertices(Z2Z2, m).points:
-        for q in rows:
-            if sum(c * x for c, x in zip(q.coeffs, p)) > q.rhs:
-                expected.append((p, q.id))
+        for k, (a, b) in enumerate(rows):
+            if sum(c * x for c, x in zip(a, p)) > b:
+                expected.append((p, k))
                 break
     rep = check_containment(m)
     assert expected
@@ -117,8 +117,6 @@ def test_witness_rejects_other_groups():
 
 def test_witness_always_violates():
     # every inconsistent labeling of 4 leaves produces lhs exceeding rhs
-    from itertools import product
-
     for residues in product(((0, 0), (1, 0), (0, 1), (1, 1)), repeat=4):
         labeling = lab(*residues)
         w = violation_witness(labeling)
@@ -127,6 +125,34 @@ def test_witness_always_violates():
         else:
             assert w.lhs > w.rhs
             assert len(w.subset) % 2 == 1
+
+
+Z2Z2_RESIDUES = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_witness_matches_the_built_row(m):
+    """The witness's (id, lhs, rhs) read off the built system: every
+    inconsistent labeling for m <= 5, a seeded sample above that."""
+    if m <= 5:
+        labelings = product(Z2Z2_RESIDUES, repeat=m)
+    else:
+        rng = random.Random(m)
+        labelings = [tuple(rng.choice(Z2Z2_RESIDUES) for _ in range(m)) for _ in range(200)]
+    sys_ = kimura3_system(m)
+    checked = 0
+    for residues in labelings:
+        labeling = lab(*residues)
+        w = violation_witness(labeling)
+        if w is None:
+            continue
+        a, b = sys_.rows[w.inequality_id]
+        flat = labeling_to_matrix(labeling).flatten()
+        assert sys_.families[w.inequality_id] == ARow(w.row_pair, w.subset)
+        assert (w.lhs, w.rhs) == (sum(c * x for c, x in zip(a, flat)), b)
+        checked += 1
+    # three in four labelings are inconsistent
+    assert checked == 3 * 4 ** (m - 1) if m <= 5 else checked > 100
 
 
 # --- line-level classification ------------------------------------------------
@@ -285,9 +311,9 @@ def _tight_reference(values):
 
 def _step_reference(sys_, flat, direction):
     t_plus = t_minus = None
-    for ineq in sys_.inequalities:
-        rate = sum(Fraction(c) * Fraction(v) for c, v in zip(ineq.coeffs, direction))
-        slack = ineq.rhs - sum(Fraction(c) * Fraction(x) for c, x in zip(ineq.coeffs, flat))
+    for a, b in sys_.rows:
+        rate = sum(Fraction(c) * Fraction(v) for c, v in zip(a, direction))
+        slack = b - sum(Fraction(c) * Fraction(x) for c, x in zip(a, flat))
         if slack == 0:
             if rate != 0:
                 return None
