@@ -6,7 +6,7 @@ coordinate change between the two natural coordinate systems, and an
 independent double description engine that cross-verifies everything.
 """
 
-from .coordchange import from_prime_coords, simplex_image_check, to_prime_coords
+from .coordchange import from_prime_scaled, simplex_image_check, to_prime_scaled
 from .engine import (
     EqualityReport,
     FVector,
@@ -52,14 +52,9 @@ from .halfspaces import (
     model_system,
     odd_subsets,
 )
-from .matrices import Matrix
+from .rationals import ScaledPoint, scale_to_ints
 from .suites import run_interior_suite, run_isomorphism_suite, run_pseudo_facet_suite
-from .vertices import (
-    Labeling,
-    VertexSet,
-    generate_vertices,
-    labeling_to_matrix,
-)
+from .vertices import Labeling, VertexSet, generate_vertices
 from .witness import (
     ContainmentReport,
     IncidenceReport,
@@ -67,11 +62,11 @@ from .witness import (
     NotInterior,
     RowStructureReport,
     ViolationWitness,
+    analyze_point,
     check_containment,
     classify_facet,
     incidence_report,
     interior_witness,
-    line_tight_subsets,
     parity_check,
     pseudo_facet_structure,
     s_facet_count_even,

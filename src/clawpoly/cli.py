@@ -17,7 +17,7 @@ import os
 import sys
 import time
 
-from .coordchange import from_prime_coords, to_prime_coords
+from .coordchange import from_prime_scaled, point_rows, to_prime_scaled
 from .engine import (
     _dimension_cap,
     check_dimension,
@@ -43,11 +43,16 @@ from .fileio import (
 )
 from .groups import Z2Z2, element, parse_group
 from .halfspaces import MODEL_BUILDERS, kimura3_system, model_system, row_count
-from .matrices import Matrix
-from .rationals import is_integral
+from .rationals import is_integral, scale_to_ints
 from .suites import run_interior_suite, run_isomorphism_suite, run_pseudo_facet_suite
-from .vertices import Labeling, VertexSet, generate_vertices
-from .witness import InteriorWitness, check_containment, interior_witness, violation_witness
+from .vertices import Labeling, VertexSet, generate_vertices, vertex_count
+from .witness import (
+    InteriorWitness,
+    analyze_point,
+    check_containment,
+    interior_witness,
+    violation_witness,
+)
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -185,26 +190,26 @@ def cmd_hrep(args) -> int:
     return _write_artifact(args, head, len(sys_), renders, stem, started)
 
 
-def _points_as_matrices(vs: VertexSet):
-    if len(vs.shape) == 2:
-        return vs.matrices()
+def _read_points(path):
+    """The points of a V-file as ScaledPoints of a 3 x m layout, and m; a
+    file with another row count, or a dimension that is no multiple of 3, is
+    refused."""
+    vs = parse_vfile(read_text(path))
+    if len(vs.shape) == 2 and vs.shape[0] != 3:
+        raise FileFormatError(f"a {vs.shape[0]}-row point layout is not 3 x m")
     if vs.dimension % 3:
         raise FileFormatError(
             f"point file dimension {vs.dimension} is not a 3-row matrix layout"
         )
-    m = vs.dimension // 3
-    return [Matrix.from_flat(p, 3, m) for p in vs.points]
+    return [scale_to_ints(p) for p in vs.points], vs.dimension // 3
 
 
 def cmd_transform(args) -> int:
     started = time.perf_counter()
-    vs = parse_vfile(read_text(args.infile))
-    fn = from_prime_coords if args.inverse else to_prime_coords
-    images = [fn(mat) for mat in _points_as_matrices(vs)]
-    m = images[0].ncols if images else vs.dimension // 3
-    out_vs = VertexSet(
-        dimension=vs.dimension, shape=(3, m), points=tuple(im.flatten() for im in images)
-    )
+    points, m = _read_points(args.infile)
+    fn = from_prime_scaled if args.inverse else to_prime_scaled
+    images = tuple(fn(p).values() for p in points)
+    out_vs = VertexSet(dimension=3 * m, shape=(3, m), points=images)
     direction = "prime-to-standard" if args.inverse else "standard-to-prime"
     head = [("command", "transform"), ("direction", direction)]
     # the default output goes in the working directory, named after the input's basename
@@ -335,13 +340,14 @@ def cmd_witness(args) -> int:
         return _emit_record(args, pairs + [("outcome", "pass")], started)
     if not args.point:
         raise ConfigurationError("witness interior needs --point FILE")
-    vs = parse_vfile(read_text(args.point))
-    if len(vs.points) != 1:
-        raise FileFormatError(f"expected exactly one point, found {len(vs.points)}")
-    wit = interior_witness(_points_as_matrices(vs)[0])
+    points, _ = _read_points(args.point)
+    if len(points) != 1:
+        raise FileFormatError(f"expected exactly one point, found {len(points)}")
+    wit = interior_witness(analyze_point(points[0]))
     pairs = [("command", "witness"), ("kind", "segment-interior")]
     if isinstance(wit, InteriorWitness):
-        pairs += [("epsilon", wit.epsilon), ("direction", wit.direction), ("outcome", "pass")]
+        pairs += [("epsilon", wit.epsilon), ("direction", point_rows(wit.direction)),
+                  ("outcome", "pass")]
         return _emit_record(args, pairs, started)
     pairs += [("reason", wit.reason.replace(" ", "-")), ("outcome", "fail")]
     return _emit_record(args, pairs, started, 1)
@@ -352,9 +358,9 @@ def cmd_witness(args) -> int:
 def cmd_stats(args) -> int:
     started = time.perf_counter()
     m = args.leaves
-    # the vertex cap is checked before the rows are counted
-    vs = generate_vertices(Z2Z2, m)
-    pairs = [("command", "stats"), ("leaves", m), ("vertices", len(vs.points))]
+    # the vertex cap is checked before the rows are counted; the vertices
+    # themselves are generated only for the hull
+    pairs = [("command", "stats"), ("leaves", m), ("vertices", vertex_count(Z2Z2, m))]
     for model in ("kimura3", "kimura3-prime", "binary"):
         pairs.append((model.replace("-", "_") + "_inequalities", row_count(model, m)))
     outcome = "pass"
@@ -363,7 +369,7 @@ def cmd_stats(args) -> int:
         outcome = "partial"
         pairs.append(("facets", "skipped-by-cap"))
     else:
-        hull = hull_from_vertices(vs)
+        hull = hull_from_vertices(generate_vertices(Z2Z2, m))
         pairs.append(("facets", len(hull.facets)))
         if args.fvector:
             if m == 3:

@@ -1,26 +1,22 @@
-"""Columnwise pairwise-sum change of coordinates on 3 x m matrices.
+"""Columnwise pairwise-sum change of coordinates on 3 x m points.
 
 Forward map, per column: (x1, x2, x3) -> (x1+x2, x1+x3, x2+x3). It is a
 bijection of R^(3m); the inverse halves the alternating sums, so integrality
 is not preserved but exact rationality is. The forward map carries the
 standard-coordinate polytope onto the prime-coordinate one and the unit
 simplex of each column onto the 3-dimensional demihypercube.
+
+A point is flattened row-major: row r of a 3 x m point is coordinates
+(r-1)*m .. r*m - 1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 from .errors import DimensionError
 from .halfspaces import demihypercube_system
-from .matrices import Matrix
 from .rationals import ScaledPoint
-
-
-def _require_3xm(p: Matrix):
-    if p.nrows != 3:
-        raise DimensionError(f"pairwise-sum transform needs 3 rows, got {p.nrows}")
 
 
 def prime_flat(flat, m: int) -> list:
@@ -40,34 +36,30 @@ def _backward(flat, m: int) -> list:
     )
 
 
-def to_prime_coords(p: Matrix) -> Matrix:
-    """Forward transform: rows become (r1+r2, r1+r3, r2+r3)."""
-    _require_3xm(p)
-    return Matrix.from_flat(prime_flat(p.flatten(), p.ncols), 3, p.ncols)
-
-
-def from_prime_coords(q: Matrix) -> Matrix:
-    """Inverse transform: ((x+y-z)/2, (x+z-y)/2, (y+z-x)/2) per column."""
-    _require_3xm(q)
-    half = Fraction(1, 2)
-    return Matrix.from_flat([v * half for v in _backward(q.flatten(), q.ncols)], 3, q.ncols)
-
-
 def _scaled_columns(point: ScaledPoint) -> int:
     if len(point.nums) % 3:
         raise DimensionError(
-            f"pairwise-sum transform needs 3 rows, got {len(point.nums)} coordinates"
+            f"a 3 x m point needs a multiple of 3 coordinates, got {len(point.nums)}"
         )
     return len(point.nums) // 3
 
 
+def point_rows(point: ScaledPoint) -> tuple[tuple, ...]:
+    """The 3 x m rows of a point's canonical rationals (ScaledPoint.values)."""
+    m = _scaled_columns(point)
+    values = point.values()
+    return tuple(values[r * m:(r + 1) * m] for r in range(3))
+
+
 def to_prime_scaled(point: ScaledPoint) -> ScaledPoint:
-    """to_prime_coords on numerators; the denominator is kept."""
+    """Forward transform, rows (r1+r2, r1+r3, r2+r3), on numerators; the
+    denominator is kept."""
     return ScaledPoint(tuple(prime_flat(point.nums, _scaled_columns(point))), point.den)
 
 
 def from_prime_scaled(point: ScaledPoint) -> ScaledPoint:
-    """from_prime_coords on numerators; the halving doubles the denominator."""
+    """Inverse transform, ((x+y-z)/2, (x+z-y)/2, (y+z-x)/2) per column, on
+    numerators; the halving doubles the denominator."""
     return ScaledPoint(tuple(_backward(point.nums, _scaled_columns(point))), 2 * point.den)
 
 
@@ -79,10 +71,7 @@ def simplex_image_check() -> bool:
     3-demihypercube system with every other 0/1 triple excluded.
     """
     simplex_vertices = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    images = set()
-    for v in simplex_vertices:
-        col = Matrix.from_rows([[x] for x in v])
-        images.add(to_prime_coords(col).column(1))
+    images = {tuple(prime_flat(v, 1)) for v in simplex_vertices}
     even = {
         triple
         for triple in [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]

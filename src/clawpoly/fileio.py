@@ -68,8 +68,6 @@ def parse_vfile(text: str) -> VertexSet:
             m = _SHAPE_RE.match(line)
             if m:
                 shape = (int(m.group(1)), int(m.group(2)))
-                if shape[0] == 1:
-                    shape = (shape[1],)
             continue
         if line == "V-representation":
             found_header = True
@@ -120,7 +118,13 @@ def parse_vfile(text: str) -> VertexSet:
         raise FileFormatError("truncated file: no end line")
     if len(points) != nrows:
         raise FileFormatError(f"size line promised {nrows} rows, found {len(points)}")
-    return VertexSet(dimension=ncols - 1, shape=shape or (ncols - 1,), points=tuple(points))
+    if shape and shape[0] * shape[1] != ncols - 1:
+        raise FileFormatError(
+            f"a {shape[0]}x{shape[1]} layout does not fill dimension {ncols - 1}"
+        )
+    if not shape or shape[0] == 1:
+        shape = (ncols - 1,)
+    return VertexSet(dimension=ncols - 1, shape=shape, points=tuple(points))
 
 
 def format_hfile(system) -> str:
@@ -150,8 +154,6 @@ def _render_value(v) -> str:
         if v and isinstance(v[0], (list, tuple)):
             return ";".join(",".join(fmt(canon(x)) for x in row) for row in v)
         return ",".join(fmt(canon(x)) for x in v)
-    if hasattr(v, "entries"):
-        return _render_value(v.entries)
     return str(v)
 
 
@@ -169,8 +171,6 @@ def record_line(pairs) -> str:
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return fmt(obj)
-    if hasattr(obj, "entries"):
-        return obj.entries
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 

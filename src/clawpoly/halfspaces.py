@@ -38,7 +38,6 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .lanes import bits, lane_tops, pack_lanes
-from .matrices import Matrix, flat_pos
 from .rationals import Rational, ScaledPoint, canon, scale_to_ints
 
 
@@ -198,13 +197,6 @@ class InequalitySystem:
         return len(self.rows)
 
     def flatten(self, point) -> tuple[Rational, ...]:
-        if isinstance(point, Matrix):
-            if (point.nrows, point.ncols) != self.shape:
-                raise DimensionError(
-                    f"matrix shape {point.nrows}x{point.ncols} does not match "
-                    f"system shape {self.shape[0]}x{self.shape[1]}"
-                )
-            return point.flatten()
         flat = tuple(canon(x) for x in point)
         if len(flat) != self.dimension:
             raise DimensionError(
@@ -215,7 +207,7 @@ class InequalitySystem:
     def membership(self, point) -> MembershipResult:
         """Exact status of a point, every row at once.
 
-        point is a Matrix, a sequence of rationals or a ScaledPoint. In the
+        point is a ScaledPoint or a sequence of rationals. In the
         lanes of ``_evaluate``, a top bit is set iff its row is tight or
         violated, and after subtracting one from every lane iff it is
         violated.
@@ -405,8 +397,8 @@ def kimura3_prime_system(m: int) -> InequalitySystem:
         raise LeafCountError(f"m >= 3 required, got {m}")
     dim = 3 * m
     rows = [
-        (_placed(dim, flat_pos(r, 1, m), 1, pattern), k)
-        for r in range(1, 4)
+        (_placed(dim, r * m, 1, pattern), k)
+        for r in range(3)
         for pattern, k in _patterns(m)
     ]
     rows += [(_placed(dim, j, m, pattern), k) for j in range(m) for pattern, k in _patterns(3)]

@@ -22,6 +22,12 @@ class ScaledPoint(NamedTuple):
     nums: tuple[int, ...]
     den: int
 
+    def values(self) -> tuple[Rational, ...]:
+        """The coordinates as canonical rationals, ints where integral: the
+        inverse of scale_to_ints."""
+        den = self.den
+        return tuple(x // den if x % den == 0 else Fraction(x, den) for x in self.nums)
+
 
 def canon(x: Rational) -> Rational:
     """Return x with integral Fractions collapsed to int."""

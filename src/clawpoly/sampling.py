@@ -1,20 +1,20 @@
 """Seeded exact-rational samplers.
 
 All randomness flows through a caller-supplied seed so reruns are
-byte-identical. Weights are small random integers normalized to sum 1,
-keeping denominators tame and arithmetic exact.
+byte-identical. Every sample is a ScaledPoint, a flattened 3 x m point as
+integer numerators over one denominator: a convex combination keeps its
+integer weights' total as the denominator, so no Fraction is built.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache, partial
 from operator import mul
 
 from .coordchange import prime_flat
 from .groups import Z2Z2
-from .matrices import Matrix
+from .rationals import ScaledPoint
 from .vertices import vertex_at, vertex_count
 
 
@@ -28,15 +28,12 @@ def _vertex_source(m: int):
     return vertex_count(Z2Z2, m), lru_cache(maxsize=None)(partial(_prime_vertex, m))
 
 
-def _combine(flats, weights, m: int) -> Matrix:
-    """Convex combination sum(w*flat) / sum(w) as a 3 x m matrix; one
-    Fraction per coordinate."""
-    total = sum(weights)
-    flat = [Fraction(sum(map(mul, weights, col)), total) for col in zip(*flats)]
-    return Matrix.from_rows([flat[r * m : (r + 1) * m] for r in range(3)])
+def _combine(flats, weights) -> ScaledPoint:
+    """Convex combination sum(w*flat) / sum(w), over the weights' total."""
+    return ScaledPoint(tuple(sum(map(mul, weights, col)) for col in zip(*flats)), sum(weights))
 
 
-def sample_prime_points(m: int, count: int, seed: int = 0) -> list[Matrix]:
+def sample_prime_points(m: int, count: int, seed: int = 0) -> list[ScaledPoint]:
     """Random convex combinations of 2..5 prime-coordinate vertices.
 
     Vertices are drawn by index and unranked one at a time, so the vertex
@@ -49,11 +46,11 @@ def sample_prime_points(m: int, count: int, seed: int = 0) -> list[Matrix]:
         r = rng.randint(2, 5)
         picks = [vertex(rng.randrange(nverts)) for _ in range(r)]
         weights = [rng.randint(1, 8) for _ in range(r)]
-        out.append(_combine(picks, weights, m))
+        out.append(_combine(picks, weights))
     return out
 
 
-def sample_prime_segment_points(m: int, count: int, seed: int = 0) -> list[Matrix]:
+def sample_prime_segment_points(m: int, count: int, seed: int = 0) -> list[ScaledPoint]:
     """Random points on segments between two distinct prime-coordinate vertices.
 
     These maximize integrality, exercising the low-k corner of the
@@ -68,18 +65,15 @@ def sample_prime_segment_points(m: int, count: int, seed: int = 0) -> list[Matri
         while b == a:
             b = rng.randrange(nverts)
         w = rng.randint(1, 7)
-        out.append(_combine([vertex(a), vertex(b)], [w, 8 - w], m))
+        out.append(_combine([vertex(a), vertex(b)], [w, 8 - w]))
     return out
 
 
-def sample_box_points(m: int, count: int, seed: int = 0) -> list[Matrix]:
+def sample_box_points(m: int, count: int, seed: int = 0) -> list[ScaledPoint]:
     """Random rational points in [-1/4, 5/4]^(3m), denominators dividing 8.
 
     Straddles the unit box so membership checks see both sides.
     """
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        flat = [Fraction(rng.randint(-2, 10), 8) for _ in range(3 * m)]
-        out.append(Matrix.from_rows([flat[r * m : (r + 1) * m] for r in range(3)]))
-    return out
+    return [ScaledPoint(tuple(rng.randint(-2, 10) for _ in range(3 * m)), 8)
+            for _ in range(count)]

@@ -1,9 +1,10 @@
 """Sampled verification suites over the model polytopes.
 
-Each suite draws seeded exact-rational sample points, checks a family of
-structural laws on every sample, and returns a report whose counterexample
-list is empty exactly when the suite passes. The suites back the CLI
-`verify theorems` task and the acceptance tests.
+Each suite draws seeded exact-rational sample points (ScaledPoints), checks
+a family of structural laws on every sample, and returns a report whose
+counterexample list is empty exactly when the suite passes; a
+counterexample shows its point as 3 x m rows of canonical rationals. The
+suites back the CLI `verify theorems` task and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -11,9 +12,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .coordchange import from_prime_scaled, simplex_image_check, to_prime_scaled
+from .coordchange import (
+    from_prime_scaled,
+    point_rows,
+    simplex_image_check,
+    to_prime_scaled,
+)
 from .halfspaces import kimura3_prime_system, kimura3_system
-from .rationals import ScaledPoint, scale_to_ints
+from .rationals import ScaledPoint
 from .sampling import sample_box_points, sample_prime_points, sample_prime_segment_points
 from .witness import (
     InteriorWitness,
@@ -90,11 +96,10 @@ def run_isomorphism_suite(m: int, samples: int, seed: int = 0) -> IsomorphismSui
     failures = []
     boxes = sample_box_points(m, samples, seed)
     for p in boxes:
-        point = scale_to_ints(p.flatten())
-        if not _same_point(from_prime_scaled(to_prime_scaled(point)), point):
-            failures.append(("roundtrip_forward", p.entries))
-        if not _same_point(to_prime_scaled(from_prime_scaled(point)), point):
-            failures.append(("roundtrip_backward", p.entries))
+        if not _same_point(from_prime_scaled(to_prime_scaled(p)), p):
+            failures.append(("roundtrip_forward", point_rows(p)))
+        if not _same_point(to_prime_scaled(from_prime_scaled(p)), p):
+            failures.append(("roundtrip_backward", point_rows(p)))
     # sampled before the systems are built, so that an m past the generation
     # cap is refused before any system is
     membership_pool = sample_box_points(m, samples // 2, seed + 2) + _mixed_sample(
@@ -103,11 +108,10 @@ def run_isomorphism_suite(m: int, samples: int, seed: int = 0) -> IsomorphismSui
     sys_std = kimura3_system(m)
     sys_pri = kimura3_prime_system(m)
     for p in membership_pool:
-        point = scale_to_ints(p.flatten())
-        inside_std = sys_std.membership(point).status != "outside"
-        inside_pri = sys_pri.membership(to_prime_scaled(point)).status != "outside"
+        inside_std = sys_std.membership(p).status != "outside"
+        inside_pri = sys_pri.membership(to_prime_scaled(p)).status != "outside"
         if inside_std != inside_pri:
-            failures.append(("membership", p.entries))
+            failures.append(("membership", point_rows(p)))
     simplex_ok = simplex_image_check()
     if not simplex_ok:
         failures.append(("simplex_image", None))
@@ -150,13 +154,13 @@ def run_pseudo_facet_suite(m: int, samples: int, seed: int = 0) -> PseudoFacetSu
         tight += _tight_count(pt)
         if rep.k < rep.omega:
             counts["k_ge_omega"] += 1
-            failures.append(("k_lt_omega", p.entries))
+            failures.append(("k_lt_omega", point_rows(p)))
         if any(c == 1 for c in rep.row_nonintegral):
             counts["single"] += 1
-            failures.append(("single_nonintegral_row", p.entries))
+            failures.append(("single_nonintegral_row", point_rows(p)))
         if not pseudo_facet_structure(pt).passed:
             counts["structure"] += 1
-            failures.append(("row_structure", p.entries))
+            failures.append(("row_structure", point_rows(p)))
         for r, row in enumerate(pt.rows, 1):
             if len(row.nonintegral) != 2:
                 continue
@@ -165,16 +169,16 @@ def run_pseudo_facet_suite(m: int, samples: int, seed: int = 0) -> PseudoFacetSu
                 classes.add(classify_facet(row, sub))
                 if not parity_check(row, sub):
                     counts["parity"] += 1
-                    failures.append(("parity", (r, sub, p.entries)))
+                    failures.append(("parity", (r, sub, point_rows(p))))
             if len(classes) > 1:
                 counts["mixed"] += 1
-                failures.append(("mixed_class", (r, p.entries)))
+                failures.append(("mixed_class", (r, point_rows(p))))
         if rep.k == rep.omega and rep.k > 0:
             counts["cycle"] += 1
             if rep.tag not in ("P1", "P2"):
-                failures.append(("unrecognized_tight_configuration", p.entries))
+                failures.append(("unrecognized_tight_configuration", point_rows(p)))
             elif not s_facet_count_even(pt):
-                failures.append(("odd_s_count", p.entries))
+                failures.append(("odd_s_count", point_rows(p)))
     _log_counts("pseudo_facet", m, len(pts), len(pts), tight=tight)
     return PseudoFacetSuiteReport(
         leaves=m,
@@ -203,7 +207,7 @@ def run_interior_suite(m: int, samples: int, seed: int = 0) -> InteriorSuiteRepo
     failures = []
     nonintegral = memberships = kernel = cycle = tight = 0
     for p in pts:
-        if p.is_integral():
+        if not any(x % p.den for x in p.nums):
             continue
         nonintegral += 1
         pt = analyze_point(p)
@@ -211,22 +215,22 @@ def run_interior_suite(m: int, samples: int, seed: int = 0) -> InteriorSuiteRepo
         memberships += 1
         tight += _tight_count(pt)
         if not isinstance(wit, InteriorWitness):
-            failures.append(("not_interior", wit.reason, p.entries))
+            failures.append(("not_interior", wit.reason, point_rows(p)))
             continue
         if len(pt.support) > pt.omega:
             kernel += 1
         else:
             cycle += 1
-        v = scale_to_ints(wit.direction.flatten())
+        v = wit.direction
         if not any(v.nums):
-            failures.append(("zero_direction", p.entries))
+            failures.append(("zero_direction", point_rows(p)))
             continue
         support = {(i - 1) * m + j - 1 for i, j in pt.support}
         if any(vx and t not in support for t, vx in enumerate(v.nums)):
-            failures.append(("direction_off_support", p.entries))
+            failures.append(("direction_off_support", point_rows(p)))
             continue
         if wit.epsilon <= 0:
-            failures.append(("nonpositive_epsilon", p.entries))
+            failures.append(("nonpositive_epsilon", point_rows(p)))
             continue
         nums, den = pt.point
         # p +- eps*v over den * eps.denominator * v.den
@@ -239,9 +243,9 @@ def run_interior_suite(m: int, samples: int, seed: int = 0) -> InteriorSuiteRepo
         )
         memberships += 2
         if sys_pri.membership(up).status == "outside":
-            failures.append(("upper_endpoint_outside", p.entries))
+            failures.append(("upper_endpoint_outside", point_rows(p)))
         if sys_pri.membership(down).status == "outside":
-            failures.append(("lower_endpoint_outside", p.entries))
+            failures.append(("lower_endpoint_outside", point_rows(p)))
     _log_counts("interior", m, len(pts), memberships, kernel, cycle, tight)
     return InteriorSuiteReport(
         leaves=m,

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DimensionError, LeafCountError, ResourceCapError
-from .groups import GroupElement, GroupSpec, embed, group_elements
-from .matrices import Matrix
+from .groups import GroupElement, GroupSpec, group_elements
 from .rationals import Rational
 
 # Generation refuses above this many vertices unless explicitly overridden.
@@ -60,19 +59,6 @@ class VertexSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def matrices(self):
-        rows, cols = self.shape
-        return [Matrix.from_flat(p, rows, cols) for p in self.points]
-
-
-def labeling_to_matrix(labeling: Labeling) -> Matrix:
-    """Stack the embedding of each leaf element as a column."""
-    cols = [embed(labeling.spec, g) for g in labeling.elements]
-    nrows = labeling.spec.size - 1
-    return Matrix.from_rows(
-        [tuple(col[r] for col in cols) for r in range(nrows)]
-    )
 
 
 def vertex_count(spec: GroupSpec, m: int, allow_large: bool = False) -> int:

@@ -16,8 +16,9 @@ Everything here returns exact, machine-checkable evidence:
 The checks on a prime-coordinate point all read one PointAnalysis of it:
 integer numerators over one common denominator, its membership, its
 non-integral support and the tight pseudo-facets of every row and column.
-Each check takes the point as a Matrix or as its PointAnalysis, so a
-caller running several checks on one point analyses it once.
+analyze_point takes the point as a ScaledPoint, and every check takes its
+PointAnalysis, so a caller running several checks on one point analyses it
+once. The line checks take a row or column of it, a LineAnalysis.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     NotTightError,
     UnsupportedGroupError,
 )
-from .groups import Z2Z2, group_sum, identity
+from .groups import Z2Z2, embed, group_sum, identity
 from .halfspaces import (
     InequalitySystem,
     MembershipResult,
@@ -46,9 +47,8 @@ from .halfspaces import (
     kimura3_system,
     odd_subsets,
 )
-from .matrices import Matrix
-from .rationals import Rational, ScaledPoint, canon, scale_to_ints
-from .vertices import Labeling, labeling_to_matrix, unpack_points, vertex_masks
+from .rationals import Rational, ScaledPoint
+from .vertices import Labeling, unpack_points, vertex_masks
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class RowStructureReport:
 
 @dataclass(frozen=True)
 class InteriorWitness:
-    direction: Matrix
+    direction: ScaledPoint
     epsilon: Fraction
 
 
@@ -144,8 +144,8 @@ def violation_witness(labeling: Labeling) -> ViolationWitness | None:
     Returns None exactly when the labeling is consistent.
 
     O(m): the row id comes from the family order (``halfspaces.arow_id``)
-    and the left-hand side from the labeling's matrix, column by column,
-    so no system is built.
+    and the left-hand side from each leaf's column, the embedding of its
+    element, so no system is built.
     """
     if labeling.spec != Z2Z2:
         raise UnsupportedGroupError("violation witnesses are constructed for z2z2 only")
@@ -162,12 +162,11 @@ def violation_witness(labeling: Labeling) -> ViolationWitness | None:
             j + 1 for j, g in enumerate(labeling.elements) if g.residues[1] == 1
         )
         pair = (2, 3)
-    x = labeling_to_matrix(labeling)
     inside = set(subset)
     # the row is +1 at the columns of A and -1 off A, in both rows of the pair
     lhs = sum(
-        (1 if j in inside else -1) * (x.entry(pair[0], j) + x.entry(pair[1], j))
-        for j in range(1, labeling.leaves + 1)
+        (1 if j in inside else -1) * (col[pair[0] - 1] + col[pair[1] - 1])
+        for j, col in enumerate((embed(Z2Z2, g) for g in labeling.elements), 1)
     )
     return ViolationWitness(
         subset, pair, arow_id(labeling.leaves, pair, subset), lhs, len(subset) - 1
@@ -239,31 +238,15 @@ def _line(nums, den: int) -> LineAnalysis:
     )
 
 
-def _line_of(values) -> LineAnalysis:
-    return _line(*scale_to_ints([canon(v) for v in values]))
-
-
-def line_tight_subsets(values) -> tuple[tuple[int, ...], ...]:
-    """Odd subsets A with sum_A v - sum_notA v == |A| - 1, for one row or column."""
-    return _line_of(values).tight
-
-
-def _validate_line_subset(values, subset):
-    n = len(values)
+def _classified_subset(line: LineAnalysis, subset) -> tuple[int, ...]:
+    """The sorted subset, once it is an odd tight one of the line and the
+    line holds exactly two non-integral coordinates."""
+    n = len(line.nums)
     subset = tuple(sorted(subset))
     if len(subset) % 2 == 0 or not subset:
         raise ClassificationUndefinedError(f"subset {subset} does not have odd cardinality")
     if any(not 1 <= i <= n for i in subset) or len(set(subset)) != len(subset):
         raise DimensionError(f"subset {subset} is not a subset of 1..{n}")
-    return subset
-
-
-def _classified_line(p_row, subset) -> tuple[LineAnalysis, tuple[int, ...]]:
-    """The line and its sorted subset, once the subset is an odd tight one and
-    the line holds exactly two non-integral coordinates. p_row is a line's
-    values or its LineAnalysis."""
-    line = p_row if isinstance(p_row, LineAnalysis) else _line_of(p_row)
-    subset = _validate_line_subset(line.nums, subset)
     if len(line.nonintegral) != 2:
         raise ClassificationUndefinedError(
             "classification needs exactly two non-integral coordinates, "
@@ -271,26 +254,24 @@ def _classified_line(p_row, subset) -> tuple[LineAnalysis, tuple[int, ...]]:
         )
     if subset not in line.tight:
         raise NotTightError(f"line is not tight on the subset {subset} pseudo-facet")
-    return line, subset
+    return subset
 
 
-def classify_facet(p_row, subset) -> str:
+def classify_facet(line: LineAnalysis, subset) -> str:
     """'S' when both non-integral indices sit on the same side of the subset, else 'O'.
 
-    Requires the line to carry exactly two non-integral coordinates and to be
-    tight on the subset's pseudo-facet. The line is given by its values or,
-    to skip their analysis, by a LineAnalysis.
+    Requires the line (a row or column of a PointAnalysis) to carry exactly
+    two non-integral coordinates and to be tight on the subset's pseudo-facet.
     """
-    line, subset = _classified_line(p_row, subset)
-    return line.facet_class(subset)
+    return line.facet_class(_classified_subset(line, subset))
 
 
-def parity_check(p_row, subset) -> bool:
+def parity_check(line: LineAnalysis, subset) -> bool:
     """Parity law: S-facets go with an odd number of ones, O-facets with even.
 
     The line is given as for classify_facet.
     """
-    line, subset = _classified_line(p_row, subset)
+    subset = _classified_subset(line, subset)
     ones = line.nums.count(line.den)
     return (ones % 2 == 1) == (line.facet_class(subset) == "S")
 
@@ -352,12 +333,12 @@ class PointAnalysis(NamedTuple):
         return [line for line in self.rows + self.cols if line.nonintegral]
 
 
-def analyze_point(p: Matrix) -> PointAnalysis:
-    """The PointAnalysis of a 3 x m matrix in the prime-coordinate system."""
-    sys = kimura3_prime_system(p.ncols)
-    point = scale_to_ints(sys.flatten(p))
+def analyze_point(point: ScaledPoint) -> PointAnalysis:
+    """The PointAnalysis of a 3 x m point, flattened row-major, in the
+    prime-coordinate system."""
     nums, den = point
-    m = p.ncols
+    m = len(nums) // 3
+    sys = kimura3_prime_system(m)
     rows = tuple(_line(nums[r * m:(r + 1) * m], den) for r in range(3))
     cols = tuple(_line(nums[c::m], den) for c in range(m))
     support = tuple((r, j) for r, line in enumerate(rows, 1) for j in line.nonintegral)
@@ -366,24 +347,18 @@ def analyze_point(p: Matrix) -> PointAnalysis:
     )
 
 
-def _member_analysis(p) -> PointAnalysis:
-    """The analysis of p, a Matrix or its PointAnalysis; raises off the polytope."""
-    pt = p if isinstance(p, PointAnalysis) else analyze_point(p)
+def _require_member(pt: PointAnalysis):
+    """Raises when the analysed point lies off the polytope."""
     if pt.membership.status == "outside":
         raise NotAMemberError(
             f"point violates inequalities {pt.membership.violated} of model {pt.system.model}"
         )
-    return pt
 
 
-def incidence_report(p: Matrix | PointAnalysis) -> IncidenceReport:
-    """Support counts and tight pseudo-facet counts of a prime-coordinate member point.
-
-    p is a 3 x m Matrix or its PointAnalysis; passing the analysis lets a
-    caller run several of the checks below on one point and analyse it
-    once. The same holds for every check that follows.
-    """
-    pt = _member_analysis(p)
+def incidence_report(pt: PointAnalysis) -> IncidenceReport:
+    """Support counts and tight pseudo-facet counts of a prime-coordinate
+    member point, from its analysis."""
+    _require_member(pt)
     return IncidenceReport(
         k=len(pt.support),
         omega=pt.omega,
@@ -396,14 +371,14 @@ def incidence_report(p: Matrix | PointAnalysis) -> IncidenceReport:
     )
 
 
-def pseudo_facet_structure(p: Matrix | PointAnalysis) -> RowStructureReport:
+def pseudo_facet_structure(pt: PointAnalysis) -> RowStructureReport:
     """Row-by-row pseudo-facet sanity of a prime-coordinate member point.
 
     Per row: a lone non-integral coordinate never occurs; two or more tight
     pseudo-facets cap the non-integral count at two; three or more force the
     row integral and tight on exactly m pseudo-facets.
     """
-    pt = _member_analysis(p)
+    _require_member(pt)
     m = len(pt.cols)
     checks = []
     for r, line in enumerate(pt.rows, 1):
@@ -484,10 +459,10 @@ def _step_bounds(sys: InequalitySystem, point: ScaledPoint, direction: ScaledPoi
     return tuple(Fraction(sl * rate_den, r * den) for sl, r in (plus, minus))
 
 
-def _integer_kernel(rows, ncols):
+def _integer_kernel(rows, ncols) -> ScaledPoint | None:
     """One nonzero kernel vector of the integer row system, or None if the
     kernel is {0}: the first free column (lowest index) set to 1, the other
-    free columns to 0.
+    free columns to 0. It comes as integers over the last pivot's magnitude.
 
     Fraction-free Gauss-Jordan elimination (Bareiss): each pivot step
     replaces every other row by (pivot*row - row[c]*pivot_row) / previous
@@ -495,7 +470,7 @@ def _integer_kernel(rows, ncols):
     and every pivot row ends with the last pivot d at its own pivot column
     and 0 at the others: the reduced row echelon form times d. Pivots are
     the first nonzero entry from the top, as in a Fraction elimination,
-    and the vector is the same.
+    and the vector is the same: -row[free] / d at each pivot column.
     """
     work = [list(row) for row in rows]
     pivots = []
@@ -519,11 +494,12 @@ def _integer_kernel(rows, ncols):
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
         return None
+    sign = 1 if prev > 0 else -1
     vec = [0] * ncols
-    vec[free] = 1
+    vec[free] = sign * prev
     for row, c in zip(work, pivots):
-        vec[c] = canon(Fraction(-row[free], prev))
-    return tuple(vec)
+        vec[c] = -sign * row[free]
+    return ScaledPoint(tuple(vec), sign * prev)
 
 
 def _line_equations(line: LineAnalysis, variables, k: int):
@@ -564,8 +540,9 @@ def _cycle_direction(pt: PointAnalysis):
 
     Crossing a line whose tight pseudo-facets are S-facets flips the sign
     (the two coordinates sum to a constant); O-facets keep it (they stay
-    equal); an untouched line imposes nothing. Returns (values, reason):
-    values is None when the closing edge is inconsistent.
+    equal); an untouched line imposes nothing. Returns (signs, reason):
+    the sign at each support position, in support order, or None when the
+    closing edge is inconsistent.
     """
     cycle = _support_cycle(pt.support)
     signs = [1]
@@ -580,26 +557,28 @@ def _cycle_direction(pt: PointAnalysis):
     expected_first = -signs[-1] if closing == "S" else signs[-1]
     if expected_first != signs[0]:
         return None, "sign assignment is inconsistent around the cycle"
-    return dict(zip(cycle, signs)), ""
+    sign_at = dict(zip(cycle, signs))
+    return tuple(sign_at[pos] for pos in pt.support), ""
 
 
-def interior_witness(p: Matrix | PointAnalysis) -> InteriorWitness | NotInterior:
+def interior_witness(pt: PointAnalysis) -> InteriorWitness | NotInterior:
     """Direction and exact step showing a non-integral member point is
     segment-interior in the prime-coordinate polytope.
 
     The direction vanishes at integral coordinates and has zero rate on every
     tight inequality; eps is half the smaller of the two exact stopping times,
-    so p + eps*v and p - eps*v both stay inside.
+    so p + eps*v and p - eps*v both stay inside. The direction is the kernel
+    vector over its denominator, or the cycle's signs over 1.
     """
-    pt = _member_analysis(p)
+    _require_member(pt)
     support = pt.support
     if not support:
         raise IntegralPointError("integral points admit no segment-interior witness")
     if len(support) > pt.omega:
-        v_support = _kernel_direction(pt)
-        if v_support is None:
+        kernel = _kernel_direction(pt)
+        if kernel is None:
             return NotInterior("tight relations leave no kernel direction")
-        values = dict(zip(support, v_support))
+        values, den = kernel
     else:
         if pt.tag not in ("P1", "P2"):
             return NotInterior(
@@ -608,14 +587,13 @@ def interior_witness(p: Matrix | PointAnalysis) -> InteriorWitness | NotInterior
         values, reason = _cycle_direction(pt)
         if values is None:
             return NotInterior(reason)
+        den = 1
     m = len(pt.cols)
-    direction = Matrix.from_rows(
-        [
-            [values.get((i, j), 0) for j in range(1, m + 1)]
-            for i in (1, 2, 3)
-        ]
-    )
-    bounds = _step_bounds(pt.system, pt.point, scale_to_ints(direction.flatten()))
+    nums = [0] * (3 * m)
+    for (i, j), x in zip(support, values):
+        nums[(i - 1) * m + j - 1] = x
+    direction = ScaledPoint(tuple(nums), den)
+    bounds = _step_bounds(pt.system, pt.point, direction)
     if bounds is None:
         return NotInterior("direction moves off a tight inequality")
     t_plus, t_minus = bounds
@@ -623,14 +601,14 @@ def interior_witness(p: Matrix | PointAnalysis) -> InteriorWitness | NotInterior
     return InteriorWitness(direction, eps)
 
 
-def s_facet_count_even(p: Matrix | PointAnalysis) -> bool:
+def s_facet_count_even(pt: PointAnalysis) -> bool:
     """Whether an even number of the support cycle's lines carry S-facets.
 
     Defined for P1/P2 configurations (each occupied line then holds exactly
     two non-integral coordinates). Evenness is what makes the cycle sign
     assignment close up.
     """
-    pt = _member_analysis(p)
+    _require_member(pt)
     if pt.tag not in ("P1", "P2"):
         raise ConfigurationError(f"support configuration {pt.tag!r} has no facet cycle")
     count = sum(1 for line in pt.support_lines() if line.line_class() == "S")

@@ -15,6 +15,7 @@ from clawpoly.cli import main
 from clawpoly.engine import EqualityReport, f_vector
 from clawpoly.fileio import format_vfile, parse_vfile, read_text
 from clawpoly.groups import Z2Z2
+from clawpoly.rationals import ScaledPoint
 from clawpoly.suites import InteriorSuiteReport
 from clawpoly.vertices import VertexSet, generate_vertices
 from clawpoly.witness import ContainmentReport, NotInterior
@@ -180,6 +181,24 @@ def test_transform_bad_dimension(tmp_path, capsys):
     vs = VertexSet(dimension=4, shape=(4,), points=((0, 0, 0, 0),))
     (tmp_path / "flat.ext").write_text(format_vfile(vs))
     assert main(["transform", "--in", "flat.ext"]) == 2
+
+
+BAD_SHAPES = {
+    # a row-major comment whose rows x cols does not fill the 12 coordinates
+    "unfilled": VertexSet(dimension=12, shape=(3, 3), points=((0,) * 12,)),
+    # a 2 x 3 layout: the points of both systems are 3 x m
+    "two-rows": VertexSet(dimension=6, shape=(2, 3), points=((0,) * 6,)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_SHAPES))
+@pytest.mark.parametrize("argv", [["transform", "--in"], ["witness", "interior", "--point"]])
+def test_vfile_bad_shape_is_usage_error(argv, shape, tmp_path, capsys):
+    (tmp_path / "s.ext").write_text(format_vfile(BAD_SHAPES[shape]))
+    assert main(argv + ["s.ext"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 # --- verify ----------------------------------------------------------------------
@@ -350,6 +369,34 @@ def test_verify_theorems_frontier_m9(capsys):
         "command=verify task=theorems leaves=9 samples=20 roundtrips=20 memberships=20 "
         "pseudo_facet_samples=20 cycle_configs=0 interior_nonintegral=20 violations=0 "
         "outcome=pass"
+    )
+
+
+def test_verify_theorems_counterexample_file_pinned(tmp_path, monkeypatch, capsys):
+    """The detail text the suites write, one failure forced in each: the
+    inverse transform is off by one in the first coordinate, every parity
+    check fails and no point gets a witness."""
+    inverse = suites.from_prime_scaled
+
+    def shifted(point):
+        nums, den = inverse(point)
+        return ScaledPoint((nums[0] + den,) + nums[1:], den)
+
+    monkeypatch.setattr(suites, "from_prime_scaled", shifted)
+    monkeypatch.setattr(suites, "parity_check", lambda line, subset: False)
+    monkeypatch.setattr(suites, "interior_witness", lambda pt: NotInterior("forced"))
+    argv = ["verify", "theorems", "--leaves", "3", "--samples", "6", "--seed", "1"]
+    assert main(argv + ["--out-dir", "cx"]) == 1
+    assert _record_without_wall(capsys) == (
+        "command=verify task=theorems leaves=3 samples=6 roundtrips=6 memberships=6 "
+        "pseudo_facet_samples=6 cycle_configs=4 interior_nonintegral=6 violations=42 "
+        "outcome=fail file=cx/counterexample_theorems_m3.records"
+    )
+    data = (tmp_path / "cx" / "counterexample_theorems_m3.records").read_bytes()
+    suites_failed = {line.split()[1] for line in data.decode().splitlines()}
+    assert suites_failed == {"suite=isomorphism", "suite=pseudo_facet", "suite=interior"}
+    assert hashlib.sha256(data).hexdigest() == (
+        "7f5b7a02f7cb4c18fbde50f876fa01189a1a9ab2cac46c9809891b39388cfc29"
     )
 
 
@@ -537,6 +584,21 @@ def test_stats_counts_rows_without_building_systems(monkeypatch, capsys):
     rec = last_record(capsys)
     assert (rec["kimura3_inequalities"], rec["kimura3_prime_inequalities"],
             rec["binary_inequalities"]) == ("40", "40", "16")
+
+
+def test_stats_counts_vertices_without_building_them(monkeypatch, capsys):
+    """Past the dimension cap no hull is computed, so no vertex is built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stats built the vertex set")
+
+    monkeypatch.setattr(cli, "generate_vertices", refuse)
+    assert main(["stats", "--leaves", "11"]) == 0
+    assert _record_without_wall(capsys) == (
+        "command=stats leaves=11 vertices=1048576 kimura3_inequalities=3116 "
+        "kimura3_prime_inequalities=3116 binary_inequalities=1046 facets=skipped-by-cap "
+        "outcome=partial"
+    )
 
 
 def test_stats_out_file_has_no_wall(tmp_path, capsys):

@@ -10,7 +10,7 @@ from conftest import hull_system, system_from_rows
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from clawpoly.coordchange import to_prime_coords
+from clawpoly.coordchange import to_prime_scaled
 from clawpoly.engine import (
     FVector,
     PolytopeDD,
@@ -29,6 +29,7 @@ from clawpoly.errors import (
 from clawpoly.groups import Z2Z2
 from clawpoly.halfspaces import demihypercube_system, kimura3_system
 from clawpoly.linalg import affine_rank, kernel_vector, matrix_rank
+from clawpoly.rationals import scale_to_ints
 from clawpoly.vertices import generate_vertices
 
 
@@ -418,7 +419,7 @@ def test_standard_system_vertices_match_generated(k3, delta3_vertices):
 
 
 def test_prime_system_vertices_are_transform_images(k3, prime3_vertices):
-    images = {tuple(to_prime_coords(p).flatten()) for p in k3.matrices()}
+    images = {to_prime_scaled(scale_to_ints(p)).nums for p in k3.points}
     assert set(prime3_vertices.points) == images
     assert all(
         x == int(x) for point in prime3_vertices.points for x in point

@@ -16,7 +16,6 @@ from clawpoly.fileio import (
     write_text,
 )
 from clawpoly.halfspaces import demihypercube_system, kimura3_system
-from clawpoly.matrices import Matrix
 from clawpoly.vertices import VertexSet
 
 
@@ -105,6 +104,20 @@ def test_vfile_rejects_stray_line():
         parse_vfile(bad)
 
 
+@pytest.mark.parametrize("rows, cols", [(3, 3), (2, 4), (1, 5)])
+def test_vfile_layout_must_fill_the_dimension(rows, cols):
+    text = format_vfile(VertexSet(dimension=6, shape=(6,), points=((0,) * 6,)))
+    text = text.replace("rows=1 cols=6", f"rows={rows} cols={cols}")
+    with pytest.raises(FileFormatError, match=f"a {rows}x{cols} layout does not fill"):
+        parse_vfile(text)
+
+
+def test_vfile_layout_of_one_row_is_flat():
+    text = format_vfile(VertexSet(dimension=6, shape=(2, 3), points=((0,) * 6,)))
+    assert parse_vfile(text).shape == (2, 3)
+    assert parse_vfile(text.replace("rows=2 cols=3", "rows=1 cols=6")).shape == (6,)
+
+
 def test_parse_ignores_comments_and_blanks():
     text = "* a comment\n\nV-representation\nbegin\n 1 2 rational\n 1 -1\n\nend\n"
     assert parse_vfile(text) == VertexSet(dimension=1, shape=(1,), points=((-1,),))
@@ -162,8 +175,9 @@ def test_record_line_rendering():
 
 
 def test_record_line_matrix_value():
-    p = Matrix.from_rows([(1, 0), (0, 1), (0, 0)])
-    assert record_line([("point", p)]) == "point=1,0;0,1;0,0"
+    # a matrix value is its rows: commas within a row, semicolons between rows
+    p = ((1, 0), (0, 1), (0, Fraction(1, 2)))
+    assert record_line([("point", p)]) == "point=1,0;0,1;0,1/2"
 
 
 def test_record_roundtrip():
@@ -184,7 +198,7 @@ def test_parse_record_rejects_bare_field():
 # --- json and text io -------------------------------------------------------------
 
 def test_json_fractions_and_matrices():
-    p = Matrix.from_rows([(Fraction(1, 2), 1)])
+    p = ((Fraction(1, 2), 1),)
     data = json.loads(to_json({"eps": Fraction(1, 2), "point": p}))
     assert data["eps"] == "1/2"
     assert data["point"] == [["1/2", 1]]

@@ -23,9 +23,8 @@ from clawpoly.halfspaces import (
     odd_subsets,
     row_count,
 )
-from clawpoly.coordchange import to_prime_coords
+from clawpoly.coordchange import to_prime_scaled
 from clawpoly.groups import Z2Z2
-from clawpoly.matrices import Matrix
 from clawpoly.rationals import ScaledPoint, scale_to_ints
 from clawpoly.vertices import generate_vertices
 
@@ -99,11 +98,12 @@ def test_arow_normal_form():
 
 def test_membership_statuses():
     sys_ = kimura3_system(3)
-    quarter = Matrix.from_flat([Fraction(1, 4)] * 9, 3, 3)
+    quarter = ScaledPoint((1,) * 9, 4)
     assert sys_.membership(quarter).status == "inside"
-    zero = Matrix.from_flat([0] * 9, 3, 3)
+    assert sys_.membership([Fraction(1, 4)] * 9).status == "inside"
+    zero = (0,) * 9
     assert sys_.membership(zero).status == "boundary"
-    e1 = Matrix.from_rows([(1, 1, 1), (0, 0, 0), (0, 0, 0)])
+    e1 = (1, 1, 1, 0, 0, 0, 0, 0, 0)
     res = sys_.membership(e1)
     assert res.status == "outside"
     assert res.violated == (13, 17)
@@ -118,7 +118,7 @@ def test_tight_sets_frozen():
     assert dict(half.by_kind)["arow"] == (6, 8)
 
     prime = kimura3_prime_system(3)
-    ts0 = prime.tight_set(Matrix.from_flat([0] * 9, 3, 3))
+    ts0 = prime.tight_set((0,) * 9)
     assert len(ts0.ids) == 18
     assert dict(ts0.by_kind)["arow"] == (0, 2, 3, 4, 6, 7, 8, 10, 11)
 
@@ -129,12 +129,16 @@ def test_tight_set_requires_membership():
 
 
 def test_flatten_accepts_matrix_and_sequence():
+    # a 3 x 3 matrix comes flattened row-major, as any sequence of rationals
     sys_ = kimura3_system(3)
-    mat = Matrix.from_flat([0] * 9, 3, 3)
-    assert sys_.flatten(mat) == (0,) * 9
-    assert sys_.flatten([0] * 9) == (0,) * 9
+    flat = sys_.flatten([Fraction(2, 2)] + [0] * 8)
+    assert flat == (1,) + (0,) * 8
+    assert type(flat[0]) is int
+    assert sys_.flatten((0,) * 9) == (0,) * 9
     with pytest.raises(DimensionError):
         sys_.flatten([0] * 8)
+    with pytest.raises(DimensionError):
+        sys_.membership(ScaledPoint((0,) * 8, 1))
 
 
 def test_model_system_dispatch():
@@ -254,10 +258,10 @@ def _model_vertices(model, m):
     if model == "binary":
         return [tuple((mask >> i) & 1 for i in range(m))
                 for mask in range(1 << m) if mask.bit_count() % 2 == 0]
-    mats = generate_vertices(Z2Z2, m).matrices()
+    points = generate_vertices(Z2Z2, m).points
     if model == "kimura3-prime":
-        mats = [to_prime_coords(v) for v in mats]
-    return [v.flatten() for v in mats]
+        points = [to_prime_scaled(scale_to_ints(v)).nums for v in points]
+    return list(points)
 
 
 _BIG = 2 ** 70
@@ -300,16 +304,14 @@ def _model_points(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_model_points(), st.sampled_from(["flat", "matrix", "scaled"]),
+@given(_model_points(), st.sampled_from(["flat", "scaled"]),
        st.integers(min_value=1, max_value=_BIG))
 def test_membership_matches_fraction_reference(case, form, factor):
-    """Every model at m=3..6, given as a sequence, a Matrix or a ScaledPoint
-    whose numerators and denominator carry an extra factor up to 2^70; tight
-    rows stay tight at any lane width."""
+    """Every model at m=3..6, given as a sequence or a ScaledPoint whose
+    numerators and denominator carry an extra factor up to 2^70; tight rows
+    stay tight at any lane width."""
     sys_, flat = case
-    if form == "matrix":
-        point = Matrix.from_flat(flat, *sys_.shape)
-    elif form == "scaled":
+    if form == "scaled":
         nums, den = scale_to_ints([Fraction(x) for x in flat])
         point = ScaledPoint(tuple(x * factor for x in nums), den * factor)
     else:

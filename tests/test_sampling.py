@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 import clawpoly.vertices as vertices_mod
-from clawpoly.coordchange import to_prime_coords
+from clawpoly.coordchange import to_prime_scaled
 from clawpoly.errors import ResourceCapError
 from clawpoly.groups import Z2Z2
 from clawpoly.halfspaces import kimura3_prime_system
-from clawpoly.matrices import Matrix
+from clawpoly.rationals import ScaledPoint, scale_to_ints
 from clawpoly.sampling import (
     _prime_vertex,
     sample_box_points,
@@ -45,22 +45,23 @@ def test_prime_samples_are_members():
 
 def test_sample_shapes():
     for p in sample_prime_points(4, 5, seed=0):
-        assert isinstance(p, Matrix)
-        assert (p.nrows, p.ncols) == (3, 4)
+        assert isinstance(p, ScaledPoint)
+        assert len(p.nums) == 3 * 4
 
 
 def test_box_points_range_and_denominator():
     lo, hi = Fraction(-1, 4), Fraction(5, 4)
     for p in sample_box_points(3, 40, seed=9):
-        for x in p.flatten():
+        assert p.den == 8
+        for x in p.values():
             assert lo <= x <= hi
             assert 8 % Fraction(x).denominator == 0
 
 
 def test_box_sampler_straddles_unit_box():
     pts = sample_box_points(3, 200, seed=3)
-    assert any(x < 0 for p in pts for x in p.flatten())
-    assert any(x > 1 for p in pts for x in p.flatten())
+    assert any(x < 0 for p in pts for x in p.values())
+    assert any(x > 1 for p in pts for x in p.values())
     sys3 = kimura3_prime_system(3)
     statuses = {sys3.membership(p).status for p in pts}
     assert "outside" in statuses
@@ -69,7 +70,7 @@ def test_box_sampler_straddles_unit_box():
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_prime_vertex_is_the_generated_image(m):
     vertices = vertices_mod.generate_vertices(Z2Z2, m)
-    images = [to_prime_coords(v).flatten() for v in vertices.matrices()]
+    images = [to_prime_scaled(scale_to_ints(v)).nums for v in vertices.points]
     assert [_prime_vertex(m, i) for i in range(len(images))] == images
 
 

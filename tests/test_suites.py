@@ -11,7 +11,7 @@ from clawpoly.suites import (
     run_isomorphism_suite,
     run_pseudo_facet_suite,
 )
-from clawpoly.witness import InteriorWitness, interior_witness
+from clawpoly.witness import InteriorWitness, analyze_point, interior_witness
 
 
 def test_isomorphism_suite_small():
@@ -102,15 +102,15 @@ def test_suite_reports_pinned(m, seed):
         (m, n, nonintegral, (), True),
     )
     pts = _mixed_sample(m, n, seed) + sample_box_points(m, n, seed)
-    assert _sha256_lines(" ".join(map(fmt, p.flatten())) for p in pts) == points_sha
+    assert _sha256_lines(" ".join(map(fmt, p.values())) for p in pts) == points_sha
 
 
 def test_interior_witnesses_pinned():
     lines = []
     for p in _mixed_sample(5, 600, 0):
-        if p.is_integral():
+        if not any(x % p.den for x in p.nums):
             continue
-        w = interior_witness(p)
+        w = interior_witness(analyze_point(p))
         assert isinstance(w, InteriorWitness)
-        lines.append(" ".join(map(fmt, w.direction.flatten())) + " eps=" + fmt(w.epsilon))
+        lines.append(" ".join(map(fmt, w.direction.values())) + " eps=" + fmt(w.epsilon))
     assert (len(lines), _sha256_lines(lines)) == WITNESS_PIN

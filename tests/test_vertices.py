@@ -13,7 +13,7 @@ from clawpoly.groups import (
     group_sum,
     identity,
 )
-from clawpoly.vertices import Labeling, generate_vertices, labeling_to_matrix, vertex_at
+from clawpoly.vertices import Labeling, generate_vertices, vertex_at
 from clawpoly.witness import violation_witness
 
 
@@ -88,9 +88,10 @@ def test_vertices_are_distinct_01_matrices():
 
 
 def test_labeling_roundtrip():
+    # each leaf's element embeds as one column of the vertex matrix
     lab = _lab((1, 0), (0, 1), (1, 1))
-    mat = labeling_to_matrix(lab)
-    assert mat.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert [embed(Z2Z2, g) for g in lab.elements] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert generate_vertices(Z2Z2, 3).points[6] == (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
 def test_labeling_consistency():
@@ -120,8 +121,8 @@ def test_generation_cap(monkeypatch):
 def test_all_labelings_in_vertex_set_are_consistent():
     spec = Z2Z2
     decode = {embed(spec, g): g for g in group_elements(spec)}
-    for mat in generate_vertices(spec, 3).matrices():
-        elements = [decode[mat.column(j)] for j in range(1, mat.ncols + 1)]
+    for p in generate_vertices(spec, 3).points:
+        elements = [decode[p[j::3]] for j in range(3)]
         assert group_sum(spec, elements) == identity(spec)
 
 

@@ -14,7 +14,8 @@ from clawpoly.errors import (
     NotAMemberError,
     NotTightError,
 )
-from clawpoly.groups import Z2, Z2Z2, element, group_sum, identity
+from clawpoly.coordchange import point_rows
+from clawpoly.groups import Z2, Z2Z2, element, embed, group_sum, identity
 from clawpoly.halfspaces import (
     ARow,
     ColumnSimplex,
@@ -23,20 +24,19 @@ from clawpoly.halfspaces import (
     kimura3_system,
 )
 from clawpoly.linalg import kernel_vector
-from clawpoly.matrices import Matrix
 from clawpoly.rationals import scale_to_ints
 from clawpoly.sampling import _combine, _prime_vertex, sample_prime_points
-from clawpoly.vertices import Labeling, generate_vertices, labeling_to_matrix
+from clawpoly.vertices import Labeling, generate_vertices
 from clawpoly.witness import (
     _integer_kernel,
     _step_bounds,
     InteriorWitness,
     NotInterior,
+    analyze_point,
     check_containment,
     classify_facet,
     incidence_report,
     interior_witness,
-    line_tight_subsets,
     parity_check,
     pseudo_facet_structure,
     s_facet_count_even,
@@ -48,6 +48,21 @@ H = Fraction(1, 2)
 
 def lab(*residues):
     return Labeling(Z2Z2, tuple(element(Z2Z2, r) for r in residues))
+
+
+def _rows_point(rows):
+    """The ScaledPoint of a 3 x m point given by its rows."""
+    return scale_to_ints([x for row in rows for x in row])
+
+
+def _line(values):
+    """The LineAnalysis of values, as the first row of a 3 x n point."""
+    zeros = (0,) * len(values)
+    return analyze_point(_rows_point([values, zeros, zeros])).rows[0]
+
+
+def _is_integral(p):
+    return not any(x % p.den for x in p.nums)
 
 
 def test_containment_small():
@@ -147,7 +162,8 @@ def test_witness_matches_the_built_row(m):
         if w is None:
             continue
         a, b = sys_.rows[w.inequality_id]
-        flat = labeling_to_matrix(labeling).flatten()
+        cols = [embed(Z2Z2, g) for g in labeling.elements]
+        flat = [col[r] for r in range(3) for col in cols]
         assert sys_.families[w.inequality_id] == ARow(w.row_pair, w.subset)
         assert (w.lhs, w.rhs) == (sum(c * x for c, x in zip(a, flat)), b)
         checked += 1
@@ -158,47 +174,50 @@ def test_witness_matches_the_built_row(m):
 # --- line-level classification ------------------------------------------------
 
 def test_line_tight_subsets_frozen():
-    assert line_tight_subsets((1, 1, 0, 0)) == ((1,), (1, 2, 3), (1, 2, 4), (2,))
-    assert line_tight_subsets((0, 0, 0)) == ((1,), (2,), (3,))
-    assert line_tight_subsets((H, H, 0)) == ((1,), (2,))
-    assert line_tight_subsets((H, H, H)) == ()
+    assert _line((1, 1, 0, 0)).tight == ((1,), (1, 2, 3), (1, 2, 4), (2,))
+    assert _line((0, 0, 0)).tight == ((1,), (2,), (3,))
+    assert _line((H, H, 0)).tight == ((1,), (2,))
+    assert _line((H, H, H)).tight == ()
 
 
 def test_classify_same_side():
-    assert classify_facet((H, H, 1), (3,)) == "S"
-    assert parity_check((H, H, 1), (3,)) is True
+    assert classify_facet(_line((H, H, 1)), (3,)) == "S"
+    assert parity_check(_line((H, H, 1)), (3,)) is True
 
 
 def test_classify_opposite_sides():
-    assert classify_facet((H, H, 0), (1,)) == "O"
-    assert parity_check((H, H, 0), (1,)) is True
+    assert classify_facet(_line((H, H, 0)), (1,)) == "O"
+    assert parity_check(_line((H, H, 0)), (1,)) is True
 
 
 def test_classify_needs_two_nonintegral():
     with pytest.raises(ClassificationUndefinedError):
-        classify_facet((H, H, H), (1,))
+        classify_facet(_line((H, H, H)), (1,))
     with pytest.raises(ClassificationUndefinedError):
-        classify_facet((1, 0, 0), (1,))
+        classify_facet(_line((1, 0, 0)), (1,))
 
 
 def test_classify_needs_tightness():
     # (1/2, 1/2, 1) is tight on (3,) and (1,2,3) but not on (1,)
     with pytest.raises(NotTightError):
-        classify_facet((H, H, 1), (1,))
+        classify_facet(_line((H, H, 1)), (1,))
 
 
 def test_classify_rejects_even_subsets():
     with pytest.raises(ClassificationUndefinedError):
-        classify_facet((H, H, 0), (1, 2))
+        classify_facet(_line((H, H, 0)), (1, 2))
 
 
 # --- incidence reports ---------------------------------------------------------
 
-P1_POINT = Matrix.from_rows([(H, H, 0), (H, H, 0), (0, 0, 0)])
+P1_POINT = _rows_point([(H, H, 0), (H, H, 0), (0, 0, 0)])
+ZERO_POINT = _rows_point([(0, 0, 0)] * 3)
+OUTSIDE_POINT = _rows_point([(3, 0, 0), (0, 0, 0), (0, 0, 0)])
+HALF_POINT = _rows_point([(H, H, H)] * 3)
 
 
 def test_p1_incidence_frozen():
-    rep = incidence_report(P1_POINT)
+    rep = incidence_report(analyze_point(P1_POINT))
     assert rep.k == 4
     assert rep.omega == 4
     assert rep.tag == "P1"
@@ -210,20 +229,19 @@ def test_p1_incidence_frozen():
 
 
 def test_integral_point_incidence():
-    rep = incidence_report(Matrix.from_rows([(0, 0, 0)] * 3))
+    rep = incidence_report(analyze_point(ZERO_POINT))
     assert rep.k == 0
     assert rep.omega == 0
     assert rep.tag == "none"
 
 
 def test_incidence_requires_membership():
-    outside = Matrix.from_rows([(3, 0, 0), (0, 0, 0), (0, 0, 0)])
     with pytest.raises(NotAMemberError):
-        incidence_report(outside)
+        incidence_report(analyze_point(OUTSIDE_POINT))
 
 
 def test_p1_structure_passes():
-    rep = pseudo_facet_structure(P1_POINT)
+    rep = pseudo_facet_structure(analyze_point(P1_POINT))
     assert rep.passed
     rows = {c.row: c for c in rep.rows}
     assert rows[1].nonintegral == 2
@@ -234,17 +252,17 @@ def test_p1_structure_passes():
 # --- interior witnesses ----------------------------------------------------------
 
 def test_p1_interior_witness_frozen():
-    wit = interior_witness(P1_POINT)
+    wit = interior_witness(analyze_point(P1_POINT))
     assert isinstance(wit, InteriorWitness)
-    assert wit.direction.entries == ((1, 1, 0), (1, 1, 0), (0, 0, 0))
+    assert point_rows(wit.direction) == ((1, 1, 0), (1, 1, 0), (0, 0, 0))
     assert wit.epsilon == Fraction(1, 4)
 
 
 def test_p1_witness_endpoints_inside():
     sys3 = kimura3_prime_system(3)
-    wit = interior_witness(P1_POINT)
-    flat = P1_POINT.flatten()
-    vdir = wit.direction.flatten()
+    wit = interior_witness(analyze_point(P1_POINT))
+    flat = P1_POINT.values()
+    vdir = wit.direction.values()
     up = [x + wit.epsilon * v for x, v in zip(flat, vdir)]
     dn = [x - wit.epsilon * v for x, v in zip(flat, vdir)]
     assert sys3.membership(up).status == "boundary"
@@ -254,41 +272,40 @@ def test_p1_witness_endpoints_inside():
 
 def test_kernel_branch_witness():
     # strictly interior point: no tight inequality, k=9 > omega=6
-    p = Matrix.from_rows([(H, H, H)] * 3)
-    rep = incidence_report(p)
+    pt = analyze_point(HALF_POINT)
+    rep = incidence_report(pt)
     assert (rep.k, rep.omega, rep.tag) == (9, 6, "other")
-    wit = interior_witness(p)
+    wit = interior_witness(pt)
     assert isinstance(wit, InteriorWitness)
     assert wit.epsilon > 0
-    assert any(x != 0 for x in wit.direction.flatten())
+    assert wit.direction.den > 0
+    assert any(x != 0 for x in wit.direction.nums)
     sys3 = kimura3_prime_system(3)
     for sign in (1, -1):
         moved = [
             x + sign * wit.epsilon * v
-            for x, v in zip(p.flatten(), wit.direction.flatten())
+            for x, v in zip(HALF_POINT.values(), wit.direction.values())
         ]
         assert sys3.membership(moved).status != "outside"
 
 
 def test_interior_witness_rejects_integral():
     with pytest.raises(IntegralPointError):
-        interior_witness(Matrix.from_rows([(0, 0, 0)] * 3))
+        interior_witness(analyze_point(ZERO_POINT))
 
 
 def test_interior_witness_rejects_nonmembers():
-    outside = Matrix.from_rows([(3, 0, 0), (0, 0, 0), (0, 0, 0)])
     with pytest.raises(NotAMemberError):
-        interior_witness(outside)
+        interior_witness(analyze_point(OUTSIDE_POINT))
 
 
 def test_s_facet_count_even_p1():
-    assert s_facet_count_even(P1_POINT) is True
+    assert s_facet_count_even(analyze_point(P1_POINT)) is True
 
 
 def test_s_facet_count_needs_cycle():
-    p = Matrix.from_rows([(H, H, H)] * 3)
     with pytest.raises(ConfigurationError):
-        s_facet_count_even(p)
+        s_facet_count_even(analyze_point(HALF_POINT))
 
 
 def test_not_interior_is_distinct_type():
@@ -325,13 +342,14 @@ def _step_reference(sys_, flat, direction):
     return t_plus, t_minus
 
 
-def _combine_reference(flats, weights, m):
+def _combine_reference(flats, weights):
+    """The combination's coordinates as canonical rationals."""
     total = sum(weights)
     flat = [
         sum(Fraction(w) * x for w, x in zip(weights, col)) / total
         for col in zip(*flats)
     ]
-    return Matrix.from_rows([flat[r * m:(r + 1) * m] for r in range(3)])
+    return tuple(int(x) if x.denominator == 1 else x for x in flat)
 
 
 # values that often sit on pseudo-facets, plus free rationals
@@ -345,13 +363,16 @@ _line_values = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_line_values, min_size=3, max_size=7))
 def test_line_tight_subsets_matches_fraction_reference(values):
-    assert line_tight_subsets(values) == _tight_reference(values)
+    assert _line(values).tight == _tight_reference(values)
 
 
 def test_line_tight_subsets_on_sampled_lines():
     for p in sample_prime_points(5, 60, seed=11):
-        for line in [p.row(r) for r in (1, 2, 3)] + [p.column(c) for c in range(1, 6)]:
-            assert line_tight_subsets(line) == _tight_reference(line)
+        pt = analyze_point(p)
+        rows = point_rows(p)
+        cols = list(zip(*rows))
+        for line, values in zip(pt.rows + pt.cols, rows + tuple(cols)):
+            assert line.tight == _tight_reference(values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -364,13 +385,14 @@ def test_line_tight_subsets_on_sampled_lines():
 def test_step_bounds_match_fraction_reference(m, seed, kind, data):
     sys_ = kimura3_prime_system(m)
     p = sample_prime_points(m, 1, seed)[0]
+    flat = p.values()
     if kind == "witness":
-        if p.is_integral():
+        if _is_integral(p):
             return
-        wit = interior_witness(p)
+        wit = interior_witness(analyze_point(p))
         if not isinstance(wit, InteriorWitness):
             return
-        direction = wit.direction.flatten()
+        scaled, direction = wit.direction, wit.direction.values()
     else:
         coord = (st.integers(min_value=-3, max_value=3) if kind == "integer"
                  else st.fractions(min_value=-2, max_value=2, max_denominator=9))
@@ -379,12 +401,12 @@ def test_step_bounds_match_fraction_reference(m, seed, kind, data):
             return
         # zero at integral coordinates leaves the tight box rows alone more often
         if data.draw(st.booleans()):
-            direction = [v if not x == int(x) else 0 for x, v in zip(p.flatten(), direction)]
+            direction = [v if not x == int(x) else 0 for x, v in zip(flat, direction)]
             if all(v == 0 for v in direction):
                 return
-    flat = p.flatten()
-    assert (_step_bounds(sys_, scale_to_ints(flat), scale_to_ints(direction))
-            == _step_reference(sys_, flat, direction))
+        scaled = scale_to_ints(direction)
+    # the sample and the witness direction come over unreduced denominators
+    assert _step_bounds(sys_, p, scaled) == _step_reference(sys_, flat, direction)
 
 
 @settings(max_examples=100, deadline=None)
@@ -394,10 +416,10 @@ def test_combine_matches_fraction_reference(m, data):
     picks = data.draw(st.lists(st.sampled_from(verts), min_size=1, max_size=5))
     weights = data.draw(st.lists(st.integers(min_value=1, max_value=8),
                                  min_size=len(picks), max_size=len(picks)))
-    got = _combine(picks, weights, m)
-    want = _combine_reference(picks, weights, m)
+    got = _combine(picks, weights).values()
+    want = _combine_reference(picks, weights)
     assert got == want
-    assert [type(x) for x in got.flatten()] == [type(x) for x in want.flatten()]
+    assert [type(x) for x in got] == [type(x) for x in want]
 
 
 @st.composite
@@ -420,7 +442,13 @@ def _kernel_systems(draw, entries=st.sampled_from([-1, 0, 1]), sums=False):
 
 
 def _same_vector(got, want):
-    return got == want and (got is None or [type(x) for x in got] == [type(x) for x in want])
+    """The integer kernel's vector, over a positive denominator, has the
+    Fraction kernel's values and types."""
+    if got is None or want is None:
+        return got is want
+    values = got.values()
+    types = [type(x) for x in values]
+    return got.den > 0 and values == want and types == [type(x) for x in want]
 
 
 @settings(max_examples=400, deadline=None)
