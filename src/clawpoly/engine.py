@@ -11,6 +11,12 @@ reduce to one cone computation:
   {y : y.(1, v_i) <= 0}; extreme rays are facets, lineality is the
   affine hull.
 
+Both directions insert their rows in one order (_insertion_key): fewest
+nonzero entries first, ties lexicographically largest first; vertices put
+x0 >= 0 ahead of all. The outputs are sorted, so the order changes only
+the time and the per-row progress log; the time it can change by orders
+of magnitude (Fukuda & Prodon; Avis, Bremner & Seidel).
+
 Lineality is absorbed on the fly (the run starts from R^n as a basis of
 lines), and rays carry exact tight-set bitmasks over the input rows. Rays
 are known by ids, renumbered once dead ids outnumber live ones and before
@@ -93,6 +99,11 @@ def _scale_row_to_int(row):
 
 def _dot(a, b):
     return sum(map(mul, a, b))
+
+
+def _insertion_key(row):
+    """DD insertion order: sparsest rows first, ties lexicographically largest first."""
+    return len(row) - row.count(0), tuple(-x for x in row)
 
 
 def _transpose(masks, nbits):
@@ -367,8 +378,7 @@ def vertices_from_inequalities(system, max_dim=None) -> VertexSet:
     d = system.dimension
     check_dimension(d, max_dim)
     rows = system.homogenized_rows()
-    # deterministic insertion order: sort by the (b, -a) file representation
-    rows.sort(key=lambda r: tuple(-x for x in r))
+    rows.sort(key=_insertion_key)
     structural = tuple([-1] + [0] * d)
     rows.insert(0, structural)
     label = f"vertices[{system.model} d={d}]"
@@ -416,7 +426,7 @@ def hull_from_vertices(points) -> PolytopeDD:
         raise DimensionError("points of mixed dimension")
     pts = sorted(set(pts))
     scaled = [_scale_row_to_int((1,) + p) for p in pts]
-    order = sorted(range(len(pts)), key=scaled.__getitem__)  # row -> point
+    order = sorted(range(len(pts)), key=lambda i: _insertion_key(scaled[i]))  # row -> point
     lines, rays = _dd_cone(
         [scaled[i] for i in order], d + 1, f"hull[d={d} points={len(pts)}]"
     )

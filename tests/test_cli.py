@@ -329,6 +329,23 @@ def test_verify_integrality_m5(capsys):
     assert rec["violations"] == "0"
 
 
+def test_verify_integrality_m6(capsys):
+    assert main(["verify", "integrality", "--leaves", "6", "--max-dim", "18"]) == 0
+    rec = last_record(capsys)
+    assert rec["kimura3_vertices"] == "1024"
+    assert rec["kimura3_prime_vertices"] == "1024"
+    assert rec["violations"] == "0"
+    assert rec["outcome"] == "pass"
+
+
+def test_verify_equality_m6(capsys):
+    assert main(["verify", "equality", "--leaves", "6", "--max-dim", "18"]) == 0
+    rec = last_record(capsys)
+    assert rec["engine_vertices"] == "1024"
+    assert rec["generated_vertices"] == "1024"
+    assert rec["outcome"] == "pass"
+
+
 def test_verify_theorems(capsys):
     assert main(["verify", "theorems", "--leaves", "3", "--samples", "40"]) == 0
     rec = last_record(capsys)

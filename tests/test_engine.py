@@ -14,6 +14,10 @@ from clawpoly.coordchange import to_prime_scaled
 from clawpoly.engine import (
     FVector,
     PolytopeDD,
+    _dd_cone,
+    _insertion_key,
+    _scale_row_to_int,
+    _transpose,
     enumerate_integral_points,
     equal_polytopes,
     f_vector,
@@ -27,7 +31,7 @@ from clawpoly.errors import (
     UnboundedError,
 )
 from clawpoly.groups import Z2Z2
-from clawpoly.halfspaces import demihypercube_system, kimura3_system
+from clawpoly.halfspaces import demihypercube_system, kimura3_prime_system, kimura3_system
 from clawpoly.linalg import affine_rank, kernel_vector, matrix_rank
 from clawpoly.rationals import scale_to_ints
 from clawpoly.vertices import generate_vertices
@@ -193,8 +197,8 @@ def test_hull_k5_counts_and_incidence(caplog):
     ]
     # every DD count is pinned, the pairs past the prefilter included
     assert _summaries(caplog) == [
-        "hull[d=15 points=256]: 256 rows, 1190 rays at peak, 2689847 candidate pairs, "
-        "82723 past prefilter, 11206 adjacent",
+        "hull[d=15 points=256]: 256 rows, 1029 rays at peak, 3269105 candidate pairs, "
+        "90020 past prefilter, 9403 adjacent",
     ]
 
 
@@ -202,9 +206,23 @@ def test_dd_counts_pinned_for_binary_d9(caplog):
     caplog.set_level(logging.INFO, logger="clawpoly.engine")
     vertices_from_inequalities(demihypercube_system(9), max_dim=9)
     assert _summaries(caplog) == [
-        "vertices[binary d=9]: 275 rows, 503 rays at peak, 198879 candidate pairs, "
-        "1010 past prefilter, 1010 adjacent",
+        "vertices[binary d=9]: 275 rows, 512 rays at peak, 96383 candidate pairs, "
+        "511 past prefilter, 511 adjacent",
     ]
+
+
+@pytest.mark.parametrize("build, line", [
+    (kimura3_system,
+     "vertices[kimura3 d=15]: 69 rows, 1375 rays at peak, 2331163 candidate pairs, "
+     "16279 past prefilter, 2993 adjacent"),
+    (kimura3_prime_system,
+     "vertices[kimura3-prime d=15]: 69 rows, 1368 rays at peak, 2292954 candidate pairs, "
+     "16399 past prefilter, 2953 adjacent"),
+], ids=["kimura3", "kimura3-prime"])
+def test_dd_counts_pinned_for_kimura3_m5(build, line, caplog):
+    caplog.set_level(logging.INFO, logger="clawpoly.engine")
+    vertices_from_inequalities(build(5), max_dim=15)
+    assert _summaries(caplog) == [line]
 
 
 def _normalized(vec):
@@ -275,7 +293,7 @@ def test_lane_rebuilds_logged_and_exact(caplog):
 
 def test_widening_renumbers_first(caplog):
     """A widening first drops the dead rays, so the one rebuild after it
-    repacks live rays only: on the coordinates above, each of the 8
+    repacks live rays only: on the coordinates above, each of the 5
     widenings comes with a renumbering and no row rebuilds twice."""
     caplog.set_level(logging.INFO, logger="clawpoly.engine")
     rng = random.Random(3)
@@ -285,7 +303,7 @@ def test_widening_renumbers_first(caplog):
     ]
     hull_from_vertices(pts)
     assert [r.getMessage() for r in caplog.records if "lanes" in r.getMessage()] == [
-        "hull[d=4 points=20]: 41-byte lanes, 9 column rebuilds (9 renumber, 8 widen)"
+        "hull[d=4 points=20]: 41-byte lanes, 6 column rebuilds (6 renumber, 5 widen)"
     ]
 
 
@@ -297,8 +315,8 @@ def test_dd_counts_logged_for_hull_and_vertices(caplog):
     assert summaries == [
         "hull[d=2 points=4]: 4 rows, 4 rays at peak, 2 candidate pairs, "
         "2 past prefilter, 2 adjacent",
-        "vertices[binary d=3]: 11 rows, 5 rays at peak, 11 candidate pairs, "
-        "8 past prefilter, 8 adjacent",
+        "vertices[binary d=3]: 11 rows, 8 rays at peak, 17 candidate pairs, "
+        "7 past prefilter, 7 adjacent",
     ]
 
 
@@ -399,6 +417,84 @@ def test_rational_vertex_coordinates():
     )
 
 
+# --- insertion order ---------------------------------------------------------------
+
+def _off(vec, basis):
+    """vec minus its orthogonal projection on the span of the pairwise
+    orthogonal basis vectors, over the rationals."""
+    u = [Fraction(x) for x in vec]
+    for w in basis:
+        c = _dot(u, w) / _dot(w, w)
+        u = [x - c * y for x, y in zip(u, w)]
+    return u
+
+
+def _orthogonal_basis(lines):
+    """Pairwise orthogonal rational vectors spanning the lines (Gram-Schmidt)."""
+    basis = []
+    for l in lines:
+        u = _off(l, basis)
+        if any(u):
+            basis.append(u)
+    return basis
+
+
+def _cone_result(rows, perm):
+    """_dd_cone on rows[perm[0]], rows[perm[1]], ...: its lines, and each ray
+    projected off their span and scaled to a coprime integer vector, paired
+    with its tight mask over the unpermuted rows."""
+    lines, rays = _dd_cone([rows[i] for i in perm], len(rows[0]), "order")
+    basis = _orthogonal_basis(lines)
+    out = set()
+    for r, mask in rays:
+        u = _off(r, basis)
+        denom = lcm(*(x.denominator for x in u))
+        out.add((
+            _normalized(tuple(int(x * denom) for x in u)),
+            sum(1 << row for i, row in enumerate(perm) if mask >> i & 1),
+        ))
+    return lines, out
+
+
+def _assert_order_independent(rows, perm):
+    """The run on rows in perm order finds the same rays, tight masks and
+    lineality span as the run in insertion-key order."""
+    keyed = sorted(range(len(rows)), key=lambda i: _insertion_key(rows[i]))
+    lines_k, rays_k = _cone_result(rows, keyed)
+    lines_p, rays_p = _cone_result(rows, perm)
+    assert len(lines_k) == len(lines_p) == len(_orthogonal_basis(lines_k + lines_p))
+    assert rays_k == rays_p
+
+
+def _vertex_cone_rows(d, rows):
+    """The cone rows vertices_from_inequalities builds: x0 >= 0, then (-b, a)."""
+    return [(-1,) + (0,) * d] + [(-b,) + tuple(a) for a, b in rows]
+
+
+def _hull_cone_rows(pts):
+    """The cone rows hull_from_vertices builds: (1, p) scaled to integers."""
+    return sorted({_scale_row_to_int((1,) + tuple(p)) for p in pts})
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(
+    wide_systems().map(lambda data: _vertex_cone_rows(*data)),
+    hull_inputs().map(lambda data: _hull_cone_rows(data[1])),
+), st.data())
+def test_dd_cone_independent_of_row_order(rows, data):
+    _assert_order_independent(rows, data.draw(st.permutations(range(len(rows)))))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dd_cone_shuffled_model_rows(seed, k3):
+    rng = random.Random(seed)
+    system = demihypercube_system(5)
+    for rows in (_hull_cone_rows(k3.points), _vertex_cone_rows(5, system.rows)):
+        perm = list(range(len(rows)))
+        rng.shuffle(perm)
+        _assert_order_independent(rows, perm)
+
+
 # --- model polytopes -------------------------------------------------------------
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
@@ -410,6 +506,46 @@ def test_demihypercube_vertices_even_weight(m):
         if bin(mask).count("1") % 2 == 0
     )
     assert list(vs.points) == expected
+
+
+def _tangent_cone_at_0(system):
+    """_dd_cone in insertion-key order on the rows a.x <= 0 tight at the origin."""
+    rows = sorted((a for a, b in system.rows if b == 0), key=_insertion_key)
+    return _dd_cone(rows, system.dimension, f"cone[{system.model}]")
+
+
+def _edge_count(poly):
+    """Pairs of vertices whose common facets hold no third vertex."""
+    on = _transpose(poly.incidence, len(poly.vertices))  # per vertex: its facets
+    return sum(
+        1 for u, v in combinations(on, 2)
+        if sum(1 for w in on if w & u & v == u & v) == 2
+    )
+
+
+@pytest.mark.parametrize("m, edges", [(3, 15), (4, 42), (5, 90), (6, 165)])
+def test_tangent_cone_at_vertex_0(m, edges):
+    counts = []
+    for build in (kimura3_system, kimura3_prime_system):
+        lines, rays = _tangent_cone_at_0(build(m))
+        assert lines == []
+        counts.append(len(rays))
+    assert counts == [edges, edges]
+
+
+@pytest.mark.parametrize("d", [6, 8, 10, 12])
+def test_tangent_cone_at_vertex_0_binary(d):
+    lines, rays = _tangent_cone_at_0(demihypercube_system(d))
+    assert lines == []
+    assert len(rays) == d * (d - 1) // 2
+
+
+def test_tangent_cone_edges_match_hull_degree(hull_k3, hull_k4):
+    """K(m) is vertex-transitive, so the edges at 0 number f_1 * 2 / |V|."""
+    for m, poly in ((3, hull_k3), (4, hull_k4)):
+        _, rays = _tangent_cone_at_0(kimura3_system(m))
+        assert len(rays) * len(poly.vertices) == 2 * _edge_count(poly)
+    assert _edge_count(hull_k3) == f_vector(hull_k3).counts[1]
 
 
 def test_standard_system_vertices_match_generated(k3, delta3_vertices):
