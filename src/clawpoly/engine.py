@@ -11,9 +11,14 @@ reduce to one cone computation:
   {y : y.(1, v_i) <= 0}; extreme rays are facets, lineality is the
   affine hull.
 
-Both directions insert their rows in one order (_insertion_key): fewest
-nonzero entries first, ties lexicographically largest first; vertices put
-x0 >= 0 ahead of all. The outputs are sorted, so the order changes only
+Each direction inserts its rows in one fixed order. Vertices use
+_insertion_key: fewest nonzero entries first, ties lexicographically
+largest first, with x0 >= 0 ahead of all. The hull uses _face_first_order,
+read off the point set alone: a chain of ever smaller faces, each the
+points of the last that minimise one more coordinate, fixes a coordinate
+order, and the points are sorted lexicographically in it, so every face of
+the chain is a prefix and the DD builds it up one face at a time. The
+outputs are sorted, so neither rule changes any output or artifact, only
 the time and the per-row progress log; the time it can change by orders
 of magnitude (Fukuda & Prodon; Avis, Bremner & Seidel).
 
@@ -106,14 +111,49 @@ def _insertion_key(row):
     return len(row) - row.count(0), tuple(-x for x in row)
 
 
+def _face_first_order(pts):
+    """Hull insertion order: the indices of the distinct points pts, face by face.
+
+    The leading class starts as every point. It shrinks, one coordinate at
+    a time, to its points at the least value of the unused coordinate whose
+    least value the fewest of them reach (ties: lowest index), until one
+    point is left; the unused coordinates follow in index order. Sorting the
+    points lexicographically in that coordinate order makes every leading
+    class a prefix, and each is a face of the hull of the one before it.
+    """
+    unused = list(range(len(pts[0])))
+    coords = []
+    lead = pts
+    while len(lead) > 1:
+        fewest = None
+        for j in unused:
+            low = min(p[j] for p in lead)
+            at = [p for p in lead if p[j] == low]
+            if fewest is None or len(at) < len(fewest):
+                fewest, pick = at, j
+        lead = fewest
+        coords.append(pick)
+        unused.remove(pick)
+    coords += unused
+    return sorted(range(len(pts)), key=lambda i: [pts[i][j] for j in coords])
+
+
 def _transpose(masks, nbits):
-    """Per bit i < nbits, the bitmask of the positions k whose masks[k] has bit i."""
-    cols = [bytearray((len(masks) + 7) >> 3) for _ in range(nbits)]
-    for k, mask in enumerate(masks):
-        byte, bit = k >> 3, 1 << (k & 7)
-        for i in bits(mask):
-            cols[i][byte] |= bit
-    return [int.from_bytes(c, "little") for c in cols]
+    """Per bit i < nbits, the bitmask of the positions k whose masks[k] has bit i.
+
+    Every mask is below 2^nbits. The masks are read in blocks of about
+    2^18 binary digits, so the strings stay small: in one string of a
+    block's digits, last mask first, nbits digits each, the block's part of
+    bitmask i is every nbits-th character from the digit of bit i on.
+    """
+    cols = [0] * nbits
+    step = max(1, (1 << 18) // max(nbits, 1))
+    for start in range(0, len(masks), step):
+        block = reversed(masks[start:start + step])
+        digits = "".join([format(mask, f"0{nbits}b") for mask in block])
+        for i in range(nbits):
+            cols[i] |= int(digits[nbits - 1 - i::nbits], 2) << start
+    return cols
 
 
 def _lane_layout(big, norm_bits):
@@ -411,9 +451,9 @@ def hull_from_vertices(points) -> PolytopeDD:
 
     Accepts a VertexSet or an iterable of rational point tuples; duplicates
     are removed. Each facet's tight points come from its ray's tight set. A
-    point is a vertex of the hull iff no other input point lies on every
-    facet it lies on: otherwise its minimal face has a second vertex, and
-    that vertex is an input point.
+    point is a vertex of the hull iff it is the only input point on every
+    facet it lies on, one AND of those facets' tight sets: otherwise its
+    minimal face has a second vertex, and that vertex is an input point.
     """
     if hasattr(points, "points"):
         pts = list(points.points)
@@ -425,10 +465,10 @@ def hull_from_vertices(points) -> PolytopeDD:
     if any(len(p) != d for p in pts):
         raise DimensionError("points of mixed dimension")
     pts = sorted(set(pts))
-    scaled = [_scale_row_to_int((1,) + p) for p in pts]
-    order = sorted(range(len(pts)), key=lambda i: _insertion_key(scaled[i]))  # row -> point
+    order = _face_first_order(pts)  # row -> point
     lines, rays = _dd_cone(
-        [scaled[i] for i in order], d + 1, f"hull[d={d} points={len(pts)}]"
+        [_scale_row_to_int((1,) + pts[i]) for i in order], d + 1,
+        f"hull[d={d} points={len(pts)}]",
     )
     facet_rays = []
     for y, mask in rays:
@@ -439,13 +479,18 @@ def hull_from_vertices(points) -> PolytopeDD:
     facet_rays.sort()
     facets = [f for f, _ in facet_rays]
     equations = sorted(_canonical_equation(l[1:], -l[0]) for l in lines)
+    row_masks = [mask for _, mask in facet_rays]  # per facet: the rows tight on it
     on_facets = [0] * len(pts)  # per point: bitmask of the facets through it
-    for row, fmask in enumerate(_transpose([mask for _, mask in facet_rays], len(pts))):
+    vertex_ids = []
+    every_row = (1 << len(pts)) - 1
+    for row, fmask in enumerate(_transpose(row_masks, len(pts))):
         on_facets[order[row]] = fmask
-    vertex_ids = [
-        i for i, fi in enumerate(on_facets)
-        if not any(fj & fi == fi for j, fj in enumerate(on_facets) if j != i)
-    ]
+        common = every_row  # the rows on every facet through this one
+        for f in bits(fmask):
+            common &= row_masks[f]
+        if common == 1 << row:
+            vertex_ids.append(order[row])
+    vertex_ids.sort()
     incidence = _transpose([on_facets[i] for i in vertex_ids], len(facets))
     return PolytopeDD(
         dimension=d,

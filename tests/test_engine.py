@@ -1,6 +1,7 @@
 import logging
 import random
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -15,6 +16,7 @@ from clawpoly.engine import (
     FVector,
     PolytopeDD,
     _dd_cone,
+    _face_first_order,
     _insertion_key,
     _scale_row_to_int,
     _transpose,
@@ -197,9 +199,101 @@ def test_hull_k5_counts_and_incidence(caplog):
     ]
     # every DD count is pinned, the pairs past the prefilter included
     assert _summaries(caplog) == [
-        "hull[d=15 points=256]: 256 rows, 1029 rays at peak, 3269105 candidate pairs, "
-        "90020 past prefilter, 9403 adjacent",
+        "hull[d=15 points=256]: 256 rows, 482 rays at peak, 579522 candidate pairs, "
+        "43290 past prefilter, 6574 adjacent",
     ]
+
+
+@contextmanager
+def _engine_log():
+    """The messages clawpoly.engine logs at INFO level inside the block."""
+    handler = logging.Handler(logging.INFO)
+    messages = []
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("clawpoly.engine")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _logged_hull(pts):
+    """hull_from_vertices(pts) and every line it logged."""
+    with _engine_log() as lines:
+        poly = hull_from_vertices(pts)
+    assert any("at peak" in line for line in lines)
+    return poly, lines
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hull_k4_independent_of_input_order(seed, k4):
+    pts = list(k4.points)
+    random.Random(seed).shuffle(pts)
+    assert _logged_hull(pts) == _logged_hull(k4.points)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(hull_inputs(), st.randoms(use_true_random=False))
+def test_hull_order_depends_only_on_point_set(data, rng):
+    _, raw = data
+    pts = sorted(set(raw))
+    shuffled = list(pts)
+    rng.shuffle(shuffled)
+    assert [shuffled[i] for i in _face_first_order(shuffled)] == [
+        pts[i] for i in _face_first_order(pts)
+    ]
+    shuffled = list(raw)
+    rng.shuffle(shuffled)
+    assert _logged_hull(shuffled) == _logged_hull(raw)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_face_first_order_builds_k_m_leaf_by_leaf(m):
+    """The first 4^k points in the hull's order of K(m) are the face where
+    leaves 1..m-1-k are the identity (a zero column of the 3 x m point)."""
+    pts = list(generate_vertices(Z2Z2, m).points)
+    ordered = [pts[i] for i in _face_first_order(pts)]
+    for k in range(m):
+        face = {
+            v for v in pts
+            if not any(v[e * m + leaf] for e in range(3) for leaf in range(m - 1 - k))
+        }
+        assert len(face) == 4 ** k
+        assert set(ordered[:4 ** k]) == face
+
+
+def _transpose_reference(masks, nbits):
+    return [sum(1 << k for k, mask in enumerate(masks) if mask >> i & 1) for i in range(nbits)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 80).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+))
+@example((0, []))
+@example((0, [0, 0]))
+@example((1, []))
+@example((1, [1, 0, 1]))
+@example((9, [0, 0]))
+def test_transpose_matches_per_bit_reference(data):
+    nbits, masks = data
+    assert _transpose(masks, nbits) == _transpose_reference(masks, nbits)
+
+
+def test_transpose_in_blocks():
+    """Masks so wide that _transpose reads them two at a time."""
+    rng = random.Random(5)
+    nbits = 100_000
+    sets = [rng.sample(range(nbits), 30) for _ in range(5)]
+    expected = [0] * nbits
+    for k, bit_set in enumerate(sets):
+        for i in bit_set:
+            expected[i] |= 1 << k
+    assert _transpose([sum(1 << i for i in bit_set) for bit_set in sets], nbits) == expected
 
 
 def test_dd_counts_pinned_for_binary_d9(caplog):
@@ -293,7 +387,7 @@ def test_lane_rebuilds_logged_and_exact(caplog):
 
 def test_widening_renumbers_first(caplog):
     """A widening first drops the dead rays, so the one rebuild after it
-    repacks live rays only: on the coordinates above, each of the 5
+    repacks live rays only: on the coordinates above, each of the 8
     widenings comes with a renumbering and no row rebuilds twice."""
     caplog.set_level(logging.INFO, logger="clawpoly.engine")
     rng = random.Random(3)
@@ -303,7 +397,7 @@ def test_widening_renumbers_first(caplog):
     ]
     hull_from_vertices(pts)
     assert [r.getMessage() for r in caplog.records if "lanes" in r.getMessage()] == [
-        "hull[d=4 points=20]: 41-byte lanes, 6 column rebuilds (6 renumber, 5 widen)"
+        "hull[d=4 points=20]: 41-byte lanes, 9 column rebuilds (9 renumber, 8 widen)"
     ]
 
 
