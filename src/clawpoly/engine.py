@@ -62,11 +62,11 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     DimensionError,
@@ -350,8 +350,7 @@ def _dd_cone(rows, n, label):
     return lines, [(vecs[k], masks[k]) for k in bits(alive)]
 
 
-@dataclass(frozen=True)
-class PolytopeDD:
+class PolytopeDD(NamedTuple):
     """Double description of a polytope.
 
     facets are pairs (a, b) meaning a . x <= b with coprime integer
@@ -367,14 +366,12 @@ class PolytopeDD:
     incidence: tuple
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(NamedTuple):
     counts: tuple
     complete: bool
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(NamedTuple):
     equal: bool
     only_a: tuple
     only_b: tuple

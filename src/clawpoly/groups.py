@@ -13,22 +13,26 @@ convention every downstream inequality family assumes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce, lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .errors import DimensionError, UnsupportedGroupError
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class _GroupSpec(NamedTuple):
     orders: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.orders:
+
+class GroupSpec(_GroupSpec):
+    __slots__ = ()
+
+    def __new__(cls, orders):
+        if not orders:
             raise UnsupportedGroupError("empty factor list")
-        if any(not isinstance(n, int) or n < 2 for n in self.orders):
-            raise UnsupportedGroupError(f"cyclic orders must be ints >= 2: {self.orders}")
+        if any(not isinstance(n, int) or n < 2 for n in orders):
+            raise UnsupportedGroupError(f"cyclic orders must be ints >= 2: {orders}")
+        return super().__new__(cls, orders)
 
     @property
     def size(self) -> int:
@@ -40,8 +44,7 @@ class GroupSpec:
         return "x".join(f"z{n}" for n in self.orders)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     residues: tuple[int, ...]
 
 

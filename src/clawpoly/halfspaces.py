@@ -24,7 +24,6 @@ rows or the column it applies to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -53,8 +52,7 @@ def odd_subsets(n: int) -> tuple[tuple[int, ...], ...]:
 # --- family tags ------------------------------------------------------------
 # A tag fully determines its inequality's coefficients and right-hand side.
 
-@dataclass(frozen=True)
-class NonNeg:
+class NonNeg(NamedTuple):
     row: int
     col: int
 
@@ -64,8 +62,7 @@ class NonNeg:
         return f"family=nonneg row={self.row} col={self.col}"
 
 
-@dataclass(frozen=True)
-class ColumnSimplex:
+class ColumnSimplex(NamedTuple):
     col: int
 
     kind = "simplex"
@@ -74,8 +71,7 @@ class ColumnSimplex:
         return f"family=simplex col={self.col}"
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     index: int
     upper: bool
 
@@ -86,8 +82,7 @@ class Box:
         return f"family=box index={self.index} bound={bound}"
 
 
-@dataclass(frozen=True)
-class ARow:
+class ARow(NamedTuple):
     rows: tuple[int, ...]
     subset: tuple[int, ...]
 
@@ -99,8 +94,7 @@ class ARow:
         return f"family=arow rows={rows} A={a}"
 
 
-@dataclass(frozen=True)
-class BColumn:
+class BColumn(NamedTuple):
     subset: tuple[int, ...]
     col: int
 
@@ -111,15 +105,13 @@ class BColumn:
         return f"family=bcolumn B={b} col={self.col}"
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     status: str  # "inside" | "boundary" | "outside"
     violated: tuple[int, ...]
     tight: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TightSet:
+class TightSet(NamedTuple):
     ids: tuple[int, ...]
     by_kind: tuple[tuple[str, tuple[int, ...]], ...]
 

@@ -10,7 +10,7 @@ suites back the CLI `verify theorems` task and the acceptance tests.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coordchange import (
     from_prime_scaled,
@@ -35,8 +35,7 @@ from .witness import (
 log = logging.getLogger("clawpoly.suites")
 
 
-@dataclass(frozen=True)
-class IsomorphismSuiteReport:
+class IsomorphismSuiteReport(NamedTuple):
     leaves: int
     roundtrip_checked: int
     membership_checked: int
@@ -45,8 +44,7 @@ class IsomorphismSuiteReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class PseudoFacetSuiteReport:
+class PseudoFacetSuiteReport(NamedTuple):
     leaves: int
     samples: int
     k_ge_omega: int
@@ -59,8 +57,7 @@ class PseudoFacetSuiteReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class InteriorSuiteReport:
+class InteriorSuiteReport(NamedTuple):
     leaves: int
     samples: int
     nonintegral: int

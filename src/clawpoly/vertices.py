@@ -16,8 +16,8 @@ read; the tuples of a VertexSet are unpacked from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DimensionError, LeafCountError, ResourceCapError
 from .groups import GroupElement, GroupSpec, group_elements
@@ -30,35 +30,35 @@ GENERATION_CAP = 4 ** 11
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class Labeling:
+class _Labeling(NamedTuple):
     spec: GroupSpec
     elements: tuple[GroupElement, ...]
 
-    def __post_init__(self):
-        if len(self.elements) < 3:
-            raise LeafCountError(f"claw trees need m >= 3 leaves, got {len(self.elements)}")
-        for g in self.elements:
-            if len(g.residues) != len(self.spec.orders):
+
+class Labeling(_Labeling):
+    __slots__ = ()
+
+    def __new__(cls, spec, elements):
+        if len(elements) < 3:
+            raise LeafCountError(f"claw trees need m >= 3 leaves, got {len(elements)}")
+        for g in elements:
+            if len(g.residues) != len(spec.orders):
                 raise DimensionError("labeling element does not belong to the group")
-            if any(not 0 <= r < n for r, n in zip(g.residues, self.spec.orders)):
+            if any(not 0 <= r < n for r, n in zip(g.residues, spec.orders)):
                 raise DimensionError(f"residues out of range: {g.residues}")
+        return super().__new__(cls, spec, elements)
 
     @property
     def leaves(self) -> int:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(NamedTuple):
     """Deterministically ordered list of flattened vertices plus its matrix shape."""
 
     dimension: int
     shape: tuple[int, int]
     points: tuple[tuple[Rational, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def vertex_count(spec: GroupSpec, m: int, allow_large: bool = False) -> int:

@@ -23,7 +23,6 @@ once. The line checks take a row or column of it, a LineAnalysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -51,8 +50,7 @@ from .rationals import Rational, ScaledPoint
 from .vertices import Labeling, unpack_points, vertex_masks
 
 
-@dataclass(frozen=True)
-class ViolationWitness:
+class ViolationWitness(NamedTuple):
     subset: tuple[int, ...]
     row_pair: tuple[int, int]
     inequality_id: int
@@ -60,16 +58,14 @@ class ViolationWitness:
     rhs: Rational
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
+class ContainmentReport(NamedTuple):
     leaves: int
     checked: int
     failures: tuple
     passed: bool
 
 
-@dataclass(frozen=True)
-class IncidenceReport:
+class IncidenceReport(NamedTuple):
     k: int
     omega: int
     support: tuple[tuple[int, int], ...]
@@ -80,8 +76,7 @@ class IncidenceReport:
     tag: str  # "none" | "P1" | "P2" | "other"
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     row: int
     nonintegral: int
     tight_subsets: tuple[tuple[int, ...], ...]
@@ -98,20 +93,17 @@ class RowCheck:
         )
 
 
-@dataclass(frozen=True)
-class RowStructureReport:
+class RowStructureReport(NamedTuple):
     rows: tuple[RowCheck, RowCheck, RowCheck]
     passed: bool
 
 
-@dataclass(frozen=True)
-class InteriorWitness:
+class InteriorWitness(NamedTuple):
     direction: ScaledPoint
     epsilon: Fraction
 
 
-@dataclass(frozen=True)
-class NotInterior:
+class NotInterior(NamedTuple):
     reason: str
 
 

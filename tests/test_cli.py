@@ -1,8 +1,12 @@
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import parse_record
@@ -1090,3 +1094,17 @@ def test_hrep_pinned(model, m, tmp_path, capsys):
                      "--out", out]) == 0
         digests.append(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest())
     assert tuple(digests) == HREP_PINS[model, m]
+
+
+# --- start-up ---------------------------------------------------------------------
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # every command is a fresh process, and the records are NamedTuples, so
+    # importing the CLI loads neither module; -S keeps site-packages .pth
+    # hooks from importing them first
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, clawpoly.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -31,6 +31,12 @@ def test_parse_group():
         parse_group("z1")
 
 
+@pytest.mark.parametrize("orders", [(), (1,), (2.0,)], ids=repr)
+def test_group_spec_checks_its_orders(orders):
+    with pytest.raises(UnsupportedGroupError):
+        GroupSpec(orders)
+
+
 def test_names():
     assert Z2Z2.name() == "z2z2"
     assert Z2.name() == "z2"

@@ -71,6 +71,7 @@ def test_family_layout_kimura3():
     assert sys_.families[13] == ARow((1, 2), (1, 2, 3))
     assert sys_.families[16] == ARow((1, 3), (1,))
     assert sys_.families[23] == ARow((2, 3), (3,))
+    assert [t.kind for t in sys_.families] == ["nonneg"] * 9 + ["simplex"] * 3 + ["arow"] * 12
 
 
 def test_family_layout_prime():
@@ -79,6 +80,7 @@ def test_family_layout_prime():
     assert sys_.families[11] == ARow((3,), (3,))
     assert sys_.families[12] == BColumn((1,), 1)
     assert sys_.families[23] == BColumn((3,), 3)
+    assert [t.kind for t in sys_.families] == ["arow"] * 12 + ["bcolumn"] * 12
 
 
 def test_family_layout_demihypercube():
@@ -86,6 +88,17 @@ def test_family_layout_demihypercube():
     assert sys_.families[0] == Box(1, False)
     assert sys_.families[3] == Box(1, True)
     assert sys_.families[6] == ARow((1,), (1,))
+    assert [t.kind for t in sys_.families] == ["box"] * 6 + ["arow"] * 4
+
+
+@pytest.mark.parametrize("model", ["binary", "kimura3", "kimura3-prime"])
+def test_family_tags_distinct(model):
+    # tags are tuples, equal across types when their fields are
+    # (NonNeg(1, 1) == Box(1, True)); within one system no two are equal, so
+    # families.index(tag) finds that tag's own row
+    for m in (3, 4, 5):
+        families = model_system(model, m).families
+        assert len(set(families)) == len(families)
 
 
 def test_arow_normal_form():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import pytest
@@ -96,7 +95,7 @@ def test_suite_reports_pinned(m, seed):
         run_pseudo_facet_suite(m, n, seed),
         run_interior_suite(m, n, seed),
     )
-    assert tuple(dataclasses.astuple(r) for r in reports) == (
+    assert tuple(tuple(r) for r in reports) == (
         (m, n, n, True, (), True),
         (m, n, 0, 0, 0, 0, 0, cycles, (), True),
         (m, n, nonintegral, (), True),

@@ -2,10 +2,11 @@ from itertools import product
 
 import pytest
 
-from clawpoly.errors import LeafCountError, ResourceCapError
+from clawpoly.errors import DimensionError, LeafCountError, ResourceCapError
 from clawpoly.groups import (
     Z2,
     Z2Z2,
+    GroupElement,
     GroupSpec,
     element,
     embed,
@@ -105,6 +106,13 @@ def test_leaf_count_minimum():
         generate_vertices(Z2Z2, 2)
     with pytest.raises(LeafCountError):
         Labeling(Z2Z2, (element(Z2Z2, (0, 0)),))
+
+
+@pytest.mark.parametrize("g", [element(Z2, (1,)), GroupElement((0, 4))], ids=repr)
+def test_labeling_elements_belong_to_the_group(g):
+    # one residue for a two-factor group, then a residue past its order
+    with pytest.raises(DimensionError):
+        Labeling(Z2Z2, (g,) * 3)
 
 
 def test_generation_cap(monkeypatch):
