@@ -7,25 +7,23 @@ reruns of the same invocation.
 
 Exit codes: 0 pass, 1 verification failure (a counterexample file is
 written), 2 usage or precondition error, 3 resource cap.
+
+Every command runs as a fresh process, so each handler imports the modules
+only it calls: the module level holds what vrep, hrep and transform share
+(errors, fileio, groups, halfspaces, rationals, vertices). engine is loaded
+by verify and stats, witness by verify containment and witness, suites (with
+sampling) by verify theorems, coordchange by transform, witness interior and
+the suites. main imports logging only under -v; engine and suites import it
+for their own loggers.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 import time
 
-from .coordchange import from_prime_scaled, point_rows, to_prime_scaled
-from .engine import (
-    _dimension_cap,
-    check_dimension,
-    f_vector,
-    equal_polytopes,
-    hull_from_vertices,
-    vertices_from_inequalities,
-)
 from .errors import (
     ClawpolyError,
     ConfigurationError,
@@ -44,15 +42,8 @@ from .fileio import (
 from .groups import Z2Z2, element, parse_group
 from .halfspaces import MODEL_BUILDERS, kimura3_system, model_system, row_count
 from .rationals import is_integral, scale_to_ints
-from .suites import run_interior_suite, run_isomorphism_suite, run_pseudo_facet_suite
 from .vertices import Labeling, VertexSet, generate_vertices, vertex_count
-from .witness import (
-    InteriorWitness,
-    analyze_point,
-    check_containment,
-    interior_witness,
-    violation_witness,
-)
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -205,6 +196,8 @@ def _read_points(path):
 
 
 def cmd_transform(args) -> int:
+    from .coordchange import from_prime_scaled, to_prime_scaled
+
     started = time.perf_counter()
     points, m = _read_points(args.infile)
     fn = from_prime_scaled if args.inverse else to_prime_scaled
@@ -222,6 +215,8 @@ def cmd_transform(args) -> int:
 # Each task returns (record pairs, counterexample lines); no lines is a pass.
 
 def _verify_containment(args):
+    from .witness import check_containment
+
     rep = check_containment(args.leaves)
     lines = [
         record_line([("counterexample", "containment"), ("point", pt), ("violated", vid)])
@@ -231,6 +226,8 @@ def _verify_containment(args):
 
 
 def _verify_equality(args):
+    from .engine import check_dimension, equal_polytopes, vertices_from_inequalities
+
     # K(m) lies in R^(3m): the cap is checked before the system is built
     check_dimension(3 * args.leaves, args.max_dim)
     vd = vertices_from_inequalities(kimura3_system(args.leaves), max_dim=args.max_dim)
@@ -244,6 +241,8 @@ def _verify_equality(args):
 
 
 def _verify_integrality(args):
+    from .engine import check_dimension, vertices_from_inequalities
+
     check_dimension(3 * args.leaves, args.max_dim)
     counts = []
     lines = []
@@ -259,6 +258,8 @@ def _verify_integrality(args):
 
 
 def _verify_theorems(args):
+    from .suites import run_interior_suite, run_isomorphism_suite, run_pseudo_facet_suite
+
     m, n = args.leaves, args.samples
     iso = run_isomorphism_suite(m, n, seed=args.seed)
     pf = run_pseudo_facet_suite(m, n, seed=args.seed)
@@ -289,6 +290,8 @@ VERIFY_TASKS = {
 
 
 def cmd_verify(args) -> int:
+    from .engine import _dimension_cap
+
     started = time.perf_counter()
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
@@ -328,6 +331,8 @@ def _parse_labeling(spec, text: str) -> Labeling:
 
 
 def cmd_witness(args) -> int:
+    from .witness import InteriorWitness, analyze_point, interior_witness, violation_witness
+
     started = time.perf_counter()
     if args.kind == "violation":
         if not args.labeling:
@@ -346,6 +351,8 @@ def cmd_witness(args) -> int:
     wit = interior_witness(analyze_point(points[0]))
     pairs = [("command", "witness"), ("kind", "segment-interior")]
     if isinstance(wit, InteriorWitness):
+        from .coordchange import point_rows
+
         pairs += [("epsilon", wit.epsilon), ("direction", point_rows(wit.direction)),
                   ("outcome", "pass")]
         return _emit_record(args, pairs, started)
@@ -356,6 +363,8 @@ def cmd_witness(args) -> int:
 # --- stats --------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
+    from .engine import _dimension_cap, f_vector, hull_from_vertices
+
     started = time.perf_counter()
     m = args.leaves
     # the vertex cap is checked before the rows are counted; the vertices
@@ -392,6 +401,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     if args.verbose:
+        import logging
+
         logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     try:
         return args.func(args)

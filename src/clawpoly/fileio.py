@@ -22,7 +22,6 @@ semicolon-joined).
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
@@ -91,6 +90,9 @@ def parse_vfile(text: str) -> VertexSet:
         nrows = int(size_parts[0])
         ncols = int(size_parts[1])
     except ValueError:
+        raise FileFormatError(f"bad size line: {lines[i-1]!r}")
+    # a vertex row is the leading 1 plus at least one coordinate
+    if ncols < 2:
         raise FileFormatError(f"bad size line: {lines[i-1]!r}")
     points = []
     while i < len(lines):
@@ -175,6 +177,8 @@ def _json_default(obj):
 
 
 def to_json(obj) -> str:
+    import json
+
     return json.dumps(obj, default=_json_default, indent=2) + "\n"
 
 

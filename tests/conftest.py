@@ -1,7 +1,11 @@
 """Shared fixtures and helpers. The double description runs are
 session-scoped so the heavier m=4 conversions happen once."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,17 @@ def parse_record(line: str) -> dict:
         key, _, value = field.partition("=")
         out[key] = value
     return out
+
+
+def bare_python(code, *argv, cwd=None) -> str:
+    """stdout of `python -S -c code argv...` on this tree's package; -S keeps
+    site-packages .pth hooks from importing modules first."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
+                          text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture(scope="session")

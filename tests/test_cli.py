@@ -1,20 +1,18 @@
 import hashlib
 import json
 import logging
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-from conftest import parse_record
+from conftest import bare_python, parse_record
 
 import clawpoly.cli as cli
+import clawpoly.engine as engine
 import clawpoly.halfspaces as halfspaces
 import clawpoly.suites as suites
 import clawpoly.vertices as vertices_mod
+import clawpoly.witness as witness
 from clawpoly.cli import main
 from clawpoly.engine import EqualityReport, f_vector
 from clawpoly.fileio import format_vfile, parse_vfile, read_text
@@ -228,7 +226,7 @@ def test_verify_containment_failure_writes_counterexample(tmp_path, monkeypatch,
     fake = ContainmentReport(
         leaves=3, checked=2, failures=(((0,) * 9, 13),), passed=False
     )
-    monkeypatch.setattr(cli, "check_containment", lambda m: fake)
+    monkeypatch.setattr("clawpoly.witness.check_containment", lambda m: fake)
     assert main(["verify", "containment", "--leaves", "3", "--out-dir", "cx"]) == 1
     rec = last_record(capsys)
     assert rec["outcome"] == "fail"
@@ -658,20 +656,25 @@ GOLDEN_INPUTS = {
         VertexSet(dimension=9, shape=(3, 3), points=((H, H, 0, H, H, 0, 0, 0, 0),))
     ),
     "z.ext": format_vfile(VertexSet(dimension=9, shape=(3, 3), points=((0,) * 9,))),
+    # size lines with the marker column only, and with no column at all
+    "cols1.ext": "V-representation\nbegin\n 1 1 rational\n 1\nend\n",
+    "cols0.ext": "V-representation\nbegin\n 0 0 rational\nend\n",
 }
 
+# each fake replaces the name in the module that defines it: cli imports
+# engine, witness and suites inside the handlers that call them
 GOLDEN_PATCHES = {
-    "containment": (cli, "check_containment", lambda m: ContainmentReport(
+    "containment": (witness, "check_containment", lambda m: ContainmentReport(
         leaves=m, checked=2, failures=(((0,) * 9, 13), ((1,) + (0,) * 8, 4)), passed=False)),
-    "equality": (cli, "equal_polytopes", lambda a, b: EqualityReport(
+    "equality": (engine, "equal_polytopes", lambda a, b: EqualityReport(
         equal=False, only_a=((0,) * 9,), only_b=((1,) + (0,) * 8, (0, 1) + (0,) * 7),
         checked_a=16, checked_b=16)),
     "integrality": (cli, "is_integral", lambda x: x != 1),
-    "theorems": (cli, "run_interior_suite", lambda m, n, seed=0: InteriorSuiteReport(
+    "theorems": (suites, "run_interior_suite", lambda m, n, seed=0: InteriorSuiteReport(
         leaves=m, samples=n, nonintegral=1, passed=False,
         failures=(("not_interior", "no direction", ((H, 0), (0, 1))),))),
-    "interior": (cli, "interior_witness", lambda mat: NotInterior("no kernel direction")),
-    "faces": (cli, "f_vector", lambda hull: f_vector(hull, max_faces=100)),
+    "interior": (witness, "interior_witness", lambda mat: NotInterior("no kernel direction")),
+    "faces": (engine, "f_vector", lambda hull: f_vector(hull, max_faces=100)),
     "cap": (vertices_mod, "GENERATION_CAP", 4),
 }
 
@@ -690,6 +693,8 @@ GOLDEN_CASES = {
     "transform-json": (["transform", "--in", "k3.ext", "--format", "json", "--out", "t.json"],
                        None),
     "transform-inverse": (["transform", "--in", "k3.ext", "--inverse"], None),
+    "transform-size-one-column": (["transform", "--in", "cols1.ext"], None),
+    "transform-size-no-columns": (["transform", "--in", "cols0.ext"], None),
     "containment-pass": (["verify", "containment", "--leaves", "4"], None),
     "containment-fail": (["verify", "containment", "--leaves", "3"], "containment"),
     "equality-pass": (["verify", "equality", "--leaves", "3"], None),
@@ -909,6 +914,8 @@ GOLDEN = {
                 "cbca7518b38787a585d1ac5eb2534c3473318b47a1efc9098ab074c9dccb0012",
         },
     ),
+    "transform-size-no-columns": (2, "", {}),
+    "transform-size-one-column": (2, "", {}),
     "transform-json": (
         0,
         "command=transform direction=standard-to-prime count=16 outcome=pass file=t.json",
@@ -1100,11 +1107,27 @@ def test_hrep_pinned(model, m, tmp_path, capsys):
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # every command is a fresh process, and the records are NamedTuples, so
-    # importing the CLI loads neither module; -S keeps site-packages .pth
-    # hooks from importing them first
-    src = Path(__file__).resolve().parent.parent / "src"
+    # importing the CLI loads neither module
     code = "import sys, clawpoly.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert bare_python(code).strip() == "[]"
+
+
+_THEOREM_ONLY = ("clawpoly.witness", "clawpoly.suites", "clawpoly.sampling",
+                 "clawpoly.coordchange")
+
+# modules a command must not load: each handler imports what only it calls
+NOT_LOADED = {
+    "hrep": (["hrep", "--model", "kimura3", "--leaves", "3"],
+             _THEOREM_ONLY + ("clawpoly.engine", "logging", "json")),
+    "stats": (["stats", "--leaves", "3"], _THEOREM_ONLY),
+    "verify-integrality": (["verify", "integrality", "--leaves", "3"], _THEOREM_ONLY),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_LOADED))
+def test_command_loads_only_the_modules_it_runs(name, tmp_path):
+    argv, unwanted = NOT_LOADED[name]
+    code = ("import sys, clawpoly.cli\n"
+            "code = clawpoly.cli.main(sys.argv[1:])\n"
+            f"print(code, sorted(set({unwanted!r}) & set(sys.modules)))")
+    assert bare_python(code, *argv, cwd=tmp_path).splitlines()[-1] == "0 []"

@@ -90,6 +90,13 @@ def test_vfile_bad_size_line():
         parse_vfile(bad)
 
 
+@pytest.mark.parametrize("body", [" 1 1 rational\n 1\n", " 0 0 rational\n"])
+def test_vfile_size_line_needs_a_coordinate_column(body):
+    # one column is the marker alone (dimension 0), none would be dimension -1
+    with pytest.raises(FileFormatError, match="bad size line"):
+        parse_vfile(f"V-representation\nbegin\n{body}end\n")
+
+
 @pytest.mark.parametrize("line", ["linearity 1 1", "linearity x"])
 def test_vfile_rejects_linearity(line):
     # a V-file linearity line declares a generator to be a line, not a vertex

@@ -2,12 +2,13 @@
 
 Every import in the package is of the standard library or of clawpoly
 itself, so it runs on a bare interpreter. Every module except __init__
-(whose imports are the package's re-exports) must use each name it
-imports, and each public module-level function or class must be referred
-to by some code other than its own definition: the rest of its module,
-another src module (a `from .mod import name`, not the __init__
-re-export), or a bench/*.py file. Code that only tests call is not part
-of the package.
+(which imports no submodule: it loads its public names lazily) must use
+each name it imports, and an import inside a function must be used in that
+function. Each public module-level function or class must be referred to
+by some code other than its own definition: the rest of its module,
+another src module (a `from .mod import name`, not the __init__ name
+table), or a bench/*.py file. Code that only tests call is not part of the
+package.
 """
 
 import ast
@@ -63,18 +64,35 @@ def _foreign_imports(trees):
     return found
 
 
+def _scope_imports(body):
+    """The import statements of one scope, in source order: its own
+    statements and their blocks, not the functions and classes it defines."""
+    found, stack = [], list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return sorted(found, key=lambda node: node.lineno)
+
+
 def _unused_imports(modules):
+    """A module-level import must be used in its module, and an import
+    inside a function in that function."""
     found = []
     for name, tree in modules.items():
-        used = _names(tree.body)
-        for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope, label in [(tree, name)] + [(f, f"{name}.{f.name}") for f in functions]:
+            used = _names(scope.body)
+            for node in _scope_imports(scope.body):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
                 for alias in node.names:
                     bound = (alias.asname or alias.name).split(".")[0]
                     if bound not in used:
-                        found.append(f"{name}: {bound}")
+                        found.append(f"{label}: {bound}")
     return found
 
 
@@ -114,6 +132,12 @@ def test_no_public_name_only_tests_use():
 def test_checks_catch_a_test_only_helper():
     helper = ast.parse("import os\n\n\ndef helper():\n    return 1\n")
     assert _unused_imports({"helper": helper}) == ["helper: os"]
+    # an import inside a function counts only where that function uses it
+    local = ast.parse(
+        "import json\n\n\ndef f():\n    import os\n    return json\n\n\n"
+        "def g(x):\n    if x:\n        import re\n        return re, os\n"
+    )
+    assert _unused_imports({"local": local}) == ["local.f: os"]
     assert _unreferenced_public({"helper": helper}, set()) == ["helper.helper"]
     # one import from another module, or one bench reference, is enough
     user = ast.parse("from .helper import helper\n\nhelper()\n")
