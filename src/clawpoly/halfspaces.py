@@ -436,16 +436,18 @@ def row_count(model: str, m: int) -> int:
 
 def model_system(model: str, m: int) -> InequalitySystem:
     """The model's system at m leaves; refused above the generation cap
-    (``vertices.GENERATION_CAP``) on its row count, before it is built."""
+    (``vertices.GENERATION_CAP``) on its row count, before it is built. The
+    2^(m-1) odd subsets alone pass the cap once m - 1 passes its bit length;
+    such an m is refused from the exponent, and the count is never built."""
     try:
         builder = MODEL_BUILDERS[model]
     except KeyError:
         raise UnsupportedGroupError(
             f"unknown model {model!r}; choose from {sorted(MODEL_BUILDERS)}"
         ) from None
-    rows = row_count(model, m)
-    if rows > vertices.GENERATION_CAP:
-        raise ResourceCapError(
-            f"{rows} inequalities exceeds the generation cap {vertices.GENERATION_CAP}"
-        )
-    return builder(m)
+    cap = vertices.GENERATION_CAP
+    if m - 1 > cap.bit_length():
+        rows = f"over 2^{m - 1}"
+    elif (rows := row_count(model, m)) <= cap:
+        return builder(m)
+    raise ResourceCapError(f"{rows} inequalities exceeds the generation cap {cap}")

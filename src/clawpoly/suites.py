@@ -84,12 +84,13 @@ def _log_counts(suite, m, points, memberships, kernel=0, cycle=0, tight=0):
     )
 
 
-def _tight_count(pt) -> int:
-    return sum(len(line.tight) for line in pt.rows + pt.cols)
-
-
 def run_isomorphism_suite(m: int, samples: int, seed: int = 0) -> IsomorphismSuiteReport:
     """Round-trip and membership invariance of the coordinate change."""
+    # the vertex sampler checks the generation cap, so it runs first: an m
+    # past the cap is refused before any box point or system is built. Each
+    # sampler has its own seed, so the order does not change the samples.
+    mixed = _mixed_sample(m, samples - samples // 2, seed + 3)
+    membership_pool = sample_box_points(m, samples // 2, seed + 2) + mixed
     failures = []
     boxes = sample_box_points(m, samples, seed)
     for p in boxes:
@@ -97,11 +98,6 @@ def run_isomorphism_suite(m: int, samples: int, seed: int = 0) -> IsomorphismSui
             failures.append(("roundtrip_forward", point_rows(p)))
         if not _same_point(to_prime_scaled(from_prime_scaled(p)), p):
             failures.append(("roundtrip_backward", point_rows(p)))
-    # sampled before the systems are built, so that an m past the generation
-    # cap is refused before any system is
-    membership_pool = sample_box_points(m, samples // 2, seed + 2) + _mixed_sample(
-        m, samples - samples // 2, seed + 3
-    )
     sys_std = kimura3_system(m)
     sys_pri = kimura3_prime_system(m)
     for p in membership_pool:
@@ -148,7 +144,7 @@ def run_pseudo_facet_suite(m: int, samples: int, seed: int = 0) -> PseudoFacetSu
     for p in pts:
         pt = analyze_point(p)
         rep = incidence_report(pt)
-        tight += _tight_count(pt)
+        tight += len(pt.membership.tight)
         if rep.k < rep.omega:
             counts["k_ge_omega"] += 1
             failures.append(("k_lt_omega", point_rows(p)))
@@ -210,7 +206,7 @@ def run_interior_suite(m: int, samples: int, seed: int = 0) -> InteriorSuiteRepo
         pt = analyze_point(p)
         wit = interior_witness(pt)
         memberships += 1
-        tight += _tight_count(pt)
+        tight += len(pt.membership.tight)
         if not isinstance(wit, InteriorWitness):
             failures.append(("not_interior", wit.reason, point_rows(p)))
             continue

@@ -63,16 +63,18 @@ class VertexSet(NamedTuple):
 
 def vertex_count(spec: GroupSpec, m: int, allow_large: bool = False) -> int:
     """|G|^(m-1), the number of vertices; refused above GENERATION_CAP
-    unless allow_large."""
+    unless allow_large. With |G| >= 2, an m - 1 past the cap's bit length
+    is refused from the exponent, and the count is named, never built."""
     if m < 3:
         raise LeafCountError(f"m >= 3 required, got {m}")
-    count = spec.size ** (m - 1)
-    if count > GENERATION_CAP and not allow_large:
-        raise ResourceCapError(
-            f"{count} vertices exceeds the generation cap {GENERATION_CAP}; "
-            "pass allow_large to override"
-        )
-    return count
+    if m - 1 > GENERATION_CAP.bit_length() and not allow_large:
+        count = f"{spec.size}^{m - 1}"
+    elif (count := spec.size ** (m - 1)) <= GENERATION_CAP or allow_large:
+        return count
+    raise ResourceCapError(
+        f"{count} vertices exceeds the generation cap {GENERATION_CAP}; "
+        "pass allow_large to override"
+    )
 
 
 @lru_cache(maxsize=None)

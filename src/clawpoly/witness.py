@@ -16,16 +16,18 @@ Everything here returns exact, machine-checkable evidence:
 The checks on a prime-coordinate point all read one PointAnalysis of it:
 integer numerators over one common denominator, its membership, its
 non-integral support and the tight pseudo-facets of every row and column.
-analyze_point takes the point as a ScaledPoint, and every check takes its
-PointAnalysis, so a caller running several checks on one point analyses it
-once. The line checks take a row or column of it, a LineAnalysis.
+The tight pseudo-facets are read off the membership's tight rows, each an
+ARow of one row or a BColumn of one column, and the support's P1/P2 tag
+comes from its row and column degrees. analyze_point takes the point as a
+ScaledPoint, and every check takes its PointAnalysis, so a caller running
+several checks on one point analyses it once. The line checks take a row or
+column of it, a LineAnalysis.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations
 from typing import NamedTuple
 
 from .errors import (
@@ -39,12 +41,12 @@ from .errors import (
 )
 from .groups import Z2Z2, embed, group_sum, identity
 from .halfspaces import (
+    ARow,
     InequalitySystem,
     MembershipResult,
     arow_id,
     kimura3_prime_system,
     kimura3_system,
-    odd_subsets,
 )
 from .rationals import Rational, ScaledPoint
 from .vertices import Labeling, unpack_points, vertex_masks
@@ -167,28 +169,6 @@ def violation_witness(labeling: Labeling) -> ViolationWitness | None:
 
 # --- line-level helpers ------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _odd_masks(n: int):
-    """(bitmask, |A| - 1, A) per odd subset A of {1..n}, in odd_subsets order;
-    element i is bit i - 1."""
-    return tuple((sum(1 << (i - 1) for i in sub), len(sub) - 1, sub) for sub in odd_subsets(n))
-
-
-def _tight_subsets(nums, den) -> tuple[tuple[int, ...], ...]:
-    """Odd subsets A with 2*sum_A v - sum v == (|A| - 1)*den, for v the
-    numerators of one line over den.
-
-    The test is homogeneous in (v, den), so any common denominator works.
-    Twice every subset sum comes from one doubling pass over the line.
-    """
-    sums = [0]
-    for x in nums:
-        twice = 2 * x
-        sums += [s + twice for s in sums]
-    total = sums[-1] >> 1
-    return tuple(sub for mask, k, sub in _odd_masks(len(nums)) if sums[mask] - total == k * den)
-
-
 class LineAnalysis(NamedTuple):
     """One row or column: numerators over a common denominator, the
     1-based positions of its non-integral coordinates and its tight odd
@@ -220,14 +200,10 @@ class LineAnalysis(NamedTuple):
         return classes.pop()
 
 
-def _line(nums, den: int) -> LineAnalysis:
+def _line(nums, den: int, tight) -> LineAnalysis:
     nums = tuple(nums)
-    return LineAnalysis(
-        nums,
-        den,
-        tuple(i for i, x in enumerate(nums, 1) if x % den),
-        _tight_subsets(nums, den),
-    )
+    nonintegral = tuple(i for i, x in enumerate(nums, 1) if x % den)
+    return LineAnalysis(nums, den, nonintegral, tuple(tight))
 
 
 def _classified_subset(line: LineAnalysis, subset) -> tuple[int, ...]:
@@ -270,34 +246,15 @@ def parity_check(line: LineAnalysis, subset) -> bool:
 
 # --- incidence over the prime-coordinate system ------------------------------
 
-_P1_PATTERN = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
-_P2_PATTERN = frozenset({(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)})
-
-
-def _matches_pattern(support, rows_occ, cols_occ, pattern) -> bool:
-    nr = len(rows_occ)
-    nc = len(cols_occ)
-    row_index = {r: i for i, r in enumerate(rows_occ)}
-    col_index = {c: i for i, c in enumerate(cols_occ)}
-    base = {(row_index[i], col_index[j]) for i, j in support}
-    for rperm in permutations(range(nr)):
-        for cperm in permutations(range(nc)):
-            if {(rperm[i], cperm[j]) for i, j in base} == pattern:
-                return True
-    return False
-
-
 def _configuration_tag(support) -> str:
+    """'P1' for 4 cells in 2 rows and 2 columns, 'P2' for 6 cells in 3 rows
+    and 3 columns with 2 in each (the complement of a permutation matrix):
+    both are the supports whose every row and column holds exactly 2 cells."""
     if not support:
         return "none"
-    rows_occ = sorted({i for i, _ in support})
-    cols_occ = sorted({j for _, j in support})
-    if len(support) == 4 and len(rows_occ) == 2 and len(cols_occ) == 2:
-        if _matches_pattern(support, rows_occ, cols_occ, _P1_PATTERN):
-            return "P1"
-    if len(support) == 6 and len(rows_occ) == 3 and len(cols_occ) == 3:
-        if _matches_pattern(support, rows_occ, cols_occ, _P2_PATTERN):
-            return "P2"
+    degrees = {*Counter(i for i, _ in support).values(), *Counter(j for _, j in support).values()}
+    if degrees == {2} and len(support) in (4, 6):
+        return "P1" if len(support) == 4 else "P2"
     return "other"
 
 
@@ -331,12 +288,19 @@ def analyze_point(point: ScaledPoint) -> PointAnalysis:
     nums, den = point
     m = len(nums) // 3
     sys = kimura3_prime_system(m)
-    rows = tuple(_line(nums[r * m:(r + 1) * m], den) for r in range(3))
-    cols = tuple(_line(nums[c::m], den) for c in range(m))
+    membership = sys.membership(point)
+    # the tight rows come in family order: each line's subsets in odd_subsets order
+    tight = [[] for _ in range(3 + m)]  # rows 1..3, then columns 1..m
+    for i in membership.tight:
+        tag = sys.families[i]
+        if isinstance(tag, ARow):
+            tight[tag.rows[0] - 1].append(tag.subset)
+        else:
+            tight[2 + tag.col].append(tag.subset)
+    rows = tuple(_line(nums[r * m:(r + 1) * m], den, tight[r]) for r in range(3))
+    cols = tuple(_line(nums[c::m], den, tight[3 + c]) for c in range(m))
     support = tuple((r, j) for r, line in enumerate(rows, 1) for j in line.nonintegral)
-    return PointAnalysis(
-        sys, point, sys.membership(point), support, rows, cols, _configuration_tag(support)
-    )
+    return PointAnalysis(sys, point, membership, support, rows, cols, _configuration_tag(support))
 
 
 def _require_member(pt: PointAnalysis):

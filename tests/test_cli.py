@@ -684,10 +684,12 @@ GOLDEN_CASES = {
     "vrep-json": (["vrep", "--leaves", "3", "--format", "json", "--out", "v.json"], None),
     "vrep-z2": (["vrep", "--group", "z2", "--leaves", "4", "--out", "b.ext"], None),
     "vrep-cap": (["vrep", "--group", "z2", "--leaves", "4"], "cap"),
+    "vrep-huge": (["vrep", "--leaves", "100000"], None),
     "hrep-cdd": (["hrep", "--model", "kimura3", "--leaves", "3"], None),
     "hrep-records": (["hrep", "--model", "binary", "--leaves", "4", "--format", "records"], None),
     "hrep-json": (["hrep", "--model", "kimura3-prime", "--leaves", "3", "--format", "json"], None),
     "hrep-usage": (["hrep", "--model", "jukes", "--leaves", "3"], None),
+    "hrep-huge": (["hrep", "--model", "binary", "--leaves", "100000"], None),
     "transform-cdd": (["transform", "--in", "k3.ext"], None),
     "transform-records": (["transform", "--in", "k3.ext", "--format", "records"], None),
     "transform-json": (["transform", "--in", "k3.ext", "--format", "json", "--out", "t.json"],
@@ -697,6 +699,7 @@ GOLDEN_CASES = {
     "transform-size-no-columns": (["transform", "--in", "cols0.ext"], None),
     "containment-pass": (["verify", "containment", "--leaves", "4"], None),
     "containment-fail": (["verify", "containment", "--leaves", "3"], "containment"),
+    "containment-huge": (["verify", "containment", "--leaves", "8000"], None),
     "equality-pass": (["verify", "equality", "--leaves", "3"], None),
     "equality-fail": (["verify", "equality", "--leaves", "3", "--out-dir", "cx"], "equality"),
     "equality-cap": (["verify", "equality", "--leaves", "5"], None),
@@ -705,6 +708,7 @@ GOLDEN_CASES = {
     "theorems-pass": (["verify", "theorems", "--leaves", "3", "--samples", "30", "--seed", "2"],
                       None),
     "theorems-fail": (["verify", "theorems", "--leaves", "3", "--samples", "30"], "theorems"),
+    "theorems-huge": (["verify", "theorems", "--leaves", "8000"], None),
     "violation": (["witness", "violation", "--labeling", "10,00,00"], None),
     "violation-consistent": (["witness", "violation", "--labeling", "10,01,11"], None),
     "violation-out": (["witness", "violation", "--labeling", "11,11,11", "--out", "w.records"],
@@ -759,6 +763,7 @@ GOLDEN = {
         "command=verify task=containment leaves=4 checked=64 violations=0 outcome=pass",
         {},
     ),
+    "containment-huge": (3, "", {}),
     "equality-cap": (3, "", {}),
     "equality-fail": (
         1,
@@ -802,6 +807,7 @@ GOLDEN = {
                 "e0bab644e02de6b819ce93ad1b87b13a0c9eba4aeb535e43895ca0415d5e56f4",
         },
     ),
+    "hrep-huge": (3, "", {}),
     "hrep-usage": (2, "", {}),
     "integrality-fail": (
         1,
@@ -896,6 +902,7 @@ GOLDEN = {
         "outcome=pass",
         {},
     ),
+    "theorems-huge": (3, "", {}),
     "transform-cdd": (
         0,
         "command=transform direction=standard-to-prime count=16 outcome=pass "
@@ -954,6 +961,7 @@ GOLDEN = {
         },
     ),
     "vrep-cap": (3, "", {}),
+    "vrep-huge": (3, "", {}),
     "vrep-cdd": (
         0,
         "command=vrep group=z2z2 leaves=3 count=16 outcome=pass file=vrep_z2z2_m3.ext",
@@ -992,6 +1000,18 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_cli_golden(name, tmp_path, monkeypatch, capsys):
     assert _golden_run(name, tmp_path, monkeypatch, capsys) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["vrep-huge", "hrep-huge", "containment-huge", "theorems-huge"])
+def test_huge_leaves_refused_at_once(name, capsys):
+    # a count past the cap's bit length is refused from its exponent: it is
+    # never built or formatted, and no sample is drawn before the refusal
+    started = time.perf_counter()
+    assert main(GOLDEN_CASES[name][0]) == 3
+    assert time.perf_counter() - started < 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and len(err[0]) < 100
+    assert "^" in err[0] and "exceeds the generation cap 4194304" in err[0]
 
 
 # --- hrep pins ---------------------------------------------------------------------

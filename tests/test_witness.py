@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from math import comb
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,12 @@ from clawpoly.halfspaces import (
 )
 from clawpoly.linalg import kernel_vector
 from clawpoly.rationals import scale_to_ints
-from clawpoly.sampling import _combine, _prime_vertex, sample_prime_points
+from clawpoly.sampling import (
+    _combine,
+    _prime_vertex,
+    sample_prime_points,
+    sample_prime_segment_points,
+)
 from clawpoly.vertices import Labeling, generate_vertices
 from clawpoly.witness import (
     _integer_kernel,
@@ -308,6 +314,41 @@ def test_s_facet_count_needs_cycle():
         s_facet_count_even(analyze_point(HALF_POINT))
 
 
+_P1_PATTERN = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+_P2_PATTERN = frozenset({(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)})
+
+
+def _tag_by_permutation_search(support):
+    """The configuration tag by trying every row and column permutation of
+    the support's occupied lines against the P1 and P2 patterns."""
+    if not support:
+        return "none"
+    rows = sorted({i for i, _ in support})
+    cols = sorted({j for _, j in support})
+    base = {(rows.index(i), cols.index(j)) for i, j in support}
+    for tag, pattern in (("P1", _P1_PATTERN), ("P2", _P2_PATTERN)):
+        if len(base) == len(pattern) and any(
+            {(rp[i], cp[j]) for i, j in base} == pattern
+            for rp in permutations(range(len(rows)))
+            for cp in permutations(range(len(cols)))
+        ):
+            return tag
+    return "other"
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_configuration_tag_matches_permutation_search(m):
+    cells = [(i, j) for i in range(1, 4) for j in range(1, m + 1)]
+    tags = []
+    for mask in range(1 << len(cells)):
+        support = tuple(c for k, c in enumerate(cells) if mask >> k & 1)
+        tags.append(witness._configuration_tag(support))
+        assert tags[-1] == _tag_by_permutation_search(support), support
+    # P1: a 2 x 2 block; P2: a 3 x 3 block less one of its 6 permutation matrices
+    assert tags.count("P1") == comb(3, 2) * comb(m, 2)
+    assert tags.count("P2") == 6 * comb(m, 3)
+
+
 def test_not_interior_is_distinct_type():
     # the failure carrier is a separate type so callers cannot mistake it
     assert not isinstance(NotInterior("x"), InteriorWitness)
@@ -360,10 +401,27 @@ _line_values = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.lists(_line_values, min_size=3, max_size=7))
-def test_line_tight_subsets_matches_fraction_reference(values):
-    assert _line(values).tight == _tight_reference(values)
+@st.composite
+def _flat_points(draw):
+    """A flat 3 x m point of canonical rationals, m in 3..6: a sampled member,
+    or free values that are mostly not members."""
+    m = draw(st.integers(min_value=3, max_value=6))
+    if draw(st.booleans()):
+        sampler = draw(st.sampled_from([sample_prime_points, sample_prime_segment_points]))
+        return sampler(m, 1, draw(st.integers(min_value=0, max_value=10 ** 6)))[0].values()
+    return tuple(draw(st.lists(_line_values, min_size=3 * m, max_size=3 * m)))
+
+
+# 200 points check about 1,500 lines, every row and column of each
+@settings(max_examples=200, deadline=None)
+@given(_flat_points())
+def test_line_tight_subsets_matches_fraction_reference(flat):
+    m = len(flat) // 3
+    pt = analyze_point(scale_to_ints(flat))
+    rows = [flat[r * m:(r + 1) * m] for r in range(3)]
+    cols = [flat[c::m] for c in range(m)]
+    for line, values in zip(pt.rows + pt.cols, rows + cols):
+        assert line.tight == _tight_reference(values)
 
 
 def test_line_tight_subsets_on_sampled_lines():
