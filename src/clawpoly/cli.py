@@ -11,10 +11,10 @@ written), 2 usage or precondition error, 3 resource cap.
 Every command runs as a fresh process, so each handler imports the modules
 only it calls: the module level holds what vrep, hrep and transform share
 (errors, fileio, groups, halfspaces, rationals, vertices). engine is loaded
-by verify and stats, witness by verify containment and witness, suites (with
-sampling) by verify theorems, coordchange by transform, witness interior and
-the suites. main imports logging only under -v; engine and suites import it
-for their own loggers.
+by verify equality|integrality and stats, witness by verify containment and
+witness, suites (with sampling) by verify theorems, coordchange by
+transform, witness interior and the suites. main imports logging only under
+-v; engine and suites import it for their own loggers.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .errors import (
     ConfigurationError,
     FileFormatError,
     ResourceCapError,
+    check_dimension,
+    dimension_cap,
 )
 from .fileio import (
     format_hfile,
@@ -226,7 +228,7 @@ def _verify_containment(args):
 
 
 def _verify_equality(args):
-    from .engine import check_dimension, equal_polytopes, vertices_from_inequalities
+    from .engine import equal_polytopes, vertices_from_inequalities
 
     # K(m) lies in R^(3m): the cap is checked before the system is built
     check_dimension(3 * args.leaves, args.max_dim)
@@ -241,7 +243,7 @@ def _verify_equality(args):
 
 
 def _verify_integrality(args):
-    from .engine import check_dimension, vertices_from_inequalities
+    from .engine import vertices_from_inequalities
 
     check_dimension(3 * args.leaves, args.max_dim)
     counts = []
@@ -290,13 +292,11 @@ VERIFY_TASKS = {
 
 
 def cmd_verify(args) -> int:
-    from .engine import _dimension_cap
-
     started = time.perf_counter()
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
     # containment and theorems run no DD, but a bad cap still exits 3
-    _dimension_cap(args.max_dim)
+    dimension_cap(args.max_dim)
     pairs, lines = VERIFY_TASKS[args.task](args)
     pairs = [("command", "verify"), ("task", args.task), ("leaves", args.leaves)] + pairs
     if not lines:
@@ -363,7 +363,7 @@ def cmd_witness(args) -> int:
 # --- stats --------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    from .engine import _dimension_cap, f_vector, hull_from_vertices
+    from .engine import f_vector, hull_from_vertices
 
     started = time.perf_counter()
     m = args.leaves
@@ -374,7 +374,7 @@ def cmd_stats(args) -> int:
         pairs.append((model.replace("-", "_") + "_inequalities", row_count(model, m)))
     outcome = "pass"
     # the hull has no cap of its own; stats applies the engine's cap to K(m) in R^(3m)
-    if 3 * m > _dimension_cap(args.max_dim):
+    if 3 * m > dimension_cap(args.max_dim):
         outcome = "partial"
         pairs.append(("facets", "skipped-by-cap"))
     else:

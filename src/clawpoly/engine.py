@@ -29,10 +29,12 @@ the lanes are widened (so a widening repacks live rays only), and no
 per-ray loop runs to classify them against a row: each coordinate is one
 int holding that coordinate of every ray in a fixed-width lane per id
 (see ``lanes``), so a row's a . r for all rays is about n big-int
-multiply-adds, and two reads of the lanes' top bits give the ids on each
-side of the hyperplane. One at a time, a row touches only the rays it
-makes tight (to mark the row in their masks), the violating rays and their
-candidate partners, and, on a row that absorbs a line, the rays it moves.
+multiply-adds, and one byte pass over the lanes (``lanes.lane_signs``)
+gives the ids on each side of the hyperplane. One at a time, a row touches
+only the rays it makes tight (to mark the row in their masks), the
+violating rays and their candidate partners, and, on a row that absorbs a
+line, the rays it moves. The rays a row makes enter the incidence together,
+one OR per row of the transpose of their masks.
 
 Adjacency is the combinatorial test (Fukuda & Prodon): a pair is adjacent
 iff no third ray is tight on all of their common tight rows. It runs
@@ -61,27 +63,18 @@ soon as some row is violated by every completion.
 from __future__ import annotations
 
 import logging
-import os
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .errors import (
-    DimensionError,
-    InfeasibleError,
-    ResourceCapError,
-    UnboundedError,
-)
-from .lanes import bits, lane_tops, pack_lanes
-from .rationals import canon
+from .errors import DimensionError, InfeasibleError, UnboundedError, check_dimension
+from .lanes import bits, lane_signs, pack_lanes
+from .rationals import ScaledPoint, canon
 from .vertices import VertexSet
 
 log = logging.getLogger("clawpoly.engine")
-
-DEFAULT_MAX_DIM = 12
-MAX_DIM_ENV = "CLAWPOLY_MAX_DIM"
 
 
 def _normalize_int_vector(vec):
@@ -226,15 +219,16 @@ def _dd_cone(rows, n, label):
     peak = candidates = prefiltered = adjacent_pairs = rebuilds = renumbers = widens = 0
     for t, a in enumerate(rows):
         bit = 1 << t
-        # lane k of acc is a . vecs[k] + 2^(width - 1): its top bit is set
-        # iff a . r >= 0, and that of acc - ones iff a . r > 0
-        ones = ((1 << (width * len(vecs))) - 1) // ((1 << width) - 1)
+        count = len(vecs)
+        # lane k of acc is a . vecs[k] + 2^(width - 1), so its sign is that of a . r
+        ones = int.from_bytes(b"\1".ljust(width >> 3, b"\0") * count, "little")
         acc = ((1 << (width - 1)) - shift * sum(a)) * ones
         for c, col in zip(a, cols):
             if c:
                 acc += c * col
-        nonneg = lane_tops(acc, len(vecs), width) & alive
-        plus_ids = lane_tops(acc - ones, len(vecs), width) & alive
+        nonneg, plus_ids = lane_signs(acc, count, width)
+        nonneg &= alive
+        plus_ids &= alive
         zero_ids = nonneg ^ plus_ids
         new = []  # (vector, tight mask) of the rays made on this row
         pivot = next((idx for idx, l in enumerate(lines) if _dot(a, l)), None)
@@ -270,15 +264,22 @@ def _dd_cone(rows, n, label):
                 minus_ids = alive ^ nonneg
                 candidates += plus_ids.bit_count() * minus_ids.bit_count()
                 threshold = n - len(lines) - 2
-                for p in bits(plus_ids):
-                    rp, mp = vecs[p], masks[p]
-                    vp = _dot(a, rp)
+                rest_p = plus_ids
+                while rest_p:
+                    low_p = rest_p & -rest_p
+                    rest_p ^= low_p
+                    p = low_p.bit_length() - 1
+                    mp = masks[p]
                     hits = _at_least(threshold, mp, tight_on, minus_ids)
                     prefiltered += hits.bit_count()
-                    for q in bits(hits):
+                    vp = None
+                    while hits:
+                        low_q = hits & -hits
+                        hits ^= low_q
+                        q = low_q.bit_length() - 1
                         common = mp & masks[q]
                         # adjacent iff no third alive ray is tight on every row of common
-                        pair = 1 << p | 1 << q
+                        pair = low_p | low_q
                         survivors = alive
                         rest = common
                         while rest:
@@ -289,6 +290,9 @@ def _dd_cone(rows, n, label):
                             rest ^= low
                         if survivors != pair:
                             continue
+                        if vp is None:
+                            rp = vecs[p]
+                            vp = _dot(a, rp)
                         rm = vecs[q]
                         vm = _dot(a, rm)
                         new.append((
@@ -302,14 +306,14 @@ def _dd_cone(rows, n, label):
         alive ^= dead
         if new:
             first = len(vecs)
-            for k, (vec, mask) in enumerate(new, first):
-                vecs.append(vec)
-                masks.append(mask)
-                id_bit = 1 << k
-                for i in bits(mask):
-                    tight_on[i] |= id_bit
-            alive |= ((1 << len(new)) - 1) << first
             batch = [vec for vec, _ in new]
+            new_masks = [mask for _, mask in new]
+            vecs += batch
+            masks += new_masks
+            # the new ids enter the incidence one row at a time
+            for i, col in enumerate(_transpose(new_masks, t + 1)):
+                tight_on[i] |= col << first
+            alive |= ((1 << len(new)) - 1) << first
             big = max(map(abs, chain.from_iterable(batch)))
             widen = big > shift
             if widen:
@@ -379,32 +383,6 @@ class EqualityReport(NamedTuple):
     checked_b: int
 
 
-def _dimension_cap(max_dim):
-    """max_dim, else CLAWPOLY_MAX_DIM, else 12; a cap below 1 is refused."""
-    if max_dim is not None:
-        source, cap = "max_dim", max_dim
-    else:
-        raw = os.environ.get(MAX_DIM_ENV)
-        if raw is None:
-            return DEFAULT_MAX_DIM
-        try:
-            source, cap = MAX_DIM_ENV, int(raw)
-        except ValueError:
-            raise ResourceCapError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ResourceCapError(f"{source} must be at least 1, got {cap}")
-    return cap
-
-
-def check_dimension(d, max_dim=None) -> None:
-    """Refuse a double description in dimension d above the cap."""
-    cap = _dimension_cap(max_dim)
-    if d > cap:
-        raise ResourceCapError(
-            f"dimension {d} exceeds cap {cap}; raise {MAX_DIM_ENV} or max_dim to override"
-        )
-
-
 def vertices_from_inequalities(system, max_dim=None) -> VertexSet:
     """Exact vertex enumeration of a bounded InequalitySystem.
 
@@ -424,7 +402,7 @@ def vertices_from_inequalities(system, max_dim=None) -> VertexSet:
     recession = False
     for r, _ in rays:
         if r[0] > 0:
-            points.append(tuple(canon(Fraction(x, r[0])) for x in r[1:]))
+            points.append(ScaledPoint(r[1:], r[0]).values())
         else:
             recession = True
     if not points:

@@ -1,8 +1,13 @@
-"""Error taxonomy shared by all modules.
+"""Error taxonomy shared by all modules, and the dimension cap policy.
 
 Every precondition failure raises a subclass of ClawpolyError so the CLI can
 map it to a stable exit code (2 for preconditions, 3 for resource caps).
 """
+
+import os
+
+DEFAULT_MAX_DIM = 12
+MAX_DIM_ENV = "CLAWPOLY_MAX_DIM"
 
 
 class ClawpolyError(Exception):
@@ -43,6 +48,32 @@ class ConfigurationError(ClawpolyError):
 
 class ResourceCapError(ClawpolyError):
     """Requested computation exceeds the configured size cap."""
+
+
+def dimension_cap(max_dim):
+    """max_dim, else CLAWPOLY_MAX_DIM, else 12; a cap below 1 is refused."""
+    if max_dim is not None:
+        source, cap = "max_dim", max_dim
+    else:
+        raw = os.environ.get(MAX_DIM_ENV)
+        if raw is None:
+            return DEFAULT_MAX_DIM
+        try:
+            source, cap = MAX_DIM_ENV, int(raw)
+        except ValueError:
+            raise ResourceCapError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}")
+    if cap < 1:
+        raise ResourceCapError(f"{source} must be at least 1, got {cap}")
+    return cap
+
+
+def check_dimension(d, max_dim=None) -> None:
+    """Refuse a double description in dimension d above the cap."""
+    cap = dimension_cap(max_dim)
+    if d > cap:
+        raise ResourceCapError(
+            f"dimension {d} exceeds cap {cap}; raise {MAX_DIM_ENV} or max_dim to override"
+        )
 
 
 class UnboundedError(ClawpolyError):

@@ -36,7 +36,7 @@ from .errors import (
     ResourceCapError,
     UnsupportedGroupError,
 )
-from .lanes import bits, lane_tops, pack_lanes
+from .lanes import bits, lane_signs, pack_lanes
 from .rationals import Rational, ScaledPoint, canon, scale_to_ints
 
 
@@ -199,10 +199,9 @@ class InequalitySystem:
     def membership(self, point) -> MembershipResult:
         """Exact status of a point, every row at once.
 
-        point is a ScaledPoint or a sequence of rationals. In the
-        lanes of ``_evaluate``, a top bit is set iff its row is tight or
-        violated, and after subtracting one from every lane iff it is
-        violated.
+        point is a ScaledPoint or a sequence of rationals. A lane of
+        ``_evaluate`` holds at least 2^(W-1) iff its row is tight or
+        violated, and more than that iff it is violated.
         """
         if isinstance(point, ScaledPoint):
             nums, den = point
@@ -214,9 +213,7 @@ class InequalitySystem:
         else:
             nums, den = scale_to_ints(self.flatten(point))
         acc, width = self._evaluate(nums, den)
-        count = len(self.rows)
-        at_least = lane_tops(acc, count, width)
-        above = lane_tops(acc - self._membership_lanes(width)[0], count, width)
+        at_least, above = lane_signs(acc, len(self.rows), width)
         violated = tuple(bits(above))
         tight = tuple(bits(at_least ^ above))
         if violated:
@@ -248,7 +245,7 @@ class InequalitySystem:
         norm, rhs = self._row_bounds
         reach = norm * max(map(abs, nums), default=0) + rhs * den
         width = -(-(reach.bit_length() + 1) // 8) * 8
-        _, offset, rhs_lanes, cols = self._membership_lanes(width)
+        offset, rhs_lanes, cols = self._membership_lanes(width)
         acc = offset - den * rhs_lanes
         for x, col in zip(nums, cols):
             if x:
@@ -264,19 +261,19 @@ class InequalitySystem:
         )
 
     def _pack_membership_lanes(self, width: int):
-        """Every row as a width-bit lane: the int of ones, the offset
-        2^(W-1) in every lane, the right-hand sides, and per coordinate i
-        the coefficients a_j[i]. The last two are signed sums of lanes, so
-        only the lanes of a finished evaluation lie in [0, 2^W)."""
+        """Every row as a width-bit lane: the offset 2^(W-1) in every lane,
+        the right-hand sides, and per coordinate i the coefficients a_j[i].
+        The last two are signed sums of lanes, so only the lanes of a
+        finished evaluation lie in [0, 2^W)."""
         rows = self.rows
 
         def signed(values):
             return (pack_lanes([max(v, 0) for v in values], width)
                     - pack_lanes([max(-v, 0) for v in values], width))
 
-        ones = pack_lanes([1] * len(rows), width)
+        offset = pack_lanes([1 << (width - 1)] * len(rows), width)
         cols = [signed(col) for col in zip(*(a for a, _ in rows))]
-        return ones, ones << (width - 1), signed([b for _, b in rows]), cols
+        return offset, signed([b for _, b in rows]), cols
 
     def tight_set(self, point) -> TightSet:
         """Tight inequality ids grouped by family kind; raises off the polytope."""

@@ -1141,6 +1141,10 @@ NOT_LOADED = {
              _THEOREM_ONLY + ("clawpoly.engine", "logging", "json")),
     "stats": (["stats", "--leaves", "3"], _THEOREM_ONLY),
     "verify-integrality": (["verify", "integrality", "--leaves", "3"], _THEOREM_ONLY),
+    "verify-containment": (["verify", "containment", "--leaves", "3"],
+                           ("clawpoly.engine", "clawpoly.suites", "clawpoly.sampling")),
+    "verify-theorems": (["verify", "theorems", "--leaves", "3", "--samples", "20"],
+                        ("clawpoly.engine",)),
 }
 
 
