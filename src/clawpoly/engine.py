@@ -42,8 +42,14 @@ bit-parallel on the transposed incidence, one bitmask of tight ray ids per
 row. Candidate pairs are prefiltered by the rank of the pair's minimal
 face (common tight count >= n - |lines| - 2), counted for all partners of
 a violating ray at once: its tight rows' incidence bitmasks are summed
-into bit-sliced counters. The hull reads its vertices and incidence off
-the same tight sets, with no linear algebra.
+into bit-sliced counters. Most pairs past the prefilter are not adjacent,
+and the walk that shows it ends on such a third ray, a witness. Each
+violating ray keeps the witnesses found against its earlier partners, and
+a later partner is settled without a walk when one of them other than the
+partner itself is tight on all the pair's common rows: one subset test of
+tight masks (a superset query, as in Terzer & Stelling's bit-pattern
+trees). The hull reads its vertices and incidence off the same tight
+sets, with no linear algebra.
 
 The f-vector comes from that incidence alone (Kaibel & Pfetsch): the face
 lattice is walked down one level at a time from the facets, a face's
@@ -201,8 +207,8 @@ def _dd_cone(rows, n, label):
 
     Returns (lines, rays): integer basis vectors of the lineality space and
     the extreme rays of the pointed quotient, each ray paired with its
-    tight-set bitmask over the input rows. Logs one summary line of counts
-    and one of the lane layout under label.
+    tight-set bitmask over the input rows. Logs one summary line of counts,
+    one of the lane layout and one of the adjacency work under label.
     """
     lines = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     # rays by id: vector and tight mask over rows; alive has the bits of the
@@ -217,6 +223,7 @@ def _dd_cone(rows, n, label):
     width, shift = _lane_layout(1, norm_bits)
     cols = [0] * n
     peak = candidates = prefiltered = adjacent_pairs = rebuilds = renumbers = widens = 0
+    steps = settled = 0
     for t, a in enumerate(rows):
         bit = 1 << t
         count = len(vecs)
@@ -273,32 +280,47 @@ def _dd_cone(rows, n, label):
                     hits = _at_least(threshold, mp, tight_on, minus_ids)
                     prefiltered += hits.bit_count()
                     vp = None
+                    # (id bit, tight mask) of the third rays that proved earlier
+                    # partners of p non-adjacent, most recent last
+                    witnesses = []
                     while hits:
                         low_q = hits & -hits
                         hits ^= low_q
                         q = low_q.bit_length() - 1
                         common = mp & masks[q]
-                        # adjacent iff no third alive ray is tight on every row of common
-                        pair = low_p | low_q
-                        survivors = alive
-                        rest = common
-                        while rest:
-                            low = rest & -rest
-                            survivors &= tight_on[low.bit_length() - 1]
-                            if survivors == pair:
+                        # adjacent iff no third alive ray is tight on every row of
+                        # common; a witness against an earlier partner may be one
+                        for low_r, mr in reversed(witnesses):
+                            if not common & ~mr and low_r != low_q:
+                                settled += 1
                                 break
-                            rest ^= low
-                        if survivors != pair:
-                            continue
-                        if vp is None:
-                            rp = vecs[p]
-                            vp = _dot(a, rp)
-                        rm = vecs[q]
-                        vm = _dot(a, rm)
-                        new.append((
-                            _normalize_int_vector(tuple(vp * x - vm * y for x, y in zip(rm, rp))),
-                            common | bit,
-                        ))
+                        else:
+                            pair = low_p | low_q
+                            survivors = alive
+                            rest = common
+                            while rest:
+                                low = rest & -rest
+                                rest ^= low
+                                survivors &= tight_on[low.bit_length() - 1]
+                                if survivors == pair:
+                                    break
+                            steps += common.bit_count() - rest.bit_count()
+                            if survivors != pair:
+                                third = survivors ^ pair
+                                low_r = third & -third
+                                witnesses.append((low_r, masks[low_r.bit_length() - 1]))
+                                continue
+                            if vp is None:
+                                rp = vecs[p]
+                                vp = _dot(a, rp)
+                            rm = vecs[q]
+                            vm = _dot(a, rm)
+                            new.append((
+                                _normalize_int_vector(
+                                    tuple(vp * x - vm * y for x, y in zip(rm, rp))
+                                ),
+                                common | bit,
+                            ))
                 adjacent_pairs += len(new)
         for k in bits(zero_ids):
             masks[k] |= bit
@@ -350,6 +372,10 @@ def _dd_cone(rows, n, label):
     log.info(
         "%s: %d-byte lanes, %d column rebuilds (%d renumber, %d widen)",
         label, width // 8, rebuilds, renumbers, widens,
+    )
+    log.info(
+        "%s: %d pairs walked, %d walk steps, %d settled by a cached witness",
+        label, prefiltered - settled, steps, settled,
     )
     return lines, [(vecs[k], masks[k]) for k in bits(alive)]
 

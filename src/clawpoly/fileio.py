@@ -10,7 +10,8 @@ polyhedral tools can audit the output:
      1 0 0 1 ...
     end
 
-Every number is an integer or p/q; vertex rows carry the leading 1 marker
+Every number is an ASCII integer or p/q (rationals.parse_rational; the size
+line's counts are bare digits); vertex rows carry the leading 1 marker
 (rays and a V-file "linearity" line are rejected: these polytopes are
 bounded). H-files are written for an InequalitySystem, one line
 "b -a1 ... -ad" per row a . x <= b; a system holds an equation as two
@@ -29,7 +30,7 @@ from .errors import FileFormatError
 from .rationals import canon, fmt, parse_rational
 from .vertices import VertexSet
 
-_SHAPE_RE = re.compile(r"^\*\s*order=row-major\s+rows=(\d+)\s+cols=(\d+)\s*$")
+_SHAPE_RE = re.compile(r"^\*\s*order=row-major\s+rows=([0-9]+)\s+cols=([0-9]+)\s*$")
 
 
 def _shape_comment(shape) -> str | None:
@@ -84,13 +85,14 @@ def parse_vfile(text: str) -> VertexSet:
         raise FileFormatError("truncated file: no size line")
     size_parts = lines[i].split()
     i += 1
-    if len(size_parts) != 3 or size_parts[2] not in ("rational", "integer"):
+    if (
+        len(size_parts) != 3
+        or size_parts[2] not in ("rational", "integer")
+        or not all(re.fullmatch("[0-9]+", x) for x in size_parts[:2])
+    ):
         raise FileFormatError(f"bad size line: {lines[i-1]!r}")
-    try:
-        nrows = int(size_parts[0])
-        ncols = int(size_parts[1])
-    except ValueError:
-        raise FileFormatError(f"bad size line: {lines[i-1]!r}")
+    nrows = int(size_parts[0])
+    ncols = int(size_parts[1])
     # a vertex row is the leading 1 plus at least one coordinate
     if ncols < 2:
         raise FileFormatError(f"bad size line: {lines[i-1]!r}")

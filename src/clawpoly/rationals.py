@@ -7,6 +7,7 @@ ints (cheaper arithmetic, identical hashing/equality semantics).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Union
@@ -45,15 +46,20 @@ def is_integral(x: Rational) -> bool:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse '7', '-3' or 'p/q' into an exact rational."""
-    s = text.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        try:
-            return canon(Fraction(int(num), int(den)))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-    return int(s)
+    """Parse '7', '-3' or 'p/q' into an exact rational.
+
+    Only ASCII [+-]?[0-9]+(/[0-9]+)? is read: underscores, other digit
+    scripts, decimals, a signed denominator and whitespace raise ValueError.
+    """
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text)
+    if match is None:
+        raise ValueError(f"not an integer or p/q: {text!r}")
+    num, den = match.groups()
+    if den is None:
+        return int(num)
+    if not int(den):
+        raise ValueError(f"zero denominator in {text!r}")
+    return canon(Fraction(int(num), int(den)))
 
 
 def fmt(x: Rational) -> str:

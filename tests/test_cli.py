@@ -659,6 +659,8 @@ GOLDEN_INPUTS = {
     # size lines with the marker column only, and with no column at all
     "cols1.ext": "V-representation\nbegin\n 1 1 rational\n 1\nend\n",
     "cols0.ext": "V-representation\nbegin\n 0 0 rational\nend\n",
+    # int() reads 1_0 as 10; a V-file number is ASCII [+-]digits[/digits] only
+    "under.ext": "V-representation\nbegin\n 1 10 rational\n 1 1_0 0 0 0 0 0 0 0 0\nend\n",
 }
 
 # each fake replaces the name in the module that defines it: cli imports
@@ -697,6 +699,7 @@ GOLDEN_CASES = {
     "transform-inverse": (["transform", "--in", "k3.ext", "--inverse"], None),
     "transform-size-one-column": (["transform", "--in", "cols1.ext"], None),
     "transform-size-no-columns": (["transform", "--in", "cols0.ext"], None),
+    "transform-underscore": (["transform", "--in", "under.ext"], None),
     "containment-pass": (["verify", "containment", "--leaves", "4"], None),
     "containment-fail": (["verify", "containment", "--leaves", "3"], "containment"),
     "containment-huge": (["verify", "containment", "--leaves", "8000"], None),
@@ -923,6 +926,7 @@ GOLDEN = {
     ),
     "transform-size-no-columns": (2, "", {}),
     "transform-size-one-column": (2, "", {}),
+    "transform-underscore": (2, "", {}),
     "transform-json": (
         0,
         "command=transform direction=standard-to-prime count=16 outcome=pass file=t.json",

@@ -187,6 +187,10 @@ def _summaries(caplog):
     return [r.getMessage() for r in caplog.records if "at peak" in r.getMessage()]
 
 
+def _walk_lines(caplog):
+    return [r.getMessage() for r in caplog.records if "pairs walked" in r.getMessage()]
+
+
 def test_hull_k5_counts_and_incidence(caplog):
     caplog.set_level(logging.INFO, logger="clawpoly.engine")
     poly = hull_from_vertices(generate_vertices(Z2Z2, 5))
@@ -202,6 +206,23 @@ def test_hull_k5_counts_and_incidence(caplog):
         "hull[d=15 points=256]: 256 rows, 482 rays at peak, 579522 candidate pairs, "
         "43290 past prefilter, 6574 adjacent",
     ]
+    assert _walk_lines(caplog) == [
+        "hull[d=15 points=256]: 18950 pairs walked, 363485 walk steps, "
+        "24340 settled by a cached witness",
+    ]
+
+
+def test_cached_witness_is_never_the_partner():
+    """On these points a ray recorded as a witness against one partner of a
+    violating ray is a later partner of the same ray, and that pair is
+    adjacent. Taken as its own witness, the partner would hide the facet
+    7x1 + 8x2 - 4x3 - 12x4 <= -10."""
+    pts = [(-2, -2, -2, -1), (-2, 0, -1, 0), (-2, 2, 0, 1), (-1, -1, 0, 2),
+           (-1, -1, 2, 2), (0, -1, 2, 1), (2, -2, 2, 0), (2, 0, 0, 2)]
+    poly = hull_from_vertices(pts)
+    assert ((7, 8, -4, -12), -10) in poly.facets
+    assert set(poly.facets) == _brute_force_facets(pts, 4)
+    assert list(poly.vertices) == _rank_rule_vertices(poly, pts)
 
 
 @contextmanager
@@ -305,18 +326,23 @@ def test_dd_counts_pinned_for_binary_d9(caplog):
     ]
 
 
-@pytest.mark.parametrize("build, line", [
+@pytest.mark.parametrize("build, line, walk", [
     (kimura3_system,
      "vertices[kimura3 d=15]: 69 rows, 1375 rays at peak, 2331163 candidate pairs, "
-     "16279 past prefilter, 2993 adjacent"),
+     "16279 past prefilter, 2993 adjacent",
+     "vertices[kimura3 d=15]: 5996 pairs walked, 84279 walk steps, "
+     "10283 settled by a cached witness"),
     (kimura3_prime_system,
      "vertices[kimura3-prime d=15]: 69 rows, 1368 rays at peak, 2292954 candidate pairs, "
-     "16399 past prefilter, 2953 adjacent"),
+     "16399 past prefilter, 2953 adjacent",
+     "vertices[kimura3-prime d=15]: 5869 pairs walked, 82425 walk steps, "
+     "10530 settled by a cached witness"),
 ], ids=["kimura3", "kimura3-prime"])
-def test_dd_counts_pinned_for_kimura3_m5(build, line, caplog):
+def test_dd_counts_pinned_for_kimura3_m5(build, line, walk, caplog):
     caplog.set_level(logging.INFO, logger="clawpoly.engine")
     vertices_from_inequalities(build(5), max_dim=15)
     assert _summaries(caplog) == [line]
+    assert _walk_lines(caplog) == [walk]
 
 
 def _normalized(vec):

@@ -84,6 +84,19 @@ def test_vfile_bad_number():
         parse_vfile(bad)
 
 
+@pytest.mark.parametrize("entry", ["1_0", "\u0661", "1/-2"])
+def test_vfile_rejects_lenient_numbers(entry):
+    bad = f"V-representation\nbegin\n 1 3 rational\n 1 {entry} 0\nend\n"
+    with pytest.raises(FileFormatError, match="not an integer or p/q"):
+        parse_vfile(bad)
+
+
+@pytest.mark.parametrize("size", ["1_0 3", "1 \u0663", "+1 3"])
+def test_vfile_size_line_reads_ascii_digits_only(size):
+    with pytest.raises(FileFormatError, match="bad size line"):
+        parse_vfile(f"V-representation\nbegin\n {size} rational\n 1 0 0\nend\n")
+
+
 def test_vfile_bad_size_line():
     bad = "V-representation\nbegin\n 1 3 floats\n 1 0 0\nend\n"
     with pytest.raises(FileFormatError):

@@ -40,6 +40,27 @@ def test_parse_rational():
         parse_rational("1/0")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("+3", 3), ("007", 7), ("-0", 0), ("4/2", 2), ("+1/3", Fraction(1, 3)),
+    ("-10/04", Fraction(-5, 2)),
+])
+def test_parse_rational_accepts_ascii_integers_and_fractions(text, value):
+    parsed = parse_rational(text)
+    assert parsed == value
+    assert type(parsed) is type(value)
+
+
+@pytest.mark.parametrize("text", [
+    # int() would read each of these
+    "1_0", "1/1_0", "\u0663", "\uff11", "1/-2", "1/+2", " 3", "3\n",
+    # and these it never read
+    "", "-", "+-1", "/2", "1/", "1//2", "1/2/3", "1.5", "1e3", "0x10", "\u00b3", "0/0",
+])
+def test_parse_rational_rejects_other_tokens(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
 rationals = st.fractions(max_denominator=1000)
 
 
