@@ -33,7 +33,10 @@ _EXPORTS = {
         "kimura3_system", "model_system", "odd_subsets",
     ),
     "rationals": ("ScaledPoint", "scale_to_ints"),
-    "suites": ("run_interior_suite", "run_isomorphism_suite", "run_pseudo_facet_suite"),
+    "suites": (
+        "run_interior_suite", "run_isomorphism_suite", "run_pseudo_facet_suite",
+        "run_sampled_suites",
+    ),
     "vertices": ("Labeling", "VertexSet", "generate_vertices"),
     "witness": (
         "ContainmentReport", "IncidenceReport", "InteriorWitness", "NotInterior",

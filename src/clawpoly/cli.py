@@ -24,6 +24,7 @@ import os
 import sys
 import time
 
+from . import vertices
 from .errors import (
     ClawpolyError,
     ConfigurationError,
@@ -260,12 +261,11 @@ def _verify_integrality(args):
 
 
 def _verify_theorems(args):
-    from .suites import run_interior_suite, run_isomorphism_suite, run_pseudo_facet_suite
+    from .suites import run_isomorphism_suite, run_sampled_suites
 
     m, n = args.leaves, args.samples
     iso = run_isomorphism_suite(m, n, seed=args.seed)
-    pf = run_pseudo_facet_suite(m, n, seed=args.seed)
-    iw = run_interior_suite(m, n, seed=args.seed)
+    pf, iw = run_sampled_suites(m, n, seed=args.seed)
     lines = [
         f"counterexample=theorems suite={name} detail={repr(f).replace(' ', '')}"
         for name, rep in (("isomorphism", iso), ("pseudo_facet", pf), ("interior", iw))
@@ -295,6 +295,10 @@ def cmd_verify(args) -> int:
     started = time.perf_counter()
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > vertices.GENERATION_CAP:
+        raise ResourceCapError(
+            f"--samples {args.samples} exceeds the generation cap {vertices.GENERATION_CAP}"
+        )
     # containment and theorems run no DD, but a bad cap still exits 3
     dimension_cap(args.max_dim)
     pairs, lines = VERIFY_TASKS[args.task](args)

@@ -84,9 +84,7 @@ log = logging.getLogger("clawpoly.engine")
 
 
 def _normalize_int_vector(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
+    g = gcd(*vec)
     if g > 1:
         vec = tuple(x // g for x in vec)
     return tuple(vec)

@@ -200,7 +200,7 @@ class InequalitySystem:
         """Exact status of a point, every row at once.
 
         point is a ScaledPoint or a sequence of rationals. A lane of
-        ``_evaluate`` holds at least 2^(W-1) iff its row is tight or
+        ``evaluate`` holds at least 2^(W-1) iff its row is tight or
         violated, and more than that iff it is violated.
         """
         if isinstance(point, ScaledPoint):
@@ -212,7 +212,7 @@ class InequalitySystem:
                 )
         else:
             nums, den = scale_to_ints(self.flatten(point))
-        acc, width = self._evaluate(nums, den)
+        acc, width = self.evaluate(nums, den)
         at_least, above = lane_signs(acc, len(self.rows), width)
         violated = tuple(bits(above))
         tight = tuple(bits(at_least ^ above))
@@ -224,23 +224,13 @@ class InequalitySystem:
             status = "inside"
         return MembershipResult(status, violated, tight)
 
-    def row_values(self, nums, den: int) -> list[int]:
-        """a_j.nums - rhs_j*den for every row j, in row order: minus the
-        slacks, times den, of the point nums / den. With den = 0 they are
-        the rates a_j.nums of the direction nums."""
-        acc, width = self._evaluate(nums, den)
-        step = width >> 3
-        half = 1 << (width - 1)
-        raw = acc.to_bytes(len(self.rows) * step, "little")
-        return [int.from_bytes(raw[k:k + step], "little") - half
-                for k in range(0, len(raw), step)]
-
-    def _evaluate(self, nums, den: int) -> tuple[int, int]:
+    def evaluate(self, nums, den: int) -> tuple[int, int]:
         """(acc, W): lane j of acc, W bits wide, holds 2^(W-1) + a_j.nums - rhs_j*den.
 
         W - 1 is at least the bit length of the largest |a_j.nums - rhs_j*den|
         the rows' 1-norms and right-hand sides allow at this point, so every
-        lane stays in [1, 2^W).
+        lane stays in [1, 2^W). W is a whole number of bytes, so
+        lanes.lane_signs and lanes.lane_values read the lanes.
         """
         norm, rhs = self._row_bounds
         reach = norm * max(map(abs, nums), default=0) + rhs * den

@@ -61,6 +61,14 @@ def lane_signs(x: int, count: int, width: int) -> tuple[int, int]:
     return at_least, at_least ^ half
 
 
+def lane_values(x: int, width: int, indices) -> list[int]:
+    """The values of the lanes of x at indices, in that order; width is a
+    multiple of 8. x is read as bytes once, and only those lanes are decoded."""
+    step = width >> 3
+    raw = x.to_bytes(-(-x.bit_length() // 8), "little")
+    return [int.from_bytes(raw[k * step:(k + 1) * step], "little") for k in indices]
+
+
 def bits(mask: int):
     """Indices of the set bits of mask, lowest first."""
     while mask:

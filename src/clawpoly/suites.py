@@ -5,11 +5,18 @@ a family of structural laws on every sample, and returns a report whose
 counterexample list is empty exactly when the suite passes; a
 counterexample shows its point as 3 x m rows of canonical rationals. The
 suites back the CLI `verify theorems` task and the acceptance tests.
+
+The pseudo-facet and interior suites draw the same sample: the CLI runs
+both in one pass (run_sampled_suites) that analyses each point once and
+keeps only the current point's analysis, while run_pseudo_facet_suite and
+run_interior_suite each run only their own checks, on the same reports and
+log lines.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from typing import NamedTuple
 
 from .coordchange import (
@@ -119,6 +126,114 @@ def run_isomorphism_suite(m: int, samples: int, seed: int = 0) -> IsomorphismSui
     )
 
 
+def _pseudo_facet_checks(pt, counts, failures) -> None:
+    """The pseudo-facet laws at one analysed sample point."""
+    p = pt.point
+    rep = incidence_report(pt)
+    counts["tight"] += len(pt.membership.tight)
+    if rep.k < rep.omega:
+        counts["k_ge_omega"] += 1
+        failures.append(("k_lt_omega", point_rows(p)))
+    if any(c == 1 for c in rep.row_nonintegral):
+        counts["single_nonintegral_rows"] += 1
+        failures.append(("single_nonintegral_row", point_rows(p)))
+    if not pseudo_facet_structure(pt).passed:
+        counts["structure"] += 1
+        failures.append(("row_structure", point_rows(p)))
+    for r, row in enumerate(pt.rows, 1):
+        if len(row.nonintegral) != 2:
+            continue
+        classes = set()
+        for sub in row.tight:
+            classes.add(classify_facet(row, sub))
+            if not parity_check(row, sub):
+                counts["parity"] += 1
+                failures.append(("parity", (r, sub, point_rows(p))))
+        if len(classes) > 1:
+            counts["mixed_class"] += 1
+            failures.append(("mixed_class", (r, point_rows(p))))
+    if rep.k == rep.omega and rep.k > 0:
+        counts["cycle_configs"] += 1
+        if rep.tag not in ("P1", "P2"):
+            failures.append(("unrecognized_tight_configuration", point_rows(p)))
+        elif not s_facet_count_even(pt):
+            failures.append(("odd_s_count", point_rows(p)))
+
+
+def _interior_checks(pt, counts, failures) -> None:
+    """The interior witness of one analysed non-integral sample point and
+    the membership of its two endpoints."""
+    p = pt.point
+    wit = interior_witness(pt)
+    counts["memberships"] += 1
+    counts["tight"] += len(pt.membership.tight)
+    if not isinstance(wit, InteriorWitness):
+        failures.append(("not_interior", wit.reason, point_rows(p)))
+        return
+    counts["kernel" if len(pt.support) > pt.omega else "cycle"] += 1
+    v = wit.direction
+    if not any(v.nums):
+        failures.append(("zero_direction", point_rows(p)))
+        return
+    m = len(pt.cols)
+    support = {(i - 1) * m + j - 1 for i, j in pt.support}
+    if any(vx and t not in support for t, vx in enumerate(v.nums)):
+        failures.append(("direction_off_support", point_rows(p)))
+        return
+    if wit.epsilon <= 0:
+        failures.append(("nonpositive_epsilon", point_rows(p)))
+        return
+    nums, den = p
+    # p +- eps*v over den * eps.denominator * v.den
+    scale = wit.epsilon.denominator * v.den
+    step = wit.epsilon.numerator * den
+    up, down = (
+        ScaledPoint(tuple(x * scale + sign * step * vx for x, vx in zip(nums, v.nums)),
+                    den * scale)
+        for sign in (1, -1)
+    )
+    counts["memberships"] += 2
+    if pt.system.membership(up).status == "outside":
+        failures.append(("upper_endpoint_outside", point_rows(p)))
+    if pt.system.membership(down).status == "outside":
+        failures.append(("lower_endpoint_outside", point_rows(p)))
+
+
+def _sampled_suites(m, samples, seed, pseudo_facet, interior):
+    """The pseudo-facet and/or the interior suite in one pass over one
+    sample: each point is analysed at most once, and only the current
+    point's analysis is kept. The interior suite alone analyses only the
+    non-integral points. Returns the reports asked for, pseudo-facet first.
+    """
+    pts = _mixed_sample(m, samples, seed)
+    pf, pf_failures = Counter(), []
+    iw, iw_failures = Counter(), []
+    for p in pts:
+        nonintegral = any(x % p.den for x in p.nums)
+        if not (pseudo_facet or nonintegral):
+            continue
+        pt = analyze_point(p)
+        if pseudo_facet:
+            _pseudo_facet_checks(pt, pf, pf_failures)
+        if interior and nonintegral:
+            iw["nonintegral"] += 1
+            _interior_checks(pt, iw, iw_failures)
+    reports = []
+    if pseudo_facet:
+        _log_counts("pseudo_facet", m, len(pts), len(pts), tight=pf["tight"])
+        counted = PseudoFacetSuiteReport._fields[2:-2]  # k_ge_omega .. cycle_configs
+        reports.append(PseudoFacetSuiteReport(
+            m, len(pts), *(pf[field] for field in counted), tuple(pf_failures), not pf_failures
+        ))
+    if interior:
+        _log_counts("interior", m, len(pts), iw["memberships"], iw["kernel"], iw["cycle"],
+                    iw["tight"])
+        reports.append(InteriorSuiteReport(
+            m, len(pts), iw["nonintegral"], tuple(iw_failures), not iw_failures
+        ))
+    return reports
+
+
 def run_pseudo_facet_suite(m: int, samples: int, seed: int = 0) -> PseudoFacetSuiteReport:
     """Structural laws of tight pseudo-facets on sampled member points.
 
@@ -130,61 +245,7 @@ def run_pseudo_facet_suite(m: int, samples: int, seed: int = 0) -> PseudoFacetSu
     cycle patterns and carry an even number of S-lines. All of it reads one
     analysis per point.
     """
-    failures = []
-    counts = {
-        "k_ge_omega": 0,
-        "single": 0,
-        "structure": 0,
-        "parity": 0,
-        "mixed": 0,
-        "cycle": 0,
-    }
-    tight = 0
-    pts = _mixed_sample(m, samples, seed)
-    for p in pts:
-        pt = analyze_point(p)
-        rep = incidence_report(pt)
-        tight += len(pt.membership.tight)
-        if rep.k < rep.omega:
-            counts["k_ge_omega"] += 1
-            failures.append(("k_lt_omega", point_rows(p)))
-        if any(c == 1 for c in rep.row_nonintegral):
-            counts["single"] += 1
-            failures.append(("single_nonintegral_row", point_rows(p)))
-        if not pseudo_facet_structure(pt).passed:
-            counts["structure"] += 1
-            failures.append(("row_structure", point_rows(p)))
-        for r, row in enumerate(pt.rows, 1):
-            if len(row.nonintegral) != 2:
-                continue
-            classes = set()
-            for sub in row.tight:
-                classes.add(classify_facet(row, sub))
-                if not parity_check(row, sub):
-                    counts["parity"] += 1
-                    failures.append(("parity", (r, sub, point_rows(p))))
-            if len(classes) > 1:
-                counts["mixed"] += 1
-                failures.append(("mixed_class", (r, point_rows(p))))
-        if rep.k == rep.omega and rep.k > 0:
-            counts["cycle"] += 1
-            if rep.tag not in ("P1", "P2"):
-                failures.append(("unrecognized_tight_configuration", point_rows(p)))
-            elif not s_facet_count_even(pt):
-                failures.append(("odd_s_count", point_rows(p)))
-    _log_counts("pseudo_facet", m, len(pts), len(pts), tight=tight)
-    return PseudoFacetSuiteReport(
-        leaves=m,
-        samples=len(pts),
-        k_ge_omega=counts["k_ge_omega"],
-        single_nonintegral_rows=counts["single"],
-        structure=counts["structure"],
-        parity=counts["parity"],
-        mixed_class=counts["mixed"],
-        cycle_configs=counts["cycle"],
-        failures=tuple(failures),
-        passed=not failures,
-    )
+    return _sampled_suites(m, samples, seed, pseudo_facet=True, interior=False)[0]
 
 
 def run_interior_suite(m: int, samples: int, seed: int = 0) -> InteriorSuiteReport:
@@ -195,55 +256,12 @@ def run_interior_suite(m: int, samples: int, seed: int = 0) -> InteriorSuiteRepo
     numerators over the product of the point's, the step's and the
     direction's denominators.
     """
-    pts = _mixed_sample(m, samples, seed)
-    sys_pri = kimura3_prime_system(m)
-    failures = []
-    nonintegral = memberships = kernel = cycle = tight = 0
-    for p in pts:
-        if not any(x % p.den for x in p.nums):
-            continue
-        nonintegral += 1
-        pt = analyze_point(p)
-        wit = interior_witness(pt)
-        memberships += 1
-        tight += len(pt.membership.tight)
-        if not isinstance(wit, InteriorWitness):
-            failures.append(("not_interior", wit.reason, point_rows(p)))
-            continue
-        if len(pt.support) > pt.omega:
-            kernel += 1
-        else:
-            cycle += 1
-        v = wit.direction
-        if not any(v.nums):
-            failures.append(("zero_direction", point_rows(p)))
-            continue
-        support = {(i - 1) * m + j - 1 for i, j in pt.support}
-        if any(vx and t not in support for t, vx in enumerate(v.nums)):
-            failures.append(("direction_off_support", point_rows(p)))
-            continue
-        if wit.epsilon <= 0:
-            failures.append(("nonpositive_epsilon", point_rows(p)))
-            continue
-        nums, den = pt.point
-        # p +- eps*v over den * eps.denominator * v.den
-        scale = wit.epsilon.denominator * v.den
-        step = wit.epsilon.numerator * den
-        up, down = (
-            ScaledPoint(tuple(x * scale + sign * step * vx for x, vx in zip(nums, v.nums)),
-                        den * scale)
-            for sign in (1, -1)
-        )
-        memberships += 2
-        if sys_pri.membership(up).status == "outside":
-            failures.append(("upper_endpoint_outside", point_rows(p)))
-        if sys_pri.membership(down).status == "outside":
-            failures.append(("lower_endpoint_outside", point_rows(p)))
-    _log_counts("interior", m, len(pts), memberships, kernel, cycle, tight)
-    return InteriorSuiteReport(
-        leaves=m,
-        samples=len(pts),
-        nonintegral=nonintegral,
-        failures=tuple(failures),
-        passed=not failures,
-    )
+    return _sampled_suites(m, samples, seed, pseudo_facet=False, interior=True)[0]
+
+
+def run_sampled_suites(
+    m: int, samples: int, seed: int = 0
+) -> tuple[PseudoFacetSuiteReport, InteriorSuiteReport]:
+    """run_pseudo_facet_suite and run_interior_suite on one sample, in one
+    pass that analyses each point once; the same reports and log lines."""
+    return tuple(_sampled_suites(m, samples, seed, pseudo_facet=True, interior=True))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -48,6 +49,7 @@ from .halfspaces import (
     kimura3_prime_system,
     kimura3_system,
 )
+from .lanes import bits, lane_signs, lane_values
 from .rationals import Rational, ScaledPoint
 from .vertices import Labeling, unpack_points, vertex_masks
 
@@ -388,21 +390,29 @@ def _edge_line(pt: PointAnalysis, a, b) -> LineAnalysis:
 def _step_bounds(sys: InequalitySystem, point: ScaledPoint, direction: ScaledPoint):
     """Exact max steps t+ (along +v) and t- (along -v) staying in the system.
 
-    Slacks and rates are integer numerators over the point's and the
-    direction's common denominators; a candidate step is compared by cross
-    multiplication and becomes a Fraction once, at the end. Tight
-    inequalities must have zero rate along v; returns None on the
-    (theoretically excluded) invalid-direction case.
+    The direction's rates a_j.v of every row come from one evaluation in
+    lanes, and one lanes.lane_signs pass over them finds the rows v moves
+    (rate > 0 or < 0); only those rows' slacks and rates are decoded, as
+    integer numerators over the point's and the direction's denominators. A
+    candidate step is compared by cross multiplication and becomes a
+    Fraction once, at the end. Tight inequalities must have zero rate along
+    v; returns None on the (theoretically excluded) invalid-direction case.
     """
     nums, den = point
     rates, rate_den = direction
+    n = len(sys)
+    rate_lanes, rate_width = sys.evaluate(rates, 0)
+    at_least, above = lane_signs(rate_lanes, n, rate_width)
+    moving = list(bits(above | (((1 << n) - 1) ^ at_least)))
+    value_lanes, width = sys.evaluate(nums, den)
+    tight_lane, zero_rate = 1 << (width - 1), 1 << (rate_width - 1)
     plus = minus = None  # (slack, |rate|) of the smallest step so far
-    for value, rate in zip(sys.row_values(nums, den), sys.row_values(rates, 0)):
-        if not rate:
-            continue
-        slack = -value
+    for value, rate in zip(lane_values(value_lanes, width, moving),
+                           lane_values(rate_lanes, rate_width, moving)):
+        slack = tight_lane - value
         if slack == 0:
             return None
+        rate -= zero_rate
         if rate > 0:
             if plus is None or slack * plus[1] < plus[0] * rate:
                 plus = (slack, rate)
@@ -418,19 +428,19 @@ def _step_bounds(sys: InequalitySystem, point: ScaledPoint, direction: ScaledPoi
 def _integer_kernel(rows, ncols) -> ScaledPoint | None:
     """One nonzero kernel vector of the integer row system, or None if the
     kernel is {0}: the first free column (lowest index) set to 1, the other
-    free columns to 0. It comes as integers over the last pivot's magnitude.
+    free columns to 0.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss): each pivot step
-    replaces every other row by (pivot*row - row[c]*pivot_row) / previous
-    pivot. Every entry stays an integer minor, so the division is exact,
-    and every pivot row ends with the last pivot d at its own pivot column
-    and 0 at the others: the reduced row echelon form times d. Pivots are
-    the first nonzero entry from the top, as in a Fraction elimination,
-    and the vector is the same: -row[free] / d at each pivot column.
+    Fraction-free Gauss-Jordan elimination on sparse rows: each pivot step
+    replaces only the rows with a nonzero f in the pivot column, by
+    pivot*row - f*pivot_row divided by its gcd, and leaves every other row
+    as it is. Each pivot row thus ends with some d_c at its own pivot column
+    c and 0 at the others: its reduced row echelon form row times d_c.
+    Pivots are the first nonzero entry from the top, as in a Fraction
+    elimination, and the vector is the same, -row[free] / d_c at each pivot
+    column c, here as integers over the lcm of the pivots.
     """
     work = [list(row) for row in rows]
     pivots = []
-    prev = 1
     for c in range(ncols):
         r = len(pivots)
         p = next((i for i in range(r, len(work)) if work[i][c]), None)
@@ -440,22 +450,23 @@ def _integer_kernel(rows, ncols) -> ScaledPoint | None:
         prow = work[r]
         piv = prow[c]
         for i, row in enumerate(work):
-            if i != r:
-                f = row[c]
-                work[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
-        prev = piv
+            f = row[c]
+            if f and i != r:
+                row = [piv * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         if len(pivots) == len(work):
             break
     free = next((c for c in range(ncols) if c not in pivots), None)
     if free is None:
         return None
-    sign = 1 if prev > 0 else -1
+    den = lcm(*(row[c] for row, c in zip(work, pivots)))
     vec = [0] * ncols
-    vec[free] = sign * prev
+    vec[free] = den
     for row, c in zip(work, pivots):
-        vec[c] = -sign * row[free]
-    return ScaledPoint(tuple(vec), sign * prev)
+        vec[c] = -row[free] * (den // row[c])
+    return ScaledPoint(tuple(vec), den)
 
 
 def _line_equations(line: LineAnalysis, variables, k: int):

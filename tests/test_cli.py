@@ -1,8 +1,13 @@
 import hashlib
 import json
 import logging
+import os
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import bare_python, parse_record
@@ -365,6 +370,26 @@ def test_verify_theorems_samples_below_one(samples, capsys):
     assert f"--samples must be at least 1, got {samples}" in captured.err
 
 
+def _address_space_limit():
+    # a child that draws samples without bound fails at 1 GB instead
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_verify_theorems_samples_above_cap_refused_at_once():
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["verify", "theorems", "--leaves", "3", "--samples", "100000000"]
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "clawpoly.cli", *argv], capture_output=True,
+                          text=True, timeout=3, preexec_fn=_address_space_limit,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert time.perf_counter() - started < 3
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: --samples 100000000 exceeds the generation cap 4194304"
+    ]
+
+
 def test_verify_theorems_m5_record_pinned(capsys):
     assert main(["verify", "theorems", "--leaves", "5", "--samples", "600", "--seed", "3"]) == 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
@@ -672,9 +697,12 @@ GOLDEN_PATCHES = {
         equal=False, only_a=((0,) * 9,), only_b=((1,) + (0,) * 8, (0, 1) + (0,) * 7),
         checked_a=16, checked_b=16)),
     "integrality": (cli, "is_integral", lambda x: x != 1),
-    "theorems": (suites, "run_interior_suite", lambda m, n, seed=0: InteriorSuiteReport(
-        leaves=m, samples=n, nonintegral=1, passed=False,
-        failures=(("not_interior", "no direction", ((H, 0), (0, 1))),))),
+    # the real pseudo-facet report, next to a failing interior one
+    "theorems": (suites, "run_sampled_suites", lambda m, n, seed=0: (
+        suites.run_pseudo_facet_suite(m, n, seed),
+        InteriorSuiteReport(leaves=m, samples=n, nonintegral=1, passed=False,
+                            failures=(("not_interior", "no direction", ((H, 0), (0, 1))),)),
+    )),
     "interior": (witness, "interior_witness", lambda mat: NotInterior("no kernel direction")),
     "faces": (engine, "f_vector", lambda hull: f_vector(hull, max_faces=100)),
     "cap": (vertices_mod, "GENERATION_CAP", 4),
@@ -712,6 +740,8 @@ GOLDEN_CASES = {
                       None),
     "theorems-fail": (["verify", "theorems", "--leaves", "3", "--samples", "30"], "theorems"),
     "theorems-huge": (["verify", "theorems", "--leaves", "8000"], None),
+    "theorems-samples-huge": (["verify", "theorems", "--leaves", "3", "--samples", "4194305"],
+                              None),
     "violation": (["witness", "violation", "--labeling", "10,00,00"], None),
     "violation-consistent": (["witness", "violation", "--labeling", "10,01,11"], None),
     "violation-out": (["witness", "violation", "--labeling", "11,11,11", "--out", "w.records"],
@@ -906,6 +936,7 @@ GOLDEN = {
         {},
     ),
     "theorems-huge": (3, "", {}),
+    "theorems-samples-huge": (3, "", {}),
     "transform-cdd": (
         0,
         "command=transform direction=standard-to-prime count=16 outcome=pass "

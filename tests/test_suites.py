@@ -1,7 +1,10 @@
 import hashlib
+import logging
 
 import pytest
 
+from clawpoly import suites
+from clawpoly.cli import main
 from clawpoly.rationals import fmt
 from clawpoly.sampling import sample_box_points
 from clawpoly.suites import (
@@ -9,6 +12,7 @@ from clawpoly.suites import (
     run_interior_suite,
     run_isomorphism_suite,
     run_pseudo_facet_suite,
+    run_sampled_suites,
 )
 from clawpoly.witness import InteriorWitness, analyze_point, interior_witness
 
@@ -58,24 +62,39 @@ def test_suites_work_at_larger_m():
     assert run_interior_suite(5, 30, seed=2).passed
 
 
-# --- pinned reports, samples and witnesses -------------------------------------------
-# Every field of the three reports for m=3..5 and three seeds, a digest of the
-# points sampled for them, and a digest of every interior witness of one m=5
-# run. The values were computed by the Fraction row-by-row implementation.
+# --- pinned reports, samples, log counts and witnesses ----------------------------
+# Every field of the three reports for m=3..5 and three seeds, plus m=5 at the
+# benchmark's 600 samples, a digest of the points sampled for them, the -v
+# counts of the sampled suites, and a digest of every interior witness of one
+# m=5 run. The report values were computed by the Fraction row-by-row
+# implementation.
 
 PIN_SAMPLES = 90
 
-# (m, seed) -> (cycle_configs, interior nonintegral, sha256 of the sampled points)
+# (m, seed, samples) -> (cycle_configs, interior nonintegral, sha256 of the sampled
+# points, (pseudo-facet tight subsets, interior membership evaluations, kernel
+# witnesses, cycle witnesses, interior tight subsets))
 SUITE_PINS = {
-    (3, 0): (47, 89, "fd0c0e9d4cb77f1f66a9b3473b73d6ae7d31168114aabf1cc2c9c998c796177a"),
-    (3, 3): (48, 88, "8da9acc84a71c3324d97007a94ea8a8f4d5450b29210a26c247576185eedc7ad"),
-    (3, 7): (44, 89, "440ccabeddbf32550af1be63eaae78e9f419391ad987d6572bed801fa35255d0"),
-    (4, 0): (32, 90, "ac6749ba11f1c32f2c9edb8acde83ddeed8a1729f1da17685b057c1c06a50ae5"),
-    (4, 3): (32, 88, "fbf59db5bcae115b1c972cd5f5e8090b3ae64e248d77e799f1132ce477ae71ca"),
-    (4, 7): (28, 90, "ae7e6b137811deeaadb6e18d211fa75437330919eb39550fb400acbc3fbd7fda"),
-    (5, 0): (17, 90, "fc636ee0ad5a8af4b6b8c89409f63e777228949f56f9bbe7fbd867c23e73ff97"),
-    (5, 3): (17, 90, "b6be3ef6af60a4dc12f52dcfb071e02920fe1c6b29dfb884f597021bb0762943"),
-    (5, 7): (15, 90, "ace924dc5b420a9dcf278756d38c44786378251657e8e8bce83a4a78531d41ee"),
+    (3, 0, 90): (47, 89, "fd0c0e9d4cb77f1f66a9b3473b73d6ae7d31168114aabf1cc2c9c998c796177a",
+                 (961, 267, 42, 47, 943)),
+    (3, 3, 90): (48, 88, "8da9acc84a71c3324d97007a94ea8a8f4d5450b29210a26c247576185eedc7ad",
+                 (981, 264, 40, 48, 945)),
+    (3, 7, 90): (44, 89, "440ccabeddbf32550af1be63eaae78e9f419391ad987d6572bed801fa35255d0",
+                 (913, 267, 45, 44, 895)),
+    (4, 0, 90): (32, 90, "ac6749ba11f1c32f2c9edb8acde83ddeed8a1729f1da17685b057c1c06a50ae5",
+                 (998, 270, 58, 32, 998)),
+    (4, 3, 90): (32, 88, "fbf59db5bcae115b1c972cd5f5e8090b3ae64e248d77e799f1132ce477ae71ca",
+                 (1036, 264, 56, 32, 988)),
+    (4, 7, 90): (28, 90, "ae7e6b137811deeaadb6e18d211fa75437330919eb39550fb400acbc3fbd7fda",
+                 (944, 270, 62, 28, 944)),
+    (5, 0, 90): (17, 90, "fc636ee0ad5a8af4b6b8c89409f63e777228949f56f9bbe7fbd867c23e73ff97",
+                 (1076, 270, 73, 17, 1076)),
+    (5, 3, 90): (17, 90, "b6be3ef6af60a4dc12f52dcfb071e02920fe1c6b29dfb884f597021bb0762943",
+                 (1050, 270, 73, 17, 1050)),
+    (5, 7, 90): (15, 90, "ace924dc5b420a9dcf278756d38c44786378251657e8e8bce83a4a78531d41ee",
+                 (1013, 270, 75, 15, 1013)),
+    (5, 0, 600): (113, 599, "89b8af7e1e510a2ec67739be0f8784e109673f53fd7447d6313681f2d54d3daa",
+                  (6894, 1797, 486, 113, 6864)),
 }
 
 # sha256 of the interior witnesses of the m=5, seed 0 sample of 600 points
@@ -86,10 +105,16 @@ def _sha256_lines(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("m, seed", sorted(SUITE_PINS))
-def test_suite_reports_pinned(m, seed):
-    cycles, nonintegral, points_sha = SUITE_PINS[(m, seed)]
-    n = PIN_SAMPLES
+def _pin_id(m, seed, n):
+    return f"{m}-{seed}" if n == PIN_SAMPLES else f"{m}-{seed}-{n}"
+
+
+@pytest.mark.parametrize("m, seed, n", sorted(SUITE_PINS),
+                         ids=[_pin_id(*key) for key in sorted(SUITE_PINS)])
+def test_suite_reports_pinned(m, seed, n, caplog):
+    cycles, nonintegral, points_sha, logged = SUITE_PINS[(m, seed, n)]
+    pf_tight, memberships, kernel, cycle, iw_tight = logged
+    caplog.set_level(logging.INFO, logger="clawpoly.suites")
     reports = (
         run_isomorphism_suite(m, n, seed),
         run_pseudo_facet_suite(m, n, seed),
@@ -100,8 +125,46 @@ def test_suite_reports_pinned(m, seed):
         (m, n, 0, 0, 0, 0, 0, cycles, (), True),
         (m, n, nonintegral, (), True),
     )
+    assert [r.getMessage() for r in caplog.records if r.name == "clawpoly.suites"] == [
+        f"isomorphism m={m}: {2 * n} points, {2 * n} membership evaluations, "
+        "0 kernel witnesses, 0 cycle witnesses, 0 tight subsets",
+        f"pseudo_facet m={m}: {n} points, {n} membership evaluations, "
+        f"0 kernel witnesses, 0 cycle witnesses, {pf_tight} tight subsets",
+        f"interior m={m}: {n} points, {memberships} membership evaluations, "
+        f"{kernel} kernel witnesses, {cycle} cycle witnesses, {iw_tight} tight subsets",
+    ]
     pts = _mixed_sample(m, n, seed) + sample_box_points(m, n, seed)
     assert _sha256_lines(" ".join(map(fmt, p.values())) for p in pts) == points_sha
+
+
+def test_sampled_suites_match_the_separate_suites(caplog):
+    caplog.set_level(logging.INFO, logger="clawpoly.suites")
+    separate = (run_pseudo_facet_suite(4, 150, 5), run_interior_suite(4, 150, 5))
+    separate_log = [r.getMessage() for r in caplog.records]
+    caplog.clear()
+    assert run_sampled_suites(4, 150, 5) == separate
+    assert [r.getMessage() for r in caplog.records] == separate_log
+
+
+def test_each_suite_runs_only_its_own_checks(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the other suite's check ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "interior_witness", refused)
+        assert run_pseudo_facet_suite(3, 60, 1).passed
+    for name in ("incidence_report", "pseudo_facet_structure", "parity_check"):
+        monkeypatch.setattr(suites, name, refused)
+    assert run_interior_suite(3, 60, 1).passed
+
+
+def test_verify_theorems_analyses_each_sample_once(monkeypatch, capsys):
+    analyzed = []
+    analyze = suites.analyze_point
+    monkeypatch.setattr(suites, "analyze_point", lambda p: analyzed.append(p) or analyze(p))
+    assert main(["verify", "theorems", "--leaves", "4", "--samples", "200"]) == 0
+    assert "outcome=pass" in capsys.readouterr().out
+    assert len(analyzed) == 200
 
 
 def test_interior_witnesses_pinned():

@@ -437,13 +437,29 @@ def test_line_tight_subsets_on_sampled_lines():
 @given(
     st.integers(min_value=3, max_value=5),
     st.integers(min_value=0, max_value=10 ** 6),
-    st.sampled_from(["witness", "integer", "rational"]),
+    st.sampled_from(["witness", "integer", "rational", "one-row"]),
     st.data(),
 )
 def test_step_bounds_match_fraction_reference(m, seed, kind, data):
     sys_ = kimura3_prime_system(m)
     p = sample_prime_points(m, 1, seed)[0]
     flat = p.values()
+    if kind == "one-row":
+        # coordinate t zeroed in every row but row j: the direction along t moves row j
+        # alone, so it stops on one side only, or on neither when row j is tight
+        t = data.draw(st.integers(min_value=0, max_value=3 * m - 1))
+        j = data.draw(st.sampled_from([j for j, (a, _) in enumerate(sys_.rows) if a[t]]))
+        rows = [(a if i == j else a[:t] + (0,) + a[t + 1:], b)
+                for i, (a, b) in enumerate(sys_.rows)]
+        sys_ = InequalitySystem(sys_.model, sys_.shape, rows, sys_.families)
+        direction = [0] * (3 * m)
+        direction[t] = data.draw(st.sampled_from([-2, -1, H, 1, 3]))
+        if _step_reference(sys_, flat, direction) is None:
+            assert _step_bounds(sys_, p, scale_to_ints(direction)) is None
+        else:
+            with pytest.raises(ConfigurationError):
+                _step_bounds(sys_, p, scale_to_ints(direction))
+        return
     if kind == "witness":
         if _is_integral(p):
             return
@@ -499,6 +515,33 @@ def _kernel_systems(draw, entries=st.sampled_from([-1, 0, 1]), sums=False):
     return rows, k
 
 
+@st.composite
+def _sparse_kernel_systems(draw):
+    """Sparse +-1 systems, as the tight relations of a support are: rows of one
+    to four nonzero entries, zero columns, zero rows, repeated and negated
+    rows, and a rank-deficient block, an even cycle of rows +-(e_a + e_b)
+    whose rank is one less than its length."""
+    k = draw(st.integers(min_value=1, max_value=15))
+    live = sorted(draw(st.sets(st.sampled_from(range(k)), min_size=1)))  # others stay zero
+    sign = st.sampled_from([-1, 1])
+    rows = []
+    for cols in draw(st.lists(st.sets(st.sampled_from(live), min_size=1, max_size=4),
+                              max_size=10)):
+        rows.append([draw(sign) if c in cols else 0 for c in range(k)])
+    if len(live) >= 4 and draw(st.booleans()):
+        length = draw(st.sampled_from([4, 6] if len(live) >= 6 else [4]))
+        cycle = draw(st.permutations(live))[:length]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            s = draw(sign)
+            rows.append([s if c in (a, b) else 0 for c in range(k)])
+    rows += [[0] * k] * draw(st.integers(min_value=0, max_value=2))
+    if rows:
+        for i, s in draw(st.lists(st.tuples(st.sampled_from(range(len(rows))), sign),
+                                  max_size=4)):
+            rows.append([s * x for x in rows[i]])
+    return draw(st.permutations(rows)), k
+
+
 def _same_vector(got, want):
     """The integer kernel's vector, over a positive denominator, has the
     Fraction kernel's values and types."""
@@ -510,7 +553,7 @@ def _same_vector(got, want):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_kernel_systems())
+@given(st.one_of(_kernel_systems(), _sparse_kernel_systems()))
 def test_integer_kernel_matches_fraction_kernel(system):
     rows, k = system
     assert _same_vector(_integer_kernel(rows, k), kernel_vector(rows, k))
