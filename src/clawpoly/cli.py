@@ -44,7 +44,7 @@ from .fileio import (
 )
 from .groups import Z2Z2, element, parse_group
 from .halfspaces import MODEL_BUILDERS, kimura3_system, model_system, row_count
-from .rationals import is_integral, scale_to_ints
+from .rationals import is_integral, parse_int, scale_to_ints
 from .vertices import Labeling, VertexSet, generate_vertices, vertex_count
 
 
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vrep = sub.add_parser("vrep", help="write the vertex set of a model polytope")
     vrep.add_argument("--group", default="z2z2", help="group string, e.g. z2, z2z2, z3xz4")
-    vrep.add_argument("--leaves", type=int, required=True, metavar="M")
+    vrep.add_argument("--leaves", type=parse_int, required=True, metavar="M")
     vrep.add_argument("--format", choices=["cdd-ext", "records", "json"], default="cdd-ext")
     vrep.add_argument("--out", help="output path (default: vrep_<group>_m<M>.<ext>)")
     vrep.add_argument("--allow-large", action="store_true", help="lift the generation cap")
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hrep = sub.add_parser("hrep", help="write the inequality system of a model")
     hrep.add_argument("--model", choices=sorted(MODEL_BUILDERS), required=True)
-    hrep.add_argument("--leaves", type=int, required=True, metavar="M")
+    hrep.add_argument("--leaves", type=parse_int, required=True, metavar="M")
     hrep.add_argument("--format", choices=["cdd-ine", "records", "json"], default="cdd-ine")
     hrep.add_argument("--out")
     hrep.set_defaults(func=cmd_hrep)
@@ -82,11 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a verification task")
     ver.add_argument("task", choices=["containment", "equality", "integrality", "theorems"])
-    ver.add_argument("--leaves", type=int, required=True, metavar="M")
-    ver.add_argument("--samples", type=int, default=1000)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--leaves", type=parse_int, required=True, metavar="M")
+    ver.add_argument("--samples", type=parse_int, default=1000)
+    ver.add_argument("--seed", type=parse_int, default=0)
     ver.add_argument("--out-dir", default=".", help="where counterexample files go")
-    ver.add_argument("--max-dim", type=int, default=None, help="override the engine cap")
+    ver.add_argument("--max-dim", type=parse_int, default=None, help="override the engine cap")
     ver.set_defaults(func=cmd_verify)
 
     wit = sub.add_parser("witness", help="produce an explicit certificate")
@@ -98,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     wit.set_defaults(func=cmd_witness)
 
     st = sub.add_parser("stats", help="counts and derived facts for one m")
-    st.add_argument("--leaves", type=int, required=True, metavar="M")
+    st.add_argument("--leaves", type=parse_int, required=True, metavar="M")
     st.add_argument("--f-vector", action="store_true", dest="fvector")
-    st.add_argument("--max-dim", type=int, default=None)
+    st.add_argument("--max-dim", type=parse_int, default=None)
     st.add_argument("--out")
     st.set_defaults(func=cmd_stats)
     return p

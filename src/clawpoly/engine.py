@@ -40,9 +40,12 @@ Adjacency is the combinatorial test (Fukuda & Prodon): a pair is adjacent
 iff no third ray is tight on all of their common tight rows. It runs
 bit-parallel on the transposed incidence, one bitmask of tight ray ids per
 row. Candidate pairs are prefiltered by the rank of the pair's minimal
-face (common tight count >= n - |lines| - 2), counted for all partners of
-a violating ray at once: its tight rows' incidence bitmasks are summed
-into bit-sliced counters. Most pairs past the prefilter are not adjacent,
+face (common tight count >= n - |lines| - 2), counted one of two ways for
+each violating ray (_tight_partners). With fewer than 10 rays on the minus
+side per tight row of the violating ray, each partner costs one popcount of
+the AND of the two tight masks; with more, all partners are counted at
+once, the ray's tight rows' incidence bitmasks summed into bit-sliced
+counters. Most pairs past the prefilter are not adjacent,
 and the walk that shows it ends on such a third ray, a witness. Each
 violating ray keeps the witnesses found against its earlier partners, and
 a later partner is settled without a walk when one of them other than the
@@ -176,12 +179,8 @@ def _at_least(k, rows, tight_on, among):
 
     Bit-sliced counting over those rows: planes[l] holds bit l of every
     id's count, started at 2^b - k so that a count reaches k exactly when
-    it carries out of the top plane, and done keeps those carries.
+    it carries out of the top plane, and done keeps those carries; k >= 1.
     """
-    if k <= 0:
-        return among
-    if rows.bit_count() < k:
-        return 0
     b = (k - 1).bit_length()
     start = (1 << b) - k
     levels = range(b)
@@ -200,13 +199,48 @@ def _at_least(k, rows, tight_on, among):
     return done
 
 
+# One popcount per partner costs a few operations on two masks as wide as
+# the rows; the bit-sliced counters cost a pass per row of mask_p over ints
+# as wide as the ray ids, so they win once the minus side is large against
+# |mask_p|. Both timed on every call, CPU s, bit-sliced / per partner / this
+# rule / the faster of the two on each call (one 2-CPU host): K(5) hull
+# 0.161 / 0.063 / 0.063 / 0.061, K(6) hull 3.75 / 6.21 / 3.18 / 3.11,
+# kimura3 m=5 0.052 / 0.199 / 0.052 / 0.052, kimura3 m=6 0.483 / 4.43 /
+# 0.483 / 0.483, demicube m=11 0.019 / 0.823 / 0.019 / 0.019.
+_PARTNERS_PER_ROW = 10
+
+
+def _tight_partners(k, mp, minus_ids, minus, masks, tight_on):
+    """(hits, how): the ids q in minus_ids with (mp & masks[q]).bit_count() >= k.
+
+    how is 0 when no counting is needed (k <= 0 gives all of minus_ids,
+    fewer than k rows in mp gives none), 1 when each partner is counted with
+    one popcount, which is chosen while minus_ids has fewer than
+    _PARTNERS_PER_ROW ids per row of mp, and 2 for the bit-sliced counters of
+    _at_least. minus is the list of (id bit, mask) of minus_ids: pass an
+    empty list, and the first popcount call fills it for the later calls on
+    the same minus_ids.
+    """
+    if k <= 0:
+        return minus_ids, 0
+    rows = mp.bit_count()
+    if rows < k:
+        return 0, 0
+    if minus_ids.bit_count() >= _PARTNERS_PER_ROW * rows:
+        return _at_least(k, mp, tight_on, minus_ids), 2
+    if not minus:
+        minus += [(1 << q, masks[q]) for q in bits(minus_ids)]
+    return sum([low_q for low_q, mq in minus if (mp & mq).bit_count() >= k]), 1
+
+
 def _dd_cone(rows, n, label):
     """Double description of {x in R^n : row . x <= 0 for each row}.
 
     Returns (lines, rays): integer basis vectors of the lineality space and
     the extreme rays of the pointed quotient, each ray paired with its
     tight-set bitmask over the input rows. Logs one summary line of counts,
-    one of the lane layout and one of the adjacency work under label.
+    one of the lane layout, one of the adjacency work and one of how the
+    violating rays' partners were counted under label.
     """
     lines = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     # rays by id: vector and tight mask over rows; alive has the bits of the
@@ -222,6 +256,7 @@ def _dd_cone(rows, n, label):
     cols = [0] * n
     peak = candidates = prefiltered = adjacent_pairs = rebuilds = renumbers = widens = 0
     steps = settled = 0
+    counted = [0, 0, 0]  # violating rays by how _tight_partners found their partners
     for t, a in enumerate(rows):
         bit = 1 << t
         count = len(vecs)
@@ -269,13 +304,15 @@ def _dd_cone(rows, n, label):
                 minus_ids = alive ^ nonneg
                 candidates += plus_ids.bit_count() * minus_ids.bit_count()
                 threshold = n - len(lines) - 2
+                minus = []  # (id bit, mask) of minus_ids, filled on first use
                 rest_p = plus_ids
                 while rest_p:
                     low_p = rest_p & -rest_p
                     rest_p ^= low_p
                     p = low_p.bit_length() - 1
                     mp = masks[p]
-                    hits = _at_least(threshold, mp, tight_on, minus_ids)
+                    hits, how = _tight_partners(threshold, mp, minus_ids, minus, masks, tight_on)
+                    counted[how] += 1
                     prefiltered += hits.bit_count()
                     vp = None
                     # (id bit, tight mask) of the third rays that proved earlier
@@ -374,6 +411,10 @@ def _dd_cone(rows, n, label):
     log.info(
         "%s: %d pairs walked, %d walk steps, %d settled by a cached witness",
         label, prefiltered - settled, steps, settled,
+    )
+    log.info(
+        "%s: %d violating rays, %d counted per partner, %d by bit-sliced counters",
+        label, sum(counted), counted[1], counted[2],
     )
     return lines, [(vecs[k], masks[k]) for k in bits(alive)]
 

@@ -6,6 +6,8 @@ map it to a stable exit code (2 for preconditions, 3 for resource caps).
 
 import os
 
+from .rationals import parse_int
+
 DEFAULT_MAX_DIM = 12
 MAX_DIM_ENV = "CLAWPOLY_MAX_DIM"
 
@@ -51,7 +53,8 @@ class ResourceCapError(ClawpolyError):
 
 
 def dimension_cap(max_dim):
-    """max_dim, else CLAWPOLY_MAX_DIM, else 12; a cap below 1 is refused."""
+    """max_dim, else CLAWPOLY_MAX_DIM, else 12; a cap below 1 is refused, and
+    so is an environment value that parse_int does not read."""
     if max_dim is not None:
         source, cap = "max_dim", max_dim
     else:
@@ -59,7 +62,7 @@ def dimension_cap(max_dim):
         if raw is None:
             return DEFAULT_MAX_DIM
         try:
-            source, cap = MAX_DIM_ENV, int(raw)
+            source, cap = MAX_DIM_ENV, parse_int(raw)
         except ValueError:
             raise ResourceCapError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}")
     if cap < 1:

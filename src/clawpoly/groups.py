@@ -51,7 +51,7 @@ class GroupElement(NamedTuple):
 Z2 = GroupSpec((2,))
 Z2Z2 = GroupSpec((2, 2))
 
-_GROUP_RE = re.compile(r"^z(\d+)(?:xz(\d+))*$")
+_GROUP_RE = re.compile(r"^z([0-9]+)(?:xz([0-9]+))*$")
 
 
 def parse_group(text: str) -> GroupSpec:

@@ -45,6 +45,15 @@ def is_integral(x: Rational) -> bool:
     return isinstance(x, int) or x.denominator == 1
 
 
+def parse_int(text: str) -> int:
+    """Parse '7' or '-3', the integers parse_rational reads: only ASCII
+    [+-]?[0-9]+, so that underscores, other digit scripts and whitespace,
+    which int() accepts, raise ValueError."""
+    if re.fullmatch("[+-]?[0-9]+", text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Rational:
     """Parse '7', '-3' or 'p/q' into an exact rational.
 

@@ -706,6 +706,8 @@ GOLDEN_PATCHES = {
     "interior": (witness, "interior_witness", lambda mat: NotInterior("no kernel direction")),
     "faces": (engine, "f_vector", lambda hull: f_vector(hull, max_faces=100)),
     "cap": (vertices_mod, "GENERATION_CAP", 4),
+    # int() reads 1_5 as 15; the cap is ASCII [+-]digits only, as on the CLI
+    "env-cap-underscore": (os.environ, "CLAWPOLY_MAX_DIM", "1_5"),
 }
 
 GOLDEN_CASES = {
@@ -757,6 +759,12 @@ GOLDEN_CASES = {
     "stats-m3-only": (["stats", "--leaves", "4", "--f-vector"], None),
     "stats-skipped-by-cap-out": (["stats", "--leaves", "5", "--out", "s.records"], None),
     "stats-cap-below-one": (["stats", "--leaves", "3", "--max-dim", "0"], None),
+    # numbers outside V-files are ASCII too: no other digit script, no underscore
+    "hrep-arabic-indic-leaves": (["hrep", "--model", "kimura3", "--leaves", "\u0663"], None),
+    "theorems-samples-underscore": (
+        ["verify", "theorems", "--leaves", "3", "--samples", "1_0"], None),
+    "stats-env-cap-underscore": (["stats", "--leaves", "5"], "env-cap-underscore"),
+    "vrep-arabic-indic-group": (["vrep", "--group", "z\u0663", "--leaves", "3"], None),
 }
 
 
@@ -766,7 +774,11 @@ def _golden_run(name, tmp_path, monkeypatch, capsys):
         (tmp_path / path).write_text(text)
     argv, patch = GOLDEN_CASES[name]
     if patch:
-        monkeypatch.setattr(*GOLDEN_PATCHES[patch])
+        target, name, value = GOLDEN_PATCHES[patch]
+        if target is os.environ:
+            monkeypatch.setitem(target, name, value)
+        else:
+            monkeypatch.setattr(target, name, value)
     code = main(argv)
     out = capsys.readouterr().out
     record = "\n".join(
@@ -840,6 +852,7 @@ GOLDEN = {
                 "e0bab644e02de6b819ce93ad1b87b13a0c9eba4aeb535e43895ca0415d5e56f4",
         },
     ),
+    "hrep-arabic-indic-leaves": (2, "", {}),
     "hrep-huge": (3, "", {}),
     "hrep-usage": (2, "", {}),
     "integrality-fail": (
@@ -884,6 +897,7 @@ GOLDEN = {
         {},
     ),
     "stats-cap-below-one": (3, "", {}),
+    "stats-env-cap-underscore": (3, "", {}),
     "stats-f-vector-out": (
         0,
         "command=stats leaves=3 vertices=16 kimura3_inequalities=24 "
@@ -937,6 +951,7 @@ GOLDEN = {
     ),
     "theorems-huge": (3, "", {}),
     "theorems-samples-huge": (3, "", {}),
+    "theorems-samples-underscore": (2, "", {}),
     "transform-cdd": (
         0,
         "command=transform direction=standard-to-prime count=16 outcome=pass "
@@ -995,6 +1010,7 @@ GOLDEN = {
                 "606366e4927cee26bc4fed66e1150794efde7a9fd47aa72a516c1a9515291469",
         },
     ),
+    "vrep-arabic-indic-group": (2, "", {}),
     "vrep-cap": (3, "", {}),
     "vrep-huge": (3, "", {}),
     "vrep-cdd": (
@@ -1035,6 +1051,29 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_cli_golden(name, tmp_path, monkeypatch, capsys):
     assert _golden_run(name, tmp_path, monkeypatch, capsys) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["vrep", "--leaves", "3_0"],
+    ["hrep", "--model", "binary", "--leaves", " 3"],
+    ["verify", "containment", "--leaves", "\uff13"],
+    ["verify", "theorems", "--leaves", "3", "--seed", "\u0967"],
+    ["verify", "equality", "--leaves", "3", "--max-dim", "1_2"],
+    ["stats", "--leaves", "3", "--max-dim", "+1_2"],
+])
+def test_integer_options_read_ascii_digits_only(argv, in_tmp, capsys):
+    # int() reads each of these values; every integer option refuses them
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid parse_int value" in err
+    assert list(in_tmp.iterdir()) == []
+
+
+def test_integer_options_keep_signs_and_leading_zeros(capsys):
+    assert main(["verify", "theorems", "--leaves", "+03", "--samples", "010",
+                 "--seed", "-1", "--max-dim", "+9"]) == 0
+    rec = last_record(capsys)
+    assert (rec["leaves"], rec["samples"]) == ("3", "10")
 
 
 @pytest.mark.parametrize("name", ["vrep-huge", "hrep-huge", "containment-huge", "theorems-huge"])

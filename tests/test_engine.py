@@ -19,6 +19,7 @@ from clawpoly.engine import (
     _face_first_order,
     _insertion_key,
     _scale_row_to_int,
+    _tight_partners,
     _transpose,
     enumerate_integral_points,
     equal_polytopes,
@@ -191,6 +192,10 @@ def _walk_lines(caplog):
     return [r.getMessage() for r in caplog.records if "pairs walked" in r.getMessage()]
 
 
+def _prefilter_lines(caplog):
+    return [r.getMessage() for r in caplog.records if "violating rays" in r.getMessage()]
+
+
 def test_hull_k5_counts_and_incidence(caplog):
     caplog.set_level(logging.INFO, logger="clawpoly.engine")
     poly = hull_from_vertices(generate_vertices(Z2Z2, 5))
@@ -209,6 +214,12 @@ def test_hull_k5_counts_and_incidence(caplog):
     assert _walk_lines(caplog) == [
         "hull[d=15 points=256]: 18950 pairs walked, 363485 walk steps, "
         "24340 settled by a cached witness",
+    ]
+    # most violating rays have few partners here, so most are counted one
+    # popcount per partner
+    assert _prefilter_lines(caplog) == [
+        "hull[d=15 points=256]: 6522 violating rays, 6153 counted per partner, "
+        "369 by bit-sliced counters",
     ]
 
 
@@ -326,23 +337,74 @@ def test_dd_counts_pinned_for_binary_d9(caplog):
     ]
 
 
-@pytest.mark.parametrize("build, line, walk", [
+@pytest.mark.parametrize("build, line, walk, prefilter", [
     (kimura3_system,
      "vertices[kimura3 d=15]: 69 rows, 1375 rays at peak, 2331163 candidate pairs, "
      "16279 past prefilter, 2993 adjacent",
      "vertices[kimura3 d=15]: 5996 pairs walked, 84279 walk steps, "
-     "10283 settled by a cached witness"),
+     "10283 settled by a cached witness",
+     "vertices[kimura3 d=15]: 2753 violating rays, 12 counted per partner, "
+     "2741 by bit-sliced counters"),
     (kimura3_prime_system,
      "vertices[kimura3-prime d=15]: 69 rows, 1368 rays at peak, 2292954 candidate pairs, "
      "16399 past prefilter, 2953 adjacent",
      "vertices[kimura3-prime d=15]: 5869 pairs walked, 82425 walk steps, "
-     "10530 settled by a cached witness"),
+     "10530 settled by a cached witness",
+     "vertices[kimura3-prime d=15]: 2713 violating rays, 12 counted per partner, "
+     "2701 by bit-sliced counters"),
 ], ids=["kimura3", "kimura3-prime"])
-def test_dd_counts_pinned_for_kimura3_m5(build, line, walk, caplog):
+def test_dd_counts_pinned_for_kimura3_m5(build, line, walk, prefilter, caplog):
     caplog.set_level(logging.INFO, logger="clawpoly.engine")
     vertices_from_inequalities(build(5), max_dim=15)
     assert _summaries(caplog) == [line]
     assert _walk_lines(caplog) == [walk]
+    assert _prefilter_lines(caplog) == [prefilter]
+
+
+@st.composite
+def prefilter_inputs(draw):
+    """(k, [mask_p, mask_p'], minus_ids, masks): tight masks over up to 12 rows
+    for up to 150 rays, a minus side among them, two violating rays' masks of
+    up to 6 rows each, and a threshold from -1 to one past the first one's
+    row count. So the minus side can hold more or fewer than 10 ids per row
+    of either violating ray, and the threshold can be below 1 or above its
+    row count. The sizes come from a seeded Random, which spreads them more
+    evenly than the draws of st.randoms."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def subset(n, most):
+        return sum(1 << i for i in rng.sample(range(n), rng.randint(0, min(n, most))))
+
+    nrows = rng.randint(1, 12)
+    masks = [subset(nrows, nrows) for _ in range(rng.randint(0, 150))]
+    mps = [subset(nrows, 6) for _ in range(2)]
+    k = rng.randint(-1, mps[0].bit_count() + 1)
+    return k, mps, subset(len(masks), len(masks)), masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefilter_inputs())
+@example((3, [0b111, 0b1111], 0, [0b111] * 5))  # an empty minus side
+@example((0, [0b1, 0b0], 0b101, [0b1] * 3))  # threshold 0: all of minus
+@example((-1, [0b1, 0b0], 0b11, [0b0] * 2))
+@example((3, [0b11, 0b111], 0b111, [0b111] * 3))  # fewer rows than the threshold
+@example((1, [0b1, 0b11], (1 << 30) - 1, [0b1, 0b10] * 15))  # 30 >= 10 x 1 row: bit-sliced
+@example((2, [0b1111, 0b111], (1 << 30) - 2, [0b101, 0b110, 0b11] * 10))  # 29 < 40: per partner
+def test_tight_partners_match_popcount_per_pair(data):
+    k, mps, minus_ids, masks = data
+    tight_on = _transpose(masks, max(masks + mps).bit_length())
+    minus = []  # shared by both violating rays, as on one inserted row
+    for mp in mps:
+        hits, how = _tight_partners(k, mp, minus_ids, minus, masks, tight_on)
+        assert hits == sum(
+            1 << q for q in range(len(masks))
+            if minus_ids >> q & 1 and (mp & masks[q]).bit_count() >= k
+        )
+        rows = mp.bit_count()
+        if k <= 0 or rows < k:
+            assert how == 0
+        else:
+            assert how == (1 if minus_ids.bit_count() < 10 * rows else 2)
 
 
 def _normalized(vec):

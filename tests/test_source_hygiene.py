@@ -9,6 +9,11 @@ by some code other than its own definition: the rest of its module,
 another src module (a `from .mod import name`, not the __init__ name
 table), or a bench/*.py file. Code that only tests call is not part of the
 package.
+
+Numbers from users are read as ASCII only: no string in the package
+(docstrings aside) holds the regex class \\d, which matches every Unicode
+digit, and no add_argument reads its value with int(), which also takes
+underscores, other digit scripts and whitespace.
 """
 
 import ast
@@ -115,6 +120,40 @@ def _unreferenced_public(modules, bench):
     return found
 
 
+def _docstrings(tree):
+    return {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def _unicode_digit_classes(modules):
+    """Strings other than docstrings that hold the regex class \\d."""
+    found = []
+    for name, tree in modules.items():
+        docs = _docstrings(tree)
+        found += [
+            f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "\\d" in node.value and id(node) not in docs
+        ]
+    return found
+
+
+def _int_arguments(modules):
+    """add_argument calls that read their value with type=int."""
+    return [
+        f"{name}:{node.lineno}"
+        for name, tree in modules.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        and any(kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "int"
+                for kw in node.keywords)
+    ]
+
+
 def test_imports_are_stdlib_or_clawpoly():
     init = SRC / "__init__.py"
     trees = {**_modules(), "__init__": ast.parse(init.read_text(), str(init))}
@@ -149,3 +188,24 @@ def test_checks_catch_a_test_only_helper():
         "def f():\n    from scipy.linalg import lu\n    import clawpoly.engine\n"
     )
     assert _foreign_imports({"lanes": lanes}) == ["lanes: numpy", "lanes: scipy"]
+
+
+def test_no_unicode_digit_class_in_a_regex():
+    assert _unicode_digit_classes(_modules()) == []
+
+
+def test_no_int_typed_cli_argument():
+    assert _int_arguments(_modules()) == []
+
+
+def test_checks_catch_unicode_digits():
+    mod = ast.parse(
+        'r"""Reads \\d+ nowhere."""\nimport re\n\nPAT = re.compile(r"^z(\\d+)$")\n\n\n'
+        'def f(p):\n    r"""\\d in a docstring is prose."""\n    return re.fullmatch("[0-9]+", p)\n'
+    )
+    assert _unicode_digit_classes({"mod": mod}) == ["mod:4"]
+    cli = ast.parse(
+        "p.add_argument('--leaves', type=int)\np.add_argument('--seed', type=parse_int)\n"
+        "p.add_argument('--out')\n"
+    )
+    assert _int_arguments({"cli": cli}) == ["cli:1"]
