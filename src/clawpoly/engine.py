@@ -64,15 +64,14 @@ set of facets containing X, read off the vertex -> facets transpose once
 per distinct face.
 
 The 0/1 points of a system come from one depth-first search over the
-coordinates on the system's packed checks: every inequality is a lane of
-one big int, so a node costs one add and one AND, and a subtree is cut as
-soon as some row is violated by every completion.
+coordinates on the system's membership lanes at the 0/1 width: every
+inequality is a lane of one big int, so a node costs one add and one AND,
+and a subtree is cut as soon as some row is violated by every completion.
 """
 
 from __future__ import annotations
 
 import logging
-from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import mul
@@ -80,7 +79,7 @@ from typing import NamedTuple
 
 from .errors import DimensionError, InfeasibleError, UnboundedError, check_dimension
 from .lanes import bits, lane_signs, pack_lanes
-from .rationals import ScaledPoint, canon
+from .rationals import ScaledPoint, canon, scale_to_ints
 from .vertices import VertexSet
 
 log = logging.getLogger("clawpoly.engine")
@@ -91,15 +90,6 @@ def _normalize_int_vector(vec):
     if g > 1:
         vec = tuple(x // g for x in vec)
     return tuple(vec)
-
-
-def _scale_row_to_int(row):
-    """Clear denominators of one rational row, preserving direction."""
-    denom = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    return tuple(int(x * denom) for x in row)
 
 
 def _dot(a, b):
@@ -507,7 +497,7 @@ def hull_from_vertices(points) -> PolytopeDD:
     pts = sorted(set(pts))
     order = _face_first_order(pts)  # row -> point
     lines, rays = _dd_cone(
-        [_scale_row_to_int((1,) + pts[i]) for i in order], d + 1,
+        [scale_to_ints((1,) + pts[i]).nums for i in order], d + 1,
         f"hull[d={d} points={len(pts)}]",
     )
     facet_rays = []
@@ -571,13 +561,13 @@ def enumerate_integral_points(system) -> list:
 
     One depth-first search over coordinates 0..d-1, 0 before 1, so points
     come out sorted. The running sum t packs a.x + base for every row in
-    the lanes of ``InequalitySystem.binary_checks``; a node at depth k
-    is cut iff some lane of ``t - neg_suffix[k]`` (its least value over all
-    completions) has its top bit set, which at k = d is the exact test.
+    the lanes of ``InequalitySystem.binary_lanes``, the membership lanes
+    at the 0/1 width; a node at depth k is cut iff some lane of
+    ``t - neg_suffix[k]`` (its least value over all completions) has its
+    top bit set, which at k = d is the exact test.
     """
     d = system.dimension
-    checks = system.binary_checks
-    delta, suffix, top = checks.delta, checks.neg_suffix, checks.top
+    _, base, top, cols, suffix = system.binary_lanes
     point = [0] * d
     out = []
     nodes = 0
@@ -592,13 +582,16 @@ def enumerate_integral_points(system) -> list:
             return
         descend(k + 1, t)
         point[k] = 1
-        descend(k + 1, t + delta[k])
+        descend(k + 1, t + cols[k])
         point[k] = 0
 
-    descend(0, checks.base)
+    descend(0, base)
+    # the rows some 0/1 point violates: the lanes whose top bit is set at
+    # each lane's largest value, base plus the row's positive coefficients
+    checks = ((base + sum(cols) + suffix[0]) & top).bit_count()
     log.info(
         "integral points[%s d=%d]: %d checks, %d nodes, %d points",
-        system.model, d, len(checks.ids), nodes, len(out),
+        system.model, d, checks, nodes, len(out),
     )
     return out
 

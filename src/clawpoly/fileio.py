@@ -36,8 +36,6 @@ _SHAPE_RE = re.compile(r"^\*\s*order=row-major\s+rows=([0-9]+)\s+cols=([0-9]+)\s
 def _shape_comment(shape) -> str | None:
     if len(shape) == 2:
         return f"* order=row-major rows={shape[0]} cols={shape[1]}"
-    if len(shape) == 1:
-        return f"* order=row-major rows=1 cols={shape[0]}"
     return None
 
 
@@ -126,7 +124,7 @@ def parse_vfile(text: str) -> VertexSet:
         raise FileFormatError(
             f"a {shape[0]}x{shape[1]} layout does not fill dimension {ncols - 1}"
         )
-    if not shape or shape[0] == 1:
+    if not shape:
         shape = (ncols - 1,)
     return VertexSet(dimension=ncols - 1, shape=shape, points=tuple(points))
 

@@ -20,12 +20,15 @@ builder calls are byte-for-byte reproducible and an odd-subset row's id
 follows from its tag alone (arow_id). Each odd-subset row is one +-1
 pattern over the subset's ground set (+1 on A, -1 off it), placed in the
 rows or the column it applies to.
+
+Every row is checked as lane k = row k of one big int (``lanes``), from one
+packer: membership at a whole-byte width, the 0/1 checks at the 0/1 width.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from . import vertices
@@ -116,17 +119,6 @@ class TightSet(NamedTuple):
     by_kind: tuple[tuple[str, tuple[int, ...]], ...]
 
 
-class BinaryChecks(NamedTuple):
-    """The packed 0/1 checks of an InequalitySystem (see its binary_checks)."""
-
-    width: int
-    ids: tuple[int, ...]
-    base: int
-    top: int
-    delta: tuple[int, ...]
-    neg_suffix: tuple[int, ...]
-
-
 class InequalitySystem:
     """The H-representation: rows[i] = (a, b) means a.x <= b, with a an
     integer tuple over the flattened shape and b an integer; row i has id i
@@ -148,42 +140,25 @@ class InequalitySystem:
         self._membership_lanes = lru_cache(maxsize=8)(self._pack_membership_lanes)
 
     @cached_property
-    def binary_checks(self) -> BinaryChecks:
-        """The 0/1 checks as W-bit lanes of one int, packed on first use:
-        lane j of ``base`` plus ``delta[i]`` for each coordinate i set holds
-        a_j.x + 2^(W-1) - rhs_j - 1, whose top bit is set iff a_j.x > rhs_j.
-        With up_j / down_j the sums of row j's positive coefficients and of
-        its negative ones' magnitudes, W - 1 is the bit length of the
-        largest rhs_j + 1 + down_j or up_j - rhs_j, so every partial sum
-        stays in [0, 2^W) and no carry crosses lanes. ``neg_suffix[k]``
-        holds each lane's down sum over coordinates k and above. Rows no
-        0/1 point violates (up_j <= rhs_j) get no lane. Each lane int is
-        packed in one pass by ``lanes.pack_lanes``; pos and neg each from
-        one column of the coefficient matrix.
+    def binary_lanes(self) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
+        """(W, base, top, cols, neg_suffix): the 0/1 checks, the membership
+        lanes of every row at width W, packed on first use. Lane j of
+        ``base`` plus ``cols[i]`` for each coordinate i set holds
+        a_j.x + 2^(W-1) - rhs_j - 1, whose top bit, a bit of ``top``, is set
+        iff a_j.x > rhs_j. With up_j / down_j the sums of row j's positive
+        coefficients and of its negative ones' magnitudes, W - 1 is the bit
+        length of the largest rhs_j + 1 + down_j or up_j - rhs_j, so every
+        partial sum stays in [0, 2^W) and no carry crosses lanes.
+        ``neg_suffix[k]`` holds each lane's down sum over coordinates k and
+        above.
         """
-        ids, checks = [], []  # checks: (a, b, up, down)
-        for k, (a, b) in enumerate(self.rows):
-            up = sum(filter((0).__lt__, a))
-            if up > b:
-                ids.append(k)
-                checks.append((a, b, up, -sum(filter((0).__gt__, a))))
-        reach = max((max(b + 1 + down, up - b) for _, b, up, down in checks), default=0)
+        reach = max((max(b + 1 - sum(filter((0).__gt__, a)), sum(filter((0).__lt__, a)) - b)
+                     for a, b in self.rows), default=0)
         width = reach.bit_length() + 1
-        half = 1 << (width - 1)
-        cols = list(zip(*(a for a, *_ in checks))) or [()] * self.dimension
-        pos = [pack_lanes([c if c > 0 else 0 for c in col], width) for col in cols]
-        neg = [pack_lanes([-c if c < 0 else 0 for c in col], width) for col in cols]
-        suffix = [0] * (self.dimension + 1)
-        for k in range(self.dimension - 1, -1, -1):
-            suffix[k] = suffix[k + 1] + neg[k]
-        return BinaryChecks(
-            width,
-            tuple(ids),
-            pack_lanes([half - b - 1 for _, b, *_ in checks], width),
-            pack_lanes([half] * len(checks), width),
-            tuple(p - n for p, n in zip(pos, neg)),
-            tuple(suffix),
-        )
+        offset, rhs_lanes, cols, negs = self._pack_membership_lanes(width)
+        base = offset - rhs_lanes - (offset >> (width - 1))
+        suffix = tuple(accumulate(reversed(negs), initial=0))[::-1]
+        return width, base, offset, tuple(cols), suffix
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -235,7 +210,7 @@ class InequalitySystem:
         norm, rhs = self._row_bounds
         reach = norm * max(map(abs, nums), default=0) + rhs * den
         width = -(-(reach.bit_length() + 1) // 8) * 8
-        offset, rhs_lanes, cols = self._membership_lanes(width)
+        offset, rhs_lanes, cols, _ = self._membership_lanes(width)
         acc = offset - den * rhs_lanes
         for x, col in zip(nums, cols):
             if x:
@@ -252,18 +227,20 @@ class InequalitySystem:
 
     def _pack_membership_lanes(self, width: int):
         """Every row as a width-bit lane: the offset 2^(W-1) in every lane,
-        the right-hand sides, and per coordinate i the coefficients a_j[i].
-        The last two are signed sums of lanes, so only the lanes of a
-        finished evaluation lie in [0, 2^W)."""
+        the right-hand sides, per coordinate i the coefficients a_j[i], and
+        per coordinate the magnitudes of its negative coefficients. The
+        right-hand sides and coefficients are signed sums of lanes, so only
+        the lanes of a finished evaluation lie in [0, 2^W)."""
         rows = self.rows
 
-        def signed(values):
-            return (pack_lanes([max(v, 0) for v in values], width)
-                    - pack_lanes([max(-v, 0) for v in values], width))
+        def split(values):
+            return (pack_lanes([v if v > 0 else 0 for v in values], width),
+                    pack_lanes([-v if v < 0 else 0 for v in values], width))
 
         offset = pack_lanes([1 << (width - 1)] * len(rows), width)
-        cols = [signed(col) for col in zip(*(a for a, _ in rows))]
-        return offset, signed([b for _, b in rows]), cols
+        pos, neg = split([b for _, b in rows])
+        sides = [split(col) for col in zip(*(a for a, _ in rows))] or [(0, 0)] * self.dimension
+        return offset, pos - neg, [p - n for p, n in sides], [n for _, n in sides]
 
     def tight_set(self, point) -> TightSet:
         """Tight inequality ids grouped by family kind; raises off the polytope."""
@@ -284,18 +261,18 @@ class InequalitySystem:
         """First violated inequality id for the 0/1 point given as a bitmask, else None.
 
         Exact and all rows at once: one big-int add per set bit evaluates a.x
-        in every lane, and the lowest lane whose top bit is set is the first
-        violated row in id order.
+        in every lane of ``binary_lanes``, and lane k is row k, so the lowest
+        lane whose top bit is set is the first violated row.
         """
-        width, ids, t, top, delta, _ = self.binary_checks
+        width, t, top, cols, _ = self.binary_lanes
         while mask:
             low = mask & -mask
-            t += delta[low.bit_length() - 1]
+            t += cols[low.bit_length() - 1]
             mask ^= low
         violated = t & top
         if not violated:
             return None
-        return ids[((violated & -violated).bit_length() - 1) // width]
+        return ((violated & -violated).bit_length() - 1) // width
 
     def homogenized_rows(self):
         """Rows (-b, a1..ad) describing the cone a.x - b*x0 <= 0."""

@@ -25,6 +25,11 @@ COUNTS = {
         "engine.vertices_from_inequalities.vertices_out": 512,
     },
     "hull_m5": {"engine.hull_from_vertices.facets_out": 68},
+    # the 0/1 scan at m=3..7; check_containment's binary_violation calls run too
+    "scan01": {
+        "engine.enumerate_integral_points.scanned": 2_396_672,
+        "engine.enumerate_integral_points.found": 5_456,
+    },
 }
 
 

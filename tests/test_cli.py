@@ -195,6 +195,8 @@ BAD_SHAPES = {
     "unfilled": VertexSet(dimension=12, shape=(3, 3), points=((0,) * 12,)),
     # a 2 x 3 layout: the points of both systems are 3 x m
     "two-rows": VertexSet(dimension=6, shape=(2, 3), points=((0,) * 6,)),
+    # a declared 1 x 6 layout, as vrep --group z2 writes it, though 6 is a multiple of 3
+    "one-row": VertexSet(dimension=6, shape=(1, 6), points=((0,) * 6,)),
 }
 
 

@@ -18,7 +18,6 @@ from clawpoly.engine import (
     _dd_cone,
     _face_first_order,
     _insertion_key,
-    _scale_row_to_int,
     _tight_partners,
     _transpose,
     enumerate_integral_points,
@@ -655,7 +654,7 @@ def _vertex_cone_rows(d, rows):
 
 def _hull_cone_rows(pts):
     """The cone rows hull_from_vertices builds: (1, p) scaled to integers."""
-    return sorted({_scale_row_to_int((1,) + tuple(p)) for p in pts})
+    return sorted({scale_to_ints((1,) + tuple(p)).nums for p in pts})
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -126,16 +126,16 @@ def test_vfile_rejects_stray_line():
 
 @pytest.mark.parametrize("rows, cols", [(3, 3), (2, 4), (1, 5)])
 def test_vfile_layout_must_fill_the_dimension(rows, cols):
-    text = format_vfile(VertexSet(dimension=6, shape=(6,), points=((0,) * 6,)))
+    text = format_vfile(VertexSet(dimension=6, shape=(1, 6), points=((0,) * 6,)))
     text = text.replace("rows=1 cols=6", f"rows={rows} cols={cols}")
     with pytest.raises(FileFormatError, match=f"a {rows}x{cols} layout does not fill"):
         parse_vfile(text)
 
 
-def test_vfile_layout_of_one_row_is_flat():
+def test_vfile_layout_of_one_row_is_kept():
     text = format_vfile(VertexSet(dimension=6, shape=(2, 3), points=((0,) * 6,)))
     assert parse_vfile(text).shape == (2, 3)
-    assert parse_vfile(text.replace("rows=2 cols=3", "rows=1 cols=6")).shape == (6,)
+    assert parse_vfile(text.replace("rows=2 cols=3", "rows=1 cols=6")).shape == (1, 6)
 
 
 def test_parse_ignores_comments_and_blanks():

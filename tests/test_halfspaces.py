@@ -192,41 +192,36 @@ def test_row_count_formulas(m):
 
 
 def _row_by_row_lanes(system):
-    """The packed checks built one row at a time, each lane added into ints
-    that grow with every row: the construction the one-pass packer replaced."""
-    checks = []  # (id, rhs, positions of +1, positions of -1)
-    for k, (a, b) in enumerate(system.rows):
-        pos_at = [i for i, c in enumerate(a) if c == 1]
-        if len(pos_at) > b:
-            checks.append((k, b, pos_at, [i for i, c in enumerate(a) if c == -1]))
-    reach = max(
-        (max(b + 1 + len(neg_at), len(pos_at) - b) for _, b, pos_at, neg_at in checks), default=0
-    )
-    width = reach.bit_length() + 1
+    """The 0/1 lanes built one row at a time, lane k for row k, each lane
+    added into ints that grow with every row: the construction the one-pass
+    packer replaced."""
+    width = 1 + max(
+        max(b + 1 - sum(c for c in a if c < 0), sum(c for c in a if c > 0) - b)
+        for a, b in system.rows
+    ).bit_length()
     half = 1 << (width - 1)
     base = top = 0
-    pos = [0] * system.dimension
+    cols = [0] * system.dimension
     neg = [0] * system.dimension
-    for j, (_, b, pos_at, neg_at) in enumerate(checks):
-        lane = 1 << (width * j)
+    for k, (a, b) in enumerate(system.rows):
+        lane = 1 << (width * k)
         base += (half - b - 1) * lane
         top += half * lane
-        for i in pos_at:
-            pos[i] += lane
-        for i in neg_at:
-            neg[i] += lane
+        for i, c in enumerate(a):
+            cols[i] += c * lane
+            if c < 0:
+                neg[i] -= c * lane
     suffix = [0] * (system.dimension + 1)
     for k in range(system.dimension - 1, -1, -1):
         suffix[k] = suffix[k + 1] + neg[k]
-    return (width, tuple(k for k, *_ in checks), base, top,
-            tuple(p - n for p, n in zip(pos, neg)), tuple(suffix))
+    return width, base, top, tuple(cols), tuple(suffix)
 
 
 @pytest.mark.parametrize("model", ["binary", "kimura3", "kimura3-prime"])
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_packed_checks_bit_identical_to_row_by_row(model, m):
     system = model_system(model, m)
-    assert tuple(system.binary_checks) == _row_by_row_lanes(system)
+    assert system.binary_lanes == _row_by_row_lanes(system)
 
 
 def test_system_rejects_rows_off_its_shape():
@@ -240,9 +235,9 @@ def test_system_rejects_rows_off_its_shape():
 def test_packed_checks_built_on_first_use():
     built = kimura3_system(4)
     system = InequalitySystem("kimura3", (3, 4), built.rows, built.families)
-    assert "binary_checks" not in vars(system)
+    assert "binary_lanes" not in vars(system)
     assert system.binary_violation(0) is None
-    assert tuple(system.binary_checks) == _row_by_row_lanes(system)
+    assert system.binary_lanes == _row_by_row_lanes(system)
 
 
 @pytest.mark.parametrize("model", ["binary", "kimura3", "kimura3-prime"])
