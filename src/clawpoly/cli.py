@@ -1,9 +1,11 @@
 """Command-line surface.
 
-Subcommands: vrep, hrep, transform, verify, witness, stats. Every command
-prints one final report record to stdout (the only place wall time ever
-appears) and writes any artifact files with byte-identical content across
-reruns of the same invocation.
+Subcommands: vrep, hrep, transform, verify, witness, stats. Each cmd_*
+handler returns (pairs, file, code): its record pairs, None or the (path,
+text) of the one file it makes (byte-identical across reruns of the same
+invocation), and its exit code. main alone reads the clock, writes the file
+and then prints the one record to stdout with file= and wall= (the only
+place wall time ever appears), so a failed write prints no record.
 
 Exit codes: 0 pass, 1 verification failure (a counterexample file is
 written), 2 usage or precondition error, 3 resource cap.
@@ -106,18 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(pairs, started) -> None:
-    wall = time.perf_counter() - started
-    print(record_line(list(pairs) + [("wall", f"{wall:.3f}s")]))
-
-
-def _emit_record(args, pairs, started, code=0) -> int:
-    """Write the record (no wall time) to --out when given, then print it."""
-    if args.out:
-        write_text(args.out, record_line(pairs) + "\n")
-        pairs = pairs + [("file", args.out)]
-    _emit(pairs, started)
-    return code
+def _record(args, pairs, code=0):
+    """The record, with its copy (no wall time) for --out when given."""
+    return pairs, (args.out, record_line(pairs) + "\n") if args.out else None, code
 
 
 # --- vrep / hrep / transform --------------------------------------------------
@@ -125,12 +118,10 @@ def _emit_record(args, pairs, started, code=0) -> int:
 EXTENSIONS = {"cdd-ext": "ext", "cdd-ine": "ine", "records": "records", "json": "json"}
 
 
-def _write_artifact(args, head, count, renders, stem, started) -> int:
-    """Render --format with renders[format], write it to --out or <stem>.<ext>, emit."""
+def _artifact(args, head, count, renders, stem):
+    """The record, and renders[--format]() for --out or <stem>.<ext>."""
     out = args.out or f"{stem}.{EXTENSIONS[args.format]}"
-    write_text(out, renders[args.format]())
-    _emit(head + [("count", count), ("outcome", "pass"), ("file", out)], started)
-    return 0
+    return head + [("count", count), ("outcome", "pass")], (out, renders[args.format]()), 0
 
 
 def _records(head_pairs, body) -> str:
@@ -150,17 +141,15 @@ def _vertex_renders(vs: VertexSet, head):
     }
 
 
-def cmd_vrep(args) -> int:
-    started = time.perf_counter()
+def cmd_vrep(args):
     spec = parse_group(args.group)
     vs = generate_vertices(spec, args.leaves, allow_large=args.allow_large)
     head = [("command", "vrep"), ("group", spec.name()), ("leaves", args.leaves)]
     stem = f"vrep_{spec.name()}_m{args.leaves}"
-    return _write_artifact(args, head, len(vs.points), _vertex_renders(vs, head), stem, started)
+    return _artifact(args, head, len(vs.points), _vertex_renders(vs, head), stem)
 
 
-def cmd_hrep(args) -> int:
-    started = time.perf_counter()
+def cmd_hrep(args):
     sys_ = model_system(args.model, args.leaves)
     head = [("command", "hrep"), ("model", args.model), ("leaves", args.leaves)]
 
@@ -181,7 +170,7 @@ def cmd_hrep(args) -> int:
         ])),
     }
     stem = f"hrep_{args.model}_m{args.leaves}"
-    return _write_artifact(args, head, len(sys_), renders, stem, started)
+    return _artifact(args, head, len(sys_), renders, stem)
 
 
 def _read_points(path):
@@ -198,10 +187,9 @@ def _read_points(path):
     return [scale_to_ints(p) for p in vs.points], vs.dimension // 3
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args):
     from .coordchange import from_prime_scaled, to_prime_scaled
 
-    started = time.perf_counter()
     points, m = _read_points(args.infile)
     fn = from_prime_scaled if args.inverse else to_prime_scaled
     images = tuple(fn(p).values() for p in points)
@@ -211,7 +199,7 @@ def cmd_transform(args) -> int:
     # the default output goes in the working directory, named after the input's basename
     stem = os.path.splitext(os.path.basename(args.infile))[0]
     stem += "_standard" if args.inverse else "_prime"
-    return _write_artifact(args, head, len(images), _vertex_renders(out_vs, head), stem, started)
+    return _artifact(args, head, len(images), _vertex_renders(out_vs, head), stem)
 
 
 # --- verify -------------------------------------------------------------------
@@ -291,8 +279,7 @@ VERIFY_TASKS = {
 }
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args):
     if args.samples < 1:
         raise ConfigurationError(f"--samples must be at least 1, got {args.samples}")
     if args.samples > vertices.GENERATION_CAP:
@@ -304,13 +291,10 @@ def cmd_verify(args) -> int:
     pairs, lines = VERIFY_TASKS[args.task](args)
     pairs = [("command", "verify"), ("task", args.task), ("leaves", args.leaves)] + pairs
     if not lines:
-        _emit(pairs + [("outcome", "pass")], started)
-        return 0
+        return pairs + [("outcome", "pass")], None, 0
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, f"counterexample_{args.task}_m{args.leaves}.records")
-    write_text(path, "\n".join(lines) + "\n")
-    _emit(pairs + [("outcome", "fail"), ("file", path)], started)
-    return 1
+    return pairs + [("outcome", "fail")], (path, "\n".join(lines) + "\n"), 1
 
 
 # --- witness ------------------------------------------------------------------
@@ -334,10 +318,9 @@ def _parse_labeling(spec, text: str) -> Labeling:
     return Labeling(spec, tuple(elements))
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args):
     from .witness import InteriorWitness, analyze_point, interior_witness, violation_witness
 
-    started = time.perf_counter()
     if args.kind == "violation":
         if not args.labeling:
             raise ConfigurationError("witness violation needs --labeling")
@@ -346,7 +329,7 @@ def cmd_witness(args) -> int:
         if w is not None:
             pairs += [("subset", w.subset), ("row_pair", w.row_pair),
                       ("inequality", w.inequality_id), ("lhs", w.lhs), ("rhs", w.rhs)]
-        return _emit_record(args, pairs + [("outcome", "pass")], started)
+        return _record(args, pairs + [("outcome", "pass")])
     if not args.point:
         raise ConfigurationError("witness interior needs --point FILE")
     points, _ = _read_points(args.point)
@@ -359,17 +342,16 @@ def cmd_witness(args) -> int:
 
         pairs += [("epsilon", wit.epsilon), ("direction", point_rows(wit.direction)),
                   ("outcome", "pass")]
-        return _emit_record(args, pairs, started)
+        return _record(args, pairs)
     pairs += [("reason", wit.reason.replace(" ", "-")), ("outcome", "fail")]
-    return _emit_record(args, pairs, started, 1)
+    return _record(args, pairs, 1)
 
 
 # --- stats --------------------------------------------------------------------
 
-def cmd_stats(args) -> int:
+def cmd_stats(args):
     from .engine import f_vector, hull_from_vertices
 
-    started = time.perf_counter()
     m = args.leaves
     # the vertex cap is checked before the rows are counted; the vertices
     # themselves are generated only for the hull
@@ -393,7 +375,7 @@ def cmd_stats(args) -> int:
             else:
                 outcome = "partial"
                 pairs.append(("f_vector", "m3-only"))
-    return _emit_record(args, pairs + [("outcome", outcome)], started)
+    return _record(args, pairs + [("outcome", outcome)])
 
 
 # --- entry --------------------------------------------------------------------
@@ -408,17 +390,18 @@ def main(argv=None) -> int:
         import logging
 
         logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except ResourceCapError as e:
+        pairs, file, code = args.func(args)
+        if file:
+            write_text(*file)
+            pairs = pairs + [("file", file[0])]
+        wall = time.perf_counter() - started
+        print(record_line(pairs + [("wall", f"{wall:.3f}s")]))
+        return code
+    except (ClawpolyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ClawpolyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, ResourceCapError) else 2
 
 
 if __name__ == "__main__":

@@ -45,7 +45,9 @@ class IntegralPointError(ClawpolyError):
 
 
 class ConfigurationError(ClawpolyError):
-    """Support pattern is not one of the recognized configurations."""
+    """A support pattern outside the recognized configurations, or a CLI
+    usage error (--samples below 1, a missing --labeling or --point, a bad
+    labeling token)."""
 
 
 class ResourceCapError(ClawpolyError):

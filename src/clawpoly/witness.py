@@ -549,7 +549,7 @@ def interior_witness(pt: PointAnalysis) -> InteriorWitness | NotInterior:
     else:
         if pt.tag not in ("P1", "P2"):
             return NotInterior(
-                f"k == omega with support configuration {pt.tag!r}; no cycle direction"
+                f"k equals omega with support configuration {pt.tag!r}; no cycle direction"
             )
         values, reason = _cycle_direction(pt)
         if values is None:

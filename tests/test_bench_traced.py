@@ -25,6 +25,21 @@ COUNTS = {
         "engine.vertices_from_inequalities.vertices_out": 512,
     },
     "hull_m5": {"engine.hull_from_vertices.facets_out": 68},
+    "demicube_m11": {
+        "engine.vertices_from_inequalities.rows_in": 1_046,
+        "engine.vertices_from_inequalities.vertices_out": 1_024,
+    },
+    # the len() of each sampler's result, and the interior witnesses found
+    "theorems_m5": {
+        "sampling.sample_prime_points.points": 600,
+        "sampling.sample_prime_segment_points.points": 300,
+        "sampling.sample_box_points.points": 900,
+        "witness.interior_witness.successes": 599,
+    },
+    "fvector_m3": {
+        "engine.hull_from_vertices.facets_out": 24,
+        "engine.f_vector.faces": 7_442,
+    },
     # the 0/1 scan at m=3..7; check_containment's binary_violation calls run too
     "scan01": {
         "engine.enumerate_integral_points.scanned": 2_396_672,

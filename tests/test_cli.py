@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import logging
@@ -553,6 +554,31 @@ def test_witness_interior(tmp_path, capsys):
     assert rec["direction"] == "1,1,0;1,1,0;0,0,0"
 
 
+def test_witness_interior_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # a k == omega point whose support is neither P1 nor P2 takes the real
+    # interior_witness's "no cycle direction" branch
+    p1 = witness.analyze_point(ScaledPoint((1, 1, 0, 1, 1, 0, 0, 0, 0), 2))
+    monkeypatch.setattr(witness, "analyze_point", lambda p: p1._replace(tag="other"))
+    vs = VertexSet(dimension=9, shape=(3, 3), points=((H, H, 0, H, H, 0, 0, 0, 0),))
+    (tmp_path / "p.ext").write_text(format_vfile(vs))
+    assert main(["witness", "interior", "--point", "p.ext"]) == 1
+    rec = last_record(capsys)
+    assert rec["outcome"] == "fail"
+    assert "omega" in rec["reason"]
+
+
+def test_not_interior_reasons_fit_a_record():
+    tree = ast.parse(Path(witness.__file__).read_text())
+    reasons = [
+        node.value for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "NotInterior"
+        for arg in call.args for node in ast.walk(arg)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert len(reasons) >= 3
+    assert [r for r in reasons if "=" in r] == []
+
+
 def test_witness_interior_integral_point(tmp_path, capsys):
     vs = VertexSet(dimension=9, shape=(3, 3), points=((0,) * 9,))
     (tmp_path / "z.ext").write_text(format_vfile(vs))
@@ -658,6 +684,35 @@ def test_stats_out_file_has_no_wall(tmp_path, capsys):
 
 
 # --- entry ----------------------------------------------------------------------
+
+def _verify_fails(monkeypatch):
+    fake = ContainmentReport(leaves=3, checked=2, failures=(((0,) * 9, 13),), passed=False)
+    monkeypatch.setattr("clawpoly.witness.check_containment", lambda m: fake)
+
+
+FAILED_WRITES = {
+    "vrep-artifact": (["vrep", "--leaves", "3", "--out", "nodir/x.ext"], None),
+    "stats-record": (["stats", "--leaves", "3", "--out", "nodir/s.rec"], None),
+    "witness-record": (
+        ["witness", "violation", "--labeling", "10,00,00", "--out", "nodir/w.rec"], None
+    ),
+    "verify-counterexample": (
+        ["verify", "containment", "--leaves", "3", "--out-dir", "taken"], _verify_fails
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILED_WRITES))
+def test_failed_write_prints_no_record(name, tmp_path, monkeypatch, capsys):
+    argv, patch = FAILED_WRITES[name]
+    if patch:
+        patch(monkeypatch)
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 def test_main_requires_subcommand(capsys):
     assert main([]) == 2

@@ -14,6 +14,9 @@ Numbers from users are read as ASCII only: no string in the package
 (docstrings aside) holds the regex class \\d, which matches every Unicode
 digit, and no add_argument reads its value with int(), which also takes
 underscores, other digit scripts and whitespace.
+
+Only cli.main prints or calls write_text: the handlers return their record
+and file, and main writes the file before it prints the record.
 """
 
 import ast
@@ -154,6 +157,22 @@ def _int_arguments(modules):
     ]
 
 
+def _output_calls(modules):
+    """Top-level definitions other than cli.main that call print or write_text."""
+    found = []
+    for name, tree in modules.items():
+        for top in tree.body:
+            label = f"{name}.{top.name}" if hasattr(top, "name") else name
+            if label == "cli.main":
+                continue
+            if any(isinstance(node, ast.Call)
+                   and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                   in ("print", "write_text")
+                   for node in ast.walk(top)):
+                found.append(label)
+    return found
+
+
 def test_imports_are_stdlib_or_clawpoly():
     init = SRC / "__init__.py"
     trees = {**_modules(), "__init__": ast.parse(init.read_text(), str(init))}
@@ -209,3 +228,19 @@ def test_checks_catch_unicode_digits():
         "p.add_argument('--out')\n"
     )
     assert _int_arguments({"cli": cli}) == ["cli:1"]
+
+
+def test_only_main_prints_or_writes():
+    assert _output_calls(_modules()) == []
+
+
+def test_checks_catch_output_outside_main():
+    cli = ast.parse(
+        "def _emit(pairs):\n    print(pairs)\n\n\n"
+        "def cmd_verify(args):\n    def later():\n        write_text(args.path, '')\n\n\n"
+        "def cmd_stats(args):\n    return [('command', 'stats')], None, 0\n\n\n"
+        "def main(argv=None):\n    write_text('x', 'y')\n    print('error', file=sys.stderr)\n"
+    )
+    assert _output_calls({"cli": cli}) == ["cli._emit", "cli.cmd_verify"]
+    other = ast.parse("from pathlib import Path\n\n\ndef main():\n    Path('x').write_text('')\n")
+    assert _output_calls({"other": other}) == ["other.main"]
