@@ -19,10 +19,9 @@ _EXPORTS = {
         "equal_polytopes", "f_vector", "hull_from_vertices", "vertices_from_inequalities",
     ),
     "errors": (
-        "ClassificationUndefinedError", "ClawpolyError", "ConfigurationError",
-        "DimensionError", "FileFormatError", "InfeasibleError", "IntegralPointError",
-        "LeafCountError", "NotAMemberError", "NotTightError", "ResourceCapError",
-        "UnboundedError", "UnsupportedGroupError",
+        "ClawpolyError", "ConfigurationError", "DimensionError", "FileFormatError",
+        "InfeasibleError", "IntegralPointError", "LeafCountError", "NotAMemberError",
+        "ResourceCapError", "UnboundedError", "UnsupportedGroupError",
     ),
     "groups": (
         "Z2", "Z2Z2", "GroupElement", "GroupSpec", "element", "group_elements",
@@ -39,10 +38,8 @@ _EXPORTS = {
     ),
     "vertices": ("Labeling", "VertexSet", "generate_vertices"),
     "witness": (
-        "ContainmentReport", "IncidenceReport", "InteriorWitness", "NotInterior",
-        "RowStructureReport", "ViolationWitness", "analyze_point", "check_containment",
-        "classify_facet", "incidence_report", "interior_witness", "parity_check",
-        "pseudo_facet_structure", "s_facet_count_even", "violation_witness",
+        "ContainmentReport", "InteriorWitness", "NotInterior", "ViolationWitness",
+        "analyze_point", "check_containment", "interior_witness", "violation_witness",
     ),
 }
 # public name -> the submodule that defines it

@@ -45,7 +45,7 @@ from .fileio import (
     write_text,
 )
 from .groups import Z2Z2, element, parse_group
-from .halfspaces import MODEL_BUILDERS, kimura3_system, model_system, row_count
+from .halfspaces import MODEL_BUILDERS, model_system, row_count
 from .rationals import is_integral, parse_int, scale_to_ints
 from .vertices import Labeling, VertexSet, generate_vertices, vertex_count
 
@@ -219,9 +219,12 @@ def _verify_containment(args):
 def _verify_equality(args):
     from .engine import equal_polytopes, vertices_from_inequalities
 
-    # K(m) lies in R^(3m): the cap is checked before the system is built
+    # K(m) lies in R^(3m) and has 4^(m-1) vertices: the dimension cap and
+    # the generation cap are checked before any system is built or DD run
     check_dimension(3 * args.leaves, args.max_dim)
-    vd = vertices_from_inequalities(kimura3_system(args.leaves), max_dim=args.max_dim)
+    vertex_count(Z2Z2, args.leaves)
+    sys_ = model_system("kimura3", args.leaves)
+    vd = vertices_from_inequalities(sys_, max_dim=args.max_dim)
     rep = equal_polytopes(vd, generate_vertices(Z2Z2, args.leaves))
     lines = [
         record_line([("counterexample", "equality"), ("side", side), ("point", pt)])

@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import add
 
 from .errors import DimensionError
-from .halfspaces import demihypercube_system
+from .halfspaces import model_system
 from .rationals import ScaledPoint
 
 
@@ -79,7 +79,7 @@ def simplex_image_check() -> bool:
     }
     if images != even:
         return False
-    dh = demihypercube_system(3)
+    dh = model_system("binary", 3)
     for a in (0, 1):
         for b in (0, 1):
             for c in (0, 1):

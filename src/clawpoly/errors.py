@@ -32,22 +32,14 @@ class NotAMemberError(ClawpolyError):
     """Point lies outside the polytope required by the operation."""
 
 
-class ClassificationUndefinedError(ClawpolyError):
-    """Facet classification asked for a row without exactly two non-integral coordinates."""
-
-
-class NotTightError(ClawpolyError):
-    """Point does not lie on the pseudo-facet it was classified against."""
-
-
 class IntegralPointError(ClawpolyError):
     """Segment-interior witness requested for an integral point (a vertex)."""
 
 
 class ConfigurationError(ClawpolyError):
-    """A support pattern outside the recognized configurations, or a CLI
-    usage error (--samples below 1, a missing --labeling or --point, a bad
-    labeling token)."""
+    """A CLI usage error (--samples below 1, a missing --labeling or
+    --point, a bad labeling token), or a witness direction that escapes a
+    bounded polytope (an internal error)."""
 
 
 class ResourceCapError(ClawpolyError):

@@ -10,7 +10,9 @@ The pseudo-facet and interior suites draw the same sample: the CLI runs
 both in one pass (run_sampled_suites) that analyses each point once and
 keeps only the current point's analysis, while run_pseudo_facet_suite and
 run_interior_suite each run only their own checks, on the same reports and
-log lines.
+log lines. Each pseudo-facet law is a few lines of _pseudo_facet_checks
+that read the point's witness.PointAnalysis directly, and every system is
+built through halfspaces.model_system, under the generation cap.
 """
 
 from __future__ import annotations
@@ -25,19 +27,10 @@ from .coordchange import (
     simplex_image_check,
     to_prime_scaled,
 )
-from .halfspaces import kimura3_prime_system, kimura3_system
+from .halfspaces import model_system
 from .rationals import ScaledPoint
 from .sampling import sample_box_points, sample_prime_points, sample_prime_segment_points
-from .witness import (
-    InteriorWitness,
-    analyze_point,
-    classify_facet,
-    incidence_report,
-    interior_witness,
-    parity_check,
-    pseudo_facet_structure,
-    s_facet_count_even,
-)
+from .witness import InteriorWitness, analyze_point, interior_witness
 
 log = logging.getLogger("clawpoly.suites")
 
@@ -105,8 +98,8 @@ def run_isomorphism_suite(m: int, samples: int, seed: int = 0) -> IsomorphismSui
             failures.append(("roundtrip_forward", point_rows(p)))
         if not _same_point(to_prime_scaled(from_prime_scaled(p)), p):
             failures.append(("roundtrip_backward", point_rows(p)))
-    sys_std = kimura3_system(m)
-    sys_pri = kimura3_prime_system(m)
+    sys_std = model_system("kimura3", m)
+    sys_pri = model_system("kimura3-prime", m)
     for p in membership_pool:
         inside_std = sys_std.membership(p).status != "outside"
         inside_pri = sys_pri.membership(to_prime_scaled(p)).status != "outside"
@@ -127,36 +120,46 @@ def run_isomorphism_suite(m: int, samples: int, seed: int = 0) -> IsomorphismSui
 
 
 def _pseudo_facet_checks(pt, counts, failures) -> None:
-    """The pseudo-facet laws at one analysed sample point."""
+    """The pseudo-facet laws at one analysed sample point, read off its
+    PointAnalysis: k = len(pt.support) against omega, each row's
+    non-integral positions and tight subsets, and the S/O class of the
+    lines of a k == omega support."""
+    pt.require_member()
     p = pt.point
-    rep = incidence_report(pt)
+    k, omega, m = len(pt.support), pt.omega, len(pt.cols)
     counts["tight"] += len(pt.membership.tight)
-    if rep.k < rep.omega:
+    if k < omega:
         counts["k_ge_omega"] += 1
         failures.append(("k_lt_omega", point_rows(p)))
-    if any(c == 1 for c in rep.row_nonintegral):
+    single = any(len(row.nonintegral) == 1 for row in pt.rows)
+    if single:
         counts["single_nonintegral_rows"] += 1
         failures.append(("single_nonintegral_row", point_rows(p)))
-    if not pseudo_facet_structure(pt).passed:
+    # a lone non-integral coordinate breaks the row structure too; two
+    # tight pseudo-facets cap a row at two non-integral coordinates, three
+    # force it integral and tight on all m
+    if single or any(
+        (len(row.tight) >= 2 and len(row.nonintegral) > 2)
+        or (len(row.tight) >= 3 and (row.nonintegral or len(row.tight) != m))
+        for row in pt.rows
+    ):
         counts["structure"] += 1
         failures.append(("row_structure", point_rows(p)))
     for r, row in enumerate(pt.rows, 1):
         if len(row.nonintegral) != 2:
             continue
-        classes = set()
         for sub in row.tight:
-            classes.add(classify_facet(row, sub))
-            if not parity_check(row, sub):
+            if not row.parity_holds(sub):
                 counts["parity"] += 1
                 failures.append(("parity", (r, sub, point_rows(p))))
-        if len(classes) > 1:
+        if row.line_class() == "mixed":
             counts["mixed_class"] += 1
             failures.append(("mixed_class", (r, point_rows(p))))
-    if rep.k == rep.omega and rep.k > 0:
+    if k == omega and k > 0:
         counts["cycle_configs"] += 1
-        if rep.tag not in ("P1", "P2"):
+        if pt.tag not in ("P1", "P2"):
             failures.append(("unrecognized_tight_configuration", point_rows(p)))
-        elif not s_facet_count_even(pt):
+        elif sum(line.line_class() == "S" for line in pt.support_lines()) % 2:
             failures.append(("odd_s_count", point_rows(p)))
 
 

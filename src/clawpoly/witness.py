@@ -1,27 +1,28 @@
-"""Certificates and structural checks for the model polytopes.
+"""Certificates and the point analysis for the model polytopes.
 
 Everything here returns exact, machine-checkable evidence:
 
 * violation_witness: for an inconsistent labeling, the explicit odd-subset
   inequality its matrix violates.
-* incidence_report / pseudo_facet_structure: how a point of the prime-
-  coordinate polytope sits on the odd-subset pseudo-facets, row by row.
-* classify_facet / parity_check: the S/O dichotomy for a line with exactly
-  two non-integral coordinates and its parity law.
+* analyze_point: how a point of the prime-coordinate polytope sits on the
+  odd-subset pseudo-facets, row by row and column by column, as one
+  PointAnalysis. The pseudo-facet laws of `verify theorems`
+  (suites._pseudo_facet_checks) read its fields directly; a row or column
+  is a LineAnalysis, which carries the S/O class of a tight pseudo-facet
+  and the parity law.
 * interior_witness: for a non-integral member point, a direction v and a
   step eps with p +- eps*v both inside, certifying the point is
   segment-interior (lies on an open segment inside the polytope, hence is
   not a vertex).
 
-The checks on a prime-coordinate point all read one PointAnalysis of it:
-integer numerators over one common denominator, its membership, its
-non-integral support and the tight pseudo-facets of every row and column.
-The tight pseudo-facets are read off the membership's tight rows, each an
-ARow of one row or a BColumn of one column, and the support's P1/P2 tag
-comes from its row and column degrees. analyze_point takes the point as a
-ScaledPoint, and every check takes its PointAnalysis, so a caller running
-several checks on one point analyses it once. The line checks take a row or
-column of it, a LineAnalysis.
+A PointAnalysis holds integer numerators over one common denominator, the
+point's membership, its non-integral support and the tight pseudo-facets of
+every row and column. The tight pseudo-facets are read off the membership's
+tight rows, each an ARow of one row or a BColumn of one column, and the
+support's P1/P2 tag comes from its row and column degrees. analyze_point
+takes the point as a ScaledPoint, so a caller running several checks on one
+point analyses it once. Every system is built through
+halfspaces.model_system, under the generation cap.
 """
 
 from __future__ import annotations
@@ -32,12 +33,9 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import (
-    ClassificationUndefinedError,
     ConfigurationError,
-    DimensionError,
     IntegralPointError,
     NotAMemberError,
-    NotTightError,
     UnsupportedGroupError,
 )
 from .groups import Z2Z2, embed, group_sum, identity
@@ -46,8 +44,7 @@ from .halfspaces import (
     InequalitySystem,
     MembershipResult,
     arow_id,
-    kimura3_prime_system,
-    kimura3_system,
+    model_system,
 )
 from .lanes import bits, lane_signs, lane_values
 from .rationals import Rational, ScaledPoint
@@ -69,39 +66,6 @@ class ContainmentReport(NamedTuple):
     passed: bool
 
 
-class IncidenceReport(NamedTuple):
-    k: int
-    omega: int
-    support: tuple[tuple[int, int], ...]
-    row_nonintegral: tuple[int, int, int]
-    col_nonintegral: tuple[int, ...]
-    row_tight: tuple[int, int, int]
-    col_tight: tuple[int, ...]
-    tag: str  # "none" | "P1" | "P2" | "other"
-
-
-class RowCheck(NamedTuple):
-    row: int
-    nonintegral: int
-    tight_subsets: tuple[tuple[int, ...], ...]
-    no_single_nonintegral: bool
-    two_facets_cap_nonintegral: bool
-    three_facets_force_integral: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.no_single_nonintegral
-            and self.two_facets_cap_nonintegral
-            and self.three_facets_force_integral
-        )
-
-
-class RowStructureReport(NamedTuple):
-    rows: tuple[RowCheck, RowCheck, RowCheck]
-    passed: bool
-
-
 class InteriorWitness(NamedTuple):
     direction: ScaledPoint
     epsilon: Fraction
@@ -120,7 +84,7 @@ def check_containment(m: int) -> ContainmentReport:
     only the failing ones are unpacked into tuples.
     """
     masks = vertex_masks(Z2Z2, m)
-    sys = kimura3_system(m)
+    sys = model_system("kimura3", m)
     failures = tuple(
         (unpack_points([mask], sys.dimension)[0], vid)
         for mask in masks
@@ -201,6 +165,12 @@ class LineAnalysis(NamedTuple):
             return "mixed"
         return classes.pop()
 
+    def parity_holds(self, subset) -> bool:
+        """Parity law of a two-non-integral line on a tight subset: an
+        S-facet goes with an odd number of ones, an O-facet with an even."""
+        ones = self.nums.count(self.den)
+        return (ones % 2 == 1) == (self.facet_class(subset) == "S")
+
 
 def _line(nums, den: int, tight) -> LineAnalysis:
     nums = tuple(nums)
@@ -208,45 +178,7 @@ def _line(nums, den: int, tight) -> LineAnalysis:
     return LineAnalysis(nums, den, nonintegral, tuple(tight))
 
 
-def _classified_subset(line: LineAnalysis, subset) -> tuple[int, ...]:
-    """The sorted subset, once it is an odd tight one of the line and the
-    line holds exactly two non-integral coordinates."""
-    n = len(line.nums)
-    subset = tuple(sorted(subset))
-    if len(subset) % 2 == 0 or not subset:
-        raise ClassificationUndefinedError(f"subset {subset} does not have odd cardinality")
-    if any(not 1 <= i <= n for i in subset) or len(set(subset)) != len(subset):
-        raise DimensionError(f"subset {subset} is not a subset of 1..{n}")
-    if len(line.nonintegral) != 2:
-        raise ClassificationUndefinedError(
-            "classification needs exactly two non-integral coordinates, "
-            f"found {len(line.nonintegral)}"
-        )
-    if subset not in line.tight:
-        raise NotTightError(f"line is not tight on the subset {subset} pseudo-facet")
-    return subset
-
-
-def classify_facet(line: LineAnalysis, subset) -> str:
-    """'S' when both non-integral indices sit on the same side of the subset, else 'O'.
-
-    Requires the line (a row or column of a PointAnalysis) to carry exactly
-    two non-integral coordinates and to be tight on the subset's pseudo-facet.
-    """
-    return line.facet_class(_classified_subset(line, subset))
-
-
-def parity_check(line: LineAnalysis, subset) -> bool:
-    """Parity law: S-facets go with an odd number of ones, O-facets with even.
-
-    The line is given as for classify_facet.
-    """
-    subset = _classified_subset(line, subset)
-    ones = line.nums.count(line.den)
-    return (ones % 2 == 1) == (line.facet_class(subset) == "S")
-
-
-# --- incidence over the prime-coordinate system ------------------------------
+# --- the analysis of a prime-coordinate point --------------------------------
 
 def _configuration_tag(support) -> str:
     """'P1' for 4 cells in 2 rows and 2 columns, 'P2' for 6 cells in 3 rows
@@ -283,13 +215,22 @@ class PointAnalysis(NamedTuple):
         """The rows, then the columns, that carry non-integral coordinates."""
         return [line for line in self.rows + self.cols if line.nonintegral]
 
+    def require_member(self) -> None:
+        """The precondition of every check on the point: raises
+        NotAMemberError when it lies off the polytope."""
+        if self.membership.status == "outside":
+            raise NotAMemberError(
+                f"point violates inequalities {self.membership.violated} "
+                f"of model {self.system.model}"
+            )
+
 
 def analyze_point(point: ScaledPoint) -> PointAnalysis:
     """The PointAnalysis of a 3 x m point, flattened row-major, in the
     prime-coordinate system."""
     nums, den = point
     m = len(nums) // 3
-    sys = kimura3_prime_system(m)
+    sys = model_system("kimura3-prime", m)
     membership = sys.membership(point)
     # the tight rows come in family order: each line's subsets in odd_subsets order
     tight = [[] for _ in range(3 + m)]  # rows 1..3, then columns 1..m
@@ -303,59 +244,6 @@ def analyze_point(point: ScaledPoint) -> PointAnalysis:
     cols = tuple(_line(nums[c::m], den, tight[3 + c]) for c in range(m))
     support = tuple((r, j) for r, line in enumerate(rows, 1) for j in line.nonintegral)
     return PointAnalysis(sys, point, membership, support, rows, cols, _configuration_tag(support))
-
-
-def _require_member(pt: PointAnalysis):
-    """Raises when the analysed point lies off the polytope."""
-    if pt.membership.status == "outside":
-        raise NotAMemberError(
-            f"point violates inequalities {pt.membership.violated} of model {pt.system.model}"
-        )
-
-
-def incidence_report(pt: PointAnalysis) -> IncidenceReport:
-    """Support counts and tight pseudo-facet counts of a prime-coordinate
-    member point, from its analysis."""
-    _require_member(pt)
-    return IncidenceReport(
-        k=len(pt.support),
-        omega=pt.omega,
-        support=pt.support,
-        row_nonintegral=tuple(len(line.nonintegral) for line in pt.rows),
-        col_nonintegral=tuple(len(line.nonintegral) for line in pt.cols),
-        row_tight=tuple(len(line.tight) for line in pt.rows),
-        col_tight=tuple(len(line.tight) for line in pt.cols),
-        tag=pt.tag,
-    )
-
-
-def pseudo_facet_structure(pt: PointAnalysis) -> RowStructureReport:
-    """Row-by-row pseudo-facet sanity of a prime-coordinate member point.
-
-    Per row: a lone non-integral coordinate never occurs; two or more tight
-    pseudo-facets cap the non-integral count at two; three or more force the
-    row integral and tight on exactly m pseudo-facets.
-    """
-    _require_member(pt)
-    m = len(pt.cols)
-    checks = []
-    for r, line in enumerate(pt.rows, 1):
-        nonint = len(line.nonintegral)
-        tight = line.tight
-        checks.append(
-            RowCheck(
-                row=r,
-                nonintegral=nonint,
-                tight_subsets=tight,
-                no_single_nonintegral=(nonint != 1),
-                two_facets_cap_nonintegral=(len(tight) < 2 or nonint <= 2),
-                three_facets_force_integral=(
-                    len(tight) < 3 or (nonint == 0 and len(tight) == m)
-                ),
-            )
-        )
-    checks = tuple(checks)
-    return RowStructureReport(checks, all(c.passed for c in checks))
 
 
 # --- segment-interior witnesses ----------------------------------------------
@@ -537,7 +425,7 @@ def interior_witness(pt: PointAnalysis) -> InteriorWitness | NotInterior:
     so p + eps*v and p - eps*v both stay inside. The direction is the kernel
     vector over its denominator, or the cycle's signs over 1.
     """
-    _require_member(pt)
+    pt.require_member()
     support = pt.support
     if not support:
         raise IntegralPointError("integral points admit no segment-interior witness")
@@ -566,17 +454,3 @@ def interior_witness(pt: PointAnalysis) -> InteriorWitness | NotInterior:
     t_plus, t_minus = bounds
     eps = min(t_plus, t_minus) / 2
     return InteriorWitness(direction, eps)
-
-
-def s_facet_count_even(pt: PointAnalysis) -> bool:
-    """Whether an even number of the support cycle's lines carry S-facets.
-
-    Defined for P1/P2 configurations (each occupied line then holds exactly
-    two non-integral coordinates). Evenness is what makes the cycle sign
-    assignment close up.
-    """
-    _require_member(pt)
-    if pt.tag not in ("P1", "P2"):
-        raise ConfigurationError(f"support configuration {pt.tag!r} has no facet cycle")
-    count = sum(1 for line in pt.support_lines() if line.line_class() == "S")
-    return count % 2 == 0

@@ -262,7 +262,6 @@ def test_verify_dimension_cap_before_build(task, monkeypatch, capsys):
     # K(30) lies in R^90; its 3 * 2^29-row systems are never built
     monkeypatch.delenv("CLAWPOLY_MAX_DIM", raising=False)
     built = []
-    monkeypatch.setattr(cli, "kimura3_system", built.append)
     monkeypatch.setattr(cli, "model_system", lambda model, m: built.append(model))
     assert main(["verify", task, "--leaves", "30"]) == 3
     assert ("error: dimension 90 exceeds cap 12; raise CLAWPOLY_MAX_DIM or max_dim to override"
@@ -430,7 +429,7 @@ def test_verify_theorems_counterexample_file_pinned(tmp_path, monkeypatch, capsy
         return ScaledPoint((nums[0] + den,) + nums[1:], den)
 
     monkeypatch.setattr(suites, "from_prime_scaled", shifted)
-    monkeypatch.setattr(suites, "parity_check", lambda line, subset: False)
+    monkeypatch.setattr(witness.LineAnalysis, "parity_holds", lambda line, subset: False)
     monkeypatch.setattr(suites, "interior_witness", lambda pt: NotInterior("forced"))
     argv = ["verify", "theorems", "--leaves", "3", "--samples", "6", "--seed", "1"]
     assert main(argv + ["--out-dir", "cx"]) == 1
@@ -449,8 +448,9 @@ def test_verify_theorems_counterexample_file_pinned(tmp_path, monkeypatch, capsy
 
 def test_verify_theorems_generation_cap(monkeypatch, capsys):
     built = []
-    for name in ("kimura3_system", "kimura3_prime_system"):
-        monkeypatch.setattr(suites, name, lambda m, name=name: built.append(name))
+    for model in ("kimura3", "kimura3-prime"):
+        monkeypatch.setitem(halfspaces.MODEL_BUILDERS, model,
+                            lambda m, model=model: built.append(model))
     assert main(["verify", "theorems", "--leaves", "13", "--samples", "3"]) == 3
     assert ("16777216 vertices exceeds the generation cap 4194304"
             in capsys.readouterr().err)
@@ -532,7 +532,7 @@ def test_witness_violation_digit_at_or_above_order(group, labeling, capsys):
 
 def test_witness_violation_40_leaves_builds_no_system(monkeypatch, capsys):
     # the last row of kimura3_system(40), which has 4*40 + 3*2^39 rows
-    monkeypatch.setattr("clawpoly.witness.kimura3_system", None)
+    monkeypatch.setattr("clawpoly.witness.model_system", None)
     labeling = ",".join(["10"] + ["00"] * 38 + ["11"])
     started = time.perf_counter()
     assert main(["witness", "violation", "--labeling", labeling]) == 0
@@ -738,12 +738,33 @@ GOLDEN_INPUTS = {
         VertexSet(dimension=9, shape=(3, 3), points=((H, H, 0, H, H, 0, 0, 0, 0),))
     ),
     "z.ext": format_vfile(VertexSet(dimension=9, shape=(3, 3), points=((0,) * 9,))),
+    # a P1 point at m=22, whose prime system has 4*22 + 3*2^21 rows
+    "p22.ext": format_vfile(VertexSet(dimension=66, shape=(3, 22), points=(
+        (H, H) + (0,) * 20 + (H, H) + (0,) * 20 + (0,) * 22,))),
     # size lines with the marker column only, and with no column at all
     "cols1.ext": "V-representation\nbegin\n 1 1 rational\n 1\nend\n",
     "cols0.ext": "V-representation\nbegin\n 0 0 rational\nend\n",
     # int() reads 1_0 as 10; a V-file number is ASCII [+-]digits[/digits] only
     "under.ext": "V-representation\nbegin\n 1 10 rational\n 1 1_0 0 0 0 0 0 0 0 0\nend\n",
 }
+
+def _refuse_system_builds(monkeypatch):
+    """Every system builder raises, under each clawpoly name that holds it
+    and in halfspaces.MODEL_BUILDERS, so a run that would build a system
+    fails at once instead of allocating it."""
+    builders = tuple(halfspaces.MODEL_BUILDERS.values())
+
+    def refused(m):
+        raise AssertionError(f"a system was built at m={m}")
+
+    for name, module in list(sys.modules.items()):
+        if name == "clawpoly" or name.startswith("clawpoly."):
+            for attr, value in list(vars(module).items()):
+                if any(value is builder for builder in builders):
+                    monkeypatch.setattr(module, attr, refused)
+    for model in halfspaces.MODEL_BUILDERS:
+        monkeypatch.setitem(halfspaces.MODEL_BUILDERS, model, refused)
+
 
 # each fake replaces the name in the module that defines it: cli imports
 # engine, witness and suites inside the handlers that call them
@@ -765,6 +786,7 @@ GOLDEN_PATCHES = {
     "cap": (vertices_mod, "GENERATION_CAP", 4),
     # int() reads 1_5 as 15; the cap is ASCII [+-]digits only, as on the CLI
     "env-cap-underscore": (os.environ, "CLAWPOLY_MAX_DIM", "1_5"),
+    "no-system": (None, None, _refuse_system_builds),
 }
 
 GOLDEN_CASES = {
@@ -793,6 +815,11 @@ GOLDEN_CASES = {
     "equality-pass": (["verify", "equality", "--leaves", "3"], None),
     "equality-fail": (["verify", "equality", "--leaves", "3", "--out-dir", "cx"], "equality"),
     "equality-cap": (["verify", "equality", "--leaves", "5"], None),
+    # past the generation cap on the rows (m=22) or on the vertices (m=13)
+    "equality-rows-cap": (["verify", "equality", "--leaves", "22", "--max-dim", "66"],
+                          "no-system"),
+    "equality-vertex-cap": (["verify", "equality", "--leaves", "13", "--max-dim", "39"],
+                            "no-system"),
     "integrality-pass": (["verify", "integrality", "--leaves", "3"], None),
     "integrality-fail": (["verify", "integrality", "--leaves", "3"], "integrality"),
     "theorems-pass": (["verify", "theorems", "--leaves", "3", "--samples", "30", "--seed", "2"],
@@ -810,6 +837,7 @@ GOLDEN_CASES = {
     "interior-fail-out": (["witness", "interior", "--point", "p.ext", "--out", "i.records"],
                           "interior"),
     "interior-integral": (["witness", "interior", "--point", "z.ext"], None),
+    "interior-rows-cap": (["witness", "interior", "--point", "p22.ext"], "no-system"),
     "stats": (["stats", "--leaves", "3"], None),
     "stats-f-vector-out": (["stats", "--leaves", "3", "--f-vector", "--out", "s.records"], None),
     "stats-partial": (["stats", "--leaves", "3", "--f-vector"], "faces"),
@@ -825,18 +853,25 @@ GOLDEN_CASES = {
 }
 
 
-def _golden_run(name, tmp_path, monkeypatch, capsys):
-    """(exit code, stdout minus wall=, {written file: sha256}) of one case."""
+def _golden_setup(name, tmp_path, monkeypatch):
+    """Write the inputs and apply the patch of one case; returns its argv."""
     for path, text in GOLDEN_INPUTS.items():
         (tmp_path / path).write_text(text)
     argv, patch = GOLDEN_CASES[name]
     if patch:
         target, name, value = GOLDEN_PATCHES[patch]
-        if target is os.environ:
+        if target is None:
+            value(monkeypatch)
+        elif target is os.environ:
             monkeypatch.setitem(target, name, value)
         else:
             monkeypatch.setattr(target, name, value)
-    code = main(argv)
+    return argv
+
+
+def _golden_run(name, tmp_path, monkeypatch, capsys):
+    """(exit code, stdout minus wall=, {written file: sha256}) of one case."""
+    code = main(_golden_setup(name, tmp_path, monkeypatch))
     out = capsys.readouterr().out
     record = "\n".join(
         " ".join(f for f in line.split(" ") if not f.startswith("wall="))
@@ -867,6 +902,8 @@ GOLDEN = {
     ),
     "containment-huge": (3, "", {}),
     "equality-cap": (3, "", {}),
+    "equality-rows-cap": (3, "", {}),
+    "equality-vertex-cap": (3, "", {}),
     "equality-fail": (
         1,
         "command=verify task=equality leaves=3 engine_vertices=16 generated_vertices=16 "
@@ -938,6 +975,7 @@ GOLDEN = {
         },
     ),
     "interior-integral": (2, "", {}),
+    "interior-rows-cap": (3, "", {}),
     "interior-pass-out": (
         0,
         "command=witness kind=segment-interior epsilon=1/4 direction=1,1,0;1,1,0;0,0,0 "
@@ -1143,6 +1181,22 @@ def test_huge_leaves_refused_at_once(name, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and len(err[0]) < 100
     assert "^" in err[0] and "exceeds the generation cap 4194304" in err[0]
+
+
+@pytest.mark.parametrize("name", ["equality-rows-cap", "equality-vertex-cap",
+                                  "interior-rows-cap"])
+def test_generation_cap_before_any_system(name, tmp_path, monkeypatch, capsys):
+    # every path builds its system through halfspaces.model_system, and
+    # verify equality counts the vertices before its DD: nothing is built
+    argv = _golden_setup(name, tmp_path, monkeypatch)
+    started = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - started < 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "exceeds the generation cap 4194304" in err[0]
 
 
 # --- hrep pins ---------------------------------------------------------------------

@@ -17,6 +17,10 @@ underscores, other digit scripts and whitespace.
 
 Only cli.main prints or calls write_text: the handlers return their record
 and file, and main writes the file before it prints the record.
+
+One cap policy: only halfspaces calls the system builders; every other
+module builds a system through halfspaces.model_system, which refuses a
+system past the generation cap before building it.
 """
 
 import ast
@@ -173,6 +177,27 @@ def _output_calls(modules):
     return found
 
 
+BUILDERS = ("kimura3_system", "kimura3_prime_system", "demihypercube_system")
+
+
+def _builder_calls(modules):
+    """Calls of a system builder outside halfspaces, as
+    'module.definition: builder', one per call site."""
+    found = []
+    for name, tree in modules.items():
+        if name == "halfspaces":
+            continue
+        for top in tree.body:
+            label = f"{name}.{top.name}" if hasattr(top, "name") else name
+            found += [
+                f"{label}: {callee}" for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and (callee := getattr(node.func, "id", None)
+                     or getattr(node.func, "attr", None)) in BUILDERS
+            ]
+    return found
+
+
 def test_imports_are_stdlib_or_clawpoly():
     init = SRC / "__init__.py"
     trees = {**_modules(), "__init__": ast.parse(init.read_text(), str(init))}
@@ -244,3 +269,23 @@ def test_checks_catch_output_outside_main():
     assert _output_calls({"cli": cli}) == ["cli._emit", "cli.cmd_verify"]
     other = ast.parse("from pathlib import Path\n\n\ndef main():\n    Path('x').write_text('')\n")
     assert _output_calls({"other": other}) == ["other.main"]
+
+
+def test_systems_are_built_under_the_cap():
+    assert _builder_calls(_modules()) == []
+
+
+def test_checks_catch_a_builder_call():
+    suites = ast.parse(
+        "from . import halfspaces\nfrom .halfspaces import kimura3_system, model_system\n\n\n"
+        "def run(m):\n    def both():\n        return kimura3_system(m), "
+        "halfspaces.kimura3_prime_system(m)\n    return both(), model_system('binary', m)\n\n\n"
+        "BUILDER = kimura3_system\nSMALL = halfspaces.demihypercube_system(3)\n"
+    )
+    # a nested call counts against its top-level definition; a bare reference is no call
+    assert _builder_calls({"suites": suites}) == [
+        "suites.run: kimura3_system", "suites.run: kimura3_prime_system",
+        "suites: demihypercube_system",
+    ]
+    halfspaces = ast.parse("def model_system(m):\n    return kimura3_system(m)\n")
+    assert _builder_calls({"halfspaces": halfspaces}) == []

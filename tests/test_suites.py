@@ -5,7 +5,8 @@ import pytest
 
 from clawpoly import suites
 from clawpoly.cli import main
-from clawpoly.rationals import fmt
+from clawpoly.errors import NotAMemberError
+from clawpoly.rationals import ScaledPoint, fmt
 from clawpoly.sampling import sample_box_points
 from clawpoly.suites import (
     _mixed_sample,
@@ -153,8 +154,7 @@ def test_each_suite_runs_only_its_own_checks(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(suites, "interior_witness", refused)
         assert run_pseudo_facet_suite(3, 60, 1).passed
-    for name in ("incidence_report", "pseudo_facet_structure", "parity_check"):
-        monkeypatch.setattr(suites, name, refused)
+    monkeypatch.setattr(suites, "_pseudo_facet_checks", refused)
     assert run_interior_suite(3, 60, 1).passed
 
 
@@ -176,3 +176,74 @@ def test_interior_witnesses_pinned():
         assert isinstance(w, InteriorWitness)
         lines.append(" ".join(map(fmt, w.direction.values())) + " eps=" + fmt(w.epsilon))
     assert (len(lines), _sha256_lines(lines)) == WITNESS_PIN
+
+
+# --- each pseudo-facet law fires -------------------------------------------------
+# README's P1 analysis, rows (1/2, 1/2, 0), (1/2, 1/2, 0), (0, 0, 0), with one
+# field replaced so that it breaks one law, fed to the suite as its only sample.
+
+P1 = analyze_point(ScaledPoint((1, 1, 0, 1, 1, 0, 0, 0, 0), 2))
+ROW1, ROW3 = P1.rows[0], P1.rows[2]
+NO_FAILURE = dict(k_ge_omega=0, single_nonintegral_rows=0, structure=0, parity=0,
+                  mixed_class=0, cycle_configs=1)
+
+# law -> (the broken analysis, its failure tags in order, the counters it bumps)
+BROKEN_LAWS = {
+    # three support cells on four support lines
+    "k_lt_omega": (P1._replace(support=P1.support[:3]), ["k_lt_omega"],
+                   dict(k_ge_omega=1, cycle_configs=0)),
+    # a lone non-integral coordinate also fails the row structure
+    "single_nonintegral_row": (
+        P1._replace(rows=(ROW1._replace(nonintegral=(1,), tight=()),) + P1.rows[1:]),
+        ["single_nonintegral_row", "row_structure"],
+        dict(single_nonintegral_rows=1, structure=1)),
+    # two tight pseudo-facets on a row of three non-integral coordinates
+    # (a fifth support cell keeps k > omega: no cycle to classify)
+    "row_structure_two_tight": (
+        P1._replace(support=P1.support + ((1, 3),),
+                    rows=(ROW1._replace(nonintegral=(1, 2, 3)),) + P1.rows[1:]),
+        ["row_structure"], dict(structure=1, cycle_configs=0)),
+    # an integral row tight on four pseudo-facets at m=3
+    "row_structure_three_tight": (
+        P1._replace(rows=P1.rows[:2] + (ROW3._replace(tight=ROW3.tight + ((1, 2, 3),)),)),
+        ["row_structure"], dict(structure=1)),
+    # a one at the third coordinate under two O-facets
+    "parity": (P1._replace(rows=(ROW1._replace(nums=(1, 1, 2)),) + P1.rows[1:]),
+               ["parity", "parity"], dict(parity=2)),
+    # an S-facet next to an O-facet: one of the two always breaks parity
+    "mixed_class": (
+        P1._replace(rows=(ROW1._replace(tight=((1,), (1, 2, 3))),) + P1.rows[1:]),
+        ["parity", "mixed_class"], dict(parity=1, mixed_class=1)),
+    "unrecognized_tight_configuration": (P1._replace(tag="other"),
+                                         ["unrecognized_tight_configuration"], {}),
+    # row 1 as (1/2, 1/2, 1), on two S-facets: one S-line on the cycle
+    "odd_s_count": (
+        P1._replace(rows=(ROW1._replace(nums=(1, 1, 2), tight=((3,), (1, 2, 3))),)
+                    + P1.rows[1:]),
+        ["odd_s_count"], {}),
+}
+
+
+@pytest.mark.parametrize("law", sorted(BROKEN_LAWS))
+def test_each_pseudo_facet_law_fires(law, monkeypatch):
+    broken, tags, bumped = BROKEN_LAWS[law]
+    monkeypatch.setattr(suites, "analyze_point", lambda p: broken)
+    rep = run_pseudo_facet_suite(3, 1, 0)
+    assert [f[0] for f in rep.failures] == tags
+    assert rep.passed is False
+    counted = {field: getattr(rep, field) for field in NO_FAILURE}
+    assert counted == {**NO_FAILURE, **bumped}
+
+
+def test_unbroken_p1_passes_every_law(monkeypatch):
+    monkeypatch.setattr(suites, "analyze_point", lambda p: P1)
+    rep = run_pseudo_facet_suite(3, 1, 0)
+    assert (rep.failures, rep.passed) == ((), True)
+    assert {field: getattr(rep, field) for field in NO_FAILURE} == NO_FAILURE
+
+
+def test_pseudo_facet_suite_refuses_a_sample_outside(monkeypatch):
+    outside = analyze_point(ScaledPoint((3, 0, 0, 0, 0, 0, 0, 0, 0), 1))
+    monkeypatch.setattr(suites, "analyze_point", lambda p: outside)
+    with pytest.raises(NotAMemberError):
+        run_pseudo_facet_suite(3, 1, 0)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from itertools import combinations, permutations, product
@@ -7,14 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clawpoly import witness
-from clawpoly.errors import (
-    ClassificationUndefinedError,
-    ConfigurationError,
-    IntegralPointError,
-    NotAMemberError,
-    NotTightError,
-)
+from clawpoly import halfspaces, suites, witness
+from clawpoly.errors import ConfigurationError, IntegralPointError, NotAMemberError
 from clawpoly.coordchange import point_rows
 from clawpoly.groups import Z2, Z2Z2, element, embed, group_sum, identity
 from clawpoly.halfspaces import (
@@ -40,12 +35,7 @@ from clawpoly.witness import (
     NotInterior,
     analyze_point,
     check_containment,
-    classify_facet,
-    incidence_report,
     interior_witness,
-    parity_check,
-    pseudo_facet_structure,
-    s_facet_count_even,
     violation_witness,
 )
 
@@ -87,7 +77,7 @@ def test_containment_failures_match_brute_force(family, monkeypatch):
     lowered = built.families.index(family)
     rows = [(a, b - 1) if k == lowered else (a, b) for k, (a, b) in enumerate(built.rows)]
     lowered_system = InequalitySystem("kimura3", (3, m), rows, built.families)
-    monkeypatch.setattr(witness, "kimura3_system", lambda m: lowered_system)
+    monkeypatch.setitem(halfspaces.MODEL_BUILDERS, "kimura3", lambda m: lowered_system)
     expected = []
     for p in generate_vertices(Z2Z2, m).points:
         for k, (a, b) in enumerate(rows):
@@ -187,34 +177,18 @@ def test_line_tight_subsets_frozen():
 
 
 def test_classify_same_side():
-    assert classify_facet(_line((H, H, 1)), (3,)) == "S"
-    assert parity_check(_line((H, H, 1)), (3,)) is True
+    line = _line((H, H, 1))
+    assert line.facet_class((3,)) == "S"
+    assert line.parity_holds((3,)) is True
 
 
 def test_classify_opposite_sides():
-    assert classify_facet(_line((H, H, 0)), (1,)) == "O"
-    assert parity_check(_line((H, H, 0)), (1,)) is True
+    line = _line((H, H, 0))
+    assert line.facet_class((1,)) == "O"
+    assert line.parity_holds((1,)) is True
 
 
-def test_classify_needs_two_nonintegral():
-    with pytest.raises(ClassificationUndefinedError):
-        classify_facet(_line((H, H, H)), (1,))
-    with pytest.raises(ClassificationUndefinedError):
-        classify_facet(_line((1, 0, 0)), (1,))
-
-
-def test_classify_needs_tightness():
-    # (1/2, 1/2, 1) is tight on (3,) and (1,2,3) but not on (1,)
-    with pytest.raises(NotTightError):
-        classify_facet(_line((H, H, 1)), (1,))
-
-
-def test_classify_rejects_even_subsets():
-    with pytest.raises(ClassificationUndefinedError):
-        classify_facet(_line((H, H, 0)), (1, 2))
-
-
-# --- incidence reports ---------------------------------------------------------
+# --- point analyses ------------------------------------------------------------
 
 P1_POINT = _rows_point([(H, H, 0), (H, H, 0), (0, 0, 0)])
 ZERO_POINT = _rows_point([(0, 0, 0)] * 3)
@@ -222,37 +196,37 @@ OUTSIDE_POINT = _rows_point([(3, 0, 0), (0, 0, 0), (0, 0, 0)])
 HALF_POINT = _rows_point([(H, H, H)] * 3)
 
 
+def _law_failures(pt):
+    """The failures the pseudo-facet laws report at one analysed point."""
+    counts, failures = Counter(), []
+    suites._pseudo_facet_checks(pt, counts, failures)
+    return counts["cycle_configs"], failures
+
+
 def test_p1_incidence_frozen():
-    rep = incidence_report(analyze_point(P1_POINT))
-    assert rep.k == 4
-    assert rep.omega == 4
-    assert rep.tag == "P1"
-    assert rep.support == ((1, 1), (1, 2), (2, 1), (2, 2))
-    assert rep.row_nonintegral == (2, 2, 0)
-    assert rep.col_nonintegral == (2, 2, 0)
-    assert rep.row_tight == (2, 2, 3)
-    assert rep.col_tight == (2, 2, 3)
+    pt = analyze_point(P1_POINT)
+    assert (len(pt.support), pt.omega, pt.tag) == (4, 4, "P1")
+    assert pt.support == ((1, 1), (1, 2), (2, 1), (2, 2))
+    assert [len(line.nonintegral) for line in pt.rows + pt.cols] == [2, 2, 0, 2, 2, 0]
+    assert [len(line.tight) for line in pt.rows + pt.cols] == [2, 2, 3, 2, 2, 3]
 
 
 def test_integral_point_incidence():
-    rep = incidence_report(analyze_point(ZERO_POINT))
-    assert rep.k == 0
-    assert rep.omega == 0
-    assert rep.tag == "none"
+    pt = analyze_point(ZERO_POINT)
+    assert (len(pt.support), pt.omega, pt.tag) == (0, 0, "none")
 
 
 def test_incidence_requires_membership():
     with pytest.raises(NotAMemberError):
-        incidence_report(analyze_point(OUTSIDE_POINT))
+        analyze_point(OUTSIDE_POINT).require_member()
 
 
 def test_p1_structure_passes():
-    rep = pseudo_facet_structure(analyze_point(P1_POINT))
-    assert rep.passed
-    rows = {c.row: c for c in rep.rows}
-    assert rows[1].nonintegral == 2
-    assert rows[3].nonintegral == 0
-    assert rows[3].tight_subsets == ((1,), (2,), (3,))
+    pt = analyze_point(P1_POINT)
+    assert _law_failures(pt) == (1, [])
+    assert len(pt.rows[0].nonintegral) == 2
+    assert pt.rows[2].nonintegral == ()
+    assert pt.rows[2].tight == ((1,), (2,), (3,))
 
 
 # --- interior witnesses ----------------------------------------------------------
@@ -279,8 +253,7 @@ def test_p1_witness_endpoints_inside():
 def test_kernel_branch_witness():
     # strictly interior point: no tight inequality, k=9 > omega=6
     pt = analyze_point(HALF_POINT)
-    rep = incidence_report(pt)
-    assert (rep.k, rep.omega, rep.tag) == (9, 6, "other")
+    assert (len(pt.support), pt.omega, pt.tag) == (9, 6, "other")
     wit = interior_witness(pt)
     assert isinstance(wit, InteriorWitness)
     assert wit.epsilon > 0
@@ -306,12 +279,15 @@ def test_interior_witness_rejects_nonmembers():
 
 
 def test_s_facet_count_even_p1():
-    assert s_facet_count_even(analyze_point(P1_POINT)) is True
+    # the four lines of the P1 cycle are O-lines: no S-line, an even count
+    pt = analyze_point(P1_POINT)
+    assert [line.line_class() for line in pt.support_lines()] == ["O"] * 4
+    assert _law_failures(pt) == (1, [])
 
 
 def test_s_facet_count_needs_cycle():
-    with pytest.raises(ConfigurationError):
-        s_facet_count_even(analyze_point(HALF_POINT))
+    # k = 9 > omega = 6: no cycle, so the S-count law is not asked
+    assert _law_failures(analyze_point(HALF_POINT)) == (0, [])
 
 
 _P1_PATTERN = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
