@@ -83,7 +83,7 @@ def simplex_image_check() -> bool:
     for a in (0, 1):
         for b in (0, 1):
             for c in (0, 1):
-                status = dh.membership((a, b, c)).status
+                status = dh.membership(ScaledPoint((a, b, c), 1)).status
                 if ((a, b, c) in even) != (status != "outside"):
                     return False
     return True

@@ -531,20 +531,11 @@ def hull_from_vertices(points) -> PolytopeDD:
     )
 
 
-def _vertex_points(obj):
-    if isinstance(obj, PolytopeDD):
-        return obj.dimension, set(obj.vertices)
-    if hasattr(obj, "points"):
-        return obj.dimension, set(obj.points)
-    raise DimensionError(f"cannot read vertices from {type(obj).__name__}")
-
-
-def equal_polytopes(a, b) -> EqualityReport:
-    """Exact vertex-set comparison of two polytopes (PolytopeDD or VertexSet)."""
-    dim_a, pts_a = _vertex_points(a)
-    dim_b, pts_b = _vertex_points(b)
-    if dim_a != dim_b:
-        raise DimensionError(f"dimension mismatch: {dim_a} != {dim_b}")
+def equal_polytopes(a: VertexSet, b: VertexSet) -> EqualityReport:
+    """Exact comparison of two vertex sets; their dimensions must agree."""
+    if a.dimension != b.dimension:
+        raise DimensionError(f"dimension mismatch: {a.dimension} != {b.dimension}")
+    pts_a, pts_b = set(a.points), set(b.points)
     only_a = tuple(sorted(pts_a - pts_b))
     only_b = tuple(sorted(pts_b - pts_a))
     return EqualityReport(
@@ -599,7 +590,7 @@ def enumerate_integral_points(system) -> list:
 DEFAULT_MAX_FACES = 200_000
 
 
-def f_vector(poly: PolytopeDD, max_faces: int = DEFAULT_MAX_FACES) -> FVector:
+def f_vector(poly: PolytopeDD) -> FVector:
     """Face counts (f_0, ..., f_{dim-1}) from the vertex-facet incidence.
 
     The face lattice is walked downward one level at a time, starting from
@@ -613,10 +604,11 @@ def f_vector(poly: PolytopeDD, max_faces: int = DEFAULT_MAX_FACES) -> FVector:
     computed once per distinct face of a level from the vertex -> facets
     transpose, so each face's dimension is the level it was found on, and no
     face is ranked. A level is counted only while the running total stays
-    within max_faces; past that the walk stops with complete=False, and the
-    levels below the last counted one read 0. Logs one line per level and a
-    total at INFO level.
+    within DEFAULT_MAX_FACES; past that the walk stops with complete=False,
+    and the levels below the last counted one read 0. Logs one line per
+    level and a total at INFO level.
     """
+    max_faces = DEFAULT_MAX_FACES
     facet_masks = poly.incidence
     counts = [0] * (poly.dimension - len(poly.equations))
     on_facets = _transpose(facet_masks, len(poly.vertices))  # vertex -> facets through it

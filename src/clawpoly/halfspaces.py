@@ -23,6 +23,8 @@ rows or the column it applies to.
 
 Every row is checked as lane k = row k of one big int (``lanes``), from one
 packer: membership at a whole-byte width, the 0/1 checks at the 0/1 width.
+Membership reads a point in the package's one exact form, a ScaledPoint
+(integer numerators over one denominator), and the 0/1 checks a bitmask.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .lanes import bits, lane_signs, pack_lanes
-from .rationals import Rational, ScaledPoint, canon, scale_to_ints
+from .rationals import ScaledPoint
 
 
 @lru_cache(maxsize=None)
@@ -163,30 +165,17 @@ class InequalitySystem:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def flatten(self, point) -> tuple[Rational, ...]:
-        flat = tuple(canon(x) for x in point)
-        if len(flat) != self.dimension:
-            raise DimensionError(
-                f"point dimension {len(flat)} does not match system dimension {self.dimension}"
-            )
-        return flat
-
-    def membership(self, point) -> MembershipResult:
+    def membership(self, point: ScaledPoint) -> MembershipResult:
         """Exact status of a point, every row at once.
 
-        point is a ScaledPoint or a sequence of rationals. A lane of
-        ``evaluate`` holds at least 2^(W-1) iff its row is tight or
-        violated, and more than that iff it is violated.
+        A lane of ``evaluate`` holds at least 2^(W-1) iff its row is tight
+        or violated, and more than that iff it is violated.
         """
-        if isinstance(point, ScaledPoint):
-            nums, den = point
-            if len(nums) != self.dimension:
-                raise DimensionError(
-                    f"point dimension {len(nums)} does not match system dimension "
-                    f"{self.dimension}"
-                )
-        else:
-            nums, den = scale_to_ints(self.flatten(point))
+        nums, den = point
+        if len(nums) != self.dimension:
+            raise DimensionError(
+                f"point dimension {len(nums)} does not match system dimension {self.dimension}"
+            )
         acc, width = self.evaluate(nums, den)
         at_least, above = lane_signs(acc, len(self.rows), width)
         violated = tuple(bits(above))
@@ -242,7 +231,7 @@ class InequalitySystem:
         sides = [split(col) for col in zip(*(a for a, _ in rows))] or [(0, 0)] * self.dimension
         return offset, pos - neg, [p - n for p, n in sides], [n for _, n in sides]
 
-    def tight_set(self, point) -> TightSet:
+    def tight_set(self, point: ScaledPoint) -> TightSet:
         """Tight inequality ids grouped by family kind; raises off the polytope."""
         result = self.membership(point)
         if result.status == "outside":

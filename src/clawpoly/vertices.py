@@ -71,10 +71,7 @@ def vertex_count(spec: GroupSpec, m: int, allow_large: bool = False) -> int:
         count = f"{spec.size}^{m - 1}"
     elif (count := spec.size ** (m - 1)) <= GENERATION_CAP or allow_large:
         return count
-    raise ResourceCapError(
-        f"{count} vertices exceeds the generation cap {GENERATION_CAP}; "
-        "pass allow_large to override"
-    )
+    raise ResourceCapError(f"{count} vertices exceeds the generation cap {GENERATION_CAP}")
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ import clawpoly.suites as suites
 import clawpoly.vertices as vertices_mod
 import clawpoly.witness as witness
 from clawpoly.cli import main
-from clawpoly.engine import EqualityReport, f_vector
+from clawpoly.engine import EqualityReport
 from clawpoly.fileio import format_vfile, parse_vfile, read_text
 from clawpoly.groups import Z2Z2
 from clawpoly.rationals import ScaledPoint
@@ -782,7 +782,7 @@ GOLDEN_PATCHES = {
                             failures=(("not_interior", "no direction", ((H, 0), (0, 1))),)),
     )),
     "interior": (witness, "interior_witness", lambda mat: NotInterior("no kernel direction")),
-    "faces": (engine, "f_vector", lambda hull: f_vector(hull, max_faces=100)),
+    "faces": (engine, "DEFAULT_MAX_FACES", 100),
     "cap": (vertices_mod, "GENERATION_CAP", 4),
     # int() reads 1_5 as 15; the cap is ASCII [+-]digits only, as on the CLI
     "env-cap-underscore": (os.environ, "CLAWPOLY_MAX_DIM", "1_5"),
@@ -796,6 +796,7 @@ GOLDEN_CASES = {
     "vrep-z2": (["vrep", "--group", "z2", "--leaves", "4", "--out", "b.ext"], None),
     "vrep-cap": (["vrep", "--group", "z2", "--leaves", "4"], "cap"),
     "vrep-huge": (["vrep", "--leaves", "100000"], None),
+    "vrep-vertex-cap": (["vrep", "--leaves", "13"], None),
     "hrep-cdd": (["hrep", "--model", "kimura3", "--leaves", "3"], None),
     "hrep-records": (["hrep", "--model", "binary", "--leaves", "4", "--format", "records"], None),
     "hrep-json": (["hrep", "--model", "kimura3-prime", "--leaves", "3", "--format", "json"], None),
@@ -812,6 +813,7 @@ GOLDEN_CASES = {
     "containment-pass": (["verify", "containment", "--leaves", "4"], None),
     "containment-fail": (["verify", "containment", "--leaves", "3"], "containment"),
     "containment-huge": (["verify", "containment", "--leaves", "8000"], None),
+    "containment-vertex-cap": (["verify", "containment", "--leaves", "13"], "no-system"),
     "equality-pass": (["verify", "equality", "--leaves", "3"], None),
     "equality-fail": (["verify", "equality", "--leaves", "3", "--out-dir", "cx"], "equality"),
     "equality-cap": (["verify", "equality", "--leaves", "5"], None),
@@ -826,6 +828,7 @@ GOLDEN_CASES = {
                       None),
     "theorems-fail": (["verify", "theorems", "--leaves", "3", "--samples", "30"], "theorems"),
     "theorems-huge": (["verify", "theorems", "--leaves", "8000"], None),
+    "theorems-vertex-cap": (["verify", "theorems", "--leaves", "13"], "no-system"),
     "theorems-samples-huge": (["verify", "theorems", "--leaves", "3", "--samples", "4194305"],
                               None),
     "violation": (["witness", "violation", "--labeling", "10,00,00"], None),
@@ -844,6 +847,7 @@ GOLDEN_CASES = {
     "stats-m3-only": (["stats", "--leaves", "4", "--f-vector"], None),
     "stats-skipped-by-cap-out": (["stats", "--leaves", "5", "--out", "s.records"], None),
     "stats-cap-below-one": (["stats", "--leaves", "3", "--max-dim", "0"], None),
+    "stats-vertex-cap": (["stats", "--leaves", "13"], "no-system"),
     # numbers outside V-files are ASCII too: no other digit script, no underscore
     "hrep-arabic-indic-leaves": (["hrep", "--model", "kimura3", "--leaves", "\u0663"], None),
     "theorems-samples-underscore": (
@@ -870,9 +874,9 @@ def _golden_setup(name, tmp_path, monkeypatch):
 
 
 def _golden_run(name, tmp_path, monkeypatch, capsys):
-    """(exit code, stdout minus wall=, {written file: sha256}) of one case."""
+    """(exit code, stdout minus wall=, {written file: sha256}, stderr) of one case."""
     code = main(_golden_setup(name, tmp_path, monkeypatch))
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     record = "\n".join(
         " ".join(f for f in line.split(" ") if not f.startswith("wall="))
         for line in out.splitlines()
@@ -882,7 +886,7 @@ def _golden_run(name, tmp_path, monkeypatch, capsys):
         for p in sorted(tmp_path.rglob("*"))
         if p.is_file() and p.name not in GOLDEN_INPUTS
     }
-    return code, record, written
+    return code, record, written, err
 
 
 GOLDEN = {
@@ -901,6 +905,7 @@ GOLDEN = {
         {},
     ),
     "containment-huge": (3, "", {}),
+    "containment-vertex-cap": (3, "", {}),
     "equality-cap": (3, "", {}),
     "equality-rows-cap": (3, "", {}),
     "equality-vertex-cap": (3, "", {}),
@@ -992,6 +997,7 @@ GOLDEN = {
         {},
     ),
     "stats-cap-below-one": (3, "", {}),
+    "stats-vertex-cap": (3, "", {}),
     "stats-env-cap-underscore": (3, "", {}),
     "stats-f-vector-out": (
         0,
@@ -1045,6 +1051,7 @@ GOLDEN = {
         {},
     ),
     "theorems-huge": (3, "", {}),
+    "theorems-vertex-cap": (3, "", {}),
     "theorems-samples-huge": (3, "", {}),
     "theorems-samples-underscore": (2, "", {}),
     "transform-cdd": (
@@ -1108,6 +1115,7 @@ GOLDEN = {
     "vrep-arabic-indic-group": (2, "", {}),
     "vrep-cap": (3, "", {}),
     "vrep-huge": (3, "", {}),
+    "vrep-vertex-cap": (3, "", {}),
     "vrep-cdd": (
         0,
         "command=vrep group=z2z2 leaves=3 count=16 outcome=pass file=vrep_z2z2_m3.ext",
@@ -1143,9 +1151,21 @@ GOLDEN = {
 }
 
 
+# the whole stderr of the cases whose refusal is pinned word for word: the
+# vertex cap names no option, since only vrep has one (--allow-large)
+GOLDEN_ERRORS = dict.fromkeys(
+    ("containment-vertex-cap", "equality-vertex-cap", "stats-vertex-cap",
+     "theorems-vertex-cap", "vrep-vertex-cap"),
+    "error: 16777216 vertices exceeds the generation cap 4194304\n",
+)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_cli_golden(name, tmp_path, monkeypatch, capsys):
-    assert _golden_run(name, tmp_path, monkeypatch, capsys) == GOLDEN[name]
+    *run, err = _golden_run(name, tmp_path, monkeypatch, capsys)
+    assert tuple(run) == GOLDEN[name]
+    if name in GOLDEN_ERRORS:
+        assert err == GOLDEN_ERRORS[name]
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,8 +35,8 @@ from clawpoly.errors import (
 from clawpoly.groups import Z2Z2
 from clawpoly.halfspaces import demihypercube_system, kimura3_prime_system, kimura3_system
 from clawpoly.linalg import affine_rank, kernel_vector, matrix_rank
-from clawpoly.rationals import scale_to_ints
-from clawpoly.vertices import generate_vertices
+from clawpoly.rationals import ScaledPoint, scale_to_ints
+from clawpoly.vertices import VertexSet, generate_vertices
 
 
 def cone_rows_system(d, rows):
@@ -774,8 +774,8 @@ def test_equal_polytopes_detects_difference(k3):
 
 
 def test_equal_polytopes_reports_sides():
-    a = hull_from_vertices([(0, 0), (1, 0), (0, 1)])
-    b = hull_from_vertices([(0, 0), (1, 0), (1, 1)])
+    a = VertexSet(2, (1, 2), ((0, 0), (1, 0), (0, 1)))
+    b = VertexSet(2, (1, 2), ((0, 0), (1, 0), (1, 1)))
     rep = equal_polytopes(a, b)
     assert not rep.equal
     assert rep.only_a == ((0, 1),)
@@ -793,7 +793,7 @@ def test_integral_points_k4_match_brute_force():
     sys4 = kimura3_system(4)
     d = sys4.dimension
     points = sorted(tuple((mask >> i) & 1 for i in range(d)) for mask in range(1 << d))
-    brute = [p for p in points if sys4.membership(p).status != "outside"]
+    brute = [p for p in points if sys4.membership(ScaledPoint(p, 1)).status != "outside"]
     assert enumerate_integral_points(sys4) == brute
     assert len(brute) == 64
 
@@ -855,7 +855,7 @@ def test_binary_checks_match_brute_force(system):
     ]
     points = sorted(tuple((mask >> i) & 1 for i in range(d)) for mask in masks)
     assert enumerate_integral_points(system) == [
-        p for p in points if system.membership(p).status != "outside"
+        p for p in points if system.membership(ScaledPoint(p, 1)).status != "outside"
     ]
 
 
@@ -908,9 +908,10 @@ def test_f_vector_square():
     assert f_vector(poly).counts == (4, 4)
 
 
-def test_f_vector_cap():
+def test_f_vector_cap(monkeypatch):
     poly = hull_from_vertices(vertices_from_inequalities(demihypercube_system(3)))
-    fv = f_vector(poly, max_faces=3)
+    monkeypatch.setattr("clawpoly.engine.DEFAULT_MAX_FACES", 3)
+    fv = f_vector(poly)
     assert fv.complete is False
 
 
@@ -952,12 +953,13 @@ def test_f_vector_low_dimensional_cases():
     assert f_vector(triangle) == FVector((3, 3), True)
 
 
-def test_f_vector_cap_below_facet_count():
+def test_f_vector_cap_below_facet_count(monkeypatch):
     poly = hull_from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert f_vector(poly, max_faces=3) == FVector((0, 0, 0), False)
-    # the cap bounds the running total: facets and edges fit, vertices do not
-    assert f_vector(poly, max_faces=10) == FVector((0, 6, 4), False)
-    assert f_vector(poly, max_faces=14) == FVector((4, 6, 4), True)
+    # the cap bounds the running total: facets and edges fit under 10, vertices do not
+    for cap, fv in ((3, FVector((0, 0, 0), False)), (10, FVector((0, 6, 4), False)),
+                    (14, FVector((4, 6, 4), True))):
+        monkeypatch.setattr("clawpoly.engine.DEFAULT_MAX_FACES", cap)
+        assert f_vector(poly) == fv
 
 
 def test_f_vector_levels_logged(caplog):

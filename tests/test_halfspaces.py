@@ -113,10 +113,10 @@ def test_membership_statuses():
     sys_ = kimura3_system(3)
     quarter = ScaledPoint((1,) * 9, 4)
     assert sys_.membership(quarter).status == "inside"
-    assert sys_.membership([Fraction(1, 4)] * 9).status == "inside"
-    zero = (0,) * 9
+    assert sys_.membership(scale_to_ints([Fraction(1, 4)] * 9)).status == "inside"
+    zero = scale_to_ints((0,) * 9)
     assert sys_.membership(zero).status == "boundary"
-    e1 = (1, 1, 1, 0, 0, 0, 0, 0, 0)
+    e1 = scale_to_ints((1, 1, 1, 0, 0, 0, 0, 0, 0))
     res = sys_.membership(e1)
     assert res.status == "outside"
     assert res.violated == (13, 17)
@@ -124,34 +124,26 @@ def test_membership_statuses():
 
 def test_tight_sets_frozen():
     dh = demihypercube_system(3)
-    ts = dh.tight_set((1, 1, 0))
+    ts = dh.tight_set(scale_to_ints((1, 1, 0)))
     assert ts.ids == (2, 3, 4, 6, 7, 8)
-    half = dh.tight_set((Fraction(1, 2), Fraction(1, 2), 0))
+    half = dh.tight_set(scale_to_ints((Fraction(1, 2), Fraction(1, 2), 0)))
     assert dict(half.by_kind)["box"] == (2,)
     assert dict(half.by_kind)["arow"] == (6, 8)
 
     prime = kimura3_prime_system(3)
-    ts0 = prime.tight_set((0,) * 9)
+    ts0 = prime.tight_set(scale_to_ints((0,) * 9))
     assert len(ts0.ids) == 18
     assert dict(ts0.by_kind)["arow"] == (0, 2, 3, 4, 6, 7, 8, 10, 11)
 
 
 def test_tight_set_requires_membership():
     with pytest.raises(NotAMemberError):
-        demihypercube_system(3).tight_set((2, 0, 0))
+        demihypercube_system(3).tight_set(scale_to_ints((2, 0, 0)))
 
 
-def test_flatten_accepts_matrix_and_sequence():
-    # a 3 x 3 matrix comes flattened row-major, as any sequence of rationals
-    sys_ = kimura3_system(3)
-    flat = sys_.flatten([Fraction(2, 2)] + [0] * 8)
-    assert flat == (1,) + (0,) * 8
-    assert type(flat[0]) is int
-    assert sys_.flatten((0,) * 9) == (0,) * 9
+def test_membership_checks_the_point_dimension():
     with pytest.raises(DimensionError):
-        sys_.flatten([0] * 8)
-    with pytest.raises(DimensionError):
-        sys_.membership(ScaledPoint((0,) * 8, 1))
+        kimura3_system(3).membership(ScaledPoint((0,) * 8, 1))
 
 
 def test_model_system_dispatch():
@@ -175,7 +167,7 @@ def test_binary_violation_agrees_with_membership(mask):
     sys_ = kimura3_system(3)
     point = tuple((mask >> i) & 1 for i in range(9))
     violated_id = sys_.binary_violation(mask)
-    res = sys_.membership(point)
+    res = sys_.membership(ScaledPoint(point, 1))
     if violated_id is None:
         assert res.status != "outside"
     else:
@@ -312,19 +304,14 @@ def _model_points(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_model_points(), st.sampled_from(["flat", "scaled"]),
-       st.integers(min_value=1, max_value=_BIG))
-def test_membership_matches_fraction_reference(case, form, factor):
-    """Every model at m=3..6, given as a sequence or a ScaledPoint whose
-    numerators and denominator carry an extra factor up to 2^70; tight rows
-    stay tight at any lane width."""
+@given(_model_points(), st.integers(min_value=1, max_value=_BIG))
+def test_membership_matches_fraction_reference(case, factor):
+    """Every model at m=3..6, as a ScaledPoint whose numerators and
+    denominator carry an extra factor up to 2^70; tight rows stay tight at
+    any lane width."""
     sys_, flat = case
-    if form == "scaled":
-        nums, den = scale_to_ints([Fraction(x) for x in flat])
-        point = ScaledPoint(tuple(x * factor for x in nums), den * factor)
-    else:
-        point = flat
-    res = sys_.membership(point)
+    nums, den = scale_to_ints([Fraction(x) for x in flat])
+    res = sys_.membership(ScaledPoint(tuple(x * factor for x in nums), den * factor))
     assert (res.status, res.violated, res.tight) == _membership_reference(sys_, flat)
 
 

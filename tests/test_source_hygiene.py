@@ -21,6 +21,11 @@ and file, and main writes the file before it prints the record.
 One cap policy: only halfspaces calls the system builders; every other
 module builds a system through halfspaces.model_system, which refuses a
 system past the generation cap before building it.
+
+One point form: a point enters the package once, through
+rationals.scale_to_ints, which only cli (reading a V-file) and engine
+(building the hull's integer rows) call; every check reads the ScaledPoint
+it is given.
 """
 
 import ast
@@ -180,22 +185,43 @@ def _output_calls(modules):
 BUILDERS = ("kimura3_system", "kimura3_prime_system", "demihypercube_system")
 
 
-def _builder_calls(modules):
-    """Calls of a system builder outside halfspaces, as
-    'module.definition: builder', one per call site."""
+def _definitions(name, tree):
+    """(label, node) per top-level statement of a module: 'module.function',
+    'module.Class.method' per statement of a class body, else 'module'."""
+    for top in tree.body:
+        label = f"{name}.{top.name}" if hasattr(top, "name") else name
+        if not isinstance(top, ast.ClassDef):
+            yield label, top
+            continue
+        for node in top.body:
+            yield (f"{label}.{node.name}" if hasattr(node, "name") else label), node
+
+
+def _calls(modules, callees, allowed):
+    """Calls of the callees outside the allowed modules, as
+    'label: callee' (labels of _definitions), one per call site."""
     found = []
     for name, tree in modules.items():
-        if name == "halfspaces":
+        if name in allowed:
             continue
-        for top in tree.body:
-            label = f"{name}.{top.name}" if hasattr(top, "name") else name
+        for label, top in _definitions(name, tree):
             found += [
                 f"{label}: {callee}" for node in ast.walk(top)
                 if isinstance(node, ast.Call)
                 and (callee := getattr(node.func, "id", None)
-                     or getattr(node.func, "attr", None)) in BUILDERS
+                     or getattr(node.func, "attr", None)) in callees
             ]
     return found
+
+
+def _builder_calls(modules):
+    """Calls of a system builder outside halfspaces."""
+    return _calls(modules, BUILDERS, ("halfspaces",))
+
+
+def _scale_calls(modules):
+    """Calls of rationals.scale_to_ints outside cli and engine."""
+    return _calls(modules, ("scale_to_ints",), ("cli", "engine"))
 
 
 def test_imports_are_stdlib_or_clawpoly():
@@ -289,3 +315,28 @@ def test_checks_catch_a_builder_call():
     ]
     halfspaces = ast.parse("def model_system(m):\n    return kimura3_system(m)\n")
     assert _builder_calls({"halfspaces": halfspaces}) == []
+
+
+def test_a_point_is_scaled_once():
+    assert _scale_calls(_modules()) == []
+
+
+def test_checks_catch_a_second_scaling():
+    halfspaces = ast.parse(
+        "from . import rationals\nfrom .rationals import scale_to_ints\n\n\n"
+        "class InequalitySystem:\n    size = len(scale_to_ints((0,)))\n\n"
+        "    def membership(self, point):\n        return scale_to_ints(point)\n\n"
+        "    def tight_set(self, point):\n        return self.membership(point)\n\n\n"
+        "def loose(p):\n    return rationals.scale_to_ints(p)\n\n\n"
+        "ORIGIN = scale_to_ints((0, 0))\n"
+    )
+    # a method counts against its class and name, a class-body call against the class
+    assert _scale_calls({"halfspaces": halfspaces}) == [
+        "halfspaces.InequalitySystem: scale_to_ints",
+        "halfspaces.InequalitySystem.membership: scale_to_ints",
+        "halfspaces.loose: scale_to_ints", "halfspaces: scale_to_ints",
+    ]
+    # the V-file reader and the hull read points in; a bare reference is no call
+    cli = ast.parse("def read(p):\n    return scale_to_ints(p)\n")
+    witness = ast.parse("from .rationals import scale_to_ints\n\nSCALE = scale_to_ints\n")
+    assert _scale_calls({"cli": cli, "engine": cli, "witness": witness}) == []

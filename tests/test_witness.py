@@ -245,8 +245,8 @@ def test_p1_witness_endpoints_inside():
     vdir = wit.direction.values()
     up = [x + wit.epsilon * v for x, v in zip(flat, vdir)]
     dn = [x - wit.epsilon * v for x, v in zip(flat, vdir)]
-    assert sys3.membership(up).status == "boundary"
-    assert sys3.membership(dn).status != "outside"
+    assert sys3.membership(scale_to_ints(up)).status == "boundary"
+    assert sys3.membership(scale_to_ints(dn)).status != "outside"
     assert up != dn
 
 
@@ -265,7 +265,7 @@ def test_kernel_branch_witness():
             x + sign * wit.epsilon * v
             for x, v in zip(HALF_POINT.values(), wit.direction.values())
         ]
-        assert sys3.membership(moved).status != "outside"
+        assert sys3.membership(scale_to_ints(moved)).status != "outside"
 
 
 def test_interior_witness_rejects_integral():
