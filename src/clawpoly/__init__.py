@@ -32,10 +32,7 @@ _EXPORTS = {
         "kimura3_system", "model_system", "odd_subsets",
     ),
     "rationals": ("ScaledPoint", "scale_to_ints"),
-    "suites": (
-        "run_interior_suite", "run_isomorphism_suite", "run_pseudo_facet_suite",
-        "run_sampled_suites",
-    ),
+    "suites": ("run_isomorphism_suite", "run_sampled_suites"),
     "vertices": ("Labeling", "VertexSet", "generate_vertices"),
     "witness": (
         "ContainmentReport", "InteriorWitness", "NotInterior", "ViolationWitness",

@@ -93,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     wit = sub.add_parser("witness", help="produce an explicit certificate")
     wit.add_argument("kind", choices=["violation", "interior"])
-    wit.add_argument("--labeling", help='leaf labeling, e.g. "10,01,11" (violation)')
-    wit.add_argument("--group", default="z2z2")
+    wit.add_argument("--labeling", help='Z2 x Z2 leaf labeling, e.g. "10,01,11" (violation)')
     wit.add_argument("--point", help="single-point .ext file (interior)")
     wit.add_argument("--out", help="also write the certificate records to this path")
     wit.set_defaults(func=cmd_witness)
@@ -302,23 +301,21 @@ def cmd_verify(args):
 
 # --- witness ------------------------------------------------------------------
 
-def _parse_labeling(spec, text: str) -> Labeling:
-    width = len(spec.orders)
+def _parse_labeling(text: str) -> Labeling:
+    """A labeling of Z2 x Z2 elements, one two-digit token per leaf."""
     elements = []
     for token in text.split(","):
         token = token.strip()
-        if len(token) != width or not (token.isascii() and token.isdigit()):
-            raise ConfigurationError(
-                f"labeling token {token!r} is not {width} digits for group {spec.name()}"
-            )
+        if len(token) != 2 or not (token.isascii() and token.isdigit()):
+            raise ConfigurationError(f"labeling token {token!r} is not 2 digits for group z2z2")
         digits = tuple(int(ch) for ch in token)
-        if any(d >= n for d, n in zip(digits, spec.orders)):
+        if any(d >= n for d, n in zip(digits, Z2Z2.orders)):
             raise ConfigurationError(
                 f"labeling token {token!r} has a digit at or above its factor's order "
-                f"in group {spec.name()}"
+                "in group z2z2"
             )
-        elements.append(element(spec, digits))
-    return Labeling(spec, tuple(elements))
+        elements.append(element(Z2Z2, digits))
+    return Labeling(Z2Z2, tuple(elements))
 
 
 def cmd_witness(args):
@@ -327,7 +324,7 @@ def cmd_witness(args):
     if args.kind == "violation":
         if not args.labeling:
             raise ConfigurationError("witness violation needs --labeling")
-        w = violation_witness(_parse_labeling(parse_group(args.group), args.labeling))
+        w = violation_witness(_parse_labeling(args.labeling))
         pairs = [("command", "witness"), ("kind", "violation"), ("consistent", w is None)]
         if w is not None:
             pairs += [("subset", w.subset), ("row_pair", w.row_pair),

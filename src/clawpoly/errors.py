@@ -68,9 +68,7 @@ def check_dimension(d, max_dim=None) -> None:
     """Refuse a double description in dimension d above the cap."""
     cap = dimension_cap(max_dim)
     if d > cap:
-        raise ResourceCapError(
-            f"dimension {d} exceeds cap {cap}; raise {MAX_DIM_ENV} or max_dim to override"
-        )
+        raise ResourceCapError(f"dimension {d} exceeds cap {cap}")
 
 
 class UnboundedError(ClawpolyError):

@@ -6,13 +6,12 @@ counterexample list is empty exactly when the suite passes; a
 counterexample shows its point as 3 x m rows of canonical rationals. The
 suites back the CLI `verify theorems` task and the acceptance tests.
 
-The pseudo-facet and interior suites draw the same sample: the CLI runs
-both in one pass (run_sampled_suites) that analyses each point once and
-keeps only the current point's analysis, while run_pseudo_facet_suite and
-run_interior_suite each run only their own checks, on the same reports and
-log lines. Each pseudo-facet law is a few lines of _pseudo_facet_checks
-that read the point's witness.PointAnalysis directly, and every system is
-built through halfspaces.model_system, under the generation cap.
+The pseudo-facet and interior suites run only together, in one pass over
+one sample (run_sampled_suites) that analyses each point once and keeps
+only the current point's analysis. Each pseudo-facet law is a few lines
+of _pseudo_facet_checks that read the point's witness.PointAnalysis
+directly, and every system is built through halfspaces.model_system,
+under the generation cap.
 """
 
 from __future__ import annotations
@@ -202,69 +201,41 @@ def _interior_checks(pt, counts, failures) -> None:
         failures.append(("lower_endpoint_outside", point_rows(p)))
 
 
-def _sampled_suites(m, samples, seed, pseudo_facet, interior):
-    """The pseudo-facet and/or the interior suite in one pass over one
-    sample: each point is analysed at most once, and only the current
-    point's analysis is kept. The interior suite alone analyses only the
-    non-integral points. Returns the reports asked for, pseudo-facet first.
+def run_sampled_suites(
+    m: int, samples: int, seed: int = 0
+) -> tuple[PseudoFacetSuiteReport, InteriorSuiteReport]:
+    """The pseudo-facet and interior suites on one sample, in one pass that
+    analyses each point once and keeps only the current point's analysis.
+
+    Pseudo-facet laws, on every sampled member point: k >= omega; no row
+    holds exactly one non-integral coordinate; two tight pseudo-facets cap
+    a row at two non-integral coordinates; three force it integral with m
+    tight; every tight pseudo-facet of a two-non-integral row obeys the S/O
+    parity law and rows never mix the two classes; k == omega
+    configurations are the two cycle patterns and carry an even number of
+    S-lines.
+
+    Interior checks, on every non-integral sample: the witness direction
+    must be nonzero, vanish on integral coordinates, and both endpoints
+    p +- eps*v must pass the exact membership check, on numerators over the
+    product of the point's, the step's and the direction's denominators.
     """
     pts = _mixed_sample(m, samples, seed)
     pf, pf_failures = Counter(), []
     iw, iw_failures = Counter(), []
     for p in pts:
-        nonintegral = any(x % p.den for x in p.nums)
-        if not (pseudo_facet or nonintegral):
-            continue
         pt = analyze_point(p)
-        if pseudo_facet:
-            _pseudo_facet_checks(pt, pf, pf_failures)
-        if interior and nonintegral:
+        _pseudo_facet_checks(pt, pf, pf_failures)
+        if any(x % p.den for x in p.nums):
             iw["nonintegral"] += 1
             _interior_checks(pt, iw, iw_failures)
-    reports = []
-    if pseudo_facet:
-        _log_counts("pseudo_facet", m, len(pts), len(pts), tight=pf["tight"])
-        counted = PseudoFacetSuiteReport._fields[2:-2]  # k_ge_omega .. cycle_configs
-        reports.append(PseudoFacetSuiteReport(
+    _log_counts("pseudo_facet", m, len(pts), len(pts), tight=pf["tight"])
+    _log_counts("interior", m, len(pts), iw["memberships"], iw["kernel"], iw["cycle"],
+                iw["tight"])
+    counted = PseudoFacetSuiteReport._fields[2:-2]  # k_ge_omega .. cycle_configs
+    return (
+        PseudoFacetSuiteReport(
             m, len(pts), *(pf[field] for field in counted), tuple(pf_failures), not pf_failures
-        ))
-    if interior:
-        _log_counts("interior", m, len(pts), iw["memberships"], iw["kernel"], iw["cycle"],
-                    iw["tight"])
-        reports.append(InteriorSuiteReport(
-            m, len(pts), iw["nonintegral"], tuple(iw_failures), not iw_failures
-        ))
-    return reports
-
-
-def run_pseudo_facet_suite(m: int, samples: int, seed: int = 0) -> PseudoFacetSuiteReport:
-    """Structural laws of tight pseudo-facets on sampled member points.
-
-    Checks, per sample: k >= omega; no row holds exactly one non-integral
-    coordinate; two tight pseudo-facets cap a row at two non-integral
-    coordinates; three force it integral with m tight; every tight
-    pseudo-facet of a two-non-integral row obeys the S/O parity law and
-    rows never mix the two classes; k == omega configurations are the two
-    cycle patterns and carry an even number of S-lines. All of it reads one
-    analysis per point.
-    """
-    return _sampled_suites(m, samples, seed, pseudo_facet=True, interior=False)[0]
-
-
-def run_interior_suite(m: int, samples: int, seed: int = 0) -> InteriorSuiteReport:
-    """Segment-interior witnesses for every sampled non-integral member point.
-
-    The witness direction must be nonzero, vanish on integral coordinates,
-    and both endpoints p +- eps*v must pass the exact membership check, on
-    numerators over the product of the point's, the step's and the
-    direction's denominators.
-    """
-    return _sampled_suites(m, samples, seed, pseudo_facet=False, interior=True)[0]
-
-
-def run_sampled_suites(
-    m: int, samples: int, seed: int = 0
-) -> tuple[PseudoFacetSuiteReport, InteriorSuiteReport]:
-    """run_pseudo_facet_suite and run_interior_suite on one sample, in one
-    pass that analyses each point once; the same reports and log lines."""
-    return tuple(_sampled_suites(m, samples, seed, pseudo_facet=True, interior=True))
+        ),
+        InteriorSuiteReport(m, len(pts), iw["nonintegral"], tuple(iw_failures), not iw_failures),
+    )

@@ -20,11 +20,7 @@ from clawpoly.fileio import format_hfile
 from clawpoly.groups import Z2Z2
 from clawpoly.halfspaces import demihypercube_system, kimura3_system
 from clawpoly.rationals import is_integral
-from clawpoly.suites import (
-    run_interior_suite,
-    run_isomorphism_suite,
-    run_pseudo_facet_suite,
-)
+from clawpoly.suites import run_isomorphism_suite, run_sampled_suites
 from clawpoly.vertices import generate_vertices
 from clawpoly.witness import check_containment
 
@@ -95,7 +91,7 @@ def test_criterion_7_pseudo_facet_laws_hold_on_samples():
     total = 0
     cycles = 0
     for m in (3, 4, 5):
-        rep = run_pseudo_facet_suite(m, 4000, seed=0)
+        rep = run_sampled_suites(m, 4000, seed=0)[0]
         assert rep.passed, f"m={m}: {rep.failures[:3]}"
         total += rep.samples
         cycles += rep.cycle_configs
@@ -105,7 +101,7 @@ def test_criterion_7_pseudo_facet_laws_hold_on_samples():
 
 def test_criterion_8_interior_witnesses_for_nonintegral_samples():
     for m, n in ((3, 4000), (4, 3000), (5, 3000)):
-        rep = run_interior_suite(m, n, seed=0)
+        rep = run_sampled_suites(m, n, seed=0)[1]
         assert rep.passed, f"m={m}: {rep.failures[:3]}"
         assert rep.nonintegral > 0
 

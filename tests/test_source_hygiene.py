@@ -4,11 +4,11 @@ Every import in the package is of the standard library or of clawpoly
 itself, so it runs on a bare interpreter. Every module except __init__
 (which imports no submodule: it loads its public names lazily) must use
 each name it imports, and an import inside a function must be used in that
-function. Each public module-level function or class must be referred to
-by some code other than its own definition: the rest of its module,
-another src module (a `from .mod import name`, not the __init__ name
-table), or a bench/*.py file. Code that only tests call is not part of the
-package.
+function. Each public module-level function or class, and each public
+method of a public class, must be referred to (as a name, an attribute or
+an import) by src code outside its own definition and outside the
+__init__ name table, or by bench/tasks.py. Code that only tests call is
+not part of the package.
 
 Numbers from users are read as ASCII only: no string in the package
 (docstrings aside) holds the regex class \\d, which matches every Unicode
@@ -30,6 +30,7 @@ it is given.
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,18 +49,24 @@ def _names(nodes):
     return {n.id for top in nodes for n in ast.walk(top) if isinstance(n, ast.Name)}
 
 
-def _bench_names():
-    """Identifiers, attribute names and dotted string parts in bench/*.py;
-    the benchmark also names functions in strings ("sampling.sample_box_points")."""
+# bench/spans.py wraps these by name; no src code or bench task calls them
+SPAN_WRAPPED = ("linalg.kernel_vector", "linalg.affine_rank",
+                "halfspaces.InequalitySystem.tight_set")
+
+
+def _bench_task_names():
+    """Identifiers, attribute names and dotted string parts in
+    bench/tasks.py, the code the benchmark runs; it also names functions in
+    strings ("sampling.sample_box_points")."""
+    path = ROOT / "bench" / "tasks.py"
     out = set()
-    for path in (ROOT / "bench").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                out.update(node.value.replace(".", " ").split())
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.replace(".", " ").split())
     return out
 
 
@@ -113,23 +120,40 @@ def _unused_imports(modules):
     return found
 
 
-def _unreferenced_public(modules, bench):
-    imported = set()  # (module, name) pairs some other src module imports
-    for tree in modules.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-                imported.update((node.module, alias.name) for alias in node.names)
-    found = []
-    for name, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_") or (name, node.name) in imported:
-                continue
-            if node.name in bench or node.name in _names(n for n in tree.body if n is not node):
-                continue
-            found.append(f"{name}.{node.name}")
+def _references(node):
+    """How often each name, attribute name and from-imported name occurs
+    under a node."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            found.update(alias.name for alias in n.names)
     return found
+
+
+def _public_definitions(name, tree):
+    """(label, node) of each public function and class of a module, and of
+    each public method of its public classes ('module.Class.method')."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+            yield f"{name}.{top.name}", top
+            if isinstance(top, ast.ClassDef):
+                yield from ((f"{name}.{top.name}.{node.name}", node) for node in top.body
+                            if isinstance(node, ast.FunctionDef)
+                            and not node.name.startswith("_"))
+
+
+def _unreferenced_public(modules, bench):
+    """Public definitions that no module refers to outside their own
+    definition, and whose name bench does not hold."""
+    used = sum((_references(tree) for tree in modules.values()), Counter())
+    return [
+        label for name, tree in modules.items() for label, node in _public_definitions(name, tree)
+        if node.name not in bench and used[node.name] == _references(node)[node.name]
+    ]
 
 
 def _docstrings(tree):
@@ -235,7 +259,8 @@ def test_no_unused_imports():
 
 
 def test_no_public_name_only_tests_use():
-    assert _unreferenced_public(_modules(), _bench_names()) == []
+    found = _unreferenced_public(_modules(), _bench_task_names())
+    assert [label for label in found if label not in SPAN_WRAPPED] == []
 
 
 def test_checks_catch_a_test_only_helper():
@@ -258,6 +283,25 @@ def test_checks_catch_a_test_only_helper():
         "def f():\n    from scipy.linalg import lu\n    import clawpoly.engine\n"
     )
     assert _foreign_imports({"lanes": lanes}) == ["lanes: numpy", "lanes: scipy"]
+
+
+def test_checks_catch_code_only_tests_call():
+    suites = ast.parse(
+        "class Report:\n    def summary(self):\n        return self.summary()\n\n"
+        "    def _detail(self):\n        return 1\n\n"
+        "    def passed(self):\n        return True\n\n\n"
+        "def run_one(m):\n    return run_one(m - 1) if m else Report()\n\n\n"
+        "def run_both(m):\n    return Report().passed()\n"
+    )
+    # a call inside its own definition is no reference; private methods are not checked
+    assert _unreferenced_public({"suites": suites}, set()) == [
+        "suites.Report.summary", "suites.run_one", "suites.run_both",
+    ]
+    # an attribute of another module counts, and so does a name a bench task holds
+    cli = ast.parse("from . import suites\n\nREPORT = suites.run_both(3)\n")
+    assert _unreferenced_public({"suites": suites, "cli": cli}, {"run_one"}) == [
+        "suites.Report.summary",
+    ]
 
 
 def test_no_unicode_digit_class_in_a_regex():

@@ -8,13 +8,7 @@ from clawpoly.cli import main
 from clawpoly.errors import NotAMemberError
 from clawpoly.rationals import ScaledPoint, fmt
 from clawpoly.sampling import sample_box_points
-from clawpoly.suites import (
-    _mixed_sample,
-    run_interior_suite,
-    run_isomorphism_suite,
-    run_pseudo_facet_suite,
-    run_sampled_suites,
-)
+from clawpoly.suites import _mixed_sample, run_isomorphism_suite, run_sampled_suites
 from clawpoly.witness import InteriorWitness, analyze_point, interior_witness
 
 
@@ -34,7 +28,7 @@ def test_isomorphism_suite_deterministic():
 
 
 def test_pseudo_facet_suite_small():
-    rep = run_pseudo_facet_suite(3, 120, seed=0)
+    rep = run_sampled_suites(3, 120, seed=0)[0]
     assert rep.passed
     assert rep.samples == 120
     assert rep.k_ge_omega == 0
@@ -46,12 +40,12 @@ def test_pseudo_facet_suite_small():
 
 def test_pseudo_facet_suite_sees_cycles():
     # segment samples hit the tight k == omega configurations regularly
-    rep = run_pseudo_facet_suite(3, 400, seed=0)
+    rep = run_sampled_suites(3, 400, seed=0)[0]
     assert rep.cycle_configs > 0
 
 
 def test_interior_suite_small():
-    rep = run_interior_suite(3, 120, seed=0)
+    rep = run_sampled_suites(3, 120, seed=0)[1]
     assert rep.passed
     assert rep.samples == 120
     assert 0 < rep.nonintegral <= 120
@@ -59,8 +53,8 @@ def test_interior_suite_small():
 
 def test_suites_work_at_larger_m():
     assert run_isomorphism_suite(5, 30, seed=2).passed
-    assert run_pseudo_facet_suite(5, 30, seed=2).passed
-    assert run_interior_suite(5, 30, seed=2).passed
+    pf, iw = run_sampled_suites(5, 30, seed=2)
+    assert pf.passed and iw.passed
 
 
 # --- pinned reports, samples, log counts and witnesses ----------------------------
@@ -116,11 +110,7 @@ def test_suite_reports_pinned(m, seed, n, caplog):
     cycles, nonintegral, points_sha, logged = SUITE_PINS[(m, seed, n)]
     pf_tight, memberships, kernel, cycle, iw_tight = logged
     caplog.set_level(logging.INFO, logger="clawpoly.suites")
-    reports = (
-        run_isomorphism_suite(m, n, seed),
-        run_pseudo_facet_suite(m, n, seed),
-        run_interior_suite(m, n, seed),
-    )
+    reports = (run_isomorphism_suite(m, n, seed),) + run_sampled_suites(m, n, seed)
     assert tuple(tuple(r) for r in reports) == (
         (m, n, n, True, (), True),
         (m, n, 0, 0, 0, 0, 0, cycles, (), True),
@@ -136,26 +126,6 @@ def test_suite_reports_pinned(m, seed, n, caplog):
     ]
     pts = _mixed_sample(m, n, seed) + sample_box_points(m, n, seed)
     assert _sha256_lines(" ".join(map(fmt, p.values())) for p in pts) == points_sha
-
-
-def test_sampled_suites_match_the_separate_suites(caplog):
-    caplog.set_level(logging.INFO, logger="clawpoly.suites")
-    separate = (run_pseudo_facet_suite(4, 150, 5), run_interior_suite(4, 150, 5))
-    separate_log = [r.getMessage() for r in caplog.records]
-    caplog.clear()
-    assert run_sampled_suites(4, 150, 5) == separate
-    assert [r.getMessage() for r in caplog.records] == separate_log
-
-
-def test_each_suite_runs_only_its_own_checks(monkeypatch):
-    def refused(*args):
-        raise AssertionError("the other suite's check ran")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(suites, "interior_witness", refused)
-        assert run_pseudo_facet_suite(3, 60, 1).passed
-    monkeypatch.setattr(suites, "_pseudo_facet_checks", refused)
-    assert run_interior_suite(3, 60, 1).passed
 
 
 def test_verify_theorems_analyses_each_sample_once(monkeypatch, capsys):
@@ -181,6 +151,8 @@ def test_interior_witnesses_pinned():
 # --- each pseudo-facet law fires -------------------------------------------------
 # README's P1 analysis, rows (1/2, 1/2, 0), (1/2, 1/2, 0), (0, 0, 0), with one
 # field replaced so that it breaks one law, fed to the suite as its only sample.
+# A broken analysis is no real point, so the interior checks, which would
+# read it as one, are skipped.
 
 P1 = analyze_point(ScaledPoint((1, 1, 0, 1, 1, 0, 0, 0, 0), 2))
 ROW1, ROW3 = P1.rows[0], P1.rows[2]
@@ -224,11 +196,17 @@ BROKEN_LAWS = {
 }
 
 
+def _pseudo_facet_report(analysis, monkeypatch):
+    """The pseudo-facet report of the one-sample suite on this analysis."""
+    monkeypatch.setattr(suites, "analyze_point", lambda p: analysis)
+    monkeypatch.setattr(suites, "_interior_checks", lambda pt, counts, failures: None)
+    return run_sampled_suites(3, 1, 0)[0]
+
+
 @pytest.mark.parametrize("law", sorted(BROKEN_LAWS))
 def test_each_pseudo_facet_law_fires(law, monkeypatch):
     broken, tags, bumped = BROKEN_LAWS[law]
-    monkeypatch.setattr(suites, "analyze_point", lambda p: broken)
-    rep = run_pseudo_facet_suite(3, 1, 0)
+    rep = _pseudo_facet_report(broken, monkeypatch)
     assert [f[0] for f in rep.failures] == tags
     assert rep.passed is False
     counted = {field: getattr(rep, field) for field in NO_FAILURE}
@@ -236,14 +214,12 @@ def test_each_pseudo_facet_law_fires(law, monkeypatch):
 
 
 def test_unbroken_p1_passes_every_law(monkeypatch):
-    monkeypatch.setattr(suites, "analyze_point", lambda p: P1)
-    rep = run_pseudo_facet_suite(3, 1, 0)
+    rep = _pseudo_facet_report(P1, monkeypatch)
     assert (rep.failures, rep.passed) == ((), True)
     assert {field: getattr(rep, field) for field in NO_FAILURE} == NO_FAILURE
 
 
 def test_pseudo_facet_suite_refuses_a_sample_outside(monkeypatch):
     outside = analyze_point(ScaledPoint((3, 0, 0, 0, 0, 0, 0, 0, 0), 1))
-    monkeypatch.setattr(suites, "analyze_point", lambda p: outside)
     with pytest.raises(NotAMemberError):
-        run_pseudo_facet_suite(3, 1, 0)
+        _pseudo_facet_report(outside, monkeypatch)
