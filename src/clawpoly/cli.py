@@ -15,8 +15,9 @@ only it calls: the module level holds what vrep, hrep and transform share
 (errors, fileio, groups, halfspaces, rationals, vertices). engine is loaded
 by verify equality|integrality and stats, witness by verify containment and
 witness, suites (with sampling) by verify theorems, coordchange by
-transform, witness interior and the suites. main imports logging only under
--v; engine and suites import it for their own loggers.
+transform, witness interior and the suites. Only main imports logging, and
+only under -v; engine and suites log through errors.InfoLog, which sends
+nothing until logging is loaded.
 """
 
 from __future__ import annotations

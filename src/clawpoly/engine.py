@@ -71,18 +71,17 @@ and a subtree is cut as soon as some row is violated by every completion.
 
 from __future__ import annotations
 
-import logging
 from itertools import chain
 from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .errors import DimensionError, InfeasibleError, UnboundedError, check_dimension
+from .errors import DimensionError, InfeasibleError, InfoLog, UnboundedError, check_dimension
 from .lanes import bits, lane_signs, pack_lanes
 from .rationals import ScaledPoint, canon, scale_to_ints
 from .vertices import VertexSet
 
-log = logging.getLogger("clawpoly.engine")
+log = InfoLog("clawpoly.engine")
 
 
 def _normalize_int_vector(vec):

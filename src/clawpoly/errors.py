@@ -1,10 +1,12 @@
-"""Error taxonomy shared by all modules, and the dimension cap policy.
+"""Error taxonomy shared by all modules, the dimension cap policy, and the
+progress log.
 
 Every precondition failure raises a subclass of ClawpolyError so the CLI can
 map it to a stable exit code (2 for preconditions, 3 for resource caps).
 """
 
 import os
+import sys
 
 from .rationals import parse_int
 
@@ -50,7 +52,7 @@ def dimension_cap(max_dim):
     """max_dim, else CLAWPOLY_MAX_DIM, else 12; a cap below 1 is refused, and
     so is an environment value that parse_int does not read."""
     if max_dim is not None:
-        source, cap = "max_dim", max_dim
+        source, cap = "dimension cap", max_dim
     else:
         raw = os.environ.get(MAX_DIM_ENV)
         if raw is None:
@@ -81,3 +83,21 @@ class InfeasibleError(ClawpolyError):
 
 class FileFormatError(ClawpolyError):
     """Malformed polyhedron or point file."""
+
+
+class InfoLog:
+    """The INFO records of one logger, sent only once logging is loaded.
+
+    No module of the package imports logging, so a run without -v never
+    loads it. Until a caller (cli -v, a test) imports it, no handler can
+    exist and logging's last-resort handler drops INFO records, so a record
+    skipped then would not have been shown.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def info(self, msg: str, *args) -> None:
+        logging = sys.modules.get("logging")
+        if logging is not None:
+            logging.getLogger(self.name).info(msg, *args, stacklevel=2)

@@ -16,7 +16,6 @@ under the generation cap.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from typing import NamedTuple
 
@@ -26,12 +25,13 @@ from .coordchange import (
     simplex_image_check,
     to_prime_scaled,
 )
+from .errors import InfoLog
 from .halfspaces import model_system
 from .rationals import ScaledPoint
 from .sampling import sample_box_points, sample_prime_points, sample_prime_segment_points
 from .witness import InteriorWitness, analyze_point, interior_witness
 
-log = logging.getLogger("clawpoly.suites")
+log = InfoLog("clawpoly.suites")
 
 
 class IsomorphismSuiteReport(NamedTuple):

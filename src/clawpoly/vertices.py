@@ -95,20 +95,50 @@ def _tables(spec: GroupSpec, m: int):
     return leaf_bits, sums, last_bits
 
 
-def vertex_masks(spec: GroupSpec, m: int, allow_large: bool = False) -> list[int]:
-    """Every vertex as a mask, in the order of generate_vertices.
+def split_vertices(spec: GroupSpec, m: int, split: int, weights=None):
+    """Every vertex as a head over leaves 1..split and a block over the rest,
+    in the order of generate_vertices: (heads, blocks).
 
-    Leaves 1..m-1 are expanded one level at a time, each prefix followed by
-    its extensions in the canonical element order, and each keeps the index
-    of its element sum; the last leaf is then forced by that sum.
+    heads lists (mask, s) for each labeling of leaves 1..split, s the index
+    of its element sum, and blocks[s] the values of the labelings of leaves
+    split+1..m that bring s back to the identity. Each x, s of heads in
+    order, joined with each y of blocks[s] in order, gives the vertices in
+    order. A block's value sums weights[i] over its set coordinates i;
+    without weights it is its mask, weights[i] = 2^i, and x + y is the
+    vertex's mask.
+
+    Each part is expanded one leaf at a time, each prefix followed by its
+    extensions in the canonical element order, and keeps the index of its
+    element sum; the last leaf is then forced by that sum.
     """
-    vertex_count(spec, m, allow_large)
     leaf_bits, sums, last_bits = _tables(spec, m)
-    masks, totals = [0], [0]
-    for j in range(m - 1):
-        masks = [x | b for x in masks for b in leaf_bits[j]]
-        totals = [t for s in totals for t in sums[s]]
-    return [x | last_bits[s] for x, s in zip(masks, totals)]
+    leaf_values, last_values = leaf_bits, last_bits
+    if weights is not None:
+        # a leaf element sets at most one coordinate
+        weigh = [0, *weights].__getitem__
+        leaf_values = [[weigh(b.bit_length()) for b in row] for row in leaf_bits]
+        last_values = [weigh(b.bit_length()) for b in last_bits]
+
+    def expand(table, leaves, start):
+        values, totals = [0], [start]
+        for j in leaves:
+            values = [x + b for x in values for b in table[j]]
+            totals = [t for s in totals for t in sums[s]]
+        return values, totals
+
+    heads, head_sums = expand(leaf_bits, range(split), 0)
+    blocks = {}
+    for s in dict.fromkeys(head_sums):
+        values, totals = expand(leaf_values, range(split, m - 1), s)
+        blocks[s] = [x + last_values[t] for x, t in zip(values, totals)]
+    return list(zip(heads, head_sums)), blocks
+
+
+def vertex_masks(spec: GroupSpec, m: int, allow_large: bool = False) -> list[int]:
+    """Every vertex as a mask, in the order of generate_vertices: the one
+    block of split_vertices with no head."""
+    vertex_count(spec, m, allow_large)
+    return split_vertices(spec, m, 0)[1][0]
 
 
 def unpack_points(masks, dimension: int) -> list[tuple[int, ...]]:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -48,7 +49,7 @@ from .halfspaces import (
 )
 from .lanes import bits, lane_signs, lane_values
 from .rationals import Rational, ScaledPoint
-from .vertices import Labeling, unpack_points, vertex_masks
+from .vertices import Labeling, split_vertices, unpack_points, vertex_count
 
 
 class ViolationWitness(NamedTuple):
@@ -77,20 +78,38 @@ class NotInterior(NamedTuple):
 
 # --- containment and violation witnesses ------------------------------------
 
+# free leaves in a block of check_containment: 4^4 labelings per group sum
+BLOCK_LEAVES = 4
+
+
 def check_containment(m: int) -> ContainmentReport:
     """Verify every generated vertex satisfies the standard-coordinate system.
 
-    Each vertex goes to the system's 0/1 check as the mask it is built as;
-    only the failing ones are unpacked into tuples.
+    A meet in the middle (Horowitz and Sahni) over the system's 0/1 lanes
+    (``InequalitySystem.binary_lanes``): vertices.split_vertices splits each
+    vertex into a head, its leading free leaves, and a block of the last
+    BLOCK_LEAVES free leaves and the forced last leaf. The lane sums of
+    every block are computed once per group sum, and a head's once, so each
+    vertex costs one big-int add of its head's and its block's sums and one
+    AND with the top bits. Heads run in vertex order, so failures come out
+    in the order of generate_vertices. binary_violation evaluates each
+    flagged vertex alone: a vertex is reported only if it confirms the
+    failure, with its first violated row as the row id, and only a reported
+    vertex is unpacked from its mask.
     """
-    masks = vertex_masks(Z2Z2, m)
+    count = vertex_count(Z2Z2, m)
     sys = model_system("kimura3", m)
-    failures = tuple(
-        (unpack_points([mask], sys.dimension)[0], vid)
-        for mask in masks
-        if (vid := sys.binary_violation(mask)) is not None
-    )
-    return ContainmentReport(m, len(masks), failures, not failures)
+    _, base, top, cols, _ = sys.binary_lanes
+    split = max(m - 1 - BLOCK_LEAVES, 0)
+    heads, blocks = split_vertices(Z2Z2, m, split)
+    lane_blocks = split_vertices(Z2Z2, m, split, cols)[1]
+    failures = []
+    for x, s in heads:
+        head = sum(map(cols.__getitem__, bits(x)), base)
+        for y in compress(blocks[s], [(head + c) & top for c in lane_blocks[s]]):
+            if (vid := sys.binary_violation(x | y)) is not None:
+                failures.append((unpack_points([x | y], sys.dimension)[0], vid))
+    return ContainmentReport(m, count, tuple(failures), not failures)
 
 
 def violation_witness(labeling: Labeling) -> ViolationWitness | None:

@@ -6,6 +6,7 @@ stability is itself the requirement.
 """
 
 import time
+from functools import lru_cache
 
 from conftest import hull_system
 
@@ -87,11 +88,17 @@ def test_criterion_6_coordinate_change_suite():
     assert memberships == 10_000
 
 
+@lru_cache(maxsize=None)
+def _sampled_suites(m, n):
+    """run_sampled_suites(m, n, seed=0), run once for criteria 7 and 8."""
+    return run_sampled_suites(m, n, seed=0)
+
+
 def test_criterion_7_pseudo_facet_laws_hold_on_samples():
     total = 0
     cycles = 0
     for m in (3, 4, 5):
-        rep = run_sampled_suites(m, 4000, seed=0)[0]
+        rep = _sampled_suites(m, 4000)[0]
         assert rep.passed, f"m={m}: {rep.failures[:3]}"
         total += rep.samples
         cycles += rep.cycle_configs
@@ -101,7 +108,7 @@ def test_criterion_7_pseudo_facet_laws_hold_on_samples():
 
 def test_criterion_8_interior_witnesses_for_nonintegral_samples():
     for m, n in ((3, 4000), (4, 3000), (5, 3000)):
-        rep = run_sampled_suites(m, n, seed=0)[1]
+        rep = _sampled_suites(m, n)[1]
         assert rep.passed, f"m={m}: {rep.failures[:3]}"
         assert rep.nonintegral > 0
 

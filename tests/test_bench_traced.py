@@ -40,7 +40,7 @@ COUNTS = {
         "engine.hull_from_vertices.facets_out": 24,
         "engine.f_vector.faces": 7_442,
     },
-    # the 0/1 scan at m=3..7; check_containment's binary_violation calls run too
+    # the 0/1 scan at m=3..7; check_containment runs too
     "scan01": {
         "engine.enumerate_integral_points.scanned": 2_396_672,
         "engine.enumerate_integral_points.found": 5_456,

@@ -279,7 +279,7 @@ def test_verify_equality_cap_override(capsys):
 def test_verify_cap_below_one(task, capsys):
     assert main(["verify", task, "--leaves", "3", "--max-dim", "0"]) == 3
     err = capsys.readouterr().err
-    assert "max_dim must be at least 1, got 0" in err
+    assert "dimension cap must be at least 1, got 0" in err
     assert "exceeds cap" not in err
 
 
@@ -299,7 +299,7 @@ NO_DD_TASKS = [
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_verify_no_dd_task_cap_below_one(argv, cap, capsys):
     assert main(argv + ["--max-dim", cap]) == 3
-    assert f"max_dim must be at least 1, got {cap}" in capsys.readouterr().err
+    assert f"dimension cap must be at least 1, got {cap}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", NO_DD_TASKS)
@@ -623,7 +623,7 @@ def test_stats_bad_cap_env(monkeypatch, capsys):
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_stats_cap_below_one(cap, capsys):
     assert main(["stats", "--leaves", "3", "--max-dim", cap]) == 3
-    assert f"max_dim must be at least 1, got {cap}" in capsys.readouterr().err
+    assert f"dimension cap must be at least 1, got {cap}" in capsys.readouterr().err
 
 
 def test_stats_env_cap_below_one(monkeypatch, capsys):
@@ -1356,16 +1356,18 @@ def test_cli_import_skips_dataclasses_and_inspect():
 _THEOREM_ONLY = ("clawpoly.witness", "clawpoly.suites", "clawpoly.sampling",
                  "clawpoly.coordchange")
 
-# modules a command must not load: each handler imports what only it calls
+# modules a command must not load: each handler imports what only it calls,
+# and without -v nothing imports logging
 NOT_LOADED = {
     "hrep": (["hrep", "--model", "kimura3", "--leaves", "3"],
              _THEOREM_ONLY + ("clawpoly.engine", "logging", "json")),
-    "stats": (["stats", "--leaves", "3"], _THEOREM_ONLY),
-    "verify-integrality": (["verify", "integrality", "--leaves", "3"], _THEOREM_ONLY),
+    "stats": (["stats", "--leaves", "3"], _THEOREM_ONLY + ("logging",)),
+    "verify-integrality": (["verify", "integrality", "--leaves", "3"],
+                           _THEOREM_ONLY + ("logging",)),
     "verify-containment": (["verify", "containment", "--leaves", "3"],
-                           ("clawpoly.engine", "clawpoly.suites", "clawpoly.sampling")),
+                           ("clawpoly.engine", "clawpoly.suites", "clawpoly.sampling", "logging")),
     "verify-theorems": (["verify", "theorems", "--leaves", "3", "--samples", "20"],
-                        ("clawpoly.engine",)),
+                        ("clawpoly.engine", "logging")),
 }
 
 
@@ -1376,3 +1378,25 @@ def test_command_loads_only_the_modules_it_runs(name, tmp_path):
             "code = clawpoly.cli.main(sys.argv[1:])\n"
             f"print(code, sorted(set({unwanted!r}) & set(sys.modules)))")
     assert bare_python(code, *argv, cwd=tmp_path).splitlines()[-1] == "0 []"
+
+
+# a command under -v, and the loggers whose lines it prints to stderr
+VERBOSE = {
+    "stats-f-vector": (["stats", "--leaves", "3", "--f-vector"], {"clawpoly.engine"}),
+    "verify-theorems": (["verify", "theorems", "--leaves", "3", "--samples", "20"],
+                        {"clawpoly.suites"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERBOSE))
+def test_verbose_command_prints_its_log_lines(name, tmp_path):
+    # engine and suites import no logging: their lines appear once -v has loaded it
+    argv, loggers = VERBOSE[name]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-m", "clawpoly.cli", "-v", *argv],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines
+    assert {line.split(": ", 1)[0] for line in lines} == loggers

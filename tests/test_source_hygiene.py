@@ -15,6 +15,9 @@ Numbers from users are read as ASCII only: no string in the package
 digit, and no add_argument reads its value with int(), which also takes
 underscores, other digit scripts and whitespace.
 
+No module imports logging outside a function: engine and suites log
+through errors.InfoLog, and only cli.main imports logging, under -v.
+
 Only cli.main prints or calls write_text: the handlers return their record
 and file, and main writes the file before it prints the record.
 
@@ -70,22 +73,31 @@ def _bench_task_names():
     return out
 
 
+def _absolute_imports(node):
+    """The top-level modules an import statement imports by absolute name."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []
+
+
 def _foreign_imports(trees):
     """Imported top-level modules that are neither stdlib nor clawpoly."""
     found = []
     for name, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                tops = [alias.name.split(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                tops = [node.module.split(".")[0]]
-            else:
-                continue
             found += [
-                f"{name}: {top}" for top in tops
+                f"{name}: {top}" for top in _absolute_imports(node)
                 if top not in sys.stdlib_module_names and top != "clawpoly"
             ]
     return found
+
+
+def _module_level_logging(trees):
+    """Modules that import logging outside any function."""
+    return [name for name, tree in trees.items()
+            if any("logging" in _absolute_imports(node) for node in _scope_imports(tree.body))]
 
 
 def _scope_imports(body):
@@ -252,6 +264,21 @@ def test_imports_are_stdlib_or_clawpoly():
     init = SRC / "__init__.py"
     trees = {**_modules(), "__init__": ast.parse(init.read_text(), str(init))}
     assert _foreign_imports(trees) == []
+
+
+def test_logging_is_imported_only_under_verbose():
+    init = SRC / "__init__.py"
+    trees = {**_modules(), "__init__": ast.parse(init.read_text(), str(init))}
+    assert _module_level_logging(trees) == []
+
+
+def test_checks_catch_a_module_level_logging_import():
+    engine = ast.parse("import logging\n\nlog = logging.getLogger('clawpoly.engine')\n")
+    suites = ast.parse("if True:\n    from logging import getLogger\n")
+    cli = ast.parse("def main(verbose):\n    if verbose:\n        import logging\n")
+    assert _module_level_logging({"engine": engine, "suites": suites, "cli": cli}) == [
+        "engine", "suites",
+    ]
 
 
 def test_no_unused_imports():

@@ -14,7 +14,13 @@ from clawpoly.groups import (
     group_sum,
     identity,
 )
-from clawpoly.vertices import Labeling, generate_vertices, vertex_at
+from clawpoly.vertices import (
+    Labeling,
+    generate_vertices,
+    split_vertices,
+    vertex_at,
+    vertex_masks,
+)
 from clawpoly.witness import violation_witness
 
 
@@ -157,3 +163,23 @@ def test_masks_match_oracles_on_mixed_orders(spec, m):
     assert points == _group_sum_vertices(spec, m)
     assert points == _fullscan_vertices(spec, m)
     assert tuple(vertex_at(spec, m, i) for i in range(len(points))) == points
+
+
+@pytest.mark.parametrize("spec", [Z2, Z2Z2] + MIXED_GROUPS, ids=lambda spec: spec.name())
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_split_vertices_joins_to_the_vertex_order(spec, m):
+    # every split, from no head to no free leaf in the block, gives the
+    # vertices in vertex order; weighted, a block sums its coordinates' weights
+    masks = vertex_masks(spec, m)
+    weights = [3 ** i + 7 for i in range((spec.size - 1) * m)]
+
+    def weigh(mask):
+        return sum(w for i, w in enumerate(weights) if mask >> i & 1)
+
+    for split in range(m):
+        heads, blocks = split_vertices(spec, m, split)
+        assert len(heads) == spec.size ** split
+        assert [x + y for x, s in heads for y in blocks[s]] == masks
+        weighted_heads, weighted = split_vertices(spec, m, split, weights)
+        assert weighted_heads == heads
+        assert [weigh(x) + y for x, s in heads for y in weighted[s]] == list(map(weigh, masks))

@@ -27,8 +27,9 @@ from clawpoly.sampling import (
     sample_prime_points,
     sample_prime_segment_points,
 )
-from clawpoly.vertices import Labeling, generate_vertices
+from clawpoly.vertices import Labeling, generate_vertices, unpack_points, vertex_masks
 from clawpoly.witness import (
+    ContainmentReport,
     _integer_kernel,
     _step_bounds,
     InteriorWitness,
@@ -88,6 +89,65 @@ def test_containment_failures_match_brute_force(family, monkeypatch):
     assert expected
     assert list(rep.failures) == expected
     assert (rep.checked, rep.passed) == (64, False)
+
+
+def _per_vertex_containment(m):
+    """check_containment's reference: every vertex of vertex_masks, in
+    order, through binary_violation alone."""
+    system = halfspaces.model_system("kimura3", m)
+    masks = vertex_masks(Z2Z2, m)
+    failures = tuple(
+        (unpack_points([mask], system.dimension)[0], vid)
+        for mask in masks
+        if (vid := system.binary_violation(mask)) is not None
+    )
+    return ContainmentReport(m, len(masks), failures, not failures)
+
+
+def _tightened(count):
+    """A kimura3 builder with the right-hand sides of count rows, drawn at
+    random, lowered by 1: a vertex tight on a lowered row fails, at the
+    first such row."""
+    def build(m):
+        built = kimura3_system(m)
+        lowered = set(random.Random(m).sample(range(len(built)), count(len(built))))
+        rows = [(a, b - (k in lowered)) for k, (a, b) in enumerate(built.rows)]
+        return InequalitySystem("kimura3", (3, m), rows, built.families)
+    return build
+
+
+def _scanned_containment(m, monkeypatch):
+    """check_containment(m), and the masks it passed to binary_violation."""
+    real, checked = InequalitySystem.binary_violation, []
+    with monkeypatch.context() as patch:
+        patch.setattr(InequalitySystem, "binary_violation",
+                      lambda system, mask: checked.append(mask) or real(system, mask))
+        return check_containment(m), checked
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_containment_matches_the_per_vertex_scan(m, monkeypatch):
+    # m - 1 <= witness.BLOCK_LEAVES (m=3..5): one block holds every free leaf
+    rep, checked = _scanned_containment(m, monkeypatch)
+    assert rep == _per_vertex_containment(m)
+    assert (rep.checked, rep.passed) == (4 ** (m - 1), True)
+    # the lanes flag no vertex, so none is evaluated alone
+    assert checked == []
+
+
+# two lowered rows (16 of 16 vertices fail at m=3, 4,527 of 65,536 at m=9), or
+# a third of them (every vertex fails, most at several rows)
+@pytest.mark.parametrize("count", [lambda n: 2, lambda n: n // 3], ids=["two", "third"])
+@pytest.mark.parametrize("m", range(3, 10))
+def test_containment_failures_match_the_per_vertex_scan(m, count, monkeypatch):
+    monkeypatch.setitem(halfspaces.MODEL_BUILDERS, "kimura3", _tightened(count))
+    rep, checked = _scanned_containment(m, monkeypatch)
+    expected = _per_vertex_containment(m)
+    assert expected.failures
+    # the same failing vertices, in the same order, each with the same row
+    assert rep == expected
+    # the lanes flag exactly the failing vertices
+    assert len(checked) == len(rep.failures)
 
 
 # --- violation witnesses ------------------------------------------------------
