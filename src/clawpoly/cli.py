@@ -365,7 +365,7 @@ def cmd_stats(args):
         outcome = "partial"
         pairs.append(("facets", "skipped-by-cap"))
     else:
-        hull = hull_from_vertices(generate_vertices(Z2Z2, m))
+        hull = hull_from_vertices(generate_vertices(Z2Z2, m), group=Z2Z2)
         pairs.append(("facets", len(hull.facets)))
         if args.fvector:
             if m == 3:

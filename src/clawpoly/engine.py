@@ -10,6 +10,9 @@ reduce to one cone computation:
 * hull: a valid inequality a*x <= b is a point (-b, a) of the cone
   {y : y.(1, v_i) <= 0}; extreme rays are facets, lineality is the
   affine hull.
+* hull of a claw polytope, given its group: the cone {a : a.v_i <= 0} at
+  vertex 0 gives the facets through 0, and their translates are all the
+  facets (see ``orbit``).
 
 Each direction inserts its rows in one fixed order. Vertices use
 _insertion_key: fewest nonzero entries first, ties lexicographically
@@ -377,7 +380,8 @@ def _dd_cone(rows, n, label):
             live = list(bits(alive))
             vecs = [vecs[k] for k in live]
             masks = [masks[k] for k in live]
-            tight_on = _transpose(masks, len(rows))
+            # only rows 0..t have marked any ray yet
+            tight_on = _transpose(masks, t + 1) + [0] * (len(rows) - t - 1)
             alive = (1 << len(live)) - 1
             renumbers += 1
         if widen or renumber:
@@ -475,7 +479,7 @@ def _canonical_equation(a, b):
     return vec[:-1], vec[-1]
 
 
-def hull_from_vertices(points) -> PolytopeDD:
+def hull_from_vertices(points, group=None) -> PolytopeDD:
     """Convex hull: irredundant facets, affine-hull equations, incidence.
 
     Accepts a VertexSet or an iterable of rational point tuples; duplicates
@@ -483,6 +487,11 @@ def hull_from_vertices(points) -> PolytopeDD:
     point is a vertex of the hull iff it is the only input point on every
     facet it lies on, one AND of those facets' tight sets: otherwise its
     minimal face has a second vertex, and that vertex is an input point.
+
+    With a GroupSpec group, the points must be exactly the vertices of
+    generate_vertices(group, m) for some m (else ConfigurationError), and
+    the facets come from the cone at vertex 0 and its translates
+    (orbit.orbit_facets); the output is the same.
     """
     if hasattr(points, "points"):
         pts = list(points.points)
@@ -494,21 +503,29 @@ def hull_from_vertices(points) -> PolytopeDD:
     if any(len(p) != d for p in pts):
         raise DimensionError("points of mixed dimension")
     pts = sorted(set(pts))
-    order = _face_first_order(pts)  # row -> point
-    lines, rays = _dd_cone(
-        [scale_to_ints((1,) + pts[i]).nums for i in order], d + 1,
-        f"hull[d={d} points={len(pts)}]",
-    )
-    facet_rays = []
-    for y, mask in rays:
-        a = y[1:]
-        if any(a):
-            # the full ray (-b, a) is already coprime
-            facet_rays.append(((tuple(a), -y[0]), mask))
-    facet_rays.sort()
-    facets = [f for f, _ in facet_rays]
-    equations = sorted(_canonical_equation(l[1:], -l[0]) for l in lines)
-    row_masks = [mask for _, mask in facet_rays]  # per facet: the rows tight on it
+    if group is not None:
+        # loaded only here, so that commands taking no such hull never load it
+        from .orbit import orbit_facets
+
+        order = range(len(pts))  # row -> point
+        facets, row_masks = orbit_facets(pts, group)
+        equations = ()  # a claw polytope is full-dimensional
+    else:
+        order = _face_first_order(pts)
+        lines, rays = _dd_cone(
+            [scale_to_ints((1,) + pts[i]).nums for i in order], d + 1,
+            f"hull[d={d} points={len(pts)}]",
+        )
+        facet_rays = []
+        for y, mask in rays:
+            a = y[1:]
+            if any(a):
+                # the full ray (-b, a) is already coprime
+                facet_rays.append(((tuple(a), -y[0]), mask))
+        facet_rays.sort()
+        facets = [f for f, _ in facet_rays]
+        equations = sorted(_canonical_equation(l[1:], -l[0]) for l in lines)
+        row_masks = [mask for _, mask in facet_rays]  # per facet: the rows tight on it
     on_facets = [0] * len(pts)  # per point: bitmask of the facets through it
     vertex_ids = []
     every_row = (1 << len(pts)) - 1

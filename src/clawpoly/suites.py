@@ -17,6 +17,7 @@ under the generation cap.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple
 
 from .coordchange import (
@@ -65,10 +66,11 @@ class InteriorSuiteReport(NamedTuple):
 
 
 def _mixed_sample(m, count, seed):
+    """count points, drawn lazily: two thirds from sample_prime_points, then
+    the rest from sample_prime_segment_points."""
     head = 2 * count // 3
-    return sample_prime_points(m, head, seed) + sample_prime_segment_points(
-        m, count - head, seed + 1
-    )
+    return chain(sample_prime_points(m, head, seed),
+                 sample_prime_segment_points(m, count - head, seed + 1))
 
 
 def _same_point(a: ScaledPoint, b: ScaledPoint) -> bool:
@@ -89,7 +91,7 @@ def run_isomorphism_suite(m: int, samples: int, seed: int = 0) -> IsomorphismSui
     # past the cap is refused before any box point or system is built. Each
     # sampler has its own seed, so the order does not change the samples.
     mixed = _mixed_sample(m, samples - samples // 2, seed + 3)
-    membership_pool = sample_box_points(m, samples // 2, seed + 2) + mixed
+    membership_pool = chain(sample_box_points(m, samples // 2, seed + 2), mixed)
     failures = []
     boxes = sample_box_points(m, samples, seed)
     for p in boxes:
@@ -107,11 +109,11 @@ def run_isomorphism_suite(m: int, samples: int, seed: int = 0) -> IsomorphismSui
     simplex_ok = simplex_image_check()
     if not simplex_ok:
         failures.append(("simplex_image", None))
-    _log_counts("isomorphism", m, len(boxes) + len(membership_pool), 2 * len(membership_pool))
+    _log_counts("isomorphism", m, 2 * samples, 2 * samples)
     return IsomorphismSuiteReport(
         leaves=m,
-        roundtrip_checked=len(boxes),
-        membership_checked=len(membership_pool),
+        roundtrip_checked=samples,
+        membership_checked=samples,
         simplex_image_ok=simplex_ok,
         failures=tuple(failures),
         passed=not failures,
@@ -220,22 +222,21 @@ def run_sampled_suites(
     p +- eps*v must pass the exact membership check, on numerators over the
     product of the point's, the step's and the direction's denominators.
     """
-    pts = _mixed_sample(m, samples, seed)
     pf, pf_failures = Counter(), []
     iw, iw_failures = Counter(), []
-    for p in pts:
+    for p in _mixed_sample(m, samples, seed):
         pt = analyze_point(p)
         _pseudo_facet_checks(pt, pf, pf_failures)
         if any(x % p.den for x in p.nums):
             iw["nonintegral"] += 1
             _interior_checks(pt, iw, iw_failures)
-    _log_counts("pseudo_facet", m, len(pts), len(pts), tight=pf["tight"])
-    _log_counts("interior", m, len(pts), iw["memberships"], iw["kernel"], iw["cycle"],
+    _log_counts("pseudo_facet", m, samples, samples, tight=pf["tight"])
+    _log_counts("interior", m, samples, iw["memberships"], iw["kernel"], iw["cycle"],
                 iw["tight"])
     counted = PseudoFacetSuiteReport._fields[2:-2]  # k_ge_omega .. cycle_configs
     return (
         PseudoFacetSuiteReport(
-            m, len(pts), *(pf[field] for field in counted), tuple(pf_failures), not pf_failures
+            m, samples, *(pf[field] for field in counted), tuple(pf_failures), not pf_failures
         ),
-        InteriorSuiteReport(m, len(pts), iw["nonintegral"], tuple(iw_failures), not iw_failures),
+        InteriorSuiteReport(m, samples, iw["nonintegral"], tuple(iw_failures), not iw_failures),
     )

@@ -17,6 +17,7 @@ read; the tuples of a VertexSet are unpacked from them.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from .errors import DimensionError, LeafCountError, ResourceCapError
@@ -93,6 +94,51 @@ def _tables(spec: GroupSpec, m: int):
     )
     last_bits = tuple(leaf_bits[m - 1][row.index(0)] for row in sums)
     return leaf_bits, sums, last_bits
+
+
+# The consistent labelings form the group G^(m-1) under leafwise +, and it
+# acts on the vertices by translation, v -> v + t: so every row valid on
+# the vertices has valid translates, and a facet's translates are facets.
+
+@lru_cache(maxsize=None)
+def translation_generators(spec: GroupSpec, m: int) -> tuple[tuple[int, ...], ...]:
+    """The (|G|-1)(m-1) consistent labelings, as tuples of m element indices,
+    that generate all the others: element h != 0 at leaf j < m-1 and -h at
+    the last leaf, every other leaf the identity."""
+    sums = _tables(spec, m)[1]
+    gens = []
+    for j in range(m - 1):
+        for h in range(1, len(sums)):
+            t = [0] * m
+            t[j] = h
+            t[m - 1] = sums[h].index(0)
+            gens.append(tuple(t))
+    return tuple(gens)
+
+
+def pull_back(spec: GroupSpec, m: int, row, t):
+    """The row a'.x <= b' whose value at every vertex v is that of the row
+    a.x <= b at v + t, for a translation t (element indices per leaf).
+
+    Coordinate (f, j) of a is a[(f-1)*m + j], and a(0, j) = 0, so a.v is
+    the sum over the leaves of a(g_j, j) for v's labeling g. Then
+    a'(f, j) = a(f + t_j, j) - a(t_j, j) and b' = b - sum_j a(t_j, j), made
+    coprime.
+    """
+    a, b = row
+    sums = _tables(spec, m)[1]
+    out = list(a)
+    for j, h in enumerate(t):
+        if h:
+            shift = a[(h - 1) * m + j]
+            b -= shift
+            for f in range(1, len(sums)):
+                e = sums[f][h]
+                out[(f - 1) * m + j] = (a[(e - 1) * m + j] if e else 0) - shift
+    g = gcd(b, *out)
+    if g > 1:
+        return tuple(x // g for x in out), b // g
+    return tuple(out), b
 
 
 def split_vertices(spec: GroupSpec, m: int, split: int, weights=None):

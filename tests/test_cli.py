@@ -607,6 +607,26 @@ def test_stats_with_f_vector(capsys):
     assert rec["outcome"] == "pass"
 
 
+@pytest.mark.parametrize("m, facets", [(6, 120), (7, 220)])
+def test_stats_hull_is_the_kimura3_system(m, facets, monkeypatch, capsys):
+    # stats takes K(m)'s hull by translation orbit; its facets are the rows
+    # of the paper's inequality system
+    hulls = []
+    hull = engine.hull_from_vertices
+
+    def kept(points, **kwargs):
+        hulls.append((kwargs, hull(points, **kwargs)))
+        return hulls[-1][1]
+
+    monkeypatch.setattr(engine, "hull_from_vertices", kept)
+    assert main(["stats", "--leaves", str(m), "--max-dim", str(3 * m)]) == 0
+    rec = last_record(capsys)
+    assert rec["facets"] == rec["kimura3_inequalities"] == str(facets)
+    ((kwargs, poly),) = hulls
+    assert kwargs == {"group": Z2Z2}
+    assert set(poly.facets) == set(halfspaces.kimura3_system(m).rows)
+
+
 def test_stats_partial_over_cap(capsys):
     assert main(["stats", "--leaves", "5"]) == 0
     rec = last_record(capsys)
@@ -1360,12 +1380,13 @@ _THEOREM_ONLY = ("clawpoly.witness", "clawpoly.suites", "clawpoly.sampling",
 # and without -v nothing imports logging
 NOT_LOADED = {
     "hrep": (["hrep", "--model", "kimura3", "--leaves", "3"],
-             _THEOREM_ONLY + ("clawpoly.engine", "logging", "json")),
+             _THEOREM_ONLY + ("clawpoly.engine", "clawpoly.orbit", "logging", "json")),
     "stats": (["stats", "--leaves", "3"], _THEOREM_ONLY + ("logging",)),
     "verify-integrality": (["verify", "integrality", "--leaves", "3"],
-                           _THEOREM_ONLY + ("logging",)),
+                           _THEOREM_ONLY + ("clawpoly.orbit", "logging")),
     "verify-containment": (["verify", "containment", "--leaves", "3"],
-                           ("clawpoly.engine", "clawpoly.suites", "clawpoly.sampling", "logging")),
+                           ("clawpoly.engine", "clawpoly.orbit", "clawpoly.suites",
+                            "clawpoly.sampling", "logging")),
     "verify-theorems": (["verify", "theorems", "--leaves", "3", "--samples", "20"],
                         ("clawpoly.engine", "logging")),
 }

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 import re
@@ -26,17 +27,19 @@ from clawpoly.engine import (
     hull_from_vertices,
     vertices_from_inequalities,
 )
+import clawpoly.orbit as orbit
 from clawpoly.errors import (
+    ConfigurationError,
     DimensionError,
     InfeasibleError,
     ResourceCapError,
     UnboundedError,
 )
-from clawpoly.groups import Z2Z2
+from clawpoly.groups import Z2, Z2Z2, GroupSpec
 from clawpoly.halfspaces import demihypercube_system, kimura3_prime_system, kimura3_system
 from clawpoly.linalg import affine_rank, kernel_vector, matrix_rank
 from clawpoly.rationals import ScaledPoint, scale_to_ints
-from clawpoly.vertices import VertexSet, generate_vertices
+from clawpoly.vertices import VertexSet, generate_vertices, pull_back
 
 
 def cone_rows_system(d, rows):
@@ -499,6 +502,93 @@ def test_dd_counts_logged_for_hull_and_vertices(caplog):
         "vertices[binary d=3]: 11 rows, 8 rays at peak, 17 candidate pairs, "
         "7 past prefilter, 7 adjacent",
     ]
+
+
+# --- hull of a claw polytope from the cone at 0 and its translates -------------
+
+Z3, Z4, Z5, Z2XZ3 = GroupSpec((3,)), GroupSpec((4,)), GroupSpec((5,)), GroupSpec((2, 3))
+
+# sha256 of repr(tuple(hull)) and the facet count of the generic hull of
+# generate_vertices(group, 4), which takes 0.8 s for z5 and 18 s for z2xz3
+# on one 2-CPU host, too long to run on every test pass
+GENERIC_HULL_M4 = {
+    "z5": (1020, "95157788206f56f496d1de9d0fed74d04eb5c935ecaca9195e8cbf61501958b1"),
+    "z2xz3": (2462, "65b5a470cef78ef47f95b6e6f8c63d656a4324896ee819e26e49f4cabee83888"),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, m",
+    [(spec, m) for spec in (Z2, Z3, Z4, Z2Z2, Z5, Z2XZ3) for m in (3, 4)
+     if not (m == 4 and spec.name() in GENERIC_HULL_M4)] + [(Z2Z2, 5)],
+    ids=lambda x: getattr(x, "name", lambda: str(x))(),
+)
+def test_orbit_hull_equals_generic_hull(spec, m):
+    # same facets, equations, incidence and vertices
+    vs = generate_vertices(spec, m)
+    assert hull_from_vertices(vs, group=spec) == hull_from_vertices(vs)
+
+
+@pytest.mark.parametrize("spec", [Z5, Z2XZ3], ids=GroupSpec.name)
+def test_orbit_hull_matches_recorded_generic_hull(spec):
+    poly = hull_from_vertices(generate_vertices(spec, 4), group=spec)
+    digest = hashlib.sha256(repr(tuple(poly)).encode()).hexdigest()
+    assert (len(poly.facets), digest) == GENERIC_HULL_M4[spec.name()]
+
+
+def test_orbit_hull_logs_its_cone_and_orbit():
+    with _engine_log() as lines:
+        poly = hull_from_vertices(generate_vertices(Z2Z2, 5), group=Z2Z2)
+    assert len(poly.facets) == 68
+    assert [line for line in lines if "row " not in line] == [
+        "hull cone[d=15 points=256]: 255 rows, 99 rays at peak, 12760 candidate pairs, "
+        "2429 past prefilter, 336 adjacent",
+        "hull cone[d=15 points=256]: 1-byte lanes, 6 column rebuilds (6 renumber, 0 widen)",
+        "hull cone[d=15 points=256]: 897 pairs walked, 14188 walk steps, "
+        "1532 settled by a cached witness",
+        "hull cone[d=15 points=256]: 321 violating rays, 321 counted per partner, "
+        "0 by bit-sliced counters",
+        "hull orbit[d=15 points=256]: 30 facets at the origin, 12 generators, "
+        "816 pull-backs, 68 facets",
+    ]
+
+
+def _not_k3(pts):
+    """Point sets close to K(3)'s vertices, each refused as a K(3) of Z2Z2."""
+    return {
+        "vertex-missing": pts[1:],
+        "interior-point": pts + [tuple(Fraction(1, 4) for _ in range(9))],
+        "translated": [tuple(x + 1 for x in p) for p in pts],
+        "doubled": [tuple(2 * x for x in p) for p in pts],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_not_k3([(0,) * 9])))
+def test_orbit_hull_refuses_other_point_sets(case):
+    pts = _not_k3(list(generate_vertices(Z2Z2, 3).points))[case]
+    with pytest.raises(ConfigurationError, match="not the vertices of its claw polytope"):
+        hull_from_vertices(pts, group=Z2Z2)
+
+
+@pytest.mark.parametrize(
+    "spec, pts",
+    [(Z4, generate_vertices(Z2Z2, 3)), (Z3, generate_vertices(Z2Z2, 3)),
+     (Z2, generate_vertices(Z2Z2, 3)), (Z2, [(0, 0), (1, 1)])],
+    ids=["z4", "z3-dimension", "z2-m9", "z2-m2"],
+)
+def test_orbit_hull_refuses_another_groups_points(spec, pts):
+    with pytest.raises(ConfigurationError, match="not the vertices of its claw polytope"):
+        hull_from_vertices(pts, group=spec)
+
+
+def test_orbit_row_cutting_off_a_vertex_is_flagged(monkeypatch):
+    # pull-backs without the right-hand side's shift are not valid rows
+    def unshifted(spec, m, row, t):
+        return pull_back(spec, m, row, t)[0], row[1]
+
+    monkeypatch.setattr(orbit, "pull_back", unshifted)
+    with pytest.raises(ConfigurationError, match="cuts off a vertex"):
+        hull_from_vertices(generate_vertices(Z2Z2, 4), group=Z2Z2)
 
 
 # --- vertex enumeration ----------------------------------------------------------

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -17,22 +19,22 @@ from clawpoly.sampling import (
 
 
 def test_same_seed_same_points():
-    a = sample_prime_points(3, 20, seed=5)
-    b = sample_prime_points(3, 20, seed=5)
+    a = list(sample_prime_points(3, 20, seed=5))
+    b = list(sample_prime_points(3, 20, seed=5))
     assert a == b
-    c = sample_prime_points(3, 20, seed=6)
+    c = list(sample_prime_points(3, 20, seed=6))
     assert a != c
 
 
 def test_segment_sampler_deterministic():
-    a = sample_prime_segment_points(4, 15, seed=1)
-    b = sample_prime_segment_points(4, 15, seed=1)
+    a = list(sample_prime_segment_points(4, 15, seed=1))
+    b = list(sample_prime_segment_points(4, 15, seed=1))
     assert a == b
 
 
 def test_box_sampler_deterministic():
-    a = sample_box_points(3, 30, seed=2)
-    assert a == sample_box_points(3, 30, seed=2)
+    a = list(sample_box_points(3, 30, seed=2))
+    assert a == list(sample_box_points(3, 30, seed=2))
 
 
 def test_prime_samples_are_members():
@@ -79,3 +81,22 @@ def test_samplers_refuse_above_generation_cap(monkeypatch):
     for sampler in (sample_prime_points, sample_prime_segment_points):
         with pytest.raises(ResourceCapError, match="16 vertices exceeds the generation cap 4"):
             sampler(3, 1)
+
+
+def test_samples_are_drawn_lazily():
+    # at most a block of 64 points is held: 5,000 points of about 0.2 KB
+    # each pass through under 50 KB, and each pass draws the same points
+    sample = sample_box_points(3, 5_000, seed=4)
+    assert len(sample) == 5_000
+    first = list(islice(sample, 50))
+    # a first pass fills the interpreter's free lists (about 0.2 MB of tuples)
+    assert sum(1 for _ in islice(sample, 2_500)) == 2_500
+    tracemalloc.start()
+    try:
+        drawn = sum(1 for _ in sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drawn == 5_000
+    assert peak < 50_000
+    assert list(islice(sample, 50)) == first == list(sample_box_points(3, 50, seed=4))

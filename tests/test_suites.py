@@ -124,7 +124,7 @@ def test_suite_reports_pinned(m, seed, n, caplog):
         f"interior m={m}: {n} points, {memberships} membership evaluations, "
         f"{kernel} kernel witnesses, {cycle} cycle witnesses, {iw_tight} tight subsets",
     ]
-    pts = _mixed_sample(m, n, seed) + sample_box_points(m, n, seed)
+    pts = [*_mixed_sample(m, n, seed), *sample_box_points(m, n, seed)]
     assert _sha256_lines(" ".join(map(fmt, p.values())) for p in pts) == points_sha
 
 

@@ -1,4 +1,6 @@
+import random
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -8,6 +10,7 @@ from clawpoly.groups import (
     Z2Z2,
     GroupElement,
     GroupSpec,
+    add,
     element,
     embed,
     group_elements,
@@ -17,7 +20,9 @@ from clawpoly.groups import (
 from clawpoly.vertices import (
     Labeling,
     generate_vertices,
+    pull_back,
     split_vertices,
+    translation_generators,
     vertex_at,
     vertex_masks,
 )
@@ -183,3 +188,80 @@ def test_split_vertices_joins_to_the_vertex_order(spec, m):
         weighted_heads, weighted = split_vertices(spec, m, split, weights)
         assert weighted_heads == heads
         assert [weigh(x) + y for x, s in heads for y in weighted[s]] == list(map(weigh, masks))
+
+
+# --- translations ------------------------------------------------------------------
+
+CLAW_GROUPS = [Z2, GroupSpec((3,)), GroupSpec((4,)), Z2Z2, GroupSpec((5,)), GroupSpec((2, 3))]
+
+
+def _point(spec, m, labeling):
+    """The flat vertex of a labeling given as element indices, from embed."""
+    cols = [embed(spec, group_elements(spec)[e]) for e in labeling]
+    return tuple(cols[j][r] for r in range(spec.size - 1) for j in range(m))
+
+
+def _vertex_points(spec, m):
+    """{labeling: vertex} for the consistent labelings, as element indices,
+    and the vertices of generate_vertices are exactly their points."""
+    elements = group_elements(spec)
+    points = {
+        g: _point(spec, m, g) for g in product(range(spec.size), repeat=m)
+        if group_sum(spec, [elements[e] for e in g]) == identity(spec)
+    }
+    assert sorted(points.values()) == sorted(generate_vertices(spec, m).points)
+    return points
+
+
+def _dot(a, v):
+    return sum(x * y for x, y in zip(a, v))
+
+
+def _adder(spec):
+    """(g, t) -> g + t leafwise, on element indices, from groups.add."""
+    elements = group_elements(spec)
+    table = [[elements.index(add(spec, x, y)) for y in elements] for x in elements]
+    return lambda g, t: tuple(table[x][y] for x, y in zip(g, t))
+
+
+@pytest.mark.parametrize("spec", CLAW_GROUPS, ids=lambda spec: spec.name())
+@pytest.mark.parametrize("m", [3, 4])
+def test_pull_back_is_the_row_at_the_translate(spec, m):
+    # row'(v) = row(v + t) for every vertex v and generator t, v + t added
+    # leafwise with groups.add; a coprime row pulls back to a coprime row
+    rng = random.Random(spec.size * 10 + m)
+    d = (spec.size - 1) * m
+    rows = []
+    while len(rows) < 4:
+        a = tuple(rng.randint(-3, 3) for _ in range(d))
+        b = rng.randint(-4, 4)
+        if gcd(b, *a) == 1:
+            rows.append((a, b))
+    points = _vertex_points(spec, m)
+    translate = _adder(spec)
+    for (a, b), t in product(rows, translation_generators(spec, m)):
+        a2, b2 = pull_back(spec, m, (a, b), t)
+        for g, v in points.items():
+            assert _dot(a2, v) - b2 == _dot(a, points[translate(g, t)]) - b
+        assert pull_back(spec, m, (tuple(2 * x for x in a), 2 * b), t) == (a2, b2)
+
+
+@pytest.mark.parametrize("spec", CLAW_GROUPS, ids=lambda spec: spec.name())
+@pytest.mark.parametrize("m", [3, 4])
+def test_generators_reach_every_vertex_from_zero(spec, m):
+    gens = translation_generators(spec, m)
+    assert len(gens) == (spec.size - 1) * (m - 1)
+    elements = group_elements(spec)
+    for t in gens:
+        assert group_sum(spec, [elements[e] for e in t]) == identity(spec)
+    translate = _adder(spec)
+    reached = {(0,) * m}
+    frontier = list(reached)
+    for g in frontier:
+        for t in gens:
+            h = translate(g, t)
+            if h not in reached:
+                reached.add(h)
+                frontier.append(h)
+    assert reached == set(_vertex_points(spec, m))
+

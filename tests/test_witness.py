@@ -444,7 +444,8 @@ def _flat_points(draw):
     m = draw(st.integers(min_value=3, max_value=6))
     if draw(st.booleans()):
         sampler = draw(st.sampled_from([sample_prime_points, sample_prime_segment_points]))
-        return sampler(m, 1, draw(st.integers(min_value=0, max_value=10 ** 6)))[0].values()
+        (p,) = sampler(m, 1, draw(st.integers(min_value=0, max_value=10 ** 6)))
+        return p.values()
     return tuple(draw(st.lists(_line_values, min_size=3 * m, max_size=3 * m)))
 
 
@@ -478,7 +479,7 @@ def test_line_tight_subsets_on_sampled_lines():
 )
 def test_step_bounds_match_fraction_reference(m, seed, kind, data):
     sys_ = kimura3_prime_system(m)
-    p = sample_prime_points(m, 1, seed)[0]
+    (p,) = sample_prime_points(m, 1, seed)
     flat = p.values()
     if kind == "one-row":
         # coordinate t zeroed in every row but row j: the direction along t moves row j
