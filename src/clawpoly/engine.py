@@ -11,8 +11,8 @@ reduce to one cone computation:
   {y : y.(1, v_i) <= 0}; extreme rays are facets, lineality is the
   affine hull.
 * hull of a claw polytope, given its group: the cone {a : a.v_i <= 0} at
-  vertex 0 gives the facets through 0, and their translates are all the
-  facets (see ``orbit``).
+  vertex 0 gives the facets through 0; their translates are all the
+  facets, and the points are the vertices (see ``orbit``).
 
 Each direction inserts its rows in one fixed order. Vertices use
 _insertion_key: fewest nonzero entries first, ties lexicographically
@@ -80,7 +80,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DimensionError, InfeasibleError, InfoLog, UnboundedError, check_dimension
-from .lanes import bits, lane_signs, pack_lanes
+from .lanes import bits, byte_width, lane_signs, pack_lanes
 from .rationals import ScaledPoint, canon, scale_to_ints
 from .vertices import VertexSet
 
@@ -157,7 +157,7 @@ def _lane_layout(big, norm_bits):
     row a and ray r. The width steps by whole bytes, so each widening grows
     the shift at least 256-fold.
     """
-    width = -(-(big.bit_length() + 1 + norm_bits) // 8) * 8
+    width = byte_width(big << norm_bits)
     return width, 1 << (width - 1 - norm_bits)
 
 
@@ -489,9 +489,9 @@ def hull_from_vertices(points, group=None) -> PolytopeDD:
     minimal face has a second vertex, and that vertex is an input point.
 
     With a GroupSpec group, the points must be exactly the vertices of
-    generate_vertices(group, m) for some m (else ConfigurationError), and
-    the facets come from the cone at vertex 0 and its translates
-    (orbit.orbit_facets); the output is the same.
+    generate_vertices(group, m) for some m (else ConfigurationError). Being
+    0/1 points, they are all vertices, and orbit.orbit_facets gives the
+    facets and incidence from the cone at vertex 0; the output is the same.
     """
     if hasattr(points, "points"):
         pts = list(points.points)
@@ -507,25 +507,17 @@ def hull_from_vertices(points, group=None) -> PolytopeDD:
         # loaded only here, so that commands taking no such hull never load it
         from .orbit import orbit_facets
 
-        order = range(len(pts))  # row -> point
-        facets, row_masks = orbit_facets(pts, group)
-        equations = ()  # a claw polytope is full-dimensional
-    else:
-        order = _face_first_order(pts)
-        lines, rays = _dd_cone(
-            [scale_to_ints((1,) + pts[i]).nums for i in order], d + 1,
-            f"hull[d={d} points={len(pts)}]",
-        )
-        facet_rays = []
-        for y, mask in rays:
-            a = y[1:]
-            if any(a):
-                # the full ray (-b, a) is already coprime
-                facet_rays.append(((tuple(a), -y[0]), mask))
-        facet_rays.sort()
-        facets = [f for f, _ in facet_rays]
-        equations = sorted(_canonical_equation(l[1:], -l[0]) for l in lines)
-        row_masks = [mask for _, mask in facet_rays]  # per facet: the rows tight on it
+        facets, incidence = orbit_facets(pts, group)  # full-dimensional: no equations
+        return PolytopeDD(d, tuple(pts), tuple(facets), (), tuple(incidence))
+    order = _face_first_order(pts)
+    lines, rays = _dd_cone(
+        [scale_to_ints((1,) + pts[i]).nums for i in order], d + 1,
+        f"hull[d={d} points={len(pts)}]",
+    )
+    # the full ray (-b, a) is already coprime
+    facet_rays = sorted(((tuple(y[1:]), -y[0]), mask) for y, mask in rays if any(y[1:]))
+    facets = [f for f, _ in facet_rays]
+    row_masks = [mask for _, mask in facet_rays]  # per facet: the rows tight on it
     on_facets = [0] * len(pts)  # per point: bitmask of the facets through it
     vertex_ids = []
     every_row = (1 << len(pts)) - 1
@@ -542,7 +534,7 @@ def hull_from_vertices(points, group=None) -> PolytopeDD:
         dimension=d,
         vertices=tuple(pts[i] for i in vertex_ids),
         facets=tuple(facets),
-        equations=tuple(equations),
+        equations=tuple(sorted(_canonical_equation(l[1:], -l[0]) for l in lines)),
         incidence=tuple(incidence),
     )
 

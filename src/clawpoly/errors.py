@@ -40,8 +40,9 @@ class IntegralPointError(ClawpolyError):
 
 class ConfigurationError(ClawpolyError):
     """A CLI usage error (--samples below 1, a missing --labeling or
-    --point, a bad labeling token), or a witness direction that escapes a
-    bounded polytope (an internal error)."""
+    --point, a bad labeling token), a group hull of points not its claw
+    polytope's vertices, or an internal error: a witness direction that
+    escapes a bounded polytope, or an orbit facet that cuts off a vertex."""
 
 
 class ResourceCapError(ClawpolyError):

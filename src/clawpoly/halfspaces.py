@@ -41,7 +41,7 @@ from .errors import (
     ResourceCapError,
     UnsupportedGroupError,
 )
-from .lanes import bits, lane_signs, pack_lanes
+from .lanes import bits, byte_width, lane_signs, pack_lanes
 from .rationals import ScaledPoint
 
 
@@ -198,7 +198,7 @@ class InequalitySystem:
         """
         norm, rhs = self._row_bounds
         reach = norm * max(map(abs, nums), default=0) + rhs * den
-        width = -(-(reach.bit_length() + 1) // 8) * 8
+        width = byte_width(reach)
         offset, rhs_lanes, cols, _ = self._membership_lanes(width)
         acc = offset - den * rhs_lanes
         for x, col in zip(nums, cols):

@@ -24,6 +24,11 @@ def _mask(flags: bytes) -> int:
     return int(flags[::-1] or b"0", 2)
 
 
+def byte_width(reach: int) -> int:
+    """The least whole-byte width W with 2^(W - 1) + v in [1, 2^W) for all |v| <= reach."""
+    return -(-(reach.bit_length() + 1) // 8) * 8
+
+
 def pack_lanes(values, width: int) -> int:
     """The int whose width-bit lane k holds values[k], each in [0, 2^width).
 

@@ -24,20 +24,20 @@ from __future__ import annotations
 
 from .engine import _dd_cone, _insertion_key, log
 from .errors import ConfigurationError
-from .lanes import lane_signs, pack_lanes
+from .lanes import byte_width, lane_signs, pack_lanes
 from .vertices import generate_vertices, pull_back, translation_generators
 
 
 def orbit_facets(pts, group):
-    """(facets, tight point masks) of the claw polytope whose vertices are
-    exactly pts, sorted, from the cone at vertex 0.
+    """(facets, incidence) of the claw polytope whose vertices are exactly
+    pts, sorted, from the cone at vertex 0, as PolytopeDD holds them.
 
     The facets through 0 are the rays of the DD on the rows v - 0 = v, in
     _insertion_key order. The translations act transitively on the vertices
     and map facets to facets, so every facet is a translate of one through
     0: the rays' orbit under translation_generators, by pull_back, breadth
-    first. One lane evaluation of a facet over every point gives its tight
-    points and certifies it: a point above it is an internal error.
+    first. One lane evaluation of a facet over all points gives its incidence
+    and certifies it: a point above it is an internal error.
 
     The cone has no lines, as the polytope is full-dimensional (module
     docstring), so the rays are the facets' normals.
@@ -68,7 +68,7 @@ def orbit_facets(pts, group):
     facets.sort()
     # lane k of cols[i] holds pts[k][i], so lane k of a row's sum is a . pts[k] - b
     norm = max(sum(map(abs, a)) + abs(b) for a, b in facets)
-    width = -(-(norm.bit_length() + 1) // 8) * 8
+    width = byte_width(norm)
     cols = [pack_lanes([p[i] for p in pts], width) for i in range(d)]
     ones = pack_lanes([1] * len(pts), width)
     masks = []

@@ -2,10 +2,12 @@ import hashlib
 import logging
 import random
 import re
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from conftest import hull_system, system_from_rows
@@ -27,6 +29,7 @@ from clawpoly.engine import (
     hull_from_vertices,
     vertices_from_inequalities,
 )
+import clawpoly.engine as engine
 import clawpoly.orbit as orbit
 from clawpoly.errors import (
     ConfigurationError,
@@ -589,6 +592,51 @@ def test_orbit_row_cutting_off_a_vertex_is_flagged(monkeypatch):
     monkeypatch.setattr(orbit, "pull_back", unshifted)
     with pytest.raises(ConfigurationError, match="cuts off a vertex"):
         hull_from_vertices(generate_vertices(Z2Z2, 4), group=Z2Z2)
+
+
+@pytest.mark.parametrize(
+    "spec, m",
+    [(Z2Z2, m) for m in (3, 4, 5)] + [(Z3, m) for m in (3, 4)] + [(Z2, m) for m in range(3, 7)],
+    ids=lambda x: getattr(x, "name", lambda: str(x))(),
+)
+def test_orbit_hull_is_its_points_and_their_tight_sets(spec, m):
+    # brute force: the vertices are the sorted input, incidence[f] the points on facet f
+    vs = generate_vertices(spec, m)
+    poly = hull_from_vertices(vs, group=spec)
+    assert poly.vertices == tuple(sorted(vs.points))
+    assert poly.equations == ()
+    assert len(poly.incidence) == len(poly.facets)
+    for (a, b), mask in zip(poly.facets, poly.incidence):
+        values = [sum(map(mul, a, p)) for p in poly.vertices]
+        assert max(values) == b
+        assert mask == sum(1 << k for k, v in enumerate(values) if v == b)
+
+
+# K(m): facets and tight (facet, vertex) pairs, past m=5 too slow for the generic hull
+K_INCIDENCE = {5: (68, 7_680), 6: (120, 36_864), 7: (220, 172_032)}
+
+
+@pytest.mark.parametrize("m", sorted(K_INCIDENCE))
+def test_orbit_hull_tight_pairs(m):
+    poly = hull_from_vertices(generate_vertices(Z2Z2, m), group=Z2Z2)
+    pairs = sum(mask.bit_count() for mask in poly.incidence)
+    assert (len(poly.facets), pairs) == K_INCIDENCE[m]
+
+
+def test_orbit_hull_runs_no_vertex_test(monkeypatch):
+    # the cone transposes its own masks; nothing else may on the group path
+    outside = []
+
+    def counted(masks, nbits):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "_dd_cone":
+            outside.append(caller)
+        return _transpose(masks, nbits)
+
+    monkeypatch.setattr(engine, "_transpose", counted)
+    poly = hull_from_vertices(generate_vertices(Z2Z2, 5), group=Z2Z2)
+    assert len(poly.facets) == 68
+    assert outside == []
 
 
 # --- vertex enumeration ----------------------------------------------------------

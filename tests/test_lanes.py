@@ -1,9 +1,10 @@
 """lanes: the byte-level lane reads and packing against per-lane references."""
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from clawpoly.lanes import lane_signs, pack_lanes
+from clawpoly.lanes import byte_width, lane_signs, pack_lanes
 
 
 @st.composite
@@ -47,3 +48,15 @@ def packed_lanes(draw):
 def test_pack_lanes_matches_shifted_sum(case):
     values, width = case
     assert pack_lanes(values, width) == sum(v << k * width for k, v in enumerate(values))
+
+
+@pytest.mark.parametrize(
+    "reach, width", [(0, 8), (127, 8), (128, 16), ((1 << 15) - 1, 16), (1 << 15, 24)],
+)
+def test_byte_width_keeps_every_lane_in_range(reach, width):
+    # the least whole-byte width with 2^(width - 1) - reach >= 1 and
+    # 2^(width - 1) + reach < 2^width
+    assert byte_width(reach) == width
+    half = 1 << (width - 1)
+    assert 1 <= half - reach and half + reach < 1 << width
+    assert width == 8 or reach >= 1 << (width - 9)

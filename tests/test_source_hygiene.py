@@ -29,6 +29,11 @@ One point form: a point enters the package once, through
 rationals.scale_to_ints, which only cli (reading a V-file) and engine
 (building the hull's integer rows) call; every check reads the ScaledPoint
 it is given.
+
+No option only tests turn on: every parameter with a default, of every
+function in the package, is passed by keyword or by position in some call,
+in src code outside that function's own definition or in bench/tasks.py.
+cli.main's argv, the console entry point's, is exempt.
 """
 
 import ast
@@ -57,13 +62,18 @@ SPAN_WRAPPED = ("linalg.kernel_vector", "linalg.affine_rank",
                 "halfspaces.InequalitySystem.tight_set")
 
 
+def _bench_tasks():
+    """The parsed bench/tasks.py, the code the benchmark runs."""
+    path = ROOT / "bench" / "tasks.py"
+    return ast.parse(path.read_text(), str(path))
+
+
 def _bench_task_names():
     """Identifiers, attribute names and dotted string parts in
-    bench/tasks.py, the code the benchmark runs; it also names functions in
-    strings ("sampling.sample_box_points")."""
-    path = ROOT / "bench" / "tasks.py"
+    bench/tasks.py; it also names functions in strings
+    ("sampling.sample_box_points")."""
     out = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(_bench_tasks()):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -260,6 +270,63 @@ def _scale_calls(modules):
     return _calls(modules, ("scale_to_ints",), ("cli", "engine"))
 
 
+def _defaulted_parameters(func, method):
+    """(name, position) of each parameter of a def that has a default; the
+    position counts the arguments a call passes (self or cls excluded), None
+    for a keyword-only one."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    skip = 1 if method and positional else 0
+    found = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    found += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _functions(tree):
+    """(name, def, is_method) for every function under a tree; a method's
+    name is 'Class.method'."""
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not isinstance(node, ast.ClassDef):
+                    yield child.name, child, False
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                yield f"{node.name}.{child.name}", child, not static
+
+
+def _passes(call, name, position):
+    """Whether a call passes the parameter by keyword (or **) or by position."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _unpassed_defaults(modules, bench):
+    """'module.function(param)' for each defaulted parameter that no call
+    outside its own definition passes; bench is the parsed bench/tasks.py."""
+    calls = [node for tree in [*modules.values(), bench] for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    found = []
+    for name, tree in modules.items():
+        for qualname, func, method in _functions(tree):
+            label = f"{name}.{qualname}"
+            own = {id(node) for node in ast.walk(func)}
+            callers = [call for call in calls if id(call) not in own
+                       and (getattr(call.func, "id", None)
+                            or getattr(call.func, "attr", None)) == func.name]
+            found += [
+                f"{label}({param})" for param, position in _defaulted_parameters(func, method)
+                if (label, param) != ("cli.main", "argv")
+                and not any(_passes(call, param, position) for call in callers)
+            ]
+    return found
+
+
 def test_imports_are_stdlib_or_clawpoly():
     init = SRC / "__init__.py"
     trees = {**_modules(), "__init__": ast.parse(init.read_text(), str(init))}
@@ -411,3 +478,26 @@ def test_checks_catch_a_second_scaling():
     cli = ast.parse("def read(p):\n    return scale_to_ints(p)\n")
     witness = ast.parse("from .rationals import scale_to_ints\n\nSCALE = scale_to_ints\n")
     assert _scale_calls({"cli": cli, "engine": cli, "witness": witness}) == []
+
+
+def test_every_default_is_passed_somewhere():
+    assert _unpassed_defaults(_modules(), _bench_tasks()) == []
+
+
+def test_checks_catch_a_test_only_option():
+    engine = ast.parse(
+        "def hull(points, group=None, *, fast=False, trace=None):\n"
+        "    return hull(points, fast=True)\n\n\n"
+        "class Cone:\n    def run(self, rows, limit=10):\n        return rows\n\n"
+        "    @staticmethod\n    def build(rows, limit=10):\n        return Cone()\n\n\n"
+        "def stats(pts):\n    return hull(pts, 'z2z2'), Cone.build(pts, 3), Cone().run(pts)\n"
+    )
+    # a call inside its own definition is no caller; self is not a position
+    assert _unpassed_defaults({"engine": engine}, ast.parse("")) == [
+        "engine.hull(fast)", "engine.hull(trace)", "engine.Cone.run(limit)",
+    ]
+    # a keyword, a ** mapping or a bench task's call is enough; cli.main's argv is exempt
+    suites = ast.parse("def go(pts, opts):\n    return hull(pts, fast=True), Cone().run(**opts)\n")
+    bench = ast.parse("engine.hull([], trace=print)\n")
+    cli = ast.parse("def main(argv=None):\n    return 0\n")
+    assert _unpassed_defaults({"engine": engine, "suites": suites, "cli": cli}, bench) == []
