@@ -13,11 +13,13 @@ written), 2 usage or precondition error, 3 resource cap.
 Every command runs as a fresh process, so each handler imports the modules
 only it calls: the module level holds what vrep, hrep and transform share
 (errors, fileio, groups, halfspaces, rationals, vertices). engine is loaded
-by verify equality|integrality and stats, witness by verify containment and
-witness, suites (with sampling) by verify theorems, coordchange by
-transform, witness interior and the suites. Only main imports logging, and
-only under -v; engine and suites log through errors.InfoLog, which sends
-nothing until logging is loaded.
+by verify equality|integrality and stats, and loads orbit for the two
+that pass it a group, stats and verify integrality (verify equality stays
+the independent DD route); witness by verify containment and witness,
+suites (with sampling) by verify theorems, coordchange by transform,
+verify integrality, witness interior and the suites. Only main imports
+logging, and only under -v; engine and suites log through errors.InfoLog,
+which sends nothing until logging is loaded.
 """
 
 from __future__ import annotations
@@ -235,17 +237,25 @@ def _verify_equality(args):
 
 
 def _verify_integrality(args):
+    from .coordchange import prime_system_in_standard, to_prime_scaled
     from .engine import vertices_from_inequalities
 
-    check_dimension(3 * args.leaves, args.max_dim)
+    m = args.leaves
+    check_dimension(3 * m, args.max_dim)
+    # both systems go in on standard coordinates, where the vertices are
+    # certified by symmetry; kimura3-prime's come back through the map
+    kimura3 = vertices_from_inequalities(
+        model_system("kimura3", m), max_dim=args.max_dim, group=Z2Z2)
+    mapped = vertices_from_inequalities(
+        prime_system_in_standard(m), max_dim=args.max_dim, group=Z2Z2)
+    prime = sorted(to_prime_scaled(scale_to_ints(p)).values() for p in mapped.points)
     counts = []
     lines = []
-    for model in ("kimura3", "kimura3-prime"):
-        vs = vertices_from_inequalities(model_system(model, args.leaves), max_dim=args.max_dim)
-        counts.append((model.replace("-", "_") + "_vertices", len(vs.points)))
+    for model, points in (("kimura3", kimura3.points), ("kimura3-prime", prime)):
+        counts.append((model.replace("-", "_") + "_vertices", len(points)))
         lines += [
             record_line([("counterexample", "integrality"), ("model", model), ("point", pt)])
-            for pt in vs.points
+            for pt in points
             if not all(is_integral(x) for x in pt)
         ]
     return counts + [("violations", len(lines))], lines

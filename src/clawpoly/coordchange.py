@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import add
 
 from .errors import DimensionError
-from .halfspaces import model_system
+from .halfspaces import InequalitySystem, model_system
 from .rationals import ScaledPoint
 
 
@@ -24,6 +24,15 @@ def prime_flat(flat, m: int) -> list:
     rationals: rows (r1+r2, r1+r3, r2+r3), flattened."""
     r1, r2, r3 = flat[:m], flat[m:2 * m], flat[2 * m:]
     return [*map(add, r1, r2), *map(add, r1, r3), *map(add, r2, r3)]
+
+
+def prime_system_in_standard(m: int) -> InequalitySystem:
+    """kimura3-prime's system on standard coordinates: y = T x with T the
+    forward map, which is symmetric per column, so the row a.y <= b reads
+    (T a).x <= b. The rows keep their order and tags."""
+    prime = model_system("kimura3-prime", m)
+    rows = [(prime_flat(a, m), b) for a, b in prime.rows]
+    return InequalitySystem(prime.model, prime.shape, rows, prime.families)
 
 
 def _backward(flat, m: int) -> list:

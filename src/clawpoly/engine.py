@@ -13,6 +13,11 @@ reduce to one cone computation:
 * hull of a claw polytope, given its group: the cone {a : a.v_i <= 0} at
   vertex 0 gives the facets through 0; their translates are all the
   facets, and the points are the vertices (see ``orbit``).
+* vertices of a claw polytope, given its group: the cone {x : a.x <= 0}
+  of the rows with b = 0 gives the edges from vertex 0. When every b >= 0,
+  the rows are invariant under translation and every edge from 0 ends at
+  a generated vertex, the generated vertices are the vertices; else the
+  first bullet runs (see ``orbit``).
 
 Each direction inserts its rows in one fixed order. Vertices use
 _insertion_key: fewest nonzero entries first, ties lexicographically
@@ -243,7 +248,7 @@ def _dd_cone(rows, n, label):
     # transposed incidence: bit k of tight_on[i] is set iff ray k is tight on row i
     tight_on = [0] * len(rows)
     # coordinates as lanes: lane k of cols[j] holds vecs[k][j] + shift
-    norm_bits = max(max(sum(map(abs, a)) for a in rows), 1).bit_length()
+    norm_bits = max([1, *(sum(map(abs, a)) for a in rows)]).bit_length()
     width, shift = _lane_layout(1, norm_bits)
     cols = [0] * n
     peak = candidates = prefiltered = adjacent_pairs = rebuilds = renumbers = widens = 0
@@ -441,15 +446,27 @@ class EqualityReport(NamedTuple):
     checked_b: int
 
 
-def vertices_from_inequalities(system, max_dim=None) -> VertexSet:
+def vertices_from_inequalities(system, max_dim=None, group=None) -> VertexSet:
     """Exact vertex enumeration of a bounded InequalitySystem.
 
     The dimension cap defaults to 12 and is overridden by max_dim or the
     CLAWPOLY_MAX_DIM environment variable. The run logs its progress per
     inserted row and a summary of the DD counts at INFO level.
+
+    With a GroupSpec group, orbit.orbit_vertices first tries to certify that
+    the vertices are those of generate_vertices(group, m), from the cone at
+    vertex 0 alone; if a check fails, the generic run below follows, so the
+    output is the same for every system.
     """
     d = system.dimension
     check_dimension(d, max_dim)
+    if group is not None:
+        # loaded only here, so that commands taking no such run never load it
+        from .orbit import orbit_vertices
+
+        points = orbit_vertices(system, group)
+        if points is not None:
+            return VertexSet(dimension=d, shape=system.shape, points=tuple(points))
     rows = system.homogenized_rows()
     rows.sort(key=_insertion_key)
     structural = tuple([-1] + [0] * d)

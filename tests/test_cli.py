@@ -346,6 +346,16 @@ def test_verify_integrality_m6(capsys):
     assert rec["outcome"] == "pass"
 
 
+def test_verify_integrality_m7(capsys):
+    # the certificate by symmetry; the double description of either system takes 12 s
+    assert main(["verify", "integrality", "--leaves", "7", "--max-dim", "21"]) == 0
+    rec = last_record(capsys)
+    assert rec["kimura3_vertices"] == "4096"
+    assert rec["kimura3_prime_vertices"] == "4096"
+    assert rec["violations"] == "0"
+    assert rec["outcome"] == "pass"
+
+
 def test_verify_equality_m6(capsys):
     assert main(["verify", "equality", "--leaves", "6", "--max-dim", "18"]) == 0
     rec = last_record(capsys)
@@ -1382,8 +1392,13 @@ NOT_LOADED = {
     "hrep": (["hrep", "--model", "kimura3", "--leaves", "3"],
              _THEOREM_ONLY + ("clawpoly.engine", "clawpoly.orbit", "logging", "json")),
     "stats": (["stats", "--leaves", "3"], _THEOREM_ONLY + ("logging",)),
+    # integrality certifies its vertices by symmetry, on kimura3-prime through the map
     "verify-integrality": (["verify", "integrality", "--leaves", "3"],
-                           _THEOREM_ONLY + ("clawpoly.orbit", "logging")),
+                           ("clawpoly.witness", "clawpoly.suites", "clawpoly.sampling",
+                            "logging")),
+    # equality stays the independent double description route
+    "verify-equality": (["verify", "equality", "--leaves", "3"],
+                        _THEOREM_ONLY + ("clawpoly.orbit", "logging")),
     "verify-containment": (["verify", "containment", "--leaves", "3"],
                            ("clawpoly.engine", "clawpoly.orbit", "clawpoly.suites",
                             "clawpoly.sampling", "logging")),

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from clawpoly.coordchange import (
     from_prime_scaled,
     point_rows,
+    prime_system_in_standard,
     simplex_image_check,
     to_prime_scaled,
 )
 from clawpoly.errors import DimensionError
+from clawpoly.engine import vertices_from_inequalities
 from clawpoly.groups import Z2Z2, element, embed
+from clawpoly.halfspaces import kimura3_prime_system
 from clawpoly.rationals import ScaledPoint, scale_to_ints
 from clawpoly.vertices import Labeling, generate_vertices
 
@@ -93,3 +96,15 @@ def test_roundtrip_both_ways(cols):
     p = _rows_point([[c[i] for c in cols] for i in range(3)])
     assert from_prime_scaled(to_prime_scaled(p)).values() == p.values()
     assert to_prime_scaled(from_prime_scaled(p)).values() == p.values()
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_prime_system_in_standard_coordinates(m, request):
+    # same rows in number, order and tags; vertices mapped forward are the prime ones
+    prime = kimura3_prime_system(m)
+    std = prime_system_in_standard(m)
+    assert (std.model, std.shape, std.families) == (prime.model, prime.shape, prime.families)
+    assert [b for _, b in std.rows] == [b for _, b in prime.rows]
+    mapped = sorted(to_prime_scaled(scale_to_ints(p)).values()
+                    for p in vertices_from_inequalities(std).points)
+    assert tuple(mapped) == request.getfixturevalue(f"prime{m}_vertices").points

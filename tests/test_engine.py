@@ -14,7 +14,7 @@ from conftest import hull_system, system_from_rows
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from clawpoly.coordchange import to_prime_scaled
+from clawpoly.coordchange import prime_system_in_standard, to_prime_scaled
 from clawpoly.engine import (
     FVector,
     PolytopeDD,
@@ -39,7 +39,12 @@ from clawpoly.errors import (
     UnboundedError,
 )
 from clawpoly.groups import Z2, Z2Z2, GroupSpec
-from clawpoly.halfspaces import demihypercube_system, kimura3_prime_system, kimura3_system
+from clawpoly.halfspaces import (
+    InequalitySystem,
+    demihypercube_system,
+    kimura3_prime_system,
+    kimura3_system,
+)
 from clawpoly.linalg import affine_rank, kernel_vector, matrix_rank
 from clawpoly.rationals import ScaledPoint, scale_to_ints
 from clawpoly.vertices import VertexSet, generate_vertices, pull_back
@@ -637,6 +642,124 @@ def test_orbit_hull_runs_no_vertex_test(monkeypatch):
     poly = hull_from_vertices(generate_vertices(Z2Z2, 5), group=Z2Z2)
     assert len(poly.facets) == 68
     assert outside == []
+
+
+class _ConeRows(Exception):
+    """Raised by a stand-in _dd_cone with the rows it was given."""
+
+
+@pytest.mark.parametrize(
+    "spec, m",
+    [(spec, m) for spec in (Z2, Z3, Z2Z2) for m in range(3, 9)],
+    ids=lambda x: getattr(x, "name", lambda: str(x))(),
+)
+def test_orbit_hull_cone_rows_in_insertion_order(spec, m, monkeypatch):
+    # the sort by weight of the reversed sorted points is the _insertion_key order
+    def stop(rows, n, label):
+        raise _ConeRows(rows)
+
+    monkeypatch.setattr(orbit, "_dd_cone", stop)
+    pts = generate_vertices(spec, m).points
+    with pytest.raises(_ConeRows) as raised:
+        hull_from_vertices(pts, group=spec)
+    assert raised.value.args[0] == sorted((p for p in pts if any(p)), key=_insertion_key)
+
+
+# --- vertices of a claw polytope from the cone at 0 -----------------------------
+
+def _orbit_lines(lines):
+    return [line for line in lines if line.startswith("vertices orbit[")]
+
+
+def _claw_system(kind, m):
+    """(system, group): a claw system whose vertices are the generated ones."""
+    if kind == "z3-hull":
+        return hull_system(hull_from_vertices(generate_vertices(Z3, m), group=Z3)), Z3
+    build, spec = {"kimura3": (kimura3_system, Z2Z2), "prime": (prime_system_in_standard, Z2Z2),
+                   "binary": (demihypercube_system, Z2)}[kind]
+    return build(m), spec
+
+
+@pytest.mark.parametrize(
+    "kind, m",
+    [(kind, m) for kind in ("kimura3", "prime", "binary") for m in range(3, 7)]
+    + [("z3-hull", 3), ("z3-hull", 4)],
+)
+def test_orbit_vertices_equal_generic_vertices(kind, m):
+    system, spec = _claw_system(kind, m)
+    with _engine_log() as lines:
+        vs = vertices_from_inequalities(system, max_dim=18, group=spec)
+    (line,) = _orbit_lines(lines)
+    assert line.endswith(f" {len(vs.points)} vertices")
+    assert vs == vertices_from_inequalities(system, max_dim=18)
+    assert vs.points == tuple(sorted(generate_vertices(spec, m).points))
+
+
+def test_orbit_vertices_logs_the_cone_and_summary():
+    with _engine_log() as lines:
+        vertices_from_inequalities(kimura3_system(5), max_dim=15, group=Z2Z2)
+    assert [line for line in lines if "row " not in line] == [
+        "vertices cone[kimura3 d=15]: 30 rows, 140 rays at peak, 8245 candidate pairs, "
+        "700 past prefilter, 212 adjacent",
+        "vertices cone[kimura3 d=15]: 1-byte lanes, 1 column rebuilds (1 renumber, 0 widen)",
+        "vertices cone[kimura3 d=15]: 467 pairs walked, 6037 walk steps, "
+        "233 settled by a cached witness",
+        "vertices cone[kimura3 d=15]: 137 violating rays, 137 counted per partner, "
+        "0 by bit-sliced counters",
+        "vertices orbit[kimura3 d=15]: 68 rows, 12 generators, 30 rows at 0, "
+        "90 edges from 0, 256 vertices",
+    ]
+
+
+def _not_k4():
+    """Systems close to kimura3_system(4), and the check each one fails."""
+    rows = list(kimura3_system(4).rows)
+    simplex = rows.index(((1, 0, 0, 0) * 3, 1))
+    far = (1, 1, 1, 1) + (0,) * 8  # every leaf labeled (1, 0): no neighbour of 0
+    zero = (0,) * 12
+    moved = "check 2 failed, a row's pull-back is not a row"
+    return {
+        # non-invariant
+        "dropped-row": (rows[:-1], moved),
+        "lowered-rhs": (rows[:simplex] + [(rows[simplex][0], 0)] + rows[simplex + 1:], moved),
+        "cuts-off-a-far-vertex": (rows + [(far, 3)], moved),
+        "valid-extra-row": (rows + [((1,) * 12, 4)], moved),
+        # invariant: empty, the whole space, and the product of the column simplices
+        "negative-rhs": (rows + [(zero, -1)], "check 1 failed, a row has b < 0"),
+        "whole-space": ([(zero, 1)], "check 3 failed, the cone at 0 has 12 lines"),
+        "simplices-only": (rows[:16],
+                           "check 4 failed, an edge from 0 ends off the generated points"),
+    }
+
+
+def _vertices_or_error(system, **kwargs):
+    try:
+        return vertices_from_inequalities(system, **kwargs)
+    except (InfeasibleError, UnboundedError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("case", sorted(_not_k4()))
+def test_orbit_vertices_fall_through_to_the_generic_run(case):
+    rows, reason = _not_k4()[case]
+    system = InequalitySystem("kimura3", (3, 4), rows, [None] * len(rows))
+    with _engine_log() as lines:
+        got = _vertices_or_error(system, group=Z2Z2)
+    assert _orbit_lines(lines) == [f"vertices orbit[kimura3 d=12]: {reason}; generic DD"]
+    assert got == _vertices_or_error(system)
+    if case != "valid-extra-row":
+        assert got != vertices_from_inequalities(kimura3_system(4))
+
+
+def test_orbit_vertices_refuse_a_non_claw_dimension():
+    # d = 4 is no multiple of |Z3| - 1 = 2 with m >= 3
+    system = demihypercube_system(4)
+    with _engine_log() as lines:
+        vs = vertices_from_inequalities(system, group=Z3)
+    assert _orbit_lines(lines) == [
+        "vertices orbit[binary d=4]: d is not 2 m with m >= 3; generic DD"
+    ]
+    assert vs == vertices_from_inequalities(system)
 
 
 # --- vertex enumeration ----------------------------------------------------------
