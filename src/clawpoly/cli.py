@@ -50,7 +50,7 @@ from .fileio import (
 from .groups import Z2Z2, element, parse_group
 from .halfspaces import MODEL_BUILDERS, model_system, row_count
 from .rationals import is_integral, parse_int, scale_to_ints
-from .vertices import Labeling, VertexSet, generate_vertices, vertex_count
+from .vertices import Labeling, VertexSet, generate_vertices, sorted_vertices, vertex_count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,17 +375,13 @@ def cmd_stats(args):
         outcome = "partial"
         pairs.append(("facets", "skipped-by-cap"))
     else:
-        hull = hull_from_vertices(generate_vertices(Z2Z2, m), group=Z2Z2)
+        hull = hull_from_vertices(sorted_vertices(Z2Z2, m), group=Z2Z2)
         pairs.append(("facets", len(hull.facets)))
         if args.fvector:
-            if m == 3:
-                fv = f_vector(hull)
-                pairs.append(("f_vector", fv.counts))
-                if not fv.complete:
-                    outcome = "partial"
-            else:
+            fv = f_vector(hull, group=Z2Z2)
+            pairs.append(("f_vector", fv.counts))
+            if not fv.complete:
                 outcome = "partial"
-                pairs.append(("f_vector", "m3-only"))
     return _record(args, pairs + [("outcome", outcome)])
 
 

@@ -69,7 +69,11 @@ so each face's dimension is its level. Maximality is not tested pair by
 pair but by counting: H = F & G is a facet of F iff the number of facets
 G giving exactly H equals |omega(H)| - |omega(F)|, where omega(X) is the
 set of facets containing X, read off the vertex -> facets transpose once
-per distinct face.
+per distinct face. Given the group of a claw polytope, the walk keeps the
+facets through vertex 0 and counts only the faces through it, each
+standing for |V| / |vert F| faces by vertex transitivity; each level's
+count must be an integer, and a complete f-vector must satisfy Euler's
+relation.
 
 The 0/1 points of a system come from one depth-first search over the
 coordinates on the system's membership lanes at the 0/1 width: every
@@ -79,12 +83,21 @@ and a subtree is cut as soon as some row is violated by every completion.
 
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .errors import DimensionError, InfeasibleError, InfoLog, UnboundedError, check_dimension
+from .errors import (
+    ConfigurationError,
+    DimensionError,
+    InfeasibleError,
+    InfoLog,
+    UnboundedError,
+    check_dimension,
+)
 from .lanes import bits, byte_width, lane_signs, pack_lanes
 from .rationals import ScaledPoint, canon, scale_to_ints
 from .vertices import VertexSet
@@ -615,7 +628,7 @@ def enumerate_integral_points(system) -> list:
 DEFAULT_MAX_FACES = 200_000
 
 
-def f_vector(poly: PolytopeDD) -> FVector:
+def f_vector(poly: PolytopeDD, group=None) -> FVector:
     """Face counts (f_0, ..., f_{dim-1}) from the vertex-facet incidence.
 
     The face lattice is walked downward one level at a time, starting from
@@ -628,14 +641,35 @@ def f_vector(poly: PolytopeDD) -> FVector:
     them give H itself iff no face of F lies strictly between). |omega| is
     computed once per distinct face of a level from the vertex -> facets
     transpose, so each face's dimension is the level it was found on, and no
-    face is ranked. A level is counted only while the running total stays
+    face is ranked.
+
+    With a GroupSpec group, the vertices must be exactly the sorted points
+    of generate_vertices(group, m) (else ConfigurationError), and only the
+    faces through vertex 0, bit 0 as the zero point sorts first, are walked,
+    from the facets through it. That is exact: every facet G with F & G == H,
+    and every facet in omega(H), contains H, so contains 0 when H does, and
+    neither count of the test changes. The translations act transitively on
+    the vertices and map faces to faces, so each face F lies in the orbits
+    of |vert F| faces through 0 per vertex, and f_k = |V| times the sum of
+    1 / |vert F| over the faces F through 0 of dimension k; a sum that is
+    not an integer is an internal error (ConfigurationError).
+
+    A level is walked only while the running total of faces walked stays
     within DEFAULT_MAX_FACES; past that the walk stops with complete=False,
-    and the levels below the last counted one read 0. Logs one line per
-    level and a total at INFO level.
+    and the levels below the last counted one read 0. A complete f-vector
+    must satisfy Euler's relation, sum_k (-1)^k f_k = 1 - (-1)^dim, or it is
+    an internal error. Logs one line per level with f_k and a total at INFO
+    level, and on the group path the faces walked at vertex 0.
     """
     max_faces = DEFAULT_MAX_FACES
     facet_masks = poly.incidence
     counts = [0] * (poly.dimension - len(poly.equations))
+    if group is not None:
+        # loaded only here, so that commands taking no such walk never load it
+        from .orbit import claw_leaves
+
+        claw_leaves(poly.vertices, poly.dimension, group, "f-vector")
+        facet_masks = [fm for fm in facet_masks if fm & 1]
     on_facets = _transpose(facet_masks, len(poly.vertices))  # vertex -> facets through it
     every_facet = (1 << len(facet_masks)) - 1
 
@@ -648,15 +682,15 @@ def f_vector(poly: PolytopeDD) -> FVector:
         return common.bit_count()
 
     level = {face: omega_count(face) for face in facet_masks}  # face -> |omega(face)|
-    total = 0
+    walked = 0
     complete = True
     for k in reversed(range(len(counts))):
-        if total + len(level) > max_faces:
+        if walked + len(level) > max_faces:
             complete = False
             break
-        counts[k] = len(level)
-        total += len(level)
-        log.info("f_vector: dim %d, %d faces", k, len(level))
+        walked += len(level)
+        counts[k] = len(level) if group is None else _orbit_count(poly, level, k)
+        log.info("f_vector: dim %d, %d faces", k, counts[k])
         below = {}
         seen = {}  # |omega| of every candidate met on this level
         for face, omega in level.items():
@@ -672,8 +706,26 @@ def f_vector(poly: PolytopeDD) -> FVector:
                     count = seen[sub] = omega_count(sub)
                 if n == count - omega:
                     below[sub] = count
-            if total + len(below) > max_faces:
+            if walked + len(below) > max_faces:
                 break
         level = below
-    log.info("f_vector: %d faces, complete=%s", total, complete)
+    if group is not None:
+        log.info(
+            "f_vector at vertex 0: %d facets through it, %d faces walked",
+            len(facet_masks), walked,
+        )
+    log.info("f_vector: %d faces, complete=%s", sum(counts), complete)
+    alternating = sum(f if k % 2 == 0 else -f for k, f in enumerate(counts))
+    if complete and alternating != 1 - (-1) ** len(counts):
+        raise ConfigurationError(f"f-vector {counts}: Euler's relation fails")
     return FVector(tuple(counts), complete)
+
+
+def _orbit_count(poly, level, k):
+    """f_k = |V| * sum of 1 / |vert F| over the faces F through vertex 0 in
+    level; ConfigurationError unless it is an integer."""
+    sizes = Counter(face.bit_count() for face in level)
+    share = len(poly.vertices) * sum(Fraction(n, size) for size, n in sizes.items())
+    if share.denominator != 1:
+        raise ConfigurationError(f"f-vector at vertex 0: dim {k} counts {share} faces")
+    return int(share)

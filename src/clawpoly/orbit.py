@@ -21,8 +21,8 @@ to a(x, i) + a(y, j) + a(-x-y, k) = 0 for all x, y in G, which makes each
 a(., leaf) an additive map of the finite group G into the rationals, that
 is 0.
 
-engine.hull_from_vertices and engine.vertices_from_inequalities load this
-module only when they are given a group.
+engine.hull_from_vertices, engine.vertices_from_inequalities and
+engine.f_vector load this module only when they are given a group.
 """
 
 from __future__ import annotations
@@ -32,7 +32,20 @@ from math import gcd
 from .engine import _dd_cone, _insertion_key, log
 from .errors import ConfigurationError
 from .lanes import byte_width, lane_signs, pack_lanes
-from .vertices import generate_vertices, pull_back, translation_generators
+from .vertices import pull_back, sorted_vertices, translation_generators
+
+
+def claw_leaves(pts, d, group, what):
+    """m, when pts (in R^d) are exactly the sorted points of
+    generate_vertices(group, m) with m = d / (|G| - 1) >= 3; else
+    ConfigurationError, naming what was asked with the group."""
+    m, rem = divmod(d, group.size - 1)
+    if rem or m < 3 or tuple(pts) != sorted_vertices(group, m).points:
+        raise ConfigurationError(
+            f"{what} with group {group.name()}: the points are not the vertices of "
+            f"its claw polytope"
+        )
+    return m
 
 
 def orbit_facets(pts, group):
@@ -51,12 +64,7 @@ def orbit_facets(pts, group):
     """
     d = len(pts[0])
     shape = f"[d={d} points={len(pts)}]"
-    m, rem = divmod(d, group.size - 1)
-    if rem or m < 3 or pts != sorted(generate_vertices(group, m).points):
-        raise ConfigurationError(
-            f"hull with group {group.name()}: the points are not the vertices of "
-            f"its claw polytope"
-        )
+    m = claw_leaves(pts, d, group, "hull")
     # _insertion_key order on sorted 0/1 points: the fewest ones first, ties
     # lexicographically largest first; the zero point, pts[0], leads
     rows = sorted(reversed(pts), key=sum)[1:]
@@ -144,7 +152,7 @@ def orbit_vertices(system, group):
     lines, rays = _dd_cone(at_zero, d, f"vertices cone[{system.model} d={d}]")
     if lines:
         return refuse(f"check 3 failed, the cone at 0 has {len(lines)} lines")
-    pts = sorted(generate_vertices(group, m).points)
+    pts = sorted_vertices(group, m).points
     if not {r for r, _ in rays}.issubset(pts):
         return refuse("check 4 failed, an edge from 0 ends off the generated points")
     log.info(

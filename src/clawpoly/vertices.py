@@ -205,6 +205,16 @@ def generate_vertices(spec: GroupSpec, m: int, allow_large: bool = False) -> Ver
     return VertexSet(dimension=nrows * m, shape=(nrows, m), points=tuple(points))
 
 
+@lru_cache(maxsize=1)
+def sorted_vertices(spec: GroupSpec, m: int) -> VertexSet:
+    """generate_vertices(spec, m) with its points sorted, kept for the last
+    (spec, m) asked: the hull, the vertices and the f-vector of one claw
+    polytope given its group all compare with or return these points, so a
+    run generates them once."""
+    vs = generate_vertices(spec, m)
+    return vs._replace(points=tuple(sorted(vs.points)))
+
+
 def vertex_at(spec: GroupSpec, m: int, index: int) -> tuple[int, ...]:
     """Vertex index of generate_vertices(spec, m), without the others.
 

@@ -662,11 +662,11 @@ def test_stats_env_cap_below_one(monkeypatch, capsys):
     assert "CLAWPOLY_MAX_DIM must be at least 1, got 0" in capsys.readouterr().err
 
 
-def test_stats_f_vector_only_m3(capsys):
+def test_stats_f_vector_k4(capsys):
     assert main(["stats", "--leaves", "4", "--max-dim", "12", "--f-vector"]) == 0
     rec = last_record(capsys)
-    assert rec["f_vector"] == "m3-only"
-    assert rec["outcome"] == "partial"
+    assert rec["f_vector"] == "64,1344,12192,53280,127000,177984,153312,83016,28304,5904,696,40"
+    assert rec["outcome"] == "pass"
 
 
 def test_stats_vertex_cap_exits_before_any_system(monkeypatch, capsys):
@@ -699,6 +699,38 @@ def test_stats_counts_vertices_without_building_them(monkeypatch, capsys):
         "kimura3_prime_inequalities=3116 binary_inequalities=1046 facets=skipped-by-cap "
         "outcome=partial"
     )
+
+
+def _counted_generations(monkeypatch):
+    """The (group, m) of every vertex generation from here on."""
+    made = []
+    masks = vertices_mod.vertex_masks
+
+    def counted(spec, m, allow_large=False):
+        made.append((spec, m))
+        return masks(spec, m, allow_large)
+
+    vertices_mod.sorted_vertices.cache_clear()
+    monkeypatch.setattr(vertices_mod, "vertex_masks", counted)
+    return made
+
+
+@pytest.mark.parametrize(
+    "argv", [["stats", "--leaves", "4", "--f-vector"], ["verify", "integrality", "--leaves", "4"]],
+    ids=["stats", "integrality"],
+)
+def test_claw_vertices_generated_once_per_run(argv, monkeypatch, capsys):
+    # the hull, its f-vector and both vertex certificates share one generation
+    made = _counted_generations(monkeypatch)
+    assert main(argv) == 0
+    assert made == [(Z2Z2, 4)]
+
+
+def test_stats_past_the_cap_generates_no_vertex(monkeypatch, capsys):
+    made = _counted_generations(monkeypatch)
+    assert main(["stats", "--leaves", "11", "--f-vector"]) == 0
+    assert last_record(capsys)["facets"] == "skipped-by-cap"
+    assert made == []
 
 
 def test_stats_out_file_has_no_wall(tmp_path, capsys):
@@ -881,7 +913,7 @@ GOLDEN_CASES = {
     "stats": (["stats", "--leaves", "3"], None),
     "stats-f-vector-out": (["stats", "--leaves", "3", "--f-vector", "--out", "s.records"], None),
     "stats-partial": (["stats", "--leaves", "3", "--f-vector"], "faces"),
-    "stats-m3-only": (["stats", "--leaves", "4", "--f-vector"], None),
+    "stats-k4-f-vector": (["stats", "--leaves", "4", "--f-vector"], None),
     "stats-skipped-by-cap-out": (["stats", "--leaves", "5", "--out", "s.records"], None),
     "stats-cap-below-one": (["stats", "--leaves", "3", "--max-dim", "0"], None),
     "stats-vertex-cap": (["stats", "--leaves", "13"], "no-system"),
@@ -1049,11 +1081,12 @@ GOLDEN = {
                 "f6a19a55d57b0cacaadb4ff209270d35f01cf5aef1a89b32240d0d505d0f9be3",
         },
     ),
-    "stats-m3-only": (
+    "stats-k4-f-vector": (
         0,
         "command=stats leaves=4 vertices=64 kimura3_inequalities=40 "
-        "kimura3_prime_inequalities=40 binary_inequalities=16 facets=40 f_vector=m3-only "
-        "outcome=partial",
+        "kimura3_prime_inequalities=40 binary_inequalities=16 facets=40 "
+        "f_vector=64,1344,12192,53280,127000,177984,153312,83016,28304,5904,696,40 "
+        "outcome=pass",
         {},
     ),
     "stats-partial": (

@@ -1239,3 +1239,79 @@ def test_f_vector_euler_relation(hull_k3):
     assert fv.complete
     # alternating sum over proper faces of a 9-polytope
     assert sum((-1) ** i * c for i, c in enumerate(fv.counts)) == 2
+
+
+# --- face counting at vertex 0 of a claw polytope ------------------------------
+
+K4_F_VECTOR = (64, 1344, 12192, 53280, 127000, 177984, 153312, 83016, 28304, 5904, 696, 40)
+
+
+@pytest.mark.parametrize(
+    "spec, m",
+    [(Z2, m) for m in range(3, 7)] + [(Z2Z2, 3), (Z3, 3)],
+    ids=lambda x: getattr(x, "name", lambda: str(x))(),
+)
+def test_f_vector_at_vertex_0_equals_generic_walk(spec, m):
+    poly = hull_from_vertices(generate_vertices(spec, m), group=spec)
+    fv = f_vector(poly, group=spec)
+    assert fv.complete
+    assert fv == f_vector(poly)
+
+
+def test_f_vector_k4_at_vertex_0():
+    poly = hull_from_vertices(generate_vertices(Z2Z2, 4), group=Z2Z2)
+    with _engine_log() as lines:
+        assert f_vector(poly, group=Z2Z2) == FVector(K4_F_VECTOR, True)
+    assert lines[-2:] == [
+        "f_vector at vertex 0: 24 facets through it, 71751 faces walked",
+        "f_vector: 643136 faces, complete=True",
+    ]
+
+
+def test_f_vector_at_vertex_0_logs_the_generic_levels(hull_k3):
+    with _engine_log() as generic:
+        f_vector(hull_k3)
+    with _engine_log() as at_zero:
+        f_vector(hull_k3, group=Z2Z2)
+    # one additive line, ahead of the total
+    assert at_zero == generic[:-1] + [
+        "f_vector at vertex 0: 18 facets through it, 2491 faces walked", generic[-1]]
+
+
+@pytest.mark.parametrize(
+    "spec, poly",
+    [(Z2, hull_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])),
+     (Z3, hull_from_vertices(generate_vertices(Z2Z2, 3), group=Z2Z2)),
+     (Z2Z2, hull_from_vertices(generate_vertices(Z2Z2, 3).points[1:]))],
+    ids=["square-z2", "k3-z3", "k3-vertex-missing"],
+)
+def test_f_vector_at_vertex_0_refuses_other_polytopes(spec, poly):
+    with pytest.raises(ConfigurationError, match="not the vertices of its claw polytope"):
+        f_vector(poly, group=spec)
+
+
+def test_f_vector_at_vertex_0_under_a_lowered_cap(hull_k3, monkeypatch):
+    # the cap counts the faces walked at vertex 0: 18 facets fit, the next level does not
+    monkeypatch.setattr(engine, "DEFAULT_MAX_FACES", 100)
+    partial = FVector((0,) * 8 + (24,), False)
+    assert f_vector(hull_k3, group=Z2Z2) == f_vector(hull_k3) == partial
+
+
+def test_f_vector_fractional_count_at_vertex_0_is_an_internal_error(hull_k3):
+    # a facet through 0 left out: the others' orbits do not add up to whole faces
+    drop = next(i for i, mask in enumerate(hull_k3.incidence) if mask & 1)
+    poly = hull_k3._replace(
+        facets=hull_k3.facets[:drop] + hull_k3.facets[drop + 1:],
+        incidence=hull_k3.incidence[:drop] + hull_k3.incidence[drop + 1:],
+    )
+    with pytest.raises(ConfigurationError, match="dim 8 counts 68/3 faces"):
+        f_vector(poly, group=Z2Z2)
+
+
+def test_f_vector_failing_euler_relation_is_an_internal_error():
+    square = hull_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+    # a diagonal passed off as a fifth edge
+    poly = square._replace(facets=square.facets + (((1, 1), 1),),
+                           incidence=square.incidence + (0b1001,))
+    with pytest.raises(ConfigurationError, match=r"f-vector \[4, 5\]: Euler's relation fails"):
+        f_vector(poly)
