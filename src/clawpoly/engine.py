@@ -12,7 +12,8 @@ reduce to one cone computation:
   affine hull.
 * hull of a claw polytope, given its group: the cone {a : a.v_i <= 0} at
   vertex 0 gives the facets through 0; their translates are all the
-  facets, and the points are the vertices (see ``orbit``).
+  facets, each certified leaf by leaf, and the points are the vertices
+  (see ``orbit``).
 * vertices of a claw polytope, given its group: the cone {x : a.x <= 0}
   of the rows with b = 0 gives the edges from vertex 0. When every b >= 0,
   the rows are invariant under translation and every edge from 0 ends at
@@ -59,16 +60,17 @@ violating ray keeps the witnesses found against its earlier partners, and
 a later partner is settled without a walk when one of them other than the
 partner itself is tight on all the pair's common rows: one subset test of
 tight masks (a superset query, as in Terzer & Stelling's bit-pattern
-trees). The hull reads its vertices and incidence off the same tight
-sets, with no linear algebra.
+trees). The hull reads its vertices off the same tight sets, with no
+linear algebra.
 
-The f-vector comes from that incidence alone (Kaibel & Pfetsch): the face
-lattice is walked down one level at a time from the facets, a face's
-facets being the maximal proper intersections with the polytope's facets,
-so each face's dimension is its level. Maximality is not tested pair by
-pair but by counting: H = F & G is a facet of F iff the number of facets
-G giving exactly H equals |omega(H)| - |omega(F)|, where omega(X) is the
-set of facets containing X, read off the vertex -> facets transpose once
+The f-vector comes from the vertex-facet incidence alone, which it builds
+for the facets it walks (Kaibel & Pfetsch): the face lattice is walked
+down one level at a time from the facets, a face's facets being the
+maximal proper intersections with the polytope's facets, so each face's
+dimension is its level. Maximality is not tested pair by pair but by
+counting: H = F & G is a facet of F iff the number of facets G giving
+exactly H equals |omega(H)| - |omega(F)|, where omega(X) is the set of
+facets containing X, read off the vertex -> facets transpose once
 per distinct face. Given the group of a claw polytope, the walk keeps the
 facets through vertex 0 and counts only the faces through it, each
 standing for |V| / |vert F| faces by vertex transitivity; each level's
@@ -85,7 +87,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, pairwise
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -431,19 +433,16 @@ def _dd_cone(rows, n, label):
 
 
 class PolytopeDD(NamedTuple):
-    """Double description of a polytope.
+    """Double description of a polytope: its V- and H-representation.
 
     facets are pairs (a, b) meaning a . x <= b with coprime integer
-    entries; equations cut out the affine hull (empty when full-
-    dimensional); incidence[f] is a bitmask with vertex bit v set iff
-    vertex v is tight on facet f.
+    entries; equations cut out the affine hull (empty when full-dimensional).
     """
 
     dimension: int
     vertices: tuple
     facets: tuple
     equations: tuple
-    incidence: tuple
 
 
 class FVector(NamedTuple):
@@ -510,35 +509,32 @@ def _canonical_equation(a, b):
 
 
 def hull_from_vertices(points, group=None) -> PolytopeDD:
-    """Convex hull: irredundant facets, affine-hull equations, incidence.
+    """Convex hull: vertices, irredundant facets, affine-hull equations.
 
-    Accepts a VertexSet or an iterable of rational point tuples; duplicates
-    are removed. Each facet's tight points come from its ray's tight set. A
-    point is a vertex of the hull iff it is the only input point on every
-    facet it lies on, one AND of those facets' tight sets: otherwise its
-    minimal face has a second vertex, and that vertex is an input point.
+    Accepts a VertexSet or an iterable of rational point tuples, sorted
+    and deduplicated unless they come sorted and distinct. Each facet's
+    tight points come from its ray's tight set. A point is a vertex of the
+    hull iff it is the only input point on every facet it lies on, one AND
+    of those facets' tight sets: otherwise its minimal face has a second
+    vertex, and that vertex is an input point.
 
     With a GroupSpec group, the points must be exactly the vertices of
     generate_vertices(group, m) for some m (else ConfigurationError). Being
     0/1 points, they are all vertices, and orbit.orbit_facets gives the
-    facets and incidence from the cone at vertex 0; the output is the same.
+    facets from the cone at vertex 0; the output is the same.
     """
-    if hasattr(points, "points"):
-        pts = list(points.points)
-    else:
-        pts = [tuple(canon(x) for x in p) for p in points]
+    pts = points.points if hasattr(points, "points") else [tuple(map(canon, p)) for p in points]
     if not pts:
         raise InfeasibleError("hull of an empty point set")
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise DimensionError("points of mixed dimension")
-    pts = sorted(set(pts))
+    pts = pts if all(p < q for p, q in pairwise(pts)) else sorted(set(pts))
     if group is not None:
         # loaded only here, so that commands taking no such hull never load it
         from .orbit import orbit_facets
 
-        facets, incidence = orbit_facets(pts, group)  # full-dimensional: no equations
-        return PolytopeDD(d, tuple(pts), tuple(facets), (), tuple(incidence))
+        return PolytopeDD(d, tuple(pts), tuple(orbit_facets(pts, group)), ())  # no equations
     order = _face_first_order(pts)
     lines, rays = _dd_cone(
         [scale_to_ints((1,) + pts[i]).nums for i in order], d + 1,
@@ -546,27 +542,18 @@ def hull_from_vertices(points, group=None) -> PolytopeDD:
     )
     # the full ray (-b, a) is already coprime
     facet_rays = sorted(((tuple(y[1:]), -y[0]), mask) for y, mask in rays if any(y[1:]))
-    facets = [f for f, _ in facet_rays]
     row_masks = [mask for _, mask in facet_rays]  # per facet: the rows tight on it
-    on_facets = [0] * len(pts)  # per point: bitmask of the facets through it
     vertex_ids = []
     every_row = (1 << len(pts)) - 1
     for row, fmask in enumerate(_transpose(row_masks, len(pts))):
-        on_facets[order[row]] = fmask
         common = every_row  # the rows on every facet through this one
         for f in bits(fmask):
             common &= row_masks[f]
         if common == 1 << row:
             vertex_ids.append(order[row])
-    vertex_ids.sort()
-    incidence = _transpose([on_facets[i] for i in vertex_ids], len(facets))
-    return PolytopeDD(
-        dimension=d,
-        vertices=tuple(pts[i] for i in vertex_ids),
-        facets=tuple(facets),
-        equations=tuple(sorted(_canonical_equation(l[1:], -l[0]) for l in lines)),
-        incidence=tuple(incidence),
-    )
+    vertices = tuple(pts[i] for i in sorted(vertex_ids))
+    equations = tuple(sorted(_canonical_equation(l[1:], -l[0]) for l in lines))
+    return PolytopeDD(d, vertices, tuple(f for f, _ in facet_rays), equations)
 
 
 def equal_polytopes(a: VertexSet, b: VertexSet) -> EqualityReport:
@@ -629,7 +616,8 @@ DEFAULT_MAX_FACES = 200_000
 
 
 def f_vector(poly: PolytopeDD, group=None) -> FVector:
-    """Face counts (f_0, ..., f_{dim-1}) from the vertex-facet incidence.
+    """Face counts (f_0, ..., f_{dim-1}) from the vertex-facet incidence,
+    built here for the facets walked by exact a . v == b over the vertices.
 
     The face lattice is walked downward one level at a time, starting from
     the facets at level dim - 1, with dim = dimension - len(equations). The
@@ -646,13 +634,14 @@ def f_vector(poly: PolytopeDD, group=None) -> FVector:
     With a GroupSpec group, the vertices must be exactly the sorted points
     of generate_vertices(group, m) (else ConfigurationError), and only the
     faces through vertex 0, bit 0 as the zero point sorts first, are walked,
-    from the facets through it. That is exact: every facet G with F & G == H,
-    and every facet in omega(H), contains H, so contains 0 when H does, and
-    neither count of the test changes. The translations act transitively on
-    the vertices and map faces to faces, so each face F lies in the orbits
-    of |vert F| faces through 0 per vertex, and f_k = |V| times the sum of
-    1 / |vert F| over the faces F through 0 of dimension k; a sum that is
-    not an integer is an internal error (ConfigurationError).
+    from the facets through it, those with b == 0. That is exact: every
+    facet G with F & G == H, and every facet in omega(H), contains H, so
+    contains 0 when H does, and neither count of the test changes. The
+    translations act transitively on the vertices and map faces to faces,
+    so each face F lies in the orbits of |vert F| faces through 0 per
+    vertex, and f_k = |V| times the sum of 1 / |vert F| over the faces F
+    through 0 of dimension k; a sum that is not an integer is an internal
+    error (ConfigurationError).
 
     A level is walked only while the running total of faces walked stays
     within DEFAULT_MAX_FACES; past that the walk stops with complete=False,
@@ -662,14 +651,15 @@ def f_vector(poly: PolytopeDD, group=None) -> FVector:
     level, and on the group path the faces walked at vertex 0.
     """
     max_faces = DEFAULT_MAX_FACES
-    facet_masks = poly.incidence
+    facets = poly.facets
     counts = [0] * (poly.dimension - len(poly.equations))
     if group is not None:
         # loaded only here, so that commands taking no such walk never load it
         from .orbit import claw_leaves
 
         claw_leaves(poly.vertices, poly.dimension, group, "f-vector")
-        facet_masks = [fm for fm in facet_masks if fm & 1]
+        facets = [(a, b) for a, b in facets if b == 0]  # a . 0 == b: through vertex 0
+    facet_masks = _incidence(poly.vertices, facets)
     on_facets = _transpose(facet_masks, len(poly.vertices))  # vertex -> facets through it
     every_facet = (1 << len(facet_masks)) - 1
 
@@ -719,6 +709,11 @@ def f_vector(poly: PolytopeDD, group=None) -> FVector:
     if complete and alternating != 1 - (-1) ** len(counts):
         raise ConfigurationError(f"f-vector {counts}: Euler's relation fails")
     return FVector(tuple(counts), complete)
+
+
+def _incidence(vertices, facets):
+    """Per facet (a, b), the mask of the vertices v with a . v == b (exact on rationals)."""
+    return [sum(1 << k for k, v in enumerate(vertices) if _dot(a, v) == b) for a, b in facets]
 
 
 def _orbit_count(poly, level, k):

@@ -42,8 +42,8 @@ class ConfigurationError(ClawpolyError):
     """A CLI usage error (--samples below 1, a missing --labeling or
     --point, a bad labeling token), a group hull or f-vector of points not
     its claw polytope's vertices, or an internal error: a witness direction
-    that escapes a bounded polytope, an orbit facet that cuts off a vertex,
-    or an f-vector that fails Euler's relation or counts a fractional
+    that escapes a bounded polytope, an orbit facet that cuts off a vertex
+    or touches none, or an f-vector that fails Euler's relation or counts a fractional
     number of faces."""
 
 

@@ -5,15 +5,15 @@ The consistent labelings of a claw tree form the group G^(m-1) under
 leafwise +, which acts on the polytope's vertices by translation
 (vertices.translation_generators, vertices.pull_back) and maps facets to
 facets. So the double description runs only on the cone at vertex 0 (the
-adjacency decomposition of Bremner, Dutour Sikirić & Schürmann,
-"Polyhedral representation conversion up to symmetries", 2009), in both
-directions. For the hull its rays are the facets through 0, and every
-other facet is one of their translates. For the vertices its rays are the
-edges from 0, and once the rows are known to be invariant, every vertex is
-a translate of 0 (Balinski: a polytope's graph is connected). The cone
-takes its rows in _insertion_key order, which puts the vertices with the
-fewest non-identity leaves first; on K(8) that is about three times faster
-than _face_first_order, with the same rays.
+adjacency decomposition of Bremner, Dutour Sikirić & Schürmann, "Polyhedral
+representation conversion up to symmetries", 2009), in both directions. For
+the hull its rays are the facets through 0, and every other facet is one of
+their translates, certified by vertices.row_max without reading a vertex.
+For the vertices its rays are the edges from 0, and once the rows are known
+to be invariant, every vertex is a translate of 0 (Balinski: a polytope's
+graph is connected). The cone takes its rows in _insertion_key order, which
+puts the vertices with the fewest non-identity leaves first; on K(8) that
+is about three times faster than _face_first_order, with the same rays.
 
 A claw polytope (m >= 3) is full-dimensional, so it has no equations: a
 linear form that vanishes on every vertex restricts, on any three leaves,
@@ -31,8 +31,7 @@ from math import gcd
 
 from .engine import _dd_cone, _insertion_key, log
 from .errors import ConfigurationError
-from .lanes import byte_width, lane_signs, pack_lanes
-from .vertices import pull_back, sorted_vertices, translation_generators
+from .vertices import pull_back, row_max, sorted_vertices, translation_generators
 
 
 def claw_leaves(pts, d, group, what):
@@ -49,15 +48,15 @@ def claw_leaves(pts, d, group, what):
 
 
 def orbit_facets(pts, group):
-    """(facets, incidence) of the claw polytope whose vertices are exactly
-    pts, sorted, from the cone at vertex 0, as PolytopeDD holds them.
+    """The sorted facets of the claw polytope whose vertices are exactly
+    pts, sorted, from the cone at vertex 0.
 
     The facets through 0 are the rays of the DD on the rows v - 0 = v, in
     _insertion_key order. The translations act transitively on the vertices
     and map facets to facets, so every facet is a translate of one through
     0: the rays' orbit under translation_generators, by pull_back, breadth
-    first. One lane evaluation of a facet over all points gives its incidence
-    and certifies it: a point above it is an internal error.
+    first. Each facet a.x <= b is certified by row_max(a) == b, reading no
+    vertex: a larger max cuts off a vertex, a smaller one touches none.
 
     The cone has no lines, as the polytope is full-dimensional (module
     docstring), so the rays are the facets' normals.
@@ -83,22 +82,11 @@ def orbit_facets(pts, group):
         shape, len(rays), len(gens), len(facets) * len(gens), len(facets),
     )
     facets.sort()
-    # lane k of cols[i] holds pts[k][i], so lane k of a row's sum is a . pts[k] - b
-    norm = max(sum(map(abs, a)) + abs(b) for a, b in facets)
-    width = byte_width(norm)
-    cols = [pack_lanes([p[i] for p in pts], width) for i in range(d)]
-    ones = pack_lanes([1] * len(pts), width)
-    masks = []
     for a, b in facets:
-        acc = ((1 << (width - 1)) - b) * ones
-        for c, col in zip(a, cols):
-            if c:
-                acc += c * col
-        at_least, above = lane_signs(acc, len(pts), width)
-        if above:
-            raise ConfigurationError(f"hull orbit{shape}: row {a} <= {b} cuts off a vertex")
-        masks.append(at_least)
-    return facets, masks
+        if (top := row_max(group, m, a)) != b:
+            wrong = "cuts off a vertex" if top > b else "touches no vertex"
+            raise ConfigurationError(f"hull orbit{shape}: row {a} <= {b} {wrong}")
+    return facets
 
 
 def orbit_vertices(system, group):

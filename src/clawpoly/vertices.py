@@ -75,6 +75,20 @@ def vertex_count(spec: GroupSpec, m: int, allow_large: bool = False) -> int:
     raise ResourceCapError(f"{count} vertices exceeds the generation cap {GENERATION_CAP}")
 
 
+def row_max(spec: GroupSpec, m: int, a) -> int:
+    """The largest a.v over the vertices, none listed: a.v sums a(g_j, j) =
+    a[(g_j - 1) m + j] (0 at the identity) over the leaves, so one max-plus
+    pass keyed by the element sum so far finds it: Sankoff's small-parsimony
+    recursion (1975) on a claw, O(m |G|^2)."""
+    sums = _tables(spec, m)[1]
+    minus = [[row.index(t) for row in sums] for t in range(len(sums))]  # s + minus[t][s] = t
+    best = (0, *a[::m])  # best[s]: the max over the labelings of the leaves so far summing to s
+    for j in range(1, m):
+        leaf = (0, *a[j::m])
+        best = [max(x + leaf[e] for x, e in zip(best, es)) for es in minus]
+    return best[0]
+
+
 @lru_cache(maxsize=None)
 def _tables(spec: GroupSpec, m: int):
     """(leaf bits, sums, last bits) over the elements' canonical indices

@@ -20,6 +20,7 @@ from clawpoly.engine import (
     PolytopeDD,
     _dd_cone,
     _face_first_order,
+    _incidence,
     _insertion_key,
     _tight_partners,
     _transpose,
@@ -47,7 +48,7 @@ from clawpoly.halfspaces import (
 )
 from clawpoly.linalg import affine_rank, kernel_vector, matrix_rank
 from clawpoly.rationals import ScaledPoint, scale_to_ints
-from clawpoly.vertices import VertexSet, generate_vertices, pull_back
+from clawpoly.vertices import VertexSet, generate_vertices, pull_back, row_max, sorted_vertices
 
 
 def cone_rows_system(d, rows):
@@ -187,7 +188,7 @@ def test_hull_matches_oracles(data):
     for a, b in poly.facets:
         assert all(_dot(a, p) <= b for p in pts)
     assert list(poly.vertices) == _rank_rule_vertices(poly, pts)
-    for (a, b), mask in zip(poly.facets, poly.incidence):
+    for (a, b), mask in zip(poly.facets, _incidence(poly.vertices, poly.facets)):
         for vi, v in enumerate(poly.vertices):
             assert (mask >> vi & 1) == (_dot(a, v) == b)
         assert mask >> len(poly.vertices) == 0
@@ -212,10 +213,7 @@ def test_hull_k5_counts_and_incidence(caplog):
     assert len(poly.facets) == 68
     assert len(poly.vertices) == 256
     assert poly.equations == ()
-    assert list(poly.incidence) == [
-        sum(1 << vi for vi, v in enumerate(poly.vertices) if _dot(a, v) == b)
-        for a, b in poly.facets
-    ]
+    assert sum(mask.bit_count() for mask in _incidence(poly.vertices, poly.facets)) == 7_680
     # every DD count is pinned, the pairs past the prefilter included
     assert _summaries(caplog) == [
         "hull[d=15 points=256]: 256 rows, 482 rays at peak, 579522 candidate pairs, "
@@ -448,8 +446,11 @@ def test_hull_exact_under_wide_coordinates(data):
 
     base = hull_from_vertices(raw)
     poly = hull_from_vertices([move(p) for p in raw])
-    assert {a + (b,): mask for (a, b), mask in zip(poly.facets, poly.incidence)} == {
-        moved(a, b): mask for (a, b), mask in zip(base.facets, base.incidence)
+    def tight_sets(p):
+        return zip(p.facets, _incidence(p.vertices, p.facets))
+
+    assert {a + (b,): mask for (a, b), mask in tight_sets(poly)} == {
+        moved(a, b): mask for (a, b), mask in tight_sets(base)
     }
     assert len(poly.facets) == len(base.facets)
     assert poly.equations == tuple(sorted(
@@ -518,10 +519,12 @@ Z3, Z4, Z5, Z2XZ3 = GroupSpec((3,)), GroupSpec((4,)), GroupSpec((5,)), GroupSpec
 
 # sha256 of repr(tuple(hull)) and the facet count of the generic hull of
 # generate_vertices(group, 4), which takes 0.8 s for z5 and 18 s for z2xz3
-# on one 2-CPU host, too long to run on every test pass
+# on one 2-CPU host, too long to run on every test pass; the digests of the
+# hulls with their incidence appended, repr(tuple(hull) + (incidence,)),
+# were 95157788… and 65b5a470… in the same run
 GENERIC_HULL_M4 = {
-    "z5": (1020, "95157788206f56f496d1de9d0fed74d04eb5c935ecaca9195e8cbf61501958b1"),
-    "z2xz3": (2462, "65b5a470cef78ef47f95b6e6f8c63d656a4324896ee819e26e49f4cabee83888"),
+    "z5": (1020, "23cf4771000774c444f7a8651a1a833651a0403333bb2b487c16fe8ef0beaeb9"),
+    "z2xz3": (2462, "61f997af737067c49b25d8c55f68eca3012c3d239f3d26218d0d2ebd1817b7c1"),
 }
 
 
@@ -532,7 +535,7 @@ GENERIC_HULL_M4 = {
     ids=lambda x: getattr(x, "name", lambda: str(x))(),
 )
 def test_orbit_hull_equals_generic_hull(spec, m):
-    # same facets, equations, incidence and vertices
+    # same vertices, facets and equations
     vs = generate_vertices(spec, m)
     assert hull_from_vertices(vs, group=spec) == hull_from_vertices(vs)
 
@@ -599,21 +602,74 @@ def test_orbit_row_cutting_off_a_vertex_is_flagged(monkeypatch):
         hull_from_vertices(generate_vertices(Z2Z2, 4), group=Z2Z2)
 
 
+def test_orbit_row_touching_no_vertex_is_flagged(monkeypatch):
+    # the first pull-back off the origin comes back with its rhs raised by 1;
+    # its own translates follow it, raised too, so the orbit stays finite
+    raised = []
+
+    def raise_once(spec, m, row, t):
+        a, b = pull_back(spec, m, row, t)
+        if b and not raised:
+            raised.append((a, b))
+            return a, b + 1
+        return a, b
+
+    monkeypatch.setattr(orbit, "pull_back", raise_once)
+    with pytest.raises(ConfigurationError, match="touches no vertex"):
+        hull_from_vertices(generate_vertices(Z2Z2, 4), group=Z2Z2)
+    assert len(raised) == 1
+
+
+def test_orbit_hull_runs_no_lane_pass(monkeypatch):
+    # the cone packs and reads its own lanes; nothing else may on the group path
+    outside = []
+
+    def guarded(fn):
+        def call(*args):
+            frame = sys._getframe(1)
+            while frame and frame.f_code.co_name != "_dd_cone":
+                frame = frame.f_back
+            if frame is None:
+                outside.append(fn.__name__)
+            return fn(*args)
+        return call
+
+    for module in (engine, orbit):
+        for name in ("lane_signs", "pack_lanes"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+    assert not hasattr(orbit, "lane_signs") and not hasattr(orbit, "pack_lanes")
+    poly = hull_from_vertices(generate_vertices(Z2Z2, 5), group=Z2Z2)
+    assert len(poly.facets) == 68
+    assert outside == []
+
+
+def test_orbit_hull_keeps_sorted_claw_points_as_they_come():
+    # the sorted generated points are not sorted again; any other order, or
+    # duplicates, still are
+    pts = sorted_vertices(Z2Z2, 4).points
+    poly = hull_from_vertices(sorted_vertices(Z2Z2, 4), group=Z2Z2)
+    assert poly.vertices is pts
+    shuffled = list(pts) + list(pts[:5])
+    random.Random(1).shuffle(shuffled)
+    assert hull_from_vertices(shuffled, group=Z2Z2) == poly
+
+
 @pytest.mark.parametrize(
     "spec, m",
     [(Z2Z2, m) for m in (3, 4, 5)] + [(Z3, m) for m in (3, 4)] + [(Z2, m) for m in range(3, 7)],
     ids=lambda x: getattr(x, "name", lambda: str(x))(),
 )
 def test_orbit_hull_is_its_points_and_their_tight_sets(spec, m):
-    # brute force: the vertices are the sorted input, incidence[f] the points on facet f
+    # brute force: the vertices are the sorted input, each facet's max over
+    # them is its rhs, as row_max certifies, and _incidence gives the points on it
     vs = generate_vertices(spec, m)
     poly = hull_from_vertices(vs, group=spec)
     assert poly.vertices == tuple(sorted(vs.points))
     assert poly.equations == ()
-    assert len(poly.incidence) == len(poly.facets)
-    for (a, b), mask in zip(poly.facets, poly.incidence):
+    for (a, b), mask in zip(poly.facets, _incidence(poly.vertices, poly.facets)):
         values = [sum(map(mul, a, p)) for p in poly.vertices]
-        assert max(values) == b
+        assert max(values) == b == row_max(spec, m, a)
         assert mask == sum(1 << k for k, v in enumerate(values) if v == b)
 
 
@@ -624,7 +680,7 @@ K_INCIDENCE = {5: (68, 7_680), 6: (120, 36_864), 7: (220, 172_032)}
 @pytest.mark.parametrize("m", sorted(K_INCIDENCE))
 def test_orbit_hull_tight_pairs(m):
     poly = hull_from_vertices(generate_vertices(Z2Z2, m), group=Z2Z2)
-    pairs = sum(mask.bit_count() for mask in poly.incidence)
+    pairs = sum(mask.bit_count() for mask in _incidence(poly.vertices, poly.facets))
     assert (len(poly.facets), pairs) == K_INCIDENCE[m]
 
 
@@ -958,7 +1014,8 @@ def _tangent_cone_at_0(system):
 
 def _edge_count(poly):
     """Pairs of vertices whose common facets hold no third vertex."""
-    on = _transpose(poly.incidence, len(poly.vertices))  # per vertex: its facets
+    # per vertex: its facets
+    on = _transpose(_incidence(poly.vertices, poly.facets), len(poly.vertices))
     return sum(
         1 for u, v in combinations(on, 2)
         if sum(1 for w in on if w & u & v == u & v) == 2
@@ -1178,11 +1235,12 @@ def test_f_vector_cap(monkeypatch):
 
 def _closure_rank_f_vector(poly):
     """Reference: close the facet vertex-sets under intersection, then rank each face."""
-    masks = set(poly.incidence) - {0}
+    incidence = _incidence(poly.vertices, poly.facets)
+    masks = set(incidence) - {0}
     frontier = list(masks)
     while frontier:
         mask = frontier.pop()
-        for fm in poly.incidence:
+        for fm in incidence:
             m = mask & fm
             if m and m not in masks:
                 masks.add(m)
@@ -1299,19 +1357,15 @@ def test_f_vector_at_vertex_0_under_a_lowered_cap(hull_k3, monkeypatch):
 
 def test_f_vector_fractional_count_at_vertex_0_is_an_internal_error(hull_k3):
     # a facet through 0 left out: the others' orbits do not add up to whole faces
-    drop = next(i for i, mask in enumerate(hull_k3.incidence) if mask & 1)
-    poly = hull_k3._replace(
-        facets=hull_k3.facets[:drop] + hull_k3.facets[drop + 1:],
-        incidence=hull_k3.incidence[:drop] + hull_k3.incidence[drop + 1:],
-    )
+    drop = next(i for i, (a, b) in enumerate(hull_k3.facets) if b == 0)
+    poly = hull_k3._replace(facets=hull_k3.facets[:drop] + hull_k3.facets[drop + 1:])
     with pytest.raises(ConfigurationError, match="dim 8 counts 68/3 faces"):
         f_vector(poly, group=Z2Z2)
 
 
 def test_f_vector_failing_euler_relation_is_an_internal_error():
     square = hull_from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
-    # a diagonal passed off as a fifth edge
-    poly = square._replace(facets=square.facets + (((1, 1), 1),),
-                           incidence=square.incidence + (0b1001,))
+    # a diagonal passed off as a fifth edge, tight on (0, 0) and (1, 1)
+    poly = square._replace(facets=square.facets + (((1, -1), 0),))
     with pytest.raises(ConfigurationError, match=r"f-vector \[4, 5\]: Euler's relation fails"):
         f_vector(poly)

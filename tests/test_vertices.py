@@ -21,6 +21,7 @@ from clawpoly.vertices import (
     Labeling,
     generate_vertices,
     pull_back,
+    row_max,
     split_vertices,
     translation_generators,
     vertex_at,
@@ -265,3 +266,16 @@ def test_generators_reach_every_vertex_from_zero(spec, m):
                 frontier.append(h)
     assert reached == set(_vertex_points(spec, m))
 
+
+
+@pytest.mark.parametrize("spec", CLAW_GROUPS, ids=lambda spec: spec.name())
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_row_max_is_the_max_over_the_vertices(spec, m):
+    rng = random.Random(spec.size * 10 + m)
+    d = (spec.size - 1) * m
+    points = generate_vertices(spec, m).points
+    for _ in range(6):
+        a = tuple(rng.randint(-5, 5) for _ in range(d))
+        assert row_max(spec, m, a) == max(_dot(a, v) for v in points)
+    # all-negative rows: the max is 0, at the zero vertex alone
+    assert row_max(spec, m, (-1,) * d) == 0
