@@ -92,7 +92,7 @@ def simplex_image_check() -> bool:
     for a in (0, 1):
         for b in (0, 1):
             for c in (0, 1):
-                status = dh.membership(ScaledPoint((a, b, c), 1)).status
+                status = dh.status(ScaledPoint((a, b, c), 1))
                 if ((a, b, c) in even) != (status != "outside"):
                     return False
     return True

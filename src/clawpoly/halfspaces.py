@@ -25,6 +25,8 @@ Every row is checked as lane k = row k of one big int (``lanes``), from one
 packer: membership at a whole-byte width, the 0/1 checks at the 0/1 width.
 Membership reads a point in the package's one exact form, a ScaledPoint
 (integer numerators over one denominator), and the 0/1 checks a bitmask.
+One read of a point gives its lanes and the bitmasks of its tight and
+violated rows; status stops there, and membership decodes the rows' ids.
 """
 
 from __future__ import annotations
@@ -110,10 +112,21 @@ class BColumn(NamedTuple):
         return f"family=bcolumn B={b} col={self.col}"
 
 
+def _status(at_least: int, above: int) -> str:
+    """The status of a point whose tight-or-violated and violated rows are
+    the bitmasks at_least and above."""
+    return "outside" if above else "boundary" if at_least else "inside"
+
+
 class MembershipResult(NamedTuple):
     status: str  # "inside" | "boundary" | "outside"
     violated: tuple[int, ...]
     tight: tuple[int, ...]
+
+    @classmethod
+    def of(cls, at_least: int, above: int) -> MembershipResult:
+        """The result of the bitmasks of InequalitySystem.read."""
+        return cls(_status(at_least, above), tuple(bits(above)), tuple(bits(at_least ^ above)))
 
 
 class TightSet(NamedTuple):
@@ -165,8 +178,9 @@ class InequalitySystem:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def membership(self, point: ScaledPoint) -> MembershipResult:
-        """Exact status of a point, every row at once.
+    def read(self, point: ScaledPoint) -> tuple[int, int, int, int]:
+        """(acc, W, at_least, above): the point's ``evaluate`` lanes and the
+        bitmasks of its tight-or-violated rows and of its violated rows.
 
         A lane of ``evaluate`` holds at least 2^(W-1) iff its row is tight
         or violated, and more than that iff it is violated.
@@ -177,16 +191,17 @@ class InequalitySystem:
                 f"point dimension {len(nums)} does not match system dimension {self.dimension}"
             )
         acc, width = self.evaluate(nums, den)
-        at_least, above = lane_signs(acc, len(self.rows), width)
-        violated = tuple(bits(above))
-        tight = tuple(bits(at_least ^ above))
-        if violated:
-            status = "outside"
-        elif tight:
-            status = "boundary"
-        else:
-            status = "inside"
-        return MembershipResult(status, violated, tight)
+        return acc, width, *lane_signs(acc, len(self.rows), width)
+
+    def status(self, point: ScaledPoint) -> str:
+        """membership(point).status, from the same one read, naming no row."""
+        _, _, at_least, above = self.read(point)
+        return _status(at_least, above)
+
+    def membership(self, point: ScaledPoint) -> MembershipResult:
+        """Exact status of a point, every row at once, with the ids of its
+        violated and its tight rows."""
+        return MembershipResult.of(*self.read(point)[2:])
 
     def evaluate(self, nums, den: int) -> tuple[int, int]:
         """(acc, W): lane j of acc, W bits wide, holds 2^(W-1) + a_j.nums - rhs_j*den.

@@ -7,11 +7,14 @@ crosses a lane boundary. Both the 0/1 checks of an inequality system and
 the double description's ray coordinates are kept this way.
 
 Whole-byte lanes are read and written as bytes: lane_signs classifies every
-lane against 2^(width - 1) from one to_bytes of x, and pack_lanes builds
-them with one int.from_bytes. Only the 0/1 checks use other widths.
+lane against 2^(width - 1) from one to_bytes of x, lane_values decodes
+every lane from one such read, and pack_lanes builds them with one int.from_bytes. Only the
+0/1 checks use other widths.
 """
 
 from __future__ import annotations
+
+from struct import unpack
 
 # byte value -> b"1" iff its top bit is set, iff it is exactly 0x80, iff it is nonzero
 _TOP_BIT = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
@@ -66,12 +69,24 @@ def lane_signs(x: int, count: int, width: int) -> tuple[int, int]:
     return at_least, at_least ^ half
 
 
-def lane_values(x: int, width: int, indices) -> list[int]:
-    """The values of the lanes of x at indices, in that order; width is a
-    multiple of 8. x is read as bytes once, and only those lanes are decoded."""
+# whole-byte lane width -> the struct format of one little-endian lane
+_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def lane_values(x: int, count: int, width: int):
+    """The values of lanes 0..count-1 of x, indexable by lane; width is a
+    multiple of 8, and x has no set bit above lane count - 1.
+
+    x is read as little-endian bytes once. At 8, 16, 32 and 64 bits they
+    are decoded by one struct format of little-endian items, whatever the
+    host's byte order; other widths are sliced lane by lane.
+    """
     step = width >> 3
-    raw = x.to_bytes(-(-x.bit_length() // 8), "little")
-    return [int.from_bytes(raw[k * step:(k + 1) * step], "little") for k in indices]
+    raw = x.to_bytes(count * step, "little")
+    code = _FORMATS.get(width)
+    if code is None:
+        return [int.from_bytes(raw[k:k + step], "little") for k in range(0, len(raw), step)]
+    return unpack(f"<{count}{code}", raw)
 
 
 def bits(mask: int):

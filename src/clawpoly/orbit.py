@@ -37,9 +37,12 @@ from .vertices import pull_back, row_max, sorted_vertices, translation_generator
 def claw_leaves(pts, d, group, what):
     """m, when pts (in R^d) are exactly the sorted points of
     generate_vertices(group, m) with m = d / (|G| - 1) >= 3; else
-    ConfigurationError, naming what was asked with the group."""
+    ConfigurationError, naming what was asked with the group. The count
+    |G|^(m-1) is compared first, so no vertex set is built for too few
+    or too many points."""
     m, rem = divmod(d, group.size - 1)
-    if rem or m < 3 or tuple(pts) != sorted_vertices(group, m).points:
+    if (rem or m < 3 or len(pts) != group.size ** (m - 1)
+            or tuple(pts) != sorted_vertices(group, m).points):
         raise ConfigurationError(
             f"{what} with group {group.name()}: the points are not the vertices of "
             f"its claw polytope"

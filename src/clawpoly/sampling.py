@@ -76,9 +76,9 @@ def sample_prime_points(m: int, count: int, seed: int = 0) -> Sample:
     nverts, vertex = _vertex_source(m)
 
     def draw(rng):
-        r = rng.randint(2, 5)
+        r = rng.randrange(4) + 2
         picks = [vertex(rng.randrange(nverts)) for _ in range(r)]
-        weights = [rng.randint(1, 8) for _ in range(r)]
+        weights = [rng.randrange(8) + 1 for _ in range(r)]
         return _combine(picks, weights)
 
     return Sample(draw, count, seed)
@@ -97,7 +97,7 @@ def sample_prime_segment_points(m: int, count: int, seed: int = 0) -> Sample:
         b = rng.randrange(nverts)
         while b == a:
             b = rng.randrange(nverts)
-        w = rng.randint(1, 7)
+        w = rng.randrange(7) + 1
         return _combine([vertex(a), vertex(b)], [w, 8 - w])
 
     return Sample(draw, count, seed)
@@ -109,5 +109,5 @@ def sample_box_points(m: int, count: int, seed: int = 0) -> Sample:
     Straddles the unit box so membership checks see both sides.
     """
     d = 3 * m
-    return Sample(lambda rng: ScaledPoint(tuple(rng.randint(-2, 10) for _ in range(d)), 8),
+    return Sample(lambda rng: ScaledPoint(tuple(rng.randrange(13) - 2 for _ in range(d)), 8),
                   count, seed)

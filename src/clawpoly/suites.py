@@ -11,7 +11,9 @@ one sample (run_sampled_suites) that analyses each point once and keeps
 only the current point's analysis. Each pseudo-facet law is a few lines
 of _pseudo_facet_checks that read the point's witness.PointAnalysis
 directly, and every system is built through halfspaces.model_system,
-under the generation cap.
+under the generation cap. A check that needs only a point's status (the
+isomorphism suite's membership and the interior witness's endpoints)
+reads it with InequalitySystem.status, which decodes no row id.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ def run_isomorphism_suite(m: int, samples: int, seed: int = 0) -> IsomorphismSui
     sys_std = model_system("kimura3", m)
     sys_pri = model_system("kimura3-prime", m)
     for p in membership_pool:
-        inside_std = sys_std.membership(p).status != "outside"
-        inside_pri = sys_pri.membership(to_prime_scaled(p)).status != "outside"
+        inside_std = sys_std.status(p) != "outside"
+        inside_pri = sys_pri.status(to_prime_scaled(p)) != "outside"
         if inside_std != inside_pri:
             failures.append(("membership", point_rows(p)))
     simplex_ok = simplex_image_check()
@@ -197,9 +199,9 @@ def _interior_checks(pt, counts, failures) -> None:
         for sign in (1, -1)
     )
     counts["memberships"] += 2
-    if pt.system.membership(up).status == "outside":
+    if pt.system.status(up) == "outside":
         failures.append(("upper_endpoint_outside", point_rows(p)))
-    if pt.system.membership(down).status == "outside":
+    if pt.system.status(down) == "outside":
         failures.append(("lower_endpoint_outside", point_rows(p)))
 
 

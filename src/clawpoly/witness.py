@@ -16,11 +16,14 @@ Everything here returns exact, machine-checkable evidence:
   not a vertex).
 
 A PointAnalysis holds integer numerators over one common denominator, the
-point's membership, its non-integral support and the tight pseudo-facets of
-every row and column. The tight pseudo-facets are read off the membership's
-tight rows, each an ARow of one row or a BColumn of one column, and the
-support's P1/P2 tag comes from its row and column degrees. analyze_point
-takes the point as a ScaledPoint, so a caller running several checks on one
+point's value lanes and membership from one InequalitySystem.read, its
+non-integral support and the tight pseudo-facets of every row and column.
+The tight pseudo-facets are read off the membership's tight rows, each an
+ARow of one row or a BColumn of one column, placed by a (line, subset)
+table built once per system from the family tags, and the support's P1/P2
+tag comes from its row and column degrees. The interior witness's step
+reads the value lanes, so the point is evaluated once. analyze_point takes
+the point as a ScaledPoint, so a caller running several checks on one
 point analyses it once. Every system is built through
 halfspaces.model_system, under the generation cap.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
 from typing import NamedTuple
@@ -41,13 +45,12 @@ from .errors import (
 )
 from .groups import Z2Z2, embed, group_sum, identity
 from .halfspaces import (
-    ARow,
     InequalitySystem,
     MembershipResult,
     arow_id,
     model_system,
 )
-from .lanes import bits, lane_signs, lane_values
+from .lanes import bits, lane_values, lane_signs
 from .rationals import Rational, ScaledPoint
 from .vertices import Labeling, split_vertices, unpack_points, vertex_count
 
@@ -213,12 +216,14 @@ def _configuration_tag(support) -> str:
 
 class PointAnalysis(NamedTuple):
     """What the checks read of one prime-coordinate point: the point as
-    numerators over one denominator, its membership, its non-integral
-    support (1-based (row, column), row-major), every row and column as a
+    numerators over one denominator, its value lanes (acc, W) of
+    InequalitySystem.evaluate, its membership, its non-integral support
+    (1-based (row, column), row-major), every row and column as a
     LineAnalysis, and the support's configuration tag."""
 
     system: InequalitySystem
     point: ScaledPoint
+    lanes: tuple[int, int]
     membership: MembershipResult
     support: tuple[tuple[int, int], ...]
     rows: tuple[LineAnalysis, ...]
@@ -244,25 +249,34 @@ class PointAnalysis(NamedTuple):
             )
 
 
+@lru_cache(maxsize=None)
+def _line_table(sys: InequalitySystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(line, subset) per row of a prime-coordinate system, from its family
+    tags: ARow((r,), A) is line r - 1 and BColumn(B, c) line 2 + c, so
+    lines 0..2 are the rows and 3..m + 2 the columns."""
+    return tuple((tag.rows[0] - 1, tag.subset) if tag.kind == "arow" else (2 + tag.col, tag.subset)
+                 for tag in sys.families)
+
+
 def analyze_point(point: ScaledPoint) -> PointAnalysis:
     """The PointAnalysis of a 3 x m point, flattened row-major, in the
-    prime-coordinate system."""
+    prime-coordinate system, from one read of its lanes."""
     nums, den = point
     m = len(nums) // 3
     sys = model_system("kimura3-prime", m)
-    membership = sys.membership(point)
+    acc, width, at_least, above = sys.read(point)
+    membership = MembershipResult.of(at_least, above)
     # the tight rows come in family order: each line's subsets in odd_subsets order
     tight = [[] for _ in range(3 + m)]  # rows 1..3, then columns 1..m
+    table = _line_table(sys)
     for i in membership.tight:
-        tag = sys.families[i]
-        if isinstance(tag, ARow):
-            tight[tag.rows[0] - 1].append(tag.subset)
-        else:
-            tight[2 + tag.col].append(tag.subset)
+        line, subset = table[i]
+        tight[line].append(subset)
     rows = tuple(_line(nums[r * m:(r + 1) * m], den, tight[r]) for r in range(3))
     cols = tuple(_line(nums[c::m], den, tight[3 + c]) for c in range(m))
     support = tuple((r, j) for r, line in enumerate(rows, 1) for j in line.nonintegral)
-    return PointAnalysis(sys, point, membership, support, rows, cols, _configuration_tag(support))
+    return PointAnalysis(sys, point, (acc, width), membership, support, rows, cols,
+                         _configuration_tag(support))
 
 
 # --- segment-interior witnesses ----------------------------------------------
@@ -294,38 +308,50 @@ def _edge_line(pt: PointAnalysis, a, b) -> LineAnalysis:
     return pt.rows[a[0] - 1]
 
 
-def _step_bounds(sys: InequalitySystem, point: ScaledPoint, direction: ScaledPoint):
-    """Exact max steps t+ (along +v) and t- (along -v) staying in the system.
-
-    The direction's rates a_j.v of every row come from one evaluation in
-    lanes, and one lanes.lane_signs pass over them finds the rows v moves
-    (rate > 0 or < 0); only those rows' slacks and rates are decoded, as
-    integer numerators over the point's and the direction's denominators. A
-    candidate step is compared by cross multiplication and becomes a
-    Fraction once, at the end. Tight inequalities must have zero rate along
-    v; returns None on the (theoretically excluded) invalid-direction case.
-    """
-    nums, den = point
-    rates, rate_den = direction
-    n = len(sys)
-    rate_lanes, rate_width = sys.evaluate(rates, 0)
-    at_least, above = lane_signs(rate_lanes, n, rate_width)
-    moving = list(bits(above | (((1 << n) - 1) ^ at_least)))
-    value_lanes, width = sys.evaluate(nums, den)
-    tight_lane, zero_rate = 1 << (width - 1), 1 << (rate_width - 1)
-    plus = minus = None  # (slack, |rate|) of the smallest step so far
-    for value, rate in zip(lane_values(value_lanes, width, moving),
-                           lane_values(rate_lanes, rate_width, moving)):
-        slack = tight_lane - value
+def _least_step(values, half: int, rates, middle: int, rows, sign: int):
+    """(slack, |rate|) of the least step slack / |rate| over rows, whose
+    rates have the given sign, or None when one of them is tight; (None, 1)
+    for no rows. values and rates are decoded lanes (lanes.lane_values): a
+    row's slack is half minus its value lane, its rate its rate lane minus
+    middle."""
+    best_slack, best_rate = None, 1
+    for k in rows:
+        slack, rate = half - values[k], sign * (rates[k] - middle)
         if slack == 0:
             return None
-        rate -= zero_rate
-        if rate > 0:
-            if plus is None or slack * plus[1] < plus[0] * rate:
-                plus = (slack, rate)
-        elif minus is None or slack * minus[1] < minus[0] * -rate:
-            minus = (slack, -rate)
+        if best_slack is None or slack * best_rate < best_slack * rate:
+            best_slack, best_rate = slack, rate
+    return best_slack, best_rate
+
+
+def _step_bounds(sys: InequalitySystem, lanes: tuple[int, int], den: int,
+                 direction: ScaledPoint):
+    """Exact max steps t+ (along +v) and t- (along -v) staying in the system,
+    from a point's value lanes (acc, W) of sys.evaluate over denominator den.
+
+    The direction's rates a_j.v of every row come from one evaluation in
+    lanes, and one lanes.lane_signs pass over them splits the rows v moves
+    into the plus rows (rate > 0) and the minus rows (rate < 0). Both sets
+    of lanes are decoded once (lanes.lane_values), and the plus rows and the
+    minus rows are each scanned for their least step, as integer numerators
+    over the point's and the direction's denominators. A candidate step is
+    compared by cross multiplication and becomes a Fraction once, at the
+    end. Tight inequalities must have zero rate along v; returns None on the
+    (theoretically excluded) invalid-direction case.
+    """
+    value_lanes, width = lanes
+    rate_nums, rate_den = direction
+    n = len(sys)
+    rate_lanes, rate_width = sys.evaluate(rate_nums, 0)
+    at_least, above = lane_signs(rate_lanes, n, rate_width)
+    values = lane_values(value_lanes, n, width)
+    rates = lane_values(rate_lanes, n, rate_width)
+    half, middle = 1 << (width - 1), 1 << (rate_width - 1)
+    plus = _least_step(values, half, rates, middle, bits(above), 1)
+    minus = _least_step(values, half, rates, middle, bits(((1 << n) - 1) ^ at_least), -1)
     if plus is None or minus is None:
+        return None
+    if plus[0] is None or minus[0] is None:
         # bounded polytopes always stop a nonzero direction on both sides
         raise ConfigurationError("direction escaped a bounded polytope; internal error")
     # t = (slack / den) / (rate / rate_den)
@@ -467,7 +493,7 @@ def interior_witness(pt: PointAnalysis) -> InteriorWitness | NotInterior:
     for (i, j), x in zip(support, values):
         nums[(i - 1) * m + j - 1] = x
     direction = ScaledPoint(tuple(nums), den)
-    bounds = _step_bounds(pt.system, pt.point, direction)
+    bounds = _step_bounds(pt.system, pt.lanes, pt.point.den, direction)
     if bounds is None:
         return NotInterior("direction moves off a tight inequality")
     t_plus, t_minus = bounds

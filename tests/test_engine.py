@@ -592,6 +592,19 @@ def test_orbit_hull_refuses_another_groups_points(spec, pts):
         hull_from_vertices(pts, group=spec)
 
 
+@pytest.mark.parametrize("d", [60, 33], ids=["m20-past-the-cap", "m11-under-the-cap"])
+def test_orbit_hull_refuses_a_wrong_count_before_generating(d, monkeypatch):
+    # two points in R^60 (R^33) are not the 4^19 (4^10) vertices of K(20)
+    # (K(11)): the count refuses them, and no vertex set is built
+    def generated(spec, m):
+        raise AssertionError(f"sorted_vertices({spec.name()}, {m}) was built")
+
+    monkeypatch.setattr(orbit, "sorted_vertices", generated)
+    pts = [(0,) * d, (1,) + (0,) * (d - 1)]
+    with pytest.raises(ConfigurationError, match="not the vertices of its claw polytope"):
+        hull_from_vertices(pts, group=Z2Z2)
+
+
 def test_orbit_row_cutting_off_a_vertex_is_flagged(monkeypatch):
     # pull-backs without the right-hand side's shift are not valid rows
     def unshifted(spec, m, row, t):

@@ -281,9 +281,9 @@ _coords = st.one_of(
 
 
 @st.composite
-def _model_points(draw):
+def _model_points(draw, leaves=st.integers(min_value=3, max_value=6)):
     model = draw(st.sampled_from(["binary", "kimura3", "kimura3-prime"]))
-    m = draw(st.integers(min_value=3, max_value=6))
+    m = draw(leaves)
     sys_ = model_system(model, m)
     kind = draw(st.sampled_from(["free", "combination", "nudged"]))
     if kind == "free":
@@ -313,6 +313,37 @@ def test_membership_matches_fraction_reference(case, factor):
     nums, den = scale_to_ints([Fraction(x) for x in flat])
     res = sys_.membership(ScaledPoint(tuple(x * factor for x in nums), den * factor))
     assert (res.status, res.violated, res.tight) == _membership_reference(sys_, flat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_model_points(st.integers(min_value=3, max_value=7)),
+       st.integers(min_value=1, max_value=_BIG))
+def test_status_read_matches_membership(case, factor):
+    """The status read is membership's status, and the masks it comes from
+    hold membership's ids: every model at m=3..7, points on faces (vertex
+    combinations), inside and outside, at lane widths up to 2^70."""
+    sys_, flat = case
+    nums, den = scale_to_ints([Fraction(x) for x in flat])
+    point = ScaledPoint(tuple(x * factor for x in nums), den * factor)
+    res = sys_.membership(point)
+    assert sys_.status(point) == res.status == _membership_reference(sys_, flat)[0]
+    _, _, at_least, above = sys_.read(point)
+    assert above == sum(1 << k for k in res.violated)
+    assert at_least == sum(1 << k for k in res.violated + res.tight)
+
+
+@pytest.mark.parametrize("model", ["binary", "kimura3", "kimura3-prime"])
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_status_read_on_every_vertex(model, m):
+    """A vertex is on the boundary, and a point past it out of the unit box
+    is outside; the status read says so as membership does."""
+    sys_ = model_system(model, m)
+    for v in _model_vertices(model, m):
+        p = ScaledPoint(tuple(v), 1)
+        assert sys_.status(p) == sys_.membership(p).status == "boundary"
+        # x_1 moved 1/2 out of [0, 1], which holds the polytope
+        out = ScaledPoint((4 * v[0] - 1, *(2 * x for x in v[1:])), 2)
+        assert sys_.status(out) == sys_.membership(out).status == "outside"
 
 
 @pytest.mark.parametrize("model", ["binary", "kimura3", "kimura3-prime"])

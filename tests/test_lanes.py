@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from clawpoly.lanes import byte_width, lane_signs, pack_lanes
+from clawpoly.lanes import byte_width, lane_signs, lane_values, pack_lanes
 
 
 @st.composite
@@ -48,6 +48,28 @@ def packed_lanes(draw):
 def test_pack_lanes_matches_shifted_sum(case):
     values, width = case
     assert pack_lanes(values, width) == sum(v << k * width for k, v in enumerate(values))
+
+
+@st.composite
+def whole_byte_lanes(draw):
+    """(lanes, width) at every whole-byte width to 136 bits: the struct
+    reads at 8, 16, 32 and 64 bits and the byte slicing at the others."""
+    width = draw(st.sampled_from(range(8, 137, 8)))
+    value = st.one_of(st.sampled_from([0, 1, 1 << (width - 1), (1 << width) - 1]),
+                      st.integers(0, (1 << width) - 1))
+    return draw(st.lists(value, max_size=40)), width
+
+
+@given(whole_byte_lanes())
+@example(([], 16))
+@example(([], 24))
+@example(([1, 0, 0], 64))
+def test_lane_values_matches_per_lane_reference(case):
+    lanes, width = case
+    x = sum(v << k * width for k, v in enumerate(lanes))
+    got = lane_values(x, len(lanes), width)
+    assert list(got) == lanes
+    assert [got[k] for k in reversed(range(len(lanes)))] == lanes[::-1]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -100,3 +101,47 @@ def test_samples_are_drawn_lazily():
     assert drawn == 5_000
     assert peak < 50_000
     assert list(islice(sample, 50)) == first == list(sample_box_points(3, 50, seed=4))
+
+
+# --- the streams, pinned against randint ---------------------------------------
+# Each reference draws as the samplers did with random.randint, so a sampler
+# that consumes its stream differently changes every later point.
+
+def _randint_prime(m, count, seed):
+    rng, n = random.Random(seed), 4 ** (m - 1)
+    for _ in range(count):
+        r = rng.randint(2, 5)
+        picks = [_prime_vertex(m, rng.randrange(n)) for _ in range(r)]
+        weights = [rng.randint(1, 8) for _ in range(r)]
+        yield ScaledPoint(tuple(sum(w * v[i] for w, v in zip(weights, picks))
+                                for i in range(3 * m)), sum(weights))
+
+
+def _randint_segment(m, count, seed):
+    rng, n = random.Random(seed), 4 ** (m - 1)
+    for _ in range(count):
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        while b == a:
+            b = rng.randrange(n)
+        w = rng.randint(1, 7)
+        yield ScaledPoint(tuple(w * x + (8 - w) * y
+                                for x, y in zip(_prime_vertex(m, a), _prime_vertex(m, b))), 8)
+
+
+def _randint_box(m, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield ScaledPoint(tuple(rng.randint(-2, 10) for _ in range(3 * m)), 8)
+
+
+@pytest.mark.parametrize("sampler, reference", [
+    (sample_prime_points, _randint_prime),
+    (sample_prime_segment_points, _randint_segment),
+    (sample_box_points, _randint_box),
+], ids=["prime", "segment", "box"])
+@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampler_streams_match_randint(sampler, reference, m, seed):
+    # 150 points span three blocks of 64
+    assert list(sampler(m, 150, seed)) == list(reference(m, 150, seed))

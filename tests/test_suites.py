@@ -6,6 +6,7 @@ import pytest
 from clawpoly import suites
 from clawpoly.cli import main
 from clawpoly.errors import NotAMemberError
+from clawpoly.halfspaces import InequalitySystem, model_system
 from clawpoly.rationals import ScaledPoint, fmt
 from clawpoly.sampling import sample_box_points
 from clawpoly.suites import _mixed_sample, run_isomorphism_suite, run_sampled_suites
@@ -223,3 +224,62 @@ def test_pseudo_facet_suite_refuses_a_sample_outside(monkeypatch):
     outside = analyze_point(ScaledPoint((3, 0, 0, 0, 0, 0, 0, 0, 0), 1))
     with pytest.raises(NotAMemberError):
         _pseudo_facet_report(outside, monkeypatch)
+
+
+# --- mutations the status reads must catch ------------------------------------
+
+def _widened(factor):
+    """interior_witness with its step eps times factor."""
+    def widened(pt):
+        wit = interior_witness(pt)
+        return wit._replace(epsilon=wit.epsilon * factor)
+    return widened
+
+
+def test_a_doubled_step_ends_on_the_boundary(monkeypatch):
+    # eps is half the nearer stopping time, so 2*eps reaches that side's
+    # facet exactly: the nearer endpoint reads "boundary", and no endpoint
+    # is outside
+    for p in _mixed_sample(4, 40, 3):
+        pt = analyze_point(p)
+        if not pt.support:
+            continue
+        wit = _widened(2)(pt)
+        v, eps = wit.direction, wit.epsilon
+        scale = eps.denominator * v.den
+        ends = {pt.system.status(ScaledPoint(
+            tuple(x * scale + sign * eps.numerator * p.den * vx for x, vx in zip(p.nums, v.nums)),
+            p.den * scale)) for sign in (1, -1)}
+        assert "boundary" in ends and "outside" not in ends
+    monkeypatch.setattr(suites, "interior_witness", _widened(2))
+    assert run_sampled_suites(4, 40, 3)[1].failures == ()
+
+
+def test_a_step_past_the_boundary_is_caught(monkeypatch):
+    monkeypatch.setattr(suites, "interior_witness", _widened(3))
+    _, rep = run_sampled_suites(4, 40, 3)
+    tags = [f[0] for f in rep.failures]
+    assert rep.passed is False and rep.nonintegral > 0
+    assert set(tags) == {"upper_endpoint_outside", "lower_endpoint_outside"}
+    # every witness leaves on its nearer side
+    assert len({f[1] for f in rep.failures}) == rep.nonintegral
+
+
+@pytest.mark.parametrize("row", range(24))
+def test_a_lowered_prime_row_fails_the_isomorphism_suite(row, monkeypatch):
+    # kimura3-prime(3) with one right-hand side lowered by 1 cuts off a
+    # point that kimura3(3) holds: five of the suite's 200 points at m=3,
+    # seed 0, lie in K(3), and every row is tight or nearly so at one
+    def lowered(model, m):
+        sys_ = model_system(model, m)
+        if model != "kimura3-prime":
+            return sys_
+        rows = list(sys_.rows)
+        a, b = rows[row]
+        rows[row] = (a, b - 1)
+        return InequalitySystem(sys_.model, sys_.shape, rows, sys_.families)
+
+    monkeypatch.setattr(suites, "model_system", lowered)
+    rep = run_isomorphism_suite(3, 200, 0)
+    assert rep.passed is False
+    assert {f[0] for f in rep.failures} == {"membership"}

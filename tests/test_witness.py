@@ -20,7 +20,7 @@ from clawpoly.halfspaces import (
     kimura3_system,
 )
 from clawpoly.linalg import kernel_vector
-from clawpoly.rationals import scale_to_ints
+from clawpoly.rationals import ScaledPoint, scale_to_ints
 from clawpoly.sampling import (
     _combine,
     _prime_vertex,
@@ -470,17 +470,27 @@ def test_line_tight_subsets_on_sampled_lines():
             assert line.tight == _tight_reference(values)
 
 
+def _scaled(point, factor):
+    """The same point with numerators and denominator times factor."""
+    return ScaledPoint(tuple(x * factor for x in point.nums), point.den * factor)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(min_value=3, max_value=5),
     st.integers(min_value=0, max_value=10 ** 6),
     st.sampled_from(["witness", "integer", "rational", "one-row"]),
+    st.sampled_from([1, 1 << 12, 1 << 70]),
     st.data(),
 )
-def test_step_bounds_match_fraction_reference(m, seed, kind, data):
+def test_step_bounds_match_fraction_reference(m, seed, kind, factor, data):
+    """_step_bounds on the analysis lanes of a point, scaled by factor (which
+    widens its lanes and the direction's past 16 and 64 bits), against
+    Fractions."""
     sys_ = kimura3_prime_system(m)
     (p,) = sample_prime_points(m, 1, seed)
     flat = p.values()
+    p = _scaled(p, factor)
     if kind == "one-row":
         # coordinate t zeroed in every row but row j: the direction along t moves row j
         # alone, so it stops on one side only, or on neither when row j is tight
@@ -491,16 +501,19 @@ def test_step_bounds_match_fraction_reference(m, seed, kind, data):
         sys_ = InequalitySystem(sys_.model, sys_.shape, rows, sys_.families)
         direction = [0] * (3 * m)
         direction[t] = data.draw(st.sampled_from([-2, -1, H, 1, 3]))
+        lanes = sys_.evaluate(p.nums, p.den)
+        scaled = _scaled(scale_to_ints(direction), factor)
         if _step_reference(sys_, flat, direction) is None:
-            assert _step_bounds(sys_, p, scale_to_ints(direction)) is None
+            assert _step_bounds(sys_, lanes, p.den, scaled) is None
         else:
             with pytest.raises(ConfigurationError):
-                _step_bounds(sys_, p, scale_to_ints(direction))
+                _step_bounds(sys_, lanes, p.den, scaled)
         return
+    pt = analyze_point(p)
     if kind == "witness":
         if _is_integral(p):
             return
-        wit = interior_witness(analyze_point(p))
+        wit = interior_witness(pt)
         if not isinstance(wit, InteriorWitness):
             return
         scaled, direction = wit.direction, wit.direction.values()
@@ -517,7 +530,47 @@ def test_step_bounds_match_fraction_reference(m, seed, kind, data):
                 return
         scaled = scale_to_ints(direction)
     # the sample and the witness direction come over unreduced denominators
-    assert _step_bounds(sys_, p, scaled) == _step_reference(sys_, flat, direction)
+    got = _step_bounds(sys_, pt.lanes, p.den, _scaled(scaled, factor))
+    assert got == _step_reference(sys_, flat, direction)
+
+
+def test_step_bounds_at_every_lane_width():
+    """The witness steps of sampled points, their lanes widened bit by bit
+    from 8 to 136 bits: the typed reads at 8, 16, 32 and 64 bits and the
+    byte slicing at every other width all give the Fraction steps."""
+    widths = set()
+    for m, seed in ((3, 1), (4, 2), (5, 3)):
+        sys_ = kimura3_prime_system(m)
+        for p in sample_prime_points(m, 8, seed):
+            pt = analyze_point(p)
+            if _is_integral(p) or not isinstance(wit := interior_witness(pt), InteriorWitness):
+                continue
+            want = _step_reference(sys_, p.values(), wit.direction.values())
+            for k in range(0, 128, 5):
+                lanes = analyze_point(_scaled(p, 1 << k)).lanes
+                widths.add(lanes[1])
+                got = _step_bounds(sys_, lanes, p.den << k, _scaled(wit.direction, 1 << k))
+                assert got == want, (m, p, k)
+    assert {8, 16, 24, 32, 64, 72} <= widths and max(widths) > 128
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_line_table_matches_the_family_tags(m):
+    """Each row of the prime system sits on the line its tag names, ARow((r,),
+    A) on row r and BColumn(B, c) on column c, and on that line only: its
+    nonzero coefficients are that line's, +1 on the subset and -1 off it."""
+    sys_ = kimura3_prime_system(m)
+    table = witness._line_table(sys_)
+    assert len(table) == len(sys_)
+    lines = [range(r * m, (r + 1) * m) for r in range(3)] + [range(c, 3 * m, m) for c in range(m)]
+    for (line, subset), tag, (a, _) in zip(table, sys_.families, sys_.rows):
+        if isinstance(tag, ARow):
+            assert (line, subset) == (tag.rows[0] - 1, tag.subset)
+        else:
+            assert (line, subset) == (2 + tag.col, tag.subset)
+        on_line = [a[i] for i in lines[line]]
+        assert sum(map(abs, a)) == len(on_line)
+        assert subset == tuple(i for i, x in enumerate(on_line, 1) if x == 1)
 
 
 @settings(max_examples=100, deadline=None)
