@@ -50,7 +50,7 @@ from .halfspaces import (
     arow_id,
     model_system,
 )
-from .lanes import bits, lane_values, lane_signs
+from .lanes import bits, lane_signs, lane_values
 from .rationals import Rational, ScaledPoint
 from .vertices import Labeling, split_vertices, unpack_points, vertex_count
 
