@@ -10,15 +10,15 @@ reduce to one cone computation:
 * hull: a valid inequality a*x <= b is a point (-b, a) of the cone
   {y : y.(1, v_i) <= 0}; extreme rays are facets, lineality is the
   affine hull.
-* hull of a claw polytope, given its group: the cone {a : a.v_i <= 0} at
-  vertex 0 gives the facets through 0; their translates are all the
-  facets, each certified leaf by leaf, and the points are the vertices
-  (see ``orbit``).
+* hull of a claw polytope, given its group: the cone {a : a.v <= 0} over
+  the atoms v (the minimal zero-sum labelings) gives the facets through 0;
+  their translates are all the facets, each certified leaf by leaf, and
+  the points are the vertices (see ``orbit``).
 * vertices of a claw polytope, given its group: the cone {x : a.x <= 0}
   of the rows with b = 0 gives the edges from vertex 0. When every b >= 0,
   the rows are invariant under translation and every edge from 0 ends at
-  a generated vertex, the generated vertices are the vertices; else the
-  first bullet runs (see ``orbit``).
+  an atom, the generated vertices are the vertices; else the first
+  bullet runs (see ``orbit``).
 
 Each direction inserts its rows in one fixed order. Vertices use
 _insertion_key: fewest nonzero entries first, ties lexicographically
@@ -520,8 +520,8 @@ def hull_from_vertices(points, group=None) -> PolytopeDD:
 
     With a GroupSpec group, the points must be exactly the vertices of
     generate_vertices(group, m) for some m (else ConfigurationError). Being
-    0/1 points, they are all vertices, and orbit.orbit_facets gives the
-    facets from the cone at vertex 0; the output is the same.
+    0/1 points, they are all vertices, and orbit.orbit_facets(group, m)
+    gives the facets from the cone over the atoms; the output is the same.
     """
     pts = points.points if hasattr(points, "points") else [tuple(map(canon, p)) for p in points]
     if not pts:
@@ -532,9 +532,10 @@ def hull_from_vertices(points, group=None) -> PolytopeDD:
     pts = pts if all(p < q for p, q in pairwise(pts)) else sorted(set(pts))
     if group is not None:
         # loaded only here, so that commands taking no such hull never load it
-        from .orbit import orbit_facets
+        from .orbit import claw_leaves, orbit_facets
 
-        return PolytopeDD(d, tuple(pts), tuple(orbit_facets(pts, group)), ())  # no equations
+        facets = orbit_facets(group, claw_leaves(pts, d, group, "hull"))
+        return PolytopeDD(d, tuple(pts), tuple(facets), ())  # no equations
     order = _face_first_order(pts)
     lines, rays = _dd_cone(
         [scale_to_ints((1,) + pts[i]).nums for i in order], d + 1,

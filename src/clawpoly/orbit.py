@@ -11,9 +11,13 @@ the hull its rays are the facets through 0, and every other facet is one of
 their translates, certified by vertices.row_max without reading a vertex.
 For the vertices its rays are the edges from 0, and once the rows are known
 to be invariant, every vertex is a translate of 0 (Balinski: a polytope's
-graph is connected). The cone takes its rows in _insertion_key order, which
-puts the vertices with the fewest non-identity leaves first; on K(8) that
-is about three times faster than _face_first_order, with the same rays.
+graph is connected). Both cones read the atoms, not the vertex list: the
+vertices whose non-identity labels sum to 0 while no proper nonempty subset
+of them does. Any other nonzero vertex splits at such a subset into u + w,
+two nonzero vertices, and [0, u + w], whose midpoint is that of [u, w], is
+no edge. So the edges from 0 end at atoms, which generate the tangent cone
+at 0. An atom has at most D(G) labels (Olson 1969; D = 2 for Z2, 3 for
+Z2 x Z2): C(m, 2) atoms for Z2 and 3 C(m, 2) + 6 C(m, 3) for Z2 x Z2.
 
 A claw polytope (m >= 3) is full-dimensional, so it has no equations: a
 linear form that vanishes on every vertex restricts, on any three leaves,
@@ -27,11 +31,10 @@ engine.f_vector load this module only when they are given a group.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .engine import _dd_cone, _insertion_key, log
+from .engine import _dd_cone, _insertion_key, _normalize_int_vector, log
 from .errors import ConfigurationError
-from .vertices import pull_back, row_max, sorted_vertices, translation_generators
+from .vertices import (_tables, pull_back, row_max, sorted_vertices, translation_generators,
+                       unpack_points)
 
 
 def claw_leaves(pts, d, group, what):
@@ -50,27 +53,44 @@ def claw_leaves(pts, d, group, what):
     return m
 
 
-def orbit_facets(pts, group):
-    """The sorted facets of the claw polytope whose vertices are exactly
-    pts, sorted, from the cone at vertex 0.
+def atoms(group, m):
+    """The masks of the atoms of the claw polytope of group with m leaves
+    (module docstring), each grown leaf by leaf from a zero-sum-free prefix
+    and closed at a later leaf by the one label that brings the sum back to
+    0: a proper zero-sum subset, or its complement, would lie in the
+    prefix. Each atom is grown once, from its labels before its last."""
+    leaf_bits, sums, _ = _tables(group, m)
+    found, stack = [], [(0, 0, set(), 0)]
+    while stack:  # reach: the sums of the prefix's nonempty subsets, 0 not among them
+        mask, total, reach, start = stack.pop()
+        for j in range(start, m):
+            if reach:
+                found.append(mask | leaf_bits[j][sums[total].index(0)])
+            for e in range(1, len(sums)):
+                wider = reach | {e} | {sums[s][e] for s in reach}
+                if 0 not in wider:
+                    stack.append((mask | leaf_bits[j][e], sums[total][e], wider, j + 1))
+    return found
 
-    The facets through 0 are the rays of the DD on the rows v - 0 = v, in
-    _insertion_key order. The translations act transitively on the vertices
-    and map facets to facets, so every facet is a translate of one through
-    0: the rays' orbit under translation_generators, by pull_back, breadth
-    first. Each facet a.x <= b is certified by row_max(a) == b, reading no
-    vertex: a larger max cuts off a vertex, a smaller one touches none.
+
+def orbit_facets(group, m):
+    """The sorted facets of the claw polytope of group with m leaves.
+
+    The facets through 0 are the rays of the DD on the rows of the atoms,
+    which generate the tangent cone at 0, in _insertion_key order. The
+    translations act transitively on the vertices and map facets to
+    facets, so every facet is a translate of one through 0: the rays'
+    orbit under translation_generators, by pull_back, breadth first. Each
+    facet a.x <= b is certified by row_max(a) == b, reading no vertex: a
+    larger max cuts off a vertex, a smaller one touches none.
 
     The cone has no lines, as the polytope is full-dimensional (module
     docstring), so the rays are the facets' normals.
     """
-    d = len(pts[0])
-    shape = f"[d={d} points={len(pts)}]"
-    m = claw_leaves(pts, d, group, "hull")
-    # _insertion_key order on sorted 0/1 points: the fewest ones first, ties
-    # lexicographically largest first; the zero point, pts[0], leads
-    rows = sorted(reversed(pts), key=sum)[1:]
-    _, rays = _dd_cone(rows, d, f"hull cone{shape}")
+    d = (group.size - 1) * m
+    shape = f"[d={d} points={group.size ** (m - 1)}]"
+    rows = sorted(unpack_points(atoms(group, m), d), key=_insertion_key)
+    _, rays = _dd_cone(rows, d, f"hull cone[d={d} atoms={len(rows)}]")
     facets = [(r, 0) for r, _ in rays]
     seen = set(facets)
     gens = translation_generators(group, m)
@@ -107,11 +127,11 @@ def orbit_vertices(system, group):
     3. The cone at 0, the double description of the rows with b = 0 in
        _insertion_key order, has no lines: 0 is a vertex, and the cone's
        rays are the directions of its edges.
-    4. Each ray r is a generated point. Then the edge from 0 along r ends
-       at r, which is a point by 2 and a vertex, the image of vertex 0
-       under a symmetry. A ray is primitive, so this is the same as asking
-       that the edge end at a generated point t r: a nonzero 0/1 point t r
-       is r itself.
+    4. Each ray r is an atom. Then the edge from 0 along r ends at r,
+       which is a point by 2 and a vertex, the image of vertex 0 under a
+       symmetry. A ray is primitive, so this is the same as asking that
+       the edge end at an atom t r, a nonzero 0/1 point t r being r; and,
+       given 1-3, that it end at a generated point (module docstring).
 
     The translations act transitively on the generated points and, by 2,
     are symmetries, so by 3 and 4 every generated point is a vertex whose
@@ -132,10 +152,8 @@ def orbit_vertices(system, group):
         return refuse(f"d is not {group.size - 1} m with m >= 3")
     if any(b < 0 for _, b in rows):
         return refuse("check 1 failed, a row has b < 0")
-    coprime = set()
-    for a, b in rows:
-        g = gcd(b, *a)  # as pull_back makes its rows coprime
-        coprime.add((tuple(x // g for x in a), b // g) if g > 1 else (a, b))
+    # made coprime, as pull_back makes its rows
+    coprime = {(v[:-1], v[-1]) for v in (_normalize_int_vector((*a, b)) for a, b in rows)}
     gens = translation_generators(group, m)
     if any(pull_back(group, m, row, t) not in coprime for row in coprime for t in gens):
         return refuse("check 2 failed, a row's pull-back is not a row")
@@ -143,9 +161,9 @@ def orbit_vertices(system, group):
     lines, rays = _dd_cone(at_zero, d, f"vertices cone[{system.model} d={d}]")
     if lines:
         return refuse(f"check 3 failed, the cone at 0 has {len(lines)} lines")
-    pts = sorted_vertices(group, m).points
-    if not {r for r, _ in rays}.issubset(pts):
+    if not {r for r, _ in rays}.issubset(unpack_points(atoms(group, m), d)):
         return refuse("check 4 failed, an edge from 0 ends off the generated points")
+    pts = sorted_vertices(group, m).points
     log.info(
         "%s: %d rows, %d generators, %d rows at 0, %d edges from 0, %d vertices",
         label, len(rows), len(gens), len(at_zero), len(rays), len(pts),

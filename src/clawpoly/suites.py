@@ -92,7 +92,8 @@ def run_isomorphism_suite(m: int, samples: int, seed: int = 0) -> IsomorphismSui
     # the vertex sampler checks the generation cap, so it runs first: an m
     # past the cap is refused before any box point or system is built. Each
     # sampler has its own seed, so the order does not change the samples.
-    mixed = _mixed_sample(m, samples - samples // 2, seed + 3)
+    # It draws prime coordinates, mapped back so that the pool holds members.
+    mixed = map(from_prime_scaled, _mixed_sample(m, samples - samples // 2, seed + 3))
     membership_pool = chain(sample_box_points(m, samples // 2, seed + 2), mixed)
     failures = []
     boxes = sample_box_points(m, samples, seed)

@@ -6,7 +6,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 import pytest
@@ -32,6 +32,7 @@ from clawpoly.engine import (
 )
 import clawpoly.engine as engine
 import clawpoly.orbit as orbit
+import clawpoly.vertices as vertices
 from clawpoly.errors import (
     ConfigurationError,
     DimensionError,
@@ -39,7 +40,7 @@ from clawpoly.errors import (
     ResourceCapError,
     UnboundedError,
 )
-from clawpoly.groups import Z2, Z2Z2, GroupSpec
+from clawpoly.groups import Z2, Z2Z2, GroupSpec, group_elements
 from clawpoly.halfspaces import (
     InequalitySystem,
     demihypercube_system,
@@ -48,7 +49,14 @@ from clawpoly.halfspaces import (
 )
 from clawpoly.linalg import affine_rank, kernel_vector, matrix_rank
 from clawpoly.rationals import ScaledPoint, scale_to_ints
-from clawpoly.vertices import VertexSet, generate_vertices, pull_back, row_max, sorted_vertices
+from clawpoly.vertices import (
+    VertexSet,
+    generate_vertices,
+    pull_back,
+    row_max,
+    sorted_vertices,
+    unpack_points,
+)
 
 
 def cone_rows_system(d, rows):
@@ -552,12 +560,12 @@ def test_orbit_hull_logs_its_cone_and_orbit():
         poly = hull_from_vertices(generate_vertices(Z2Z2, 5), group=Z2Z2)
     assert len(poly.facets) == 68
     assert [line for line in lines if "row " not in line] == [
-        "hull cone[d=15 points=256]: 255 rows, 99 rays at peak, 12760 candidate pairs, "
+        "hull cone[d=15 atoms=90]: 90 rows, 99 rays at peak, 12760 candidate pairs, "
         "2429 past prefilter, 336 adjacent",
-        "hull cone[d=15 points=256]: 1-byte lanes, 6 column rebuilds (6 renumber, 0 widen)",
-        "hull cone[d=15 points=256]: 897 pairs walked, 14188 walk steps, "
+        "hull cone[d=15 atoms=90]: 1-byte lanes, 6 column rebuilds (6 renumber, 0 widen)",
+        "hull cone[d=15 atoms=90]: 897 pairs walked, 14188 walk steps, "
         "1532 settled by a cached witness",
-        "hull cone[d=15 points=256]: 321 violating rays, 321 counted per partner, "
+        "hull cone[d=15 atoms=90]: 321 violating rays, 321 counted per partner, "
         "0 by bit-sliced counters",
         "hull orbit[d=15 points=256]: 30 facets at the origin, 12 generators, "
         "816 pull-backs, 68 facets",
@@ -723,15 +731,98 @@ class _ConeRows(Exception):
     ids=lambda x: getattr(x, "name", lambda: str(x))(),
 )
 def test_orbit_hull_cone_rows_in_insertion_order(spec, m, monkeypatch):
-    # the sort by weight of the reversed sorted points is the _insertion_key order
+    # the cone's rows are the atoms, sorted by _insertion_key
     def stop(rows, n, label):
         raise _ConeRows(rows)
 
     monkeypatch.setattr(orbit, "_dd_cone", stop)
-    pts = generate_vertices(spec, m).points
+    vs = generate_vertices(spec, m)
     with pytest.raises(_ConeRows) as raised:
-        hull_from_vertices(pts, group=spec)
-    assert raised.value.args[0] == sorted((p for p in pts if any(p)), key=_insertion_key)
+        hull_from_vertices(vs, group=spec)
+    atoms = unpack_points(orbit.atoms(spec, m), vs.dimension)
+    assert raised.value.args[0] == sorted(atoms, key=_insertion_key)
+
+
+# --- the atoms: the minimal zero-sum labelings -------------------------------------
+
+def _brute_atoms(spec, m):
+    """The masks of the vertices of generate_vertices(spec, m) whose
+    non-identity labels sum to 0 while no proper nonempty subset of them
+    does, every subset summed."""
+    nonzero = group_elements(spec)[1:]
+    found = set()
+    for p in generate_vertices(spec, m).points:
+        labels = [nonzero[e].residues for e in range(len(nonzero)) for j in range(m)
+                  if p[e * m + j]]
+        zero_sums = [k for k in range(1, len(labels) + 1) for sub in combinations(labels, k)
+                     if all(sum(c) % n == 0 for c, n in zip(zip(*sub), spec.orders))]
+        if zero_sums == [len(labels)]:
+            found.add(sum(1 << i for i, x in enumerate(p) if x))
+    return found
+
+
+@pytest.mark.parametrize("m", range(3, 15))
+def test_atom_counts(m):
+    # C(m, 2) pairs for Z2; for Z2 x Z2, a pair of equal labels or three distinct ones
+    assert len(orbit.atoms(Z2, m)) == comb(m, 2)
+    assert len(orbit.atoms(Z2Z2, m)) == 3 * comb(m, 2) + 6 * comb(m, 3)
+
+
+@pytest.mark.parametrize(
+    "spec, m",
+    [(spec, m) for spec in (Z2, Z3, Z4, Z2Z2) for m in range(3, 7)]
+    + [(spec, m) for spec in (Z5, Z2XZ3) for m in (3, 4)],
+    ids=lambda x: getattr(x, "name", lambda: str(x))(),
+)
+def test_atoms_are_the_minimal_zero_sum_vertices(spec, m):
+    found = orbit.atoms(spec, m)
+    assert len(found) == len(set(found))
+    assert set(found) == _brute_atoms(spec, m)
+
+
+def _drop_atom(monkeypatch, k):
+    """orbit.atoms without its k-th atom."""
+    atoms = orbit.atoms
+
+    def dropped(spec, m):
+        found = atoms(spec, m)
+        return found[:k] + found[k + 1:]
+
+    monkeypatch.setattr(orbit, "atoms", dropped)
+
+
+@pytest.mark.parametrize(
+    "spec, m, k",
+    [(Z2Z2, 5, k) for k in range(90)] + [(Z3, 4, k) for k in range(20)]
+    + [(Z2, 6, k) for k in range(15)],
+    ids=lambda x: getattr(x, "name", lambda: str(x))(),
+)
+def test_a_dropped_atom_cuts_off_a_vertex(spec, m, k, monkeypatch):
+    # every atom is an edge from 0: without it, the cone at 0 has a ray
+    # that leaves the polytope, and row_max says so
+    _drop_atom(monkeypatch, k)
+    with pytest.raises(ConfigurationError, match="cuts off a vertex"):
+        hull_from_vertices(generate_vertices(spec, m), group=spec)
+
+
+def _no_vertex_list(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a vertex list was built")
+
+    for module, name in ((orbit, "sorted_vertices"), (vertices, "sorted_vertices"),
+                         (vertices, "generate_vertices"), (vertices, "vertex_masks")):
+        monkeypatch.setattr(module, name, refused)
+
+
+@pytest.mark.parametrize(
+    "spec, m, system",
+    [(Z2Z2, m, kimura3_system) for m in (8, 9, 10)]
+    + [(Z2, m, demihypercube_system) for m in range(4, 13)],
+    ids=lambda x: getattr(x, "__name__", None) or getattr(x, "name", lambda: str(x))(),
+)
+def test_orbit_facets_are_the_paper_system_without_a_vertex_list(spec, m, system, monkeypatch):
+    _no_vertex_list(monkeypatch)
+    assert set(orbit.orbit_facets(spec, m)) == set(system(m).rows)
 
 
 # --- vertices of a claw polytope from the cone at 0 -----------------------------
@@ -818,6 +909,20 @@ def test_orbit_vertices_fall_through_to_the_generic_run(case):
     assert got == _vertices_or_error(system)
     if case != "valid-extra-row":
         assert got != vertices_from_inequalities(kimura3_system(4))
+
+
+@pytest.mark.parametrize("k", [0, 41])
+def test_an_atom_missing_from_check_4_falls_through(k, monkeypatch):
+    # every edge from 0 ends at an atom; one missing fails check 4
+    _drop_atom(monkeypatch, k)
+    system = kimura3_system(4)
+    with _engine_log() as lines:
+        vs = vertices_from_inequalities(system, group=Z2Z2)
+    assert _orbit_lines(lines) == [
+        "vertices orbit[kimura3 d=12]: check 4 failed, an edge from 0 ends off the "
+        "generated points; generic DD"
+    ]
+    assert vs == vertices_from_inequalities(system)
 
 
 def test_orbit_vertices_refuse_a_non_claw_dimension():

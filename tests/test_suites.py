@@ -265,11 +265,16 @@ def test_a_step_past_the_boundary_is_caught(monkeypatch):
     assert len({f[1] for f in rep.failures}) == rep.nonintegral
 
 
-@pytest.mark.parametrize("row", range(24))
-def test_a_lowered_prime_row_fails_the_isomorphism_suite(row, monkeypatch):
-    # kimura3-prime(3) with one right-hand side lowered by 1 cuts off a
-    # point that kimura3(3) holds: five of the suite's 200 points at m=3,
-    # seed 0, lie in K(3), and every row is tight or nearly so at one
+@pytest.mark.parametrize(
+    "m, samples, row",
+    [pytest.param(3, 200, row, id=str(row)) for row in range(24)]
+    + [pytest.param(5, 600, row, id=f"m5-{row}") for row in range(68)],
+)
+def test_a_lowered_prime_row_fails_the_isomorphism_suite(m, samples, row, monkeypatch):
+    # kimura3-prime(m) with one right-hand side lowered by 1 cuts off a
+    # point that kimura3(m) holds: the suite's mixed half, seed 0, lies in
+    # K(m) (100 of 200 points at m=3, 300 of 600 at m=5), and every row is
+    # tight or nearly so at one of them
     def lowered(model, m):
         sys_ = model_system(model, m)
         if model != "kimura3-prime":
@@ -280,6 +285,6 @@ def test_a_lowered_prime_row_fails_the_isomorphism_suite(row, monkeypatch):
         return InequalitySystem(sys_.model, sys_.shape, rows, sys_.families)
 
     monkeypatch.setattr(suites, "model_system", lowered)
-    rep = run_isomorphism_suite(3, 200, 0)
+    rep = run_isomorphism_suite(m, samples, 0)
     assert rep.passed is False
     assert {f[0] for f in rep.failures} == {"membership"}
