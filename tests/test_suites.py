@@ -1,11 +1,13 @@
 import hashlib
 import logging
+from itertools import chain
 
 import pytest
 
 from clawpoly import suites
 from clawpoly.cli import main
-from clawpoly.errors import NotAMemberError
+from clawpoly.coordchange import from_prime_scaled, to_prime_scaled
+from clawpoly.errors import ClawpolyError, NotAMemberError
 from clawpoly.halfspaces import InequalitySystem, model_system
 from clawpoly.rationals import ScaledPoint, fmt
 from clawpoly.sampling import sample_box_points
@@ -288,3 +290,62 @@ def test_a_lowered_prime_row_fails_the_isomorphism_suite(m, samples, row, monkey
     rep = run_isomorphism_suite(m, samples, 0)
     assert rep.passed is False
     assert {f[0] for f in rep.failures} == {"membership"}
+
+
+def _theorem_path_digest(m, seed, caplog, capsys) -> str:
+    """One sha256 over the theorem path's exact results at (m, seed): every
+    point of a mixed and a box sample with its status in both systems, its
+    analyze_point fields and its interior witness (or the error it raises),
+    then the `verify theorems -v --samples 200` record without wall= and
+    its log lines."""
+    h = hashlib.sha256()
+    std, pri = model_system("kimura3", m), model_system("kimura3-prime", m)
+    box = map(to_prime_scaled, sample_box_points(m, 20, seed + 5))
+    for p in chain(_mixed_sample(m, 40, seed), box):
+        pt = analyze_point(p)
+        try:
+            wit = interior_witness(pt)
+        except ClawpolyError as exc:
+            wit = type(exc).__name__
+        h.update(repr((pri.status(p), std.status(from_prime_scaled(p)), tuple(pt)[1:], wit))
+                 .encode())
+    caplog.set_level(logging.INFO, logger="clawpoly")
+    caplog.clear()
+    argv = ["-v", "verify", "theorems", "--leaves", str(m), "--samples", "200",
+            "--seed", str(seed), "--out-dir", "cx"]
+    h.update(str(main(argv)).encode())
+    record = capsys.readouterr().out.strip().split(" ")
+    h.update(" ".join(f for f in record if not f.startswith("wall=")).encode())
+    h.update("\n".join(f"{r.name}: {r.getMessage()}" for r in caplog.records).encode())
+    return h.hexdigest()
+
+
+THEOREM_PATH_DIGESTS = {
+    (3, 0): "deb41f4a60ecfceca1cee6f28078314337a054d3d4e95ecde2adb6eb6c6161be",
+    (3, 1): "7f0f6ce244a86d8785ddf3c019d02459f4cfcb26072d760ff1c9d952e46567b2",
+    (3, 2): "e4d02df687e17aeb9d62d5115590ae808dd817c23a8d98e13de40d59750a5963",
+    (4, 0): "edd9aedb80a72c794d8adc3e40487ee1909653bade9cfffe022eb7fec92002b9",
+    (4, 1): "fdca88de4beb03788b28cbd6f7734a8d554c472a45a3d9ddd7e2c5660ba7bc4e",
+    (4, 2): "cd55fe87a201264d04c658c9a0da372c8bee9125c8d06cffc803f77f0cb81c30",
+    (5, 0): "fd2da25f29593a9841bb59f0314950c7704b9c31b868e856a0c9b1151c244c00",
+    (5, 1): "ea8d3f25e2f44a62bbf59959d190c913cca36c468cb080a4ec79f4ee7b90602e",
+    (5, 2): "8b33d3d4f6ecfad010d250521cc61a4da2eb437121dda8eb81ea264e328a6089",
+    (6, 0): "16643e2eb0cebc0e373a63dcad18c7751dc93e03e841c572f8c24ca2b0212369",
+    (6, 1): "0dd5c51afbae09d1dc34b815257df5d75e04bc89fc66e3e93b13666e78e84aca",
+    (6, 2): "d13118ab92adba1def28fb4b6cf7e56e550ed0e26f86bca31033841ca51f5280",
+    (7, 0): "243e2fc1c695607ae27cdc809d8c738c8da6e8ddf2ea11f6cb72fa9de0631b52",
+    (7, 1): "ba6643cec3b45e2669921f05e3e0cfae3cad42286cb895871863cdd22236d492",
+    (7, 2): "f2cce1e479bf46f79dde64dcd7bf6196aa88864f0f5c31a9f17595204c863da1",
+    (8, 0): "43ca3d0b30f7a1f4e997cfb2f639e5859b546621922995002b017c79ce66f96b",
+    (8, 1): "bac043a476ec9c33db91edf00997584d8d8c65c0132d9927e6dfce3cf3fd8ba9",
+    (8, 2): "bbe1f0eb52c57a07865f2d5af91e4df30ddf3708a2ac0e81e2540e88c9f1228e",
+}
+
+
+def test_theorem_path_pinned(tmp_path, monkeypatch, caplog, capsys):
+    """Statuses, point analyses, interior witnesses and the CLI records and
+    log lines of the theorem path, m=3..8 and seeds 0..2, as one digest each."""
+    monkeypatch.chdir(tmp_path)
+    got = {(m, seed): _theorem_path_digest(m, seed, caplog, capsys)
+           for m in range(3, 9) for seed in range(3)}
+    assert got == THEOREM_PATH_DIGESTS
