@@ -12,7 +12,7 @@ A point is flattened row-major: row r of a 3 x m point is coordinates
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 
 from .errors import DimensionError
 from .halfspaces import InequalitySystem, model_system
@@ -38,11 +38,8 @@ def prime_system_in_standard(m: int) -> InequalitySystem:
 def _backward(flat, m: int) -> list:
     """Twice the inverse: rows (x+y-z, x+z-y, y+z-x), flattened."""
     x, y, z = flat[:m], flat[m:2 * m], flat[2 * m:]
-    return (
-        [a + b - c for a, b, c in zip(x, y, z)]
-        + [a + c - b for a, b, c in zip(x, y, z)]
-        + [b + c - a for a, b, c in zip(x, y, z)]
-    )
+    return [*map(sub, map(add, x, y), z), *map(sub, map(add, x, z), y),
+            *map(sub, map(add, y, z), x)]
 
 
 def _scaled_columns(point: ScaledPoint) -> int:

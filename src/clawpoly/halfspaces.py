@@ -25,14 +25,17 @@ Every row is checked as lane k = row k of one big int (``lanes``), from one
 packer: membership at a whole-byte width, the 0/1 checks at the 0/1 width.
 Membership reads a point in the package's one exact form, a ScaledPoint
 (integer numerators over one denominator), and the 0/1 checks a bitmask.
-One read of a point gives its lanes and the bitmasks of its tight and
-violated rows; status stops there, and membership decodes the rows' ids.
+A point is evaluated once, all rows in one pass over its coordinates;
+status then tests the lanes' top bits with two ANDs and decodes nothing,
+read decodes the bitmasks of its tight and violated rows, and membership
+the rows' ids.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
+from operator import mul
 from typing import NamedTuple
 
 from . import vertices
@@ -178,25 +181,43 @@ class InequalitySystem:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def read(self, point: ScaledPoint) -> tuple[int, int, int, int]:
-        """(acc, W, at_least, above): the point's ``evaluate`` lanes and the
-        bitmasks of its tight-or-violated rows and of its violated rows.
-
-        A lane of ``evaluate`` holds at least 2^(W-1) iff its row is tight
-        or violated, and more than that iff it is violated.
-        """
+    def _evaluate_point(self, point: ScaledPoint) -> tuple[int, int]:
+        """``evaluate`` of a point, refused when its dimension is not the
+        system's or its denominator is not positive."""
         nums, den = point
         if len(nums) != self.dimension:
             raise DimensionError(
                 f"point dimension {len(nums)} does not match system dimension {self.dimension}"
             )
-        acc, width = self.evaluate(nums, den)
+        if den <= 0:
+            raise DimensionError(f"a point's denominator must be positive, got {den}")
+        return self.evaluate(nums, den)
+
+    def read(self, point: ScaledPoint) -> tuple[int, int, int, int]:
+        """(acc, W, at_least, above): the point's ``evaluate`` lanes and the
+        bitmasks of its tight-or-violated rows and of its violated rows,
+        decoded by lanes.lane_signs.
+
+        A lane of ``evaluate`` holds at least 2^(W-1) iff its row is tight
+        or violated, and more than that iff it is violated.
+        """
+        acc, width = self._evaluate_point(point)
         return acc, width, *lane_signs(acc, len(self.rows), width)
 
     def status(self, point: ScaledPoint) -> str:
-        """membership(point).status, from the same one read, naming no row."""
-        _, _, at_least, above = self.read(point)
-        return _status(at_least, above)
+        """membership(point).status, from two AND tests on the ``evaluate``
+        lanes, decoding no lane.
+
+        ``top`` holds 2^(W-1) in every lane. A row is violated iff its lane
+        minus 1 has the top bit set, and tight or violated iff the lane
+        has; every lane is at least 1, so subtracting 1 from each borrows
+        nothing across lanes.
+        """
+        acc, width = self._evaluate_point(point)
+        top = self._membership_lanes(width)[0]
+        if (acc - (top >> (width - 1))) & top:
+            return "outside"
+        return "boundary" if acc & top else "inside"
 
     def membership(self, point: ScaledPoint) -> MembershipResult:
         """Exact status of a point, every row at once, with the ids of its
@@ -206,20 +227,18 @@ class InequalitySystem:
     def evaluate(self, nums, den: int) -> tuple[int, int]:
         """(acc, W): lane j of acc, W bits wide, holds 2^(W-1) + a_j.nums - rhs_j*den.
 
-        W - 1 is at least the bit length of the largest |a_j.nums - rhs_j*den|
-        the rows' 1-norms and right-hand sides allow at this point, so every
-        lane stays in [1, 2^W). W is a whole number of bytes, so
-        lanes.lane_signs and lanes.lane_values read the lanes.
+        The coordinates' lanes are summed in one pass, each times its
+        numerator. W - 1 is at least the bit length of the largest
+        |a_j.nums - rhs_j*den| the rows' 1-norms and right-hand sides allow
+        at this point, so every lane stays in [1, 2^W) for den >= 0; den = 0
+        evaluates a direction's rates a_j.nums. W is a whole number of
+        bytes, so lanes.lane_signs and lanes.lane_values read the lanes.
         """
         norm, rhs = self._row_bounds
         reach = norm * max(map(abs, nums), default=0) + rhs * den
         width = byte_width(reach)
         offset, rhs_lanes, cols, _ = self._membership_lanes(width)
-        acc = offset - den * rhs_lanes
-        for x, col in zip(nums, cols):
-            if x:
-                acc += x * col
-        return acc, width
+        return sum(map(mul, nums, cols), offset - den * rhs_lanes), width
 
     @cached_property
     def _row_bounds(self) -> tuple[int, int]:

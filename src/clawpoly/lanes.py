@@ -3,13 +3,15 @@
 Lane k of an int x with width-bit lanes is the value (x >> k*width) mod
 2^width. One big-int add or multiply then acts on every lane at once, and
 stays exact as long as no lane leaves [0, 2^width): no carry or borrow
-crosses a lane boundary. Both the 0/1 checks of an inequality system and
-the double description's ray coordinates are kept this way.
+crosses a lane boundary. An inequality system's membership and 0/1
+checks and the double description's ray coordinates are kept this way.
+A test on every lane at once needs no decoding: an AND with a mask of each
+lane's top bit is one big-int operation (InequalitySystem.status).
 
 Whole-byte lanes are read and written as bytes: lane_signs classifies every
 lane against 2^(width - 1) from one to_bytes of x, lane_values decodes
-every lane from one such read, and pack_lanes builds them with one int.from_bytes. Only the
-0/1 checks use other widths.
+every lane from one such read, and pack_lanes builds them with one
+int.from_bytes. Only the 0/1 checks use other widths.
 """
 
 from __future__ import annotations

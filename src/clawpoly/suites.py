@@ -13,13 +13,15 @@ of _pseudo_facet_checks that read the point's witness.PointAnalysis
 directly, and every system is built through halfspaces.model_system,
 under the generation cap. A check that needs only a point's status (the
 isomorphism suite's membership and the interior witness's endpoints)
-reads it with InequalitySystem.status, which decodes no row id.
+reads it with InequalitySystem.status, which tests the lanes' top bits
+and decodes no lane.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, eq, mul, sub
 from typing import NamedTuple
 
 from .coordchange import (
@@ -76,7 +78,7 @@ def _mixed_sample(m, count, seed):
 
 
 def _same_point(a: ScaledPoint, b: ScaledPoint) -> bool:
-    return all(x * b.den == y * a.den for x, y in zip(a.nums, b.nums))
+    return all(map(eq, map(mul, a.nums, repeat(b.den)), map(mul, b.nums, repeat(a.den))))
 
 
 def _log_counts(suite, m, points, memberships, kernel=0, cycle=0, tight=0):
@@ -194,11 +196,8 @@ def _interior_checks(pt, counts, failures) -> None:
     # p +- eps*v over den * eps.denominator * v.den
     scale = wit.epsilon.denominator * v.den
     step = wit.epsilon.numerator * den
-    up, down = (
-        ScaledPoint(tuple(x * scale + sign * step * vx for x, vx in zip(nums, v.nums)),
-                    den * scale)
-        for sign in (1, -1)
-    )
+    base, shift = [*map(mul, nums, repeat(scale))], [*map(mul, v.nums, repeat(step))]
+    up, down = (ScaledPoint(tuple(map(op, base, shift)), den * scale) for op in (add, sub))
     counts["memberships"] += 2
     if pt.system.status(up) == "outside":
         failures.append(("upper_endpoint_outside", point_rows(p)))

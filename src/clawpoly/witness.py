@@ -17,15 +17,16 @@ Everything here returns exact, machine-checkable evidence:
 
 A PointAnalysis holds integer numerators over one common denominator, the
 point's value lanes and membership from one InequalitySystem.read, its
-non-integral support and the tight pseudo-facets of every row and column.
+non-integral support, from one remainder pass over the numerators, and
+the tight pseudo-facets of every row and column.
 The tight pseudo-facets are read off the membership's tight rows, each an
 ARow of one row or a BColumn of one column, placed by a (line, subset)
 table built once per system from the family tags, and the support's P1/P2
 tag comes from its row and column degrees. The interior witness's step
-reads the value lanes, so the point is evaluated once. analyze_point takes
-the point as a ScaledPoint, so a caller running several checks on one
-point analyses it once. Every system is built through
-halfspaces.model_system, under the generation cap.
+reads the value lanes, so the point is evaluated once, and scans only the
+rows its direction moves. analyze_point takes the point as a ScaledPoint,
+so a caller running several checks on one point analyses it once. Every
+system is built through halfspaces.model_system, under the generation cap.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count, repeat
 from math import gcd, lcm
+from operator import mod
 from typing import NamedTuple
 
 from .errors import (
@@ -194,10 +196,10 @@ class LineAnalysis(NamedTuple):
         return (ones % 2 == 1) == (self.facet_class(subset) == "S")
 
 
-def _line(nums, den: int, tight) -> LineAnalysis:
-    nums = tuple(nums)
-    nonintegral = tuple(i for i, x in enumerate(nums, 1) if x % den)
-    return LineAnalysis(nums, den, nonintegral, tuple(tight))
+def _line(nums, den: int, remainders, tight) -> LineAnalysis:
+    """The LineAnalysis of numerators nums over den, given each one's
+    remainder mod den."""
+    return LineAnalysis(tuple(nums), den, tuple(compress(count(1), remainders)), tuple(tight))
 
 
 # --- the analysis of a prime-coordinate point --------------------------------
@@ -208,8 +210,10 @@ def _configuration_tag(support) -> str:
     both are the supports whose every row and column holds exactly 2 cells."""
     if not support:
         return "none"
+    if len(support) not in (4, 6):
+        return "other"
     degrees = {*Counter(i for i, _ in support).values(), *Counter(j for _, j in support).values()}
-    if degrees == {2} and len(support) in (4, 6):
+    if degrees == {2}:
         return "P1" if len(support) == 4 else "P2"
     return "other"
 
@@ -272,8 +276,10 @@ def analyze_point(point: ScaledPoint) -> PointAnalysis:
     for i in membership.tight:
         line, subset = table[i]
         tight[line].append(subset)
-    rows = tuple(_line(nums[r * m:(r + 1) * m], den, tight[r]) for r in range(3))
-    cols = tuple(_line(nums[c::m], den, tight[3 + c]) for c in range(m))
+    remainders = [*map(mod, nums, repeat(den))]
+    rows = tuple(_line(nums[r * m:(r + 1) * m], den, remainders[r * m:(r + 1) * m], tight[r])
+                 for r in range(3))
+    cols = tuple(_line(nums[c::m], den, remainders[c::m], tight[3 + c]) for c in range(m))
     support = tuple((r, j) for r, line in enumerate(rows, 1) for j in line.nonintegral)
     return PointAnalysis(sys, point, (acc, width), membership, support, rows, cols,
                          _configuration_tag(support))
@@ -308,20 +314,29 @@ def _edge_line(pt: PointAnalysis, a, b) -> LineAnalysis:
     return pt.rows[a[0] - 1]
 
 
-def _least_step(values, half: int, rates, middle: int, rows, sign: int):
-    """(slack, |rate|) of the least step slack / |rate| over rows, whose
-    rates have the given sign, or None when one of them is tight; (None, 1)
-    for no rows. values and rates are decoded lanes (lanes.lane_values): a
-    row's slack is half minus its value lane, its rate its rate lane minus
-    middle."""
+def _least_step(values, half: int, rates, middle: int, sign: int):
+    """(slack, |rate|) of the least step slack / |rate| over the rows whose
+    value and rate lanes are given in step, all rates of the given sign,
+    or None when one of them is tight; (None, 1) for no rows. A row's slack
+    is half minus its value lane, its rate its rate lane minus middle."""
     best_slack, best_rate = None, 1
-    for k in rows:
-        slack, rate = half - values[k], sign * (rates[k] - middle)
+    for value, lane in zip(values, rates):
+        slack, rate = half - value, sign * (lane - middle)
         if slack == 0:
             return None
         if best_slack is None or slack * best_rate < best_slack * rate:
             best_slack, best_rate = slack, rate
     return best_slack, best_rate
+
+
+# binary digit -> flag byte, so that itertools.compress reads a mask's digits
+_FLAG = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask: int) -> bytes:
+    """Byte k is 1 iff bit k of mask is set, for k < mask.bit_length():
+    its binary digits, lowest first."""
+    return bin(mask)[:1:-1].encode().translate(_FLAG)
 
 
 def _step_bounds(sys: InequalitySystem, lanes: tuple[int, int], den: int,
@@ -332,11 +347,13 @@ def _step_bounds(sys: InequalitySystem, lanes: tuple[int, int], den: int,
     The direction's rates a_j.v of every row come from one evaluation in
     lanes, and one lanes.lane_signs pass over them splits the rows v moves
     into the plus rows (rate > 0) and the minus rows (rate < 0). Both sets
-    of lanes are decoded once (lanes.lane_values), and the plus rows and the
-    minus rows are each scanned for their least step, as integer numerators
-    over the point's and the direction's denominators. A candidate step is
-    compared by cross multiplication and becomes a Fraction once, at the
-    end. Tight inequalities must have zero rate along v; returns None on the
+    of lanes are decoded once (lanes.lane_values), and itertools.compress
+    picks the plus rows' and the minus rows' lanes out of them by a flag
+    byte per row, made from each set's row mask. Each set is scanned for
+    its least step, as integer numerators over the point's and the
+    direction's denominators. A candidate step is compared by cross
+    multiplication and becomes a Fraction once, at the end. Tight
+    inequalities must have zero rate along v; returns None on the
     (theoretically excluded) invalid-direction case.
     """
     value_lanes, width = lanes
@@ -347,8 +364,9 @@ def _step_bounds(sys: InequalitySystem, lanes: tuple[int, int], den: int,
     values = lane_values(value_lanes, n, width)
     rates = lane_values(rate_lanes, n, rate_width)
     half, middle = 1 << (width - 1), 1 << (rate_width - 1)
-    plus = _least_step(values, half, rates, middle, bits(above), 1)
-    minus = _least_step(values, half, rates, middle, bits(((1 << n) - 1) ^ at_least), -1)
+    up, down = _flags(above), _flags(((1 << n) - 1) ^ at_least)
+    plus = _least_step(compress(values, up), half, compress(rates, up), middle, 1)
+    minus = _least_step(compress(values, down), half, compress(rates, down), middle, -1)
     if plus is None or minus is None:
         return None
     if plus[0] is None or minus[0] is None:
@@ -376,8 +394,10 @@ def _integer_kernel(rows, ncols) -> ScaledPoint | None:
     pivots = []
     for c in range(ncols):
         r = len(pivots)
-        p = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if p is None:
+        for p in range(r, len(work)):
+            if work[p][c]:
+                break
+        else:
             continue
         work[r], work[p] = work[p], work[r]
         prow = work[r]

@@ -27,6 +27,7 @@ from clawpoly.coordchange import to_prime_scaled
 from clawpoly.groups import Z2Z2
 from clawpoly.rationals import ScaledPoint, scale_to_ints
 from clawpoly.vertices import generate_vertices
+from clawpoly.witness import analyze_point
 
 
 def test_odd_subsets_lex_order():
@@ -120,6 +121,17 @@ def test_membership_statuses():
     res = sys_.membership(e1)
     assert res.status == "outside"
     assert res.violated == (13, 17)
+
+
+@pytest.mark.parametrize("den", [0, -1])
+def test_a_nonpositive_denominator_is_refused(den):
+    """Vertex 0 over den <= 0 would read outside (den -1) or boundary (den
+    0); every read of a point refuses it and names the denominator."""
+    sys_ = model_system("kimura3", 3)
+    zero = ScaledPoint((0,) * 9, den)
+    for read in (sys_.status, sys_.read, sys_.membership, analyze_point):
+        with pytest.raises(DimensionError, match=f"denominator must be positive, got {den}$"):
+            read(zero)
 
 
 def test_tight_sets_frozen():

@@ -406,8 +406,8 @@ def _tight_reference(values):
 def _step_reference(sys_, flat, direction):
     t_plus = t_minus = None
     for a, b in sys_.rows:
-        rate = sum(Fraction(c) * Fraction(v) for c, v in zip(a, direction))
-        slack = b - sum(Fraction(c) * Fraction(x) for c, x in zip(a, flat))
+        rate = sum(c * Fraction(v) for c, v in zip(a, direction) if c)
+        slack = b - sum(c * Fraction(x) for c, x in zip(a, flat) if c)
         if slack == 0:
             if rate != 0:
                 return None
@@ -539,17 +539,21 @@ def test_step_bounds_at_every_lane_width():
     from 8 to 136 bits: the typed reads at 8, 16, 32 and 64 bits and the
     byte slicing at every other width all give the Fraction steps."""
     widths = set()
-    for m, seed in ((3, 1), (4, 2), (5, 3)):
+    for m, seed in ((3, 1), (4, 2), (5, 3), (8, 4), (10, 5)):
         sys_ = kimura3_prime_system(m)
+        cases = []
         for p in sample_prime_points(m, 8, seed):
             pt = analyze_point(p)
             if _is_integral(p) or not isinstance(wit := interior_witness(pt), InteriorWitness):
                 continue
-            want = _step_reference(sys_, p.values(), wit.direction.values())
-            for k in range(0, 128, 5):
+            cases.append((p, wit.direction, _step_reference(sys_, p.values(),
+                                                            wit.direction.values())))
+        # width by width, so that each width's lanes are packed once
+        for k in range(0, 128, 5):
+            for p, direction, want in cases:
                 lanes = analyze_point(_scaled(p, 1 << k)).lanes
                 widths.add(lanes[1])
-                got = _step_bounds(sys_, lanes, p.den << k, _scaled(wit.direction, 1 << k))
+                got = _step_bounds(sys_, lanes, p.den << k, _scaled(direction, 1 << k))
                 assert got == want, (m, p, k)
     assert {8, 16, 24, 32, 64, 72} <= widths and max(widths) > 128
 
